@@ -17,15 +17,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import backends
-from .cutquad import (
-    MappingInvertibilityError,
-    extract_cuts,
-    tet_rule,
-    triangle_rule,
-)
+from .cutquad import extract_cuts, tet_rule, triangle_rule
 from .mapping import IsoMapping
 from .mesh import ActiveMesh
-from .reference import DiscreteLevelSet, physical_gradients
+from .reference import DiscreteLevelSet
 
 CHUNK_ELEMS = 2048
 
@@ -133,19 +128,9 @@ class SurfaceData:
         bary = np.concatenate(flat_bary)
         wref = np.concatenate(flat_wref)
 
-        vals, dlam = mesh.ref.eval(bary, grad=True)
-        gref = physical_gradients(dlam, mesh.bary_grad[elems])
-        y, J = mapping.eval(elems, bary)
-        det = np.linalg.det(J)
-        if np.any(det <= 0.0):
-            raise MappingInvertibilityError("deformation not invertible (mesh too coarse)")
-        invJT = np.linalg.inv(J).transpose(0, 2, 1)
-        Nvec = np.einsum("pij,pj->pi", invJT, mapping.n_lin[elems])
-        nn = np.linalg.norm(Nvec, axis=-1)
-        nh = Nvec / nn[:, None]
-        wlift = wref * det * nn
-        grads = np.einsum("pij,pbj->pbi", invJT, gref)
-        return cls(mesh, elems, vals, grads, nh, wlift, y, groups)
+        lift = mapping.lift(elems, bary)
+        wlift = wref * lift.det * lift.nn
+        return cls(mesh, elems, lift.vals, lift.grads, lift.nh, wlift, lift.y, groups)
 
     def accumulate(self, vec, out_triplets):
         """Sum w * vec.vec' local matrices into the triplet lists, per group."""
@@ -178,19 +163,9 @@ class VolumeData:
         q = len(w)
         E = mesh.nelems
         elems = np.repeat(np.arange(E, dtype=np.int64), q)
-        bary = np.tile(lam, (E, 1))
-        vals, dlam = mesh.ref.eval(bary, grad=True)
-        gref = physical_gradients(dlam, mesh.bary_grad[elems])
-        _, J = mapping.eval(elems, bary)
-        det = np.linalg.det(J)
-        if np.any(det <= 0.0):
-            raise MappingInvertibilityError("deformation not invertible (mesh too coarse)")
-        invJT = np.linalg.inv(J).transpose(0, 2, 1)
-        Nvec = np.einsum("pij,pj->pi", invJT, mapping.n_lin[elems])
-        nh = Nvec / np.linalg.norm(Nvec, axis=-1, keepdims=True)
-        wvol = np.tile(w * mesh.elem_volume, E) * det
-        grads = np.einsum("pij,pbj->pbi", invJT, gref)
-        return cls(mesh, elems, grads, nh, wvol, q)
+        lift = mapping.lift(elems, np.tile(lam, (E, 1)))
+        wvol = np.tile(w * mesh.elem_volume, E) * lift.det
+        return cls(mesh, elems, lift.grads, lift.nh, wvol, q)
 
     def accumulate(self, vec, out_triplets):
         kern = backends.active()

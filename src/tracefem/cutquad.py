@@ -207,27 +207,3 @@ def volume_rule(verts_phys, degree: int):
     verts = np.asarray(verts_phys, dtype=np.float64)
     vol = abs(np.linalg.det(verts[1:] - verts[:1])) / 6.0
     return lam.copy(), w * vol
-
-
-def lift_rule(mesh, mapping, elems, bary, wref):
-    """Push a flat-interface rule onto the deformed surface.
-
-    elems (P,), bary (P, 4), wref (P,) reference weights.  Returns
-    (points (P, 3), weights (P,), normals (P, 3)) where points are the
-    deformed quadrature positions, weights include the surface-measure
-    factor det(DTheta)*|DTheta^-T n-hat|, and normals are the unit
-    normals of the deformed surface.
-    """
-    y, J = mapping.eval(elems, bary)
-    det = np.linalg.det(J)
-    if np.any(det <= 0.0):
-        raise MappingInvertibilityError("deformation not invertible (mesh too coarse)")
-    invJT = np.linalg.inv(J).transpose(0, 2, 1)
-    Nvec = np.einsum("pij,pj->pi", invJT, mapping.n_lin[elems])
-    nn = np.linalg.norm(Nvec, axis=-1)
-    nh = Nvec / nn[:, None]
-    return y, wref * det * nn, nh
-
-
-class MappingInvertibilityError(RuntimeError):
-    pass

@@ -14,6 +14,8 @@ coincide and Theta is the identity.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from . import backends
@@ -26,6 +28,21 @@ ROOT_RTOL = 1e-12
 
 class MappingError(RuntimeError):
     pass
+
+
+class MappingInvertibilityError(RuntimeError):
+    pass
+
+
+class Lift(NamedTuple):
+    """Geometry of points pushed through Theta (see IsoMapping.lift)."""
+
+    vals: np.ndarray    # (P, NB) basis values
+    grads: np.ndarray   # (P, NB, 3) gradients of the lifted basis, DTheta^-T grad b
+    y: np.ndarray       # (P, 3) deformed points
+    det: np.ndarray     # (P,) det DTheta
+    nh: np.ndarray      # (P, 3) unit normal DTheta^-T n-hat / |DTheta^-T n-hat|
+    nn: np.ndarray      # (P,) |DTheta^-T n-hat|
 
 
 def _solve_points(mesh: ActiveMesh, dls: DiscreteLevelSet, elems, x, delta=None, rtol=ROOT_RTOL):
@@ -105,26 +122,44 @@ class IsoMapping:
             self._coeffs = pos[self.mesh.elem_dofs]
         return self._coeffs
 
-    def eval(self, elems, lam):
-        """Deformed points and Jacobians at barycentric points of elements."""
+    def _jacobian(self, elems, lam):
+        """Basis values, undeformed physical gradients, y and DTheta at the points."""
         elems = np.asarray(elems, dtype=np.int64)
         vals, dlam = self.mesh.ref.eval(lam, grad=True)
         gref = physical_gradients(dlam, self.mesh.bary_grad[elems])
+        del dlam
         Tc = self.coeffs[elems]
         y = np.einsum("pb,pbi->pi", vals, Tc)
-        J = np.einsum("pbi,pbj->pij", Tc, gref)
+        J = Tc.transpose(0, 2, 1) @ gref
+        return vals, gref, y, J
+
+    def eval(self, elems, lam):
+        """Deformed points and Jacobians at barycentric points of elements."""
+        _, _, y, J = self._jacobian(elems, lam)
         return y, J
 
-    def normals(self, elems, J=None, lam=None):
-        """Unit normal of the deformed surface; J may be reused from eval."""
+    def lift(self, elems, lam) -> Lift:
+        """Push barycentric points of elements through Theta.
+
+        With J = DTheta, physical gradients pick up J^-T, a flat interface
+        measure picks up det(J) * |J^-T n-hat| and the deformed unit normal
+        is J^-T n-hat normalised, n-hat being the normal of the linear cut.
+        Raises MappingInvertibilityError where det(J) <= 0.
+        """
         elems = np.asarray(elems, dtype=np.int64)
-        if J is None:
-            if lam is None:
-                raise ValueError("need either Jacobians or barycentric points")
-            _, J = self.eval(elems, lam)
-        invJT = np.linalg.inv(J).transpose(0, 2, 1)
-        N = np.einsum("pij,pj->pi", invJT, self.n_lin[elems])
-        return N / np.linalg.norm(N, axis=-1, keepdims=True)
+        vals, gref, y, J = self._jacobian(elems, lam)
+        det = np.linalg.det(J)
+        if np.any(det <= 0.0):
+            raise MappingInvertibilityError("deformation not invertible (mesh too coarse)")
+        invJ = np.linalg.inv(J)
+        grads = gref @ invJ
+        N = (self.n_lin[elems][:, None, :] @ invJ)[:, 0, :]
+        nn = np.linalg.norm(N, axis=-1)
+        return Lift(vals, grads, y, det, N / nn[:, None], nn)
+
+    def normals(self, elems, lam):
+        """Unit normal of the deformed surface at barycentric points of elements."""
+        return self.lift(elems, lam).nh
 
     def max_displacement(self) -> float:
         return float(np.linalg.norm(self.displacement, axis=-1).max(initial=0.0))

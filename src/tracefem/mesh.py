@@ -82,25 +82,41 @@ class MeshParams:
         return MeshParams(self.n * factor, (self.lo, self.hi))
 
 
-def _classify_cubes(values0, values1, n):
-    """Cut-cube mask for one z-slab given the two bounding vertex planes."""
-    c000 = values0[:-1, :-1]
-    c010 = values0[:-1, 1:]
-    c100 = values0[1:, :-1]
-    c110 = values0[1:, 1:]
-    c001 = values1[:-1, :-1]
-    c011 = values1[:-1, 1:]
-    c101 = values1[1:, :-1]
-    c111 = values1[1:, 1:]
-    stack = np.stack([c000, c001, c010, c011, c100, c101, c110, c111])
-    return (stack.min(axis=0) < 0.0) & (stack.max(axis=0) > 0.0), stack
-
-
 def _corner_index(off):
     return off[:, 0] * 4 + off[:, 1] * 2 + off[:, 2]
 
 
 TET_CORNERS = np.stack([_corner_index(KUHN_VERTS[t]) for t in range(6)])  # (6, 4)
+
+
+def _cut_elements(planes):
+    """Cut tetrahedra from the vertex-value planes z = 0..n, given bottom-up.
+
+    Each plane is an (n+1, n+1) array without exact zeros.  Returns
+    (cube (C, 3), tet (C,), vertex_phi (C, 4)) for every element with a
+    sign change among its vertex values.
+    """
+    cubes, tets, vphi = [], [], []
+    planes = iter(planes)
+    below = next(planes)
+    for kz, above in enumerate(planes):
+        # corner (x, y, z) offset of the cube at row 4x + 2y + z, as in _corner_index
+        stack = np.stack([
+            below[:-1, :-1], above[:-1, :-1], below[:-1, 1:], above[:-1, 1:],
+            below[1:, :-1], above[1:, :-1], below[1:, 1:], above[1:, 1:],
+        ])
+        ii, jj = np.nonzero((stack.min(axis=0) < 0.0) & (stack.max(axis=0) > 0.0))
+        below = above
+        if len(ii) == 0:
+            continue
+        tv = stack[:, ii, jj].T[:, TET_CORNERS]  # (C, 6, 4)
+        ci, ti = np.nonzero((tv.min(axis=2) < 0.0) & (tv.max(axis=2) > 0.0))
+        cubes.append(np.stack([ii[ci], jj[ci], np.full(len(ci), kz, dtype=np.int64)], axis=-1))
+        tets.append(ti.astype(np.int64))
+        vphi.append(tv[ci, ti])
+    if not cubes:
+        raise MeshError("surface does not intersect mesh")
+    return np.concatenate(cubes), np.concatenate(tets), np.concatenate(vphi)
 
 
 class ActiveMesh:
@@ -141,32 +157,7 @@ class ActiveMesh:
             v[v == 0.0] = shift
             return v
 
-        cubes, tets, vphi = [], [], []
-        below = plane(0)
-        for kz in range(n):
-            above = plane(kz + 1)
-            cut, stack = _classify_cubes(below, above, n)
-            ii, jj = np.nonzero(cut)
-            if len(ii):
-                vals = stack[:, ii, jj].T  # (C, 8) corner values
-                tv = vals[:, TET_CORNERS]  # (C, 6, 4)
-                mixed = (tv.min(axis=2) < 0.0) & (tv.max(axis=2) > 0.0)
-                ci, ti = np.nonzero(mixed)
-                cubes.append(
-                    np.stack([ii[ci], jj[ci], np.full(len(ci), kz, dtype=np.int64)], axis=-1)
-                )
-                tets.append(ti.astype(np.int64))
-                vphi.append(tv[ci, ti])
-            below = above
-        if not cubes:
-            raise MeshError("surface does not intersect mesh")
-        return cls(
-            params,
-            k,
-            np.concatenate(cubes),
-            np.concatenate(tets),
-            np.concatenate(vphi),
-        )
+        return cls(params, k, *_cut_elements(plane(kz) for kz in range(n + 1)))
 
     @classmethod
     def from_vertex_values(cls, params: MeshParams, vertex_values: np.ndarray, k: int) -> "ActiveMesh":
@@ -178,22 +169,7 @@ class ActiveMesh:
         if not np.all(np.isfinite(v)):
             raise MeshError("vertex values must be finite")
         v[v == 0.0] = ZERO_SHIFT * params.h
-        cubes, tets, vphi = [], [], []
-        for kz in range(n):
-            cut, stack = _classify_cubes(v[:, :, kz], v[:, :, kz + 1], n)
-            ii, jj = np.nonzero(cut)
-            if len(ii) == 0:
-                continue
-            vals = stack[:, ii, jj].T
-            tv = vals[:, TET_CORNERS]
-            mixed = (tv.min(axis=2) < 0.0) & (tv.max(axis=2) > 0.0)
-            ci, ti = np.nonzero(mixed)
-            cubes.append(np.stack([ii[ci], jj[ci], np.full(len(ci), kz, dtype=np.int64)], axis=-1))
-            tets.append(ti.astype(np.int64))
-            vphi.append(tv[ci, ti])
-        if not cubes:
-            raise MeshError("surface does not intersect mesh")
-        return cls(params, k, np.concatenate(cubes), np.concatenate(tets), np.concatenate(vphi))
+        return cls(params, k, *_cut_elements(v[:, :, kz] for kz in range(n + 1)))
 
     def _build_dofs(self):
         k, n = self.k, self.params.n

@@ -37,7 +37,7 @@ def physical_gradients(dlam: np.ndarray, bary_grad: np.ndarray) -> np.ndarray:
     dlam: (P, NB, 4) barycentric basis gradients; bary_grad: (P, 4, 3)
     gradients of the barycentric coordinates (rows of the affine map).
     """
-    return np.einsum("pbm,pmi->pbi", dlam, bary_grad)
+    return dlam @ bary_grad
 
 
 class DiscreteLevelSet:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -287,7 +287,8 @@ def run_conditioning(cfg: StudyConfig):
             rows.append(
                 [_fmt(float(eps)), variant, _fmt(lmax), _fmt(lmin), _fmt(cond), str(n_its)]
             )
-    return StudyResult(cfg, COND_COLUMNS, rows, "conditioning"), reports
+    # the sweep ignores cfg.benchmark; the header names the surface it ran on
+    return StudyResult(replace(cfg, benchmark="plane"), COND_COLUMNS, rows, "conditioning"), reports
 
 
 def run_study(cfg: StudyConfig):

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from tracefem.assembly import SurfaceData, VolumeData
 from tracefem.levelset import Plane, Torus
 from tracefem.mapping import (
     DELTA_FRACTION,
     IsoMapping,
     MappingError,
+    MappingInvertibilityError,
     SearchContext,
     build_theta,
     facet_jump_psi,
@@ -202,3 +204,40 @@ class TestMapping:
         _, mesh = torus_mesh(5, 2)
         with pytest.raises(ValueError, match="ndofs"):
             IsoMapping(mesh, np.zeros((3, mesh.ndofs)))
+
+
+class TestLift:
+    def test_lift_matches_the_explicit_inverse(self, rng):
+        """Normal, weight factor and gradients agree with inv(DTheta) written out."""
+        _, mesh = torus_mesh(8, 2)
+        mapping = IsoMapping(mesh, 0.05 * mesh.h * rng.standard_normal((mesh.ndofs, 3)))
+        elems = rng.integers(0, mesh.nelems, size=200)
+        lam = rng.dirichlet(np.ones(4), size=200)
+        lift = mapping.lift(elems, lam)
+
+        y, J = mapping.eval(elems, lam)
+        vals, dlam = mesh.ref.eval(lam, grad=True)
+        gref = np.einsum("pbm,pmi->pbi", dlam, mesh.bary_grad[elems])
+        invJT = np.linalg.inv(J).transpose(0, 2, 1)
+        N = np.einsum("pij,pj->pi", invJT, mapping.n_lin[elems])
+        nn = np.linalg.norm(N, axis=-1)
+        assert np.abs(J - np.eye(3)).max() > 1e-3  # the test map is not the identity
+        np.testing.assert_allclose(lift.y, y, atol=1e-14)
+        np.testing.assert_allclose(lift.vals, vals, atol=1e-14)
+        np.testing.assert_allclose(lift.det, np.linalg.det(J), rtol=1e-13)
+        np.testing.assert_allclose(lift.nh, N / nn[:, None], atol=1e-13)
+        np.testing.assert_allclose(lift.det * lift.nn, np.linalg.det(J) * nn, rtol=1e-13)
+        np.testing.assert_allclose(
+            lift.grads, np.einsum("pij,pbj->pbi", invJT, gref), rtol=1e-12, atol=1e-12 / mesh.h
+        )
+        np.testing.assert_allclose(mapping.normals(elems, lam), lift.nh, atol=0.0)
+
+    def test_inverted_elements_are_rejected_by_both_rules(self):
+        """Theta(x) = -x has det DTheta = -1 everywhere."""
+        ls, mesh = torus_mesh(6, 2)
+        dls = interpolate(ls, mesh)
+        mapping = IsoMapping(mesh, -2.0 * mesh.dof_points)
+        with pytest.raises(MappingInvertibilityError, match="not invertible"):
+            SurfaceData.build(mesh, dls, mapping, 2)
+        with pytest.raises(MappingInvertibilityError, match="not invertible"):
+            VolumeData.build(mesh, mapping, 4)

@@ -229,8 +229,6 @@ class TestCli:
         out = str(tmp_path / "cond")
         code = main(
             [
-                "--benchmark",
-                "plane",
                 "--k",
                 "1",
                 "--base-n",
@@ -246,6 +244,11 @@ class TestCli:
         text = open(os.path.join(out, "conditioning.csv")).read()
         assert text.splitlines()[-1].count(",") == 5  # eps,variant,lmax,lmin,cond,n_its
         assert "ghost_penalty" in text
+        # the sweep always runs on a shifted plane, whatever --benchmark says
+        echoed = json.loads(
+            [l for l in text.splitlines() if l.startswith("# config:")][0].split(": ", 1)[1]
+        )
+        assert echoed["benchmark"] == "plane"
 
     def test_rho_argument_parsing(self, tmp_path):
         out = str(tmp_path / "rho")
@@ -278,4 +281,4 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             main(["--rho", "quadratic"])
         assert exc.value.code == 2  # argparse usage failure
-        assert "custom:PRE,EXP" in capsys.readouterr().err or True
+        assert "custom:PRE,EXP" in capsys.readouterr().err
