@@ -238,8 +238,7 @@ def assemble_rhs(mesh, dls, mapping, problem, c, degree=None, surf: SurfaceData 
     f = np.zeros(mesh.ndofs)
     contrib = surf.vals * (surf.wlift * fvals)[:, None]
     np.add.at(f, mesh.elem_dofs[surf.elems].ravel(), contrib.ravel())
-    e = np.ones(mesh.ndofs)
-    f -= (f @ e) / (c @ e) * c
+    f -= f.sum() / c.sum() * c  # pairwise sums: independent of the BLAS thread count
     return f
 
 

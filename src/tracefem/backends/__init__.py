@@ -1,55 +1,9 @@
-"""Kernel backend selection.
-
-Two interchangeable implementations of the hot kernels exist: the
-pure-numpy module ``py`` and the optional Cython extension ``_core``.
-``active()`` returns the module picked at import time, controlled by the
-``TRACEFEM_BACKEND`` environment variable (``auto``, ``python`` or
-``cython``).  ``auto`` prefers the compiled core when it imported
-cleanly.
-"""
-
-from __future__ import annotations
-
-import os
+"""The compute kernels live in the numpy module ``py``."""
 
 from . import py
 
-try:
-    from . import _core  # type: ignore[attr-defined]
 
-    HAVE_CYTHON = True
-except ImportError:
-    _core = None  # type: ignore[assignment]
-    HAVE_CYTHON = False
-
-
-def available() -> list[str]:
-    return ["python", "cython"] if HAVE_CYTHON else ["python"]
-
-
-def get_backend(name: str | None = None):
-    """Resolve a backend module by name ('auto', 'python', 'cython')."""
-    name = (name or "auto").lower()
-    if name == "auto":
-        name = os.environ.get("TRACEFEM_BACKEND", "auto").lower()
-    if name == "auto":
-        return _core if HAVE_CYTHON else py
-    if name == "python":
-        return py
-    if name == "cython":
-        if not HAVE_CYTHON:
-            raise RuntimeError("cython backend requested but the compiled core is not importable")
-        return _core
-    raise ValueError(f"unknown backend {name!r}")
-
-
-_ACTIVE = get_backend()
-
-
+# The benchmark's tracer wraps the kernels on the module active() returns, so
+# library code looks them up here at call time, never by ``from ... import``.
 def active():
-    return _ACTIVE
-
-
-def set_active(name: str) -> None:
-    global _ACTIVE
-    _ACTIVE = get_backend(name)
+    return py

@@ -1,18 +1,13 @@
 """Pure-numpy compute kernels.
 
-These are the reference implementations of the three hot kernels:
-equispaced simplex Lagrange basis evaluation, the batched 1D root solve
-used by the mesh deformation, and the symmetric local-matrix
-accumulation used by the bilinear-form assembly.  A compiled extension
-with the same signatures may shadow this module; see
-``tracefem.backends``.
+The three hot kernels: equispaced simplex Lagrange basis evaluation, the
+batched 1D root solve used by the mesh deformation, and the symmetric
+local-matrix accumulation used by the bilinear-form assembly.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-NAME = "python"
 
 
 def _multi_indices(k: int) -> np.ndarray:

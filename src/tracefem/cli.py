@@ -51,7 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--conditioning", action="store_true", default=None, help="run the interface-shift conditioning sweep")
     p.add_argument("--shifts", help="comma-separated shift fractions for --conditioning")
     p.add_argument("--seed", type=int, help="seed for synthetic right-hand sides")
-    p.add_argument("--backend", choices=["auto", "python", "cython"], help="kernel backend")
     return p
 
 
@@ -74,7 +73,6 @@ def config_from_args(argv=None) -> StudyConfig:
         "export_matrix",
         "conditioning",
         "seed",
-        "backend",
     ):
         val = getattr(args, key)
         if val is not None:

@@ -35,9 +35,19 @@ class SolverDivergenceError(RuntimeError):
         self.report = report
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Inner product by numpy's pairwise sum.
+
+    ``a @ b`` goes through BLAS, and OpenBLAS splits long dot products
+    across threads, so its rounding (and with it the PCG iteration count)
+    depends on the thread count.  The pairwise sum does not.
+    """
+    return float((a * b).sum())
+
+
 def augment_gamma(S, c: np.ndarray) -> float:
     """Scale for the rank-one augmentation: trace(S) / |c|^2."""
-    cc = float(c @ c)
+    cc = _dot(c, c)
     if cc == 0.0:
         raise ValueError("constraint vector is zero")
     return float(S.diagonal().sum()) / cc
@@ -64,7 +74,7 @@ def pcg(apply_A, b, diag, tol=1e-9, maxiter=None, true_check=None):
     x = np.zeros(n)
     r = b.copy()
     z = invd * r
-    rz = float(r @ z)
+    rz = _dot(r, z)
     rz0 = rz
     if rz0 == 0.0:
         return x, 0, True, 0.0
@@ -72,11 +82,11 @@ def pcg(apply_A, b, diag, tol=1e-9, maxiter=None, true_check=None):
     relres = 1.0
     for it in range(1, maxiter + 1):
         Ap = apply_A(p)
-        alpha = rz / float(p @ Ap)
+        alpha = rz / _dot(p, Ap)
         x += alpha * p
         r -= alpha * Ap
         z = invd * r
-        rz_new = float(r @ z)
+        rz_new = _dot(r, z)
         relres = np.sqrt(max(rz_new, 0.0) / rz0)
         if relres <= tol and (true_check is None or true_check(r)):
             return x, it, True, relres
@@ -103,18 +113,19 @@ def solve_constrained(S, c, f, tol=1e-9, maxiter=None, gamma=None, raise_on_fail
         raise ValueError("augmented diagonal must be positive")
 
     def apply_A(v):
-        return S @ v + gamma * (c @ v) * c
+        return S @ v + gamma * _dot(c, v) * c
 
-    nf = float(np.linalg.norm(f))
+    nf = np.sqrt(_dot(f, f))
     slack = 1.05 * tol * nf
 
     def true_check(r):
         # r is the augmented residual; near the constraint hyperplane it
         # matches f - S u, so bound the plain 2-norm with a small slack.
-        return float(np.linalg.norm(r)) <= slack if nf > 0.0 else True
+        return np.sqrt(_dot(r, r)) <= slack if nf > 0.0 else True
 
     u, its, ok, relres = pcg(apply_A, f, diag, tol=tol, maxiter=maxiter, true_check=true_check)
-    res_true = float(np.linalg.norm(S @ u - f) / nf) if nf > 0.0 else 0.0
+    res = S @ u - f
+    res_true = np.sqrt(_dot(res, res)) / nf if nf > 0.0 else 0.0
     report = SolveReport(
         u=u, iterations=its, converged=ok, relres=relres, relres_true=res_true, gamma=gamma
     )

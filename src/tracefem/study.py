@@ -18,7 +18,6 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from . import backends
 from .assembly import StabConfig, assemble_system
 from .levelset import make_benchmark, shifted_plane, ZeroBenchmark
 from .mapping import build_theta
@@ -61,7 +60,6 @@ class StudyConfig:
     conditioning: bool = False
     shifts: tuple = (0.5, 1e-1, 1e-3, 1e-5)
     seed: int = 0
-    backend: str = "auto"
 
     def __post_init__(self):
         self.stab = STAB_ALIASES.get(self.stab, self.stab)
@@ -75,6 +73,9 @@ class StudyConfig:
             raise ValueError(f"levels for k={self.k} must be in 1..{cap}")
         if self.base_n < 2:
             raise ValueError("base_n must be at least 2")
+        self.tol = float(self.tol)
+        if not 0.0 < self.tol < 1.0:  # also rejects nan
+            raise ValueError(f"tol must lie strictly inside (0, 1), got {self.tol}")
         # validates variant and rho shape
         StabConfig(self.stab, self.rho)
         if self.conditioning and not all(0.0 < s < 1.0 for s in self.shifts):
@@ -130,9 +131,7 @@ class StudyResult:
 
     def csv_text(self) -> str:
         lines = [f"# tracefem {self.kind} study"]
-        cfg = self.config.to_dict()
-        cfg["backend_active"] = backends.active().NAME
-        lines.append("# config: " + json.dumps(cfg, sort_keys=True))
+        lines.append("# config: " + json.dumps(self.config.to_dict(), sort_keys=True))
         if self.kind == "convergence":
             stab = StabConfig(self.config.stab, self.config.rho)
             rhos = [
@@ -204,7 +203,6 @@ CONV_COLUMNS = [
 
 def run_convergence(cfg: StudyConfig):
     """Refinement study; returns (StudyResult, reports) and checks solver health."""
-    backends.set_active(cfg.backend)
     problem = _stage("config", make_benchmark, cfg.benchmark)
     if not hasattr(problem, "exact_solution"):
         raise StageError("config", f"benchmark {cfg.benchmark!r} has no exact solution")
@@ -257,7 +255,6 @@ def _conditioning_variants(k: int, configured: str):
 
 def run_conditioning(cfg: StudyConfig):
     """Interface-shift sweep on a fixed mesh; never aborts on estimate failures."""
-    backends.set_active(cfg.backend)
     rng = np.random.default_rng(cfg.seed)
     rows = []
     reports = []
@@ -278,7 +275,7 @@ def run_conditioning(cfg: StudyConfig):
             except EigenEstimateError:
                 lmax, lmin = float("nan"), float("nan")
             cond = lmax / lmin if lmin > 0 else float("inf")
-            f = synth - (synth @ system.e) / (system.c @ system.e) * system.c
+            f = synth - synth.sum() / system.c.sum() * system.c
             rep = solve_constrained(system.S, system.c, f, tol=cfg.tol, raise_on_fail=False)
             n_its = rep.iterations if rep.converged else -1
             reports.append(

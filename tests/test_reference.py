@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from tracefem.backends import py as pyk
 from tracefem.levelset import Plane, Torus
 from tracefem.mesh import ActiveMesh, MeshParams
 from tracefem.reference import (
@@ -85,6 +86,23 @@ class TestBasis:
             ref = ReferenceElement(k)
             assert np.all(ref.multi_indices.sum(axis=1) == k)
             assert ref.ndofs == (k + 1) * (k + 2) * (k + 3) // 6
+
+
+class TestPythonKernels:
+    def test_multi_indices_enumerate_the_simplex_lattice(self):
+        for k in (1, 2, 3, 4, 5):
+            mi = pyk.multi_indices(k)
+            assert mi.shape == ((k + 1) * (k + 2) * (k + 3) // 6, 4)
+            assert np.all(mi.sum(axis=1) == k)
+            assert len(np.unique(mi, axis=0)) == len(mi)
+
+    def test_accumulate_sym_is_a_weighted_outer_product(self, rng):
+        v = rng.standard_normal((3, 5, 4, 1))
+        w = rng.uniform(0.5, 2.0, size=(3, 5))
+        out = pyk.accumulate_sym(v, w)
+        expected = np.einsum("eqbd,eqcd,eq->ebc", v, v, w)
+        np.testing.assert_allclose(out, expected, atol=1e-13)
+        np.testing.assert_allclose(out, out.transpose(0, 2, 1), atol=0)
 
 
 class TestPhysicalGradients:

@@ -1,9 +1,14 @@
 """Constrained PCG solve against dense direct factorizations."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import tracefem
 from tracefem.assembly import StabConfig, assemble_system
 from tracefem.solver import (
     SolveReport,
@@ -136,3 +141,32 @@ class TestConstrainedSolve:
         S = sp.diags([1.0, -2.0, 1.0]).tocsr()
         with pytest.raises(ValueError, match="diagonal"):
             solve_constrained(S, np.zeros(3) + 1e-30, np.ones(3), gamma=1.0)
+
+
+# Solves a 20,000-unknown shifted tridiagonal system and prints the
+# iteration count and the bytes of u; long enough for OpenBLAS to thread
+# a BLAS dot product.
+_THREAD_PROBE = """
+import hashlib
+import numpy as np
+import scipy.sparse as sp
+from tracefem.solver import solve_constrained
+n = 20000
+S = sp.diags([-np.ones(n - 1), np.full(n, 2.0001), -np.ones(n - 1)], [-1, 0, 1], format="csr")
+rng = np.random.default_rng(0)
+rep = solve_constrained(S, rng.uniform(0.5, 1.5, n), rng.standard_normal(n), tol=1e-9)
+print(rep.iterations, hashlib.sha256(rep.u.tobytes()).hexdigest())
+"""
+
+
+class TestDeterminism:
+    def test_solve_is_independent_of_the_blas_thread_count(self):
+        src = os.path.dirname(os.path.dirname(tracefem.__file__))
+        outs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, PYTHONPATH=src)
+            run = subprocess.run(
+                [sys.executable, "-c", _THREAD_PROBE], env=env, capture_output=True, text=True, check=True
+            )
+            outs.append(run.stdout)
+        assert outs[0] == outs[1]
