@@ -77,150 +77,149 @@ class StabConfig:
         return float(pre) * h ** float(expo)
 
 
-class SurfaceData:
-    """Per-quadrature-point geometry of the lifted interface rule.
+class LiftedRule:
+    """Quadrature points of the active elements pushed through Theta.
 
-    Points are grouped by the number of interface triangles per element
-    (one or two), so each group has a uniform point count and local
-    matrices reduce to a single batched contraction.
+    A rule is built from groups (elems (E,), lam, wref (E, q)), lam being
+    per element (E, q, 4) or shared by the group's elements (q, 4).  Each
+    group is lifted in one call and its points are stored element-major
+    and consecutively, so local matrices reduce to one batched contraction
+    per group.  The rules differ only in their points and in the measure
+    factor of their weights (_weights).
     """
 
-    def __init__(self, mesh, elems, vals, grads, nh, wlift, y, groups):
+    def __init__(self, mesh, mapping, groups):
         self.mesh = mesh
-        self.elems = elems        # (P,) element of each point
-        self.vals = vals          # (P, NB) basis values
-        self.grads = grads        # (P, NB, 3) deformed physical gradients
-        self.nh = nh              # (P, 3) deformed unit normals
-        self.wlift = wlift        # (P,) lifted surface weights
-        self.y = y                # (P, 3) lifted points
-        self.groups = groups      # list of (elem_ids (Eg,), point slice, q)
-
-    @classmethod
-    def build(cls, mesh: ActiveMesh, dls: DiscreteLevelSet, mapping: IsoMapping, degree: int):
-        tri_elem, tri_bary, tri_area = extract_cuts(dls.mesh.vertex_phi, mesh.verts_phys)
-        lam, w = triangle_rule(degree)
-        q = len(w)
-        pts = np.einsum("qc,tcm->tqm", lam, tri_bary)      # (T, q, 4)
-        wref = tri_area[:, None] * w[None, :]               # (T, q)
-
-        counts = np.bincount(tri_elem, minlength=mesh.nelems)
-        parts = []
-        # triangles are sorted by element, so per-element blocks are contiguous
-        for ntri in (1, 2):
-            sel_elems = np.flatnonzero(counts == ntri)
-            if len(sel_elems) == 0:
-                continue
-            tri_mask = counts[tri_elem] == ntri
-            bary_g = pts[tri_mask].reshape(len(sel_elems), ntri * q, 4)
-            wref_g = wref[tri_mask].reshape(len(sel_elems), ntri * q)
-            parts.append((sel_elems, bary_g, wref_g, ntri * q))
-
-        flat_elems, flat_bary, flat_wref, groups = [], [], [], []
-        start = 0
-        for sel_elems, bary_g, wref_g, qg in parts:
-            Pg = bary_g.shape[0] * qg
-            flat_elems.append(np.repeat(sel_elems, qg))
-            flat_bary.append(bary_g.reshape(Pg, 4))
-            flat_wref.append(wref_g.reshape(Pg))
-            groups.append((sel_elems, slice(start, start + Pg), qg))
-            start += Pg
-        elems = np.concatenate(flat_elems)
-        bary = np.concatenate(flat_bary)
-        wref = np.concatenate(flat_wref)
-
-        lift = mapping.lift(elems, bary)
-        wlift = wref * lift.det * lift.nn
-        return cls(mesh, elems, lift.vals, lift.grads, lift.nh, wlift, lift.y, groups)
+        self.groups = []          # list of (elem_ids (E,), point slice, q)
+        lifts, w, start = [], [], 0
+        for elems, lam, wref in groups:
+            lift = mapping.lift(elems, lam)
+            lifts.append(lift)
+            w.append(self._weights(wref, lift))
+            E, q = wref.shape
+            self.groups.append((elems, slice(start, start + E * q), q))
+            start += E * q
+        self.elems = np.concatenate([np.repeat(e, q) for e, _, q in self.groups])  # (P,)
+        self.vals = _points([l.vals for l in lifts])     # (P, NB) basis values
+        self.grads = _points([l.grads for l in lifts])   # (P, NB, 3) deformed physical gradients
+        self.nh = _points([l.nh for l in lifts])         # (P, 3) deformed unit normals
+        self.y = _points([l.y for l in lifts])           # (P, 3) lifted points
+        self.w = _points(w)                              # (P,) lifted weights
 
     def accumulate(self, vec, out_triplets):
         """Sum w * vec.vec' local matrices into the triplet lists, per group."""
         kern = backends.active()
-        NB = self.vals.shape[1]
-        for sel_elems, slc, qg in self.groups:
-            Eg = len(sel_elems)
-            v = vec[slc].reshape(Eg, qg, NB, -1)
-            w = self.wlift[slc].reshape(Eg, qg)
-            for s in range(0, Eg, CHUNK_ELEMS):
-                e = min(s + CHUNK_ELEMS, Eg)
+        for elems, slc, q in self.groups:
+            E = len(elems)
+            v = vec[slc].reshape(E, q, *vec.shape[1:])
+            w = self.w[slc].reshape(E, q)
+            for s in range(0, E, CHUNK_ELEMS):
+                e = min(s + CHUNK_ELEMS, E)
                 local = kern.accumulate_sym(v[s:e], w[s:e])
-                _scatter(self.mesh, sel_elems[s:e], local, out_triplets)
+                _scatter(self.mesh.elem_dofs[elems[s:e]], local, out_triplets)
+
+    def moments(self, g):
+        """Vector of the integrals of g * basis_i over the rule, g given per point."""
+        out = np.zeros(self.mesh.ndofs)
+        np.add.at(out, self.mesh.elem_dofs[self.elems].ravel(), (self.vals * g[:, None]).ravel())
+        return out
 
 
-class VolumeData:
-    """Per-point geometry of the deformed-element volume rule."""
+def _points(parts):
+    """Group arrays (E, q, ...) as one point array (P, ...); one group stays a view."""
+    return _join([a.reshape(-1, *a.shape[2:]) for a in parts])
 
-    def __init__(self, mesh, elems, grads, nh, wvol, q):
-        self.mesh = mesh
-        self.elems = elems
-        self.grads = grads
-        self.nh = nh
-        self.wvol = wvol
-        self.q = q
+
+def _join(arrays):
+    """Concatenation that does not copy a single array."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+class SurfaceData(LiftedRule):
+    """The lifted interface rule.
+
+    Points are grouped by the number of interface triangles per element
+    (one or two), so each group has a uniform point count.
+    """
+
+    @classmethod
+    def build(cls, mesh: ActiveMesh, dls: DiscreteLevelSet, mapping: IsoMapping, degree=None):
+        """Rule exact to `degree` on each triangle; by default 2k - 2, the assembly degree."""
+        if degree is None:
+            degree = max(0, 2 * mesh.k - 2)
+        tri_elem, tri_bary, tri_area = extract_cuts(dls.mesh.vertex_phi, mesh.verts_phys)
+        lam, w = triangle_rule(degree)
+        pts = np.einsum("qc,tcm->tqm", lam, tri_bary)      # (T, q, 4)
+        wref = tri_area[:, None] * w[None, :]               # (T, q)
+
+        counts = np.bincount(tri_elem, minlength=mesh.nelems)
+        groups = []
+        # triangles are sorted by element, so per-element blocks are contiguous
+        for ntri in (1, 2):
+            elems = np.flatnonzero(counts == ntri)
+            if len(elems):
+                sel = counts[tri_elem] == ntri
+                E = len(elems)
+                groups.append((elems, pts[sel].reshape(E, -1, 4), wref[sel].reshape(E, -1)))
+        return cls(mesh, mapping, groups)
+
+    @staticmethod
+    def _weights(wref, lift):
+        return wref * lift.det * lift.nn
+
+
+class VolumeData(LiftedRule):
+    """The deformed-element volume rule: one group, the same reference points in every element."""
 
     @classmethod
     def build(cls, mesh: ActiveMesh, mapping: IsoMapping, degree: int):
         lam, w = tet_rule(degree)
-        q = len(w)
         E = mesh.nelems
-        elems = np.repeat(np.arange(E, dtype=np.int64), q)
-        lift = mapping.lift(elems, np.tile(lam, (E, 1)))
-        wvol = np.tile(w * mesh.elem_volume, E) * lift.det
-        return cls(mesh, elems, lift.grads, lift.nh, wvol, q)
+        wref = np.broadcast_to(w * mesh.elem_volume, (E, len(w)))
+        return cls(mesh, mapping, [(np.arange(E, dtype=np.int64), lam, wref)])
 
-    def accumulate(self, vec, out_triplets):
-        kern = backends.active()
-        E = self.mesh.nelems
-        NB = self.grads.shape[1]
-        v = vec.reshape(E, self.q, NB, -1)
-        w = self.wvol.reshape(E, self.q)
-        ids = np.arange(E, dtype=np.int64)
-        for s in range(0, E, CHUNK_ELEMS):
-            e = min(s + CHUNK_ELEMS, E)
-            local = kern.accumulate_sym(v[s:e], w[s:e])
-            _scatter(self.mesh, ids[s:e], local, out_triplets)
+    @staticmethod
+    def _weights(wref, lift):
+        return wref * lift.det
 
 
-def _scatter(mesh, elems, local, out_triplets):
-    dofs = mesh.elem_dofs[elems]
-    NB = dofs.shape[1]
-    rows = np.repeat(dofs, NB, axis=1)
-    cols = np.tile(dofs, (1, NB))
-    out_triplets[0].append(rows.ravel())
-    out_triplets[1].append(cols.ravel())
+def _scatter(dofs, local, out_triplets):
+    """Append the triplets of local matrices (E, nb, nb) on dof rows (E, nb)."""
+    nb = dofs.shape[1]
+    out_triplets[0].append(np.repeat(dofs, nb, axis=1).ravel())
+    out_triplets[1].append(np.tile(dofs, (1, nb)).ravel())
     out_triplets[2].append(local.ravel())
 
 
 def _to_csr(triplets, n):
-    if not triplets[2]:
-        return sp.csr_matrix((n, n))
-    rows = np.concatenate(triplets[0])
-    cols = np.concatenate(triplets[1])
-    data = np.concatenate(triplets[2])
+    rows, cols, data = (_join(t) for t in triplets)
     return sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
+
+
+def _matrix(rule, vec):
+    """CSR matrix of the sum over the rule of w * vec_i . vec_j."""
+    trip = ([], [], [])
+    rule.accumulate(vec, trip)
+    return _to_csr(trip, rule.mesh.ndofs)
+
+
+def _normal_derivatives(rule):
+    """(P, NB, 1) derivatives of the basis along the deformed normal."""
+    return np.einsum("pbi,pi->pb", rule.grads, rule.nh)[:, :, None]
 
 
 def assemble_a(mesh, dls, mapping, degree=None, surf: SurfaceData | None = None):
     """Tangential stiffness matrix on the deformed surface (CSR)."""
-    if degree is None:
-        degree = max(0, 2 * mesh.k - 2)
     if surf is None:
         surf = SurfaceData.build(mesh, dls, mapping, degree)
-    tang = surf.grads - np.einsum("pbi,pi->pb", surf.grads, surf.nh)[:, :, None] * surf.nh[:, None, :]
-    trip = ([], [], [])
-    surf.accumulate(tang, trip)
-    return _to_csr(trip, mesh.ndofs)
+    return _matrix(surf, surf.grads - _normal_derivatives(surf) * surf.nh[:, None, :])
 
 
 def assemble_constraint(mesh, dls, mapping, degree=None, surf: SurfaceData | None = None):
     """Mean-value constraint vector c_i = integral of basis_i over the deformed surface."""
-    if degree is None:
-        degree = max(0, 2 * mesh.k - 2)
     if surf is None:
         surf = SurfaceData.build(mesh, dls, mapping, degree)
-    c = np.zeros(mesh.ndofs)
-    contrib = surf.vals * surf.wlift[:, None]
-    np.add.at(c, mesh.elem_dofs[surf.elems].ravel(), contrib.ravel())
-    return c
+    return surf.moments(surf.w)
 
 
 def assemble_rhs(mesh, dls, mapping, problem, c, degree=None, surf: SurfaceData | None = None):
@@ -230,14 +229,9 @@ def assemble_rhs(mesh, dls, mapping, problem, c, degree=None, surf: SurfaceData 
     f -= (<f, e>/<c, e>) c with e the coefficient vector of the constant
     one, which places f in the range of the singular stiffness operator.
     """
-    if degree is None:
-        degree = max(0, 2 * mesh.k - 2)
     if surf is None:
         surf = SurfaceData.build(mesh, dls, mapping, degree)
-    fvals = problem.rhs(surf.y)
-    f = np.zeros(mesh.ndofs)
-    contrib = surf.vals * (surf.wlift * fvals)[:, None]
-    np.add.at(f, mesh.elem_dofs[surf.elems].ravel(), contrib.ravel())
+    f = surf.moments(surf.w * problem.rhs(surf.y))
     f -= f.sum() / c.sum() * c  # pairwise sums: independent of the BLAS thread count
     return f
 
@@ -254,21 +248,13 @@ def assemble_s(mesh, dls, mapping, stab: StabConfig, surf: SurfaceData | None = 
         return _assemble_ghost(mesh, rho)
     if stab.variant == "full_gradient_surface":
         if surf is None:
-            surf = SurfaceData.build(mesh, dls, mapping, max(0, 2 * k - 2))
-        ng = np.einsum("pbi,pi->pb", surf.grads, surf.nh)[:, :, None]
-        trip = ([], [], [])
-        surf.accumulate(ng, trip)
-        return _to_csr(trip, mesh.ndofs)
+            surf = SurfaceData.build(mesh, dls, mapping)
+        return _matrix(surf, _normal_derivatives(surf))
     vol = VolumeData.build(mesh, mapping, 2 * k)
-    trip = ([], [], [])
+    vol.w = vol.w * rho
     if stab.variant == "full_gradient_volume":
-        vol.wvol = vol.wvol * rho
-        vol.accumulate(vol.grads, trip)
-    else:  # normal_volume
-        ng = np.einsum("pbi,pi->pb", vol.grads, vol.nh)[:, :, None]
-        vol.wvol = vol.wvol * rho
-        vol.accumulate(ng, trip)
-    return _to_csr(trip, mesh.ndofs)
+        return _matrix(vol, vol.grads)
+    return _matrix(vol, _normal_derivatives(vol))  # normal_volume
 
 
 def _assemble_ghost(mesh, rho):
@@ -279,8 +265,6 @@ def _assemble_ghost(mesh, rho):
     the two element dof sets.
     """
     fs = mesh.facets
-    if len(fs) == 0:
-        return sp.csr_matrix((mesh.ndofs, mesh.ndofs))
     jumps, dofs = [], []
     for s, sign in ((0, 1.0), (1, -1.0)):
         elems = fs.elems[:, s]
@@ -288,11 +272,10 @@ def _assemble_ghost(mesh, rho):
         jumps.append(sign * gn)
         dofs.append(mesh.elem_dofs[elems])
     J = np.concatenate(jumps, axis=1)        # (F, 8)
-    D = np.concatenate(dofs, axis=1)         # (F, 8)
     local = rho * fs.area[:, None, None] * J[:, :, None] * J[:, None, :]
-    rows = np.repeat(D, 8, axis=1).ravel()
-    cols = np.tile(D, (1, 8)).ravel()
-    return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(mesh.ndofs, mesh.ndofs)).tocsr()
+    trip = ([], [], [])
+    _scatter(np.concatenate(dofs, axis=1), local, trip)
+    return _to_csr(trip, mesh.ndofs)
 
 
 @dataclass
@@ -318,8 +301,6 @@ class AssembledSystem:
 def assemble_system(mesh, dls, mapping, problem, stab: StabConfig, degree=None) -> AssembledSystem:
     """One-stop assembly sharing the lifted surface rule across all pieces."""
     k = mesh.k
-    if degree is None:
-        degree = max(0, 2 * k - 2)
     surf = SurfaceData.build(mesh, dls, mapping, degree)
     A = assemble_a(mesh, dls, mapping, surf=surf)
     Sm = assemble_s(mesh, dls, mapping, stab, surf=surf)

@@ -59,7 +59,9 @@ def config_from_args(argv=None) -> StudyConfig:
     data: dict = {}
     if args.config:
         with open(args.config) as fh:
-            data.update(json.load(fh))
+            data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError(f"{args.config}: the top level must be a JSON object")
     for key in (
         "benchmark",
         "k",
@@ -85,7 +87,7 @@ def config_from_args(argv=None) -> StudyConfig:
 def main(argv=None) -> int:
     try:
         cfg = config_from_args(argv)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
         print(f"error: [config] {exc}", file=sys.stderr)
         return 1
     try:

@@ -35,14 +35,14 @@ class MappingInvertibilityError(RuntimeError):
 
 
 class Lift(NamedTuple):
-    """Geometry of points pushed through Theta (see IsoMapping.lift)."""
+    """Geometry of points pushed through Theta, element-major (see IsoMapping.lift)."""
 
-    vals: np.ndarray    # (P, NB) basis values
-    grads: np.ndarray   # (P, NB, 3) gradients of the lifted basis, DTheta^-T grad b
-    y: np.ndarray       # (P, 3) deformed points
-    det: np.ndarray     # (P,) det DTheta
-    nh: np.ndarray      # (P, 3) unit normal DTheta^-T n-hat / |DTheta^-T n-hat|
-    nn: np.ndarray      # (P,) |DTheta^-T n-hat|
+    vals: np.ndarray    # (E, q, NB) basis values
+    grads: np.ndarray   # (E, q, NB, 3) gradients of the lifted basis, DTheta^-T grad b
+    y: np.ndarray       # (E, q, 3) deformed points
+    det: np.ndarray     # (E, q) det DTheta
+    nh: np.ndarray      # (E, q, 3) unit normal DTheta^-T n-hat / |DTheta^-T n-hat|
+    nn: np.ndarray      # (E, q) |DTheta^-T n-hat|
 
 
 def _solve_points(mesh: ActiveMesh, dls: DiscreteLevelSet, elems, x, delta=None, rtol=ROOT_RTOL):
@@ -123,43 +123,51 @@ class IsoMapping:
         return self._coeffs
 
     def _jacobian(self, elems, lam):
-        """Basis values, undeformed physical gradients, y and DTheta at the points."""
+        """Basis values, undeformed physical gradients, y and DTheta, each (E, q, ...).
+
+        elems is (E,); lam is per element (E, q, 4) or shared by all (q, 4).
+        The basis is evaluated once per given point, Theta's coefficients
+        are gathered once per element and the two meet by broadcasting.
+        """
         elems = np.asarray(elems, dtype=np.int64)
-        vals, dlam = self.mesh.ref.eval(lam, grad=True)
-        gref = physical_gradients(dlam, self.mesh.bary_grad[elems])
+        lam = np.asarray(lam, dtype=np.float64)
+        vals, dlam = self.mesh.ref.eval(lam.reshape(-1, 4), grad=True)
+        dlam = dlam.reshape(*lam.shape[:-1], *dlam.shape[1:])
+        gref = physical_gradients(dlam, self.mesh.bary_grad[elems][:, None])
         del dlam
+        vals = np.broadcast_to(vals.reshape(*lam.shape[:-1], -1), gref.shape[:-1])
         Tc = self.coeffs[elems]
-        y = np.einsum("pb,pbi->pi", vals, Tc)
-        J = Tc.transpose(0, 2, 1) @ gref
+        y = np.einsum("eqb,ebi->eqi", vals, Tc)
+        J = Tc.transpose(0, 2, 1)[:, None] @ gref
         return vals, gref, y, J
 
     def eval(self, elems, lam):
-        """Deformed points and Jacobians at barycentric points of elements."""
-        _, _, y, J = self._jacobian(elems, lam)
-        return y, J
+        """Deformed points and Jacobians at barycentric points lam (P, 4) of elements (P,)."""
+        _, _, y, J = self._jacobian(elems, np.asarray(lam)[:, None])
+        return y[:, 0], J[:, 0]
 
     def lift(self, elems, lam) -> Lift:
         """Push barycentric points of elements through Theta.
 
+        elems and lam are as for _jacobian; every returned array is (E, q, ...).
         With J = DTheta, physical gradients pick up J^-T, a flat interface
         measure picks up det(J) * |J^-T n-hat| and the deformed unit normal
         is J^-T n-hat normalised, n-hat being the normal of the linear cut.
         Raises MappingInvertibilityError where det(J) <= 0.
         """
-        elems = np.asarray(elems, dtype=np.int64)
         vals, gref, y, J = self._jacobian(elems, lam)
         det = np.linalg.det(J)
         if np.any(det <= 0.0):
             raise MappingInvertibilityError("deformation not invertible (mesh too coarse)")
         invJ = np.linalg.inv(J)
         grads = gref @ invJ
-        N = (self.n_lin[elems][:, None, :] @ invJ)[:, 0, :]
+        N = (self.n_lin[elems][:, None, None, :] @ invJ)[..., 0, :]
         nn = np.linalg.norm(N, axis=-1)
-        return Lift(vals, grads, y, det, N / nn[:, None], nn)
+        return Lift(vals, grads, y, det, N / nn[..., None], nn)
 
     def normals(self, elems, lam):
-        """Unit normal of the deformed surface at barycentric points of elements."""
-        return self.lift(elems, lam).nh
+        """Unit normal of the deformed surface at barycentric points lam (P, 4) of elements (P,)."""
+        return self.lift(elems, np.asarray(lam)[:, None]).nh[:, 0]
 
     def max_displacement(self) -> float:
         return float(np.linalg.norm(self.displacement, axis=-1).max(initial=0.0))

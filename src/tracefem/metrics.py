@@ -51,18 +51,18 @@ def compute_errors(mesh, dls, mapping, u, problem, degree=None) -> ErrorReport:
 
     ue = problem.exact_solution(surf.y)
     uh = np.einsum("pb,pb->p", surf.vals, u[mesh.elem_dofs[surf.elems]])
-    e_l2 = float(np.sqrt(np.sum(surf.wlift * (ue - uh) ** 2)))
+    e_l2 = float(np.sqrt(np.sum(surf.w * (ue - uh) ** 2)))
 
     ge = problem.exact_solution_gradient(surf.y)
     gh = np.einsum("pbi,pb->pi", surf.grads, u[mesh.elem_dofs[surf.elems]])
     diff = ge - gh
     tang = diff - np.einsum("pi,pi->p", diff, surf.nh)[:, None] * surf.nh
-    e_h1t = float(np.sqrt(np.sum(surf.wlift * np.einsum("pi,pi->p", tang, tang))))
+    e_h1t = float(np.sqrt(np.sum(surf.w * np.einsum("pi,pi->p", tang, tang))))
 
     n_exact = problem.levelset.grad_phi(surf.y)
     n_exact = n_exact / np.linalg.norm(n_exact, axis=-1, keepdims=True)
     gn = np.einsum("pi,pi->p", n_exact, gh)
-    e_h1n = float(np.sqrt(np.sum(surf.wlift * gn**2)))
+    e_h1n = float(np.sqrt(np.sum(surf.w * gn**2)))
 
     return ErrorReport(e_dist, e_l2, e_h1t, e_h1n, mesh.ndofs, mesh.h)
 

@@ -34,8 +34,10 @@ class ReferenceElement:
 def physical_gradients(dlam: np.ndarray, bary_grad: np.ndarray) -> np.ndarray:
     """Chain rule from barycentric to physical gradients.
 
-    dlam: (P, NB, 4) barycentric basis gradients; bary_grad: (P, 4, 3)
+    dlam: (..., NB, 4) barycentric basis gradients; bary_grad: (..., 4, 3)
     gradients of the barycentric coordinates (rows of the affine map).
+    Leading dimensions broadcast, so points shared by several elements
+    need only one row of dlam.
     """
     return dlam @ bary_grad
 

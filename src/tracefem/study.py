@@ -66,6 +66,11 @@ class StudyConfig:
         if isinstance(self.rho, list):
             self.rho = tuple(self.rho)
         self.shifts = tuple(float(s) for s in self.shifts)
+        ints = ("k", "levels", "base_n", "seed")
+        for name in ints + ("export_vtk", "export_matrix", "conditioning"):
+            val = getattr(self, name)
+            if type(val) is not (int if name in ints else bool):  # bool is not taken for int
+                raise ValueError(f"{name} must be {'an integer' if name in ints else 'true or false'}, got {val!r}")
         if self.k not in _LEVEL_CAPS:
             raise ValueError(f"polynomial degree must be 1..5, got {self.k}")
         cap = _LEVEL_CAPS[self.k]
@@ -78,6 +83,9 @@ class StudyConfig:
             raise ValueError(f"tol must lie strictly inside (0, 1), got {self.tol}")
         # validates variant and rho shape
         StabConfig(self.stab, self.rho)
+        # the conditioning sweep skips ghost_penalty for k > 1 instead
+        if self.stab == "ghost_penalty" and self.k > 1 and not self.conditioning:
+            raise ValueError("ghost_penalty is unsupported for k > 1 (no higher-order theory)")
         if self.conditioning and not all(0.0 < s < 1.0 for s in self.shifts):
             raise ValueError("shift fractions must lie strictly inside (0, 1)")
 
@@ -225,17 +233,13 @@ def run_convergence(cfg: StudyConfig):
                 n_its=rep.iterations,
             )
         )
+    keys = ("e_dist", "e_l2", "e_h1t", "e_h1n")
+    orders = {key: [None] + eoc([r[key] for r in reports]) for key in keys}
     rows = []
     for i, r in enumerate(reports):
         row = [str(r["level"]), str(r["n"]), _fmt(r["h"]), str(r["ndofs"])]
-        for key in ("e_dist", "e_l2", "e_h1t", "e_h1n"):
-            row.append(_fmt(r[key]))
-            if i == 0:
-                row.append("")
-            else:
-                prev = reports[i - 1][key]
-                cur = r[key]
-                row.append(_fmt_eoc(np.log2(prev / cur) if prev > 0 and cur > 0 else None))
+        for key in keys:
+            row += [_fmt(r[key]), _fmt_eoc(orders[key][i])]
         row.append(str(r["n_its"]))
         rows.append(row)
     return StudyResult(cfg, CONV_COLUMNS, rows, "convergence"), reports

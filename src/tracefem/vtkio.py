@@ -88,5 +88,5 @@ def export_level(outdir, tag, mesh, dls, mapping):
 
     from .assembly import SurfaceData
 
-    surf = SurfaceData.build(mesh, dls, mapping, max(0, 2 * mesh.k - 2))
+    surf = SurfaceData.build(mesh, dls, mapping)
     write_point_cloud(os.path.join(outdir, f"interface_lifted_{tag}.vtk"), surf.y)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from tracefem import backends
 from tracefem.assembly import (
     StabConfig,
     SurfaceData,
@@ -14,7 +15,7 @@ from tracefem.assembly import (
     assemble_s,
     assemble_system,
 )
-from tracefem.cutquad import extract_cuts
+from tracefem.cutquad import extract_cuts, tet_rule
 from tracefem.levelset import Plane, shifted_plane
 from tracefem.mapping import IsoMapping
 from tracefem.reference import interpolate
@@ -231,7 +232,7 @@ class TestGeometryData:
         _, mesh, dls, mapping = torus_case(8, 1)
         surf = SurfaceData.build(mesh, dls, mapping, degree=2)
         _, _, area = extract_cuts(mesh.vertex_phi, mesh.verts_phys)
-        assert surf.wlift.sum() == pytest.approx(area.sum(), rel=1e-13)
+        assert surf.w.sum() == pytest.approx(area.sum(), rel=1e-13)
         np.testing.assert_allclose(
             np.linalg.norm(surf.nh, axis=1), 1.0, atol=1e-13
         )
@@ -242,7 +243,23 @@ class TestGeometryData:
         doubling = IsoMapping(mesh, mesh.dof_points.copy())
         vol = VolumeData.build(mesh, doubling, degree=2)
         total = mesh.nelems * mesh.elem_volume
-        assert vol.wvol.sum() == pytest.approx(8.0 * total, rel=1e-12)
+        assert vol.w.sum() == pytest.approx(8.0 * total, rel=1e-12)
+
+    def test_volume_rule_evaluates_the_basis_once_per_reference_point(self, monkeypatch):
+        """Every element shares the q reference points, so the basis is evaluated at q points, not E*q."""
+        _, mesh, _, mapping = torus_case(16, 2)
+        kern = backends.active()
+        original, calls = kern.eval_basis, []
+
+        def counting(k, lam, grad=True):
+            calls.append(len(lam))
+            return original(k, lam, grad=grad)
+
+        monkeypatch.setattr(kern, "eval_basis", counting)
+        vol = VolumeData.build(mesh, mapping, 4)
+        q = len(tet_rule(4)[1])
+        assert calls == [q]
+        assert len(vol.elems) == mesh.nelems * q
 
     def test_assembled_system_shares_its_pieces(self):
         _, mesh, dls, mapping = torus_case(16, 2)

@@ -8,6 +8,7 @@ from tracefem.levelset import Plane, Torus
 from tracefem.mapping import (
     DELTA_FRACTION,
     IsoMapping,
+    Lift,
     MappingError,
     MappingInvertibilityError,
     SearchContext,
@@ -213,7 +214,7 @@ class TestLift:
         mapping = IsoMapping(mesh, 0.05 * mesh.h * rng.standard_normal((mesh.ndofs, 3)))
         elems = rng.integers(0, mesh.nelems, size=200)
         lam = rng.dirichlet(np.ones(4), size=200)
-        lift = mapping.lift(elems, lam)
+        lift = Lift(*(a[:, 0] for a in mapping.lift(elems, lam[:, None])))  # one point per element
 
         y, J = mapping.eval(elems, lam)
         vals, dlam = mesh.ref.eval(lam, grad=True)
@@ -231,6 +232,22 @@ class TestLift:
             lift.grads, np.einsum("pij,pbj->pbi", invJT, gref), rtol=1e-12, atol=1e-12 / mesh.h
         )
         np.testing.assert_allclose(mapping.normals(elems, lam), lift.nh, atol=0.0)
+
+    def test_shared_points_lift_like_per_point_points(self, rng):
+        """Points shared by E elements give (E, q, ...) arrays equal bit for bit to a per-point lift."""
+        _, mesh = torus_mesh(8, 2)
+        mapping = IsoMapping(mesh, 0.05 * mesh.h * rng.standard_normal((mesh.ndofs, 3)))
+        E, q, NB = 30, 7, mesh.ref.ndofs
+        elems = rng.integers(0, mesh.nelems, size=E)
+        lam = rng.dirichlet(np.ones(4), size=q)
+        shared = mapping.lift(elems, lam)
+        per_elem = mapping.lift(elems, np.broadcast_to(lam, (E, q, 4)))
+        per_point = mapping.lift(np.repeat(elems, q), np.tile(lam, (E, 1))[:, None])
+        shapes = [(E, q, NB), (E, q, NB, 3), (E, q, 3), (E, q), (E, q, 3), (E, q)]
+        assert [a.shape for a in shared] == shapes
+        for a, b, c in zip(shared, per_elem, per_point):
+            np.testing.assert_array_equal(a, b)
+            np.testing.assert_array_equal(a, c.reshape(a.shape))
 
     def test_inverted_elements_are_rejected_by_both_rules(self):
         """Theta(x) = -x has det DTheta = -1 everywhere."""

@@ -48,6 +48,12 @@ class TestStudyConfig:
         with pytest.raises(ValueError, match="unknown config keys"):
             StudyConfig.from_dict({"benchmark": "torus", "mode": "fast"})
 
+    def test_ghost_penalty_needs_k_one_outside_the_sweep(self):
+        with pytest.raises(ValueError, match="ghost_penalty"):
+            StudyConfig(k=2, levels=1, stab="ghost")
+        # the conditioning sweep skips the variant for k > 1
+        assert StudyConfig(k=2, stab="ghost", conditioning=True).stab == "ghost_penalty"
+
     def test_shift_fractions_validated(self):
         with pytest.raises(ValueError, match="shift"):
             StudyConfig(conditioning=True, shifts=(0.5, 1.5))
@@ -212,11 +218,29 @@ class TestCli:
         assert echoed["levels"] == 1
         assert not os.path.exists(str(tmp_path / "from_file"))
 
-    def test_configuration_errors_exit_one(self, capsys):
-        for argv in (["--k", "9"], ["--tol", "0"], ["--tol", "2"]):
+    def test_configuration_errors_exit_one(self, tmp_path, capsys):
+        for argv in (["--k", "9"], ["--tol", "0"], ["--tol", "2"], ["--k", "2", "--stab", "ghost"]):
             assert main(argv) == 1
             assert "error: [config]" in capsys.readouterr().err
         assert main(["--config", "/nonexistent/cfg.json"]) == 1
+        for i, bad in enumerate(
+            (
+                {"base_n": "16"},
+                {"levels": "2"},
+                {"seed": "x"},
+                {"base_n": 16.5},
+                {"k": True},
+                {"export_vtk": "no"},
+                {"conditioning": 1},
+                {"tol": [1]},
+                {"stab": ["nv"]},
+                [["k", 2]],
+            )
+        ):
+            path = tmp_path / f"bad{i}.json"
+            path.write_text(json.dumps(bad))
+            assert main(["--config", str(path)]) == 1, bad
+            assert "error: [config]" in capsys.readouterr().err
 
     def test_pipeline_errors_exit_two_with_stage_tag(self, tmp_path, capsys):
         code = main(
