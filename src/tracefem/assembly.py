@@ -11,6 +11,7 @@ with the det(J) factor alone.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,11 +19,9 @@ import scipy.sparse as sp
 
 from . import backends
 from .cutquad import extract_cuts, tet_rule, triangle_rule
-from .mapping import IsoMapping
-from .mesh import ActiveMesh
-from .reference import DiscreteLevelSet
-
-CHUNK_ELEMS = 2048
+from .mapping import IsoMapping, Lift, element_chunks
+from .mesh import SHAPE_BARY_A, ActiveMesh
+from .reference import DiscreteLevelSet, physical_gradients
 
 VARIANTS = (
     "none",
@@ -49,10 +48,13 @@ class StabConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown stabilization variant {self.variant!r}")
+        if not (self.rho is None or isinstance(self.rho, (str, tuple))):
+            raise ValueError(f"rho must be a scaling name or ('custom', prefactor, exponent), got {self.rho!r}")
         if isinstance(self.rho, str) and self.rho not in ("h_inv", "h_times_k4"):
             raise ValueError(f"unknown rho scaling {self.rho!r}")
         if isinstance(self.rho, tuple):
-            if len(self.rho) != 3 or self.rho[0] != "custom":
+            real = all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in self.rho[1:])
+            if len(self.rho) != 3 or self.rho[0] != "custom" or not real:
                 raise ValueError("custom rho must be ('custom', prefactor, exponent)")
             if self.variant == "normal_volume" and not -1.0 <= float(self.rho[2]) <= 1.0:
                 raise ValueError(
@@ -80,49 +82,42 @@ class StabConfig:
 class LiftedRule:
     """Quadrature points of the active elements pushed through Theta.
 
-    A rule is built from groups (elems (E,), lam, wref (E, q)), lam being
-    per element (E, q, 4) or shared by the group's elements (q, 4).  Each
-    group is lifted in one call and its points are stored element-major
-    and consecutively, so local matrices reduce to one batched contraction
-    per group.  The rules differ only in their points and in the measure
-    factor of their weights (_weights).
+    Points are stored element-major, in groups of elements with q points
+    each (groups: elems (E,), first point, q).  Per point a rule keeps its
+    element, its lifted weight and, from DTheta, what the integrands need:
+    DTheta^-1 and the deformed unit normal.  Integrands see the points one
+    element chunk at a time, as a Lift of (Ec, q, ...) arrays whose
+    physical gradients of the basis come from _gref, with weights (Ec, q),
+    so local matrices reduce to one batched contraction per chunk.
     """
 
-    def __init__(self, mesh, mapping, groups):
+    def __init__(self, mesh, groups, w, invJ, nh):
+        """groups: (elems (E,), q) in point order; w, invJ, nh: parts (E', q, ...) in point order."""
         self.mesh = mesh
-        self.groups = []          # list of (elem_ids (E,), point slice, q)
-        lifts, w, start = [], [], 0
-        for elems, lam, wref in groups:
-            lift = mapping.lift(elems, lam)
-            lifts.append(lift)
-            w.append(self._weights(wref, lift))
-            E, q = wref.shape
-            self.groups.append((elems, slice(start, start + E * q), q))
-            start += E * q
-        self.elems = np.concatenate([np.repeat(e, q) for e, _, q in self.groups])  # (P,)
-        self.vals = _points([l.vals for l in lifts])     # (P, NB) basis values
-        self.grads = _points([l.grads for l in lifts])   # (P, NB, 3) deformed physical gradients
-        self.nh = _points([l.nh for l in lifts])         # (P, 3) deformed unit normals
-        self.y = _points([l.y for l in lifts])           # (P, 3) lifted points
-        self.w = _points(w)                              # (P,) lifted weights
+        self.groups, start = [], 0
+        for elems, q in groups:
+            self.groups.append((elems, start, q))
+            start += len(elems) * q
+        self.elems = np.concatenate([np.repeat(e, q) for e, q in groups])  # (P,)
+        self.w = _points(w)          # (P,) lifted weights
+        self.invJ = _points(invJ)    # (P, 3, 3) DTheta^-1
+        self.nh = _points(nh)        # (P, 3) deformed unit normals
 
-    def accumulate(self, vec, out_triplets):
-        """Sum w * vec.vec' local matrices into the triplet lists, per group."""
+    def _chunks(self):
+        for elems, start, q in self.groups:
+            for s in element_chunks(len(elems), q):
+                e, p = elems[s], slice(start + s.start * q, start + s.stop * q)
+                shape = (len(e), q)
+                gref = self._gref(e, p).reshape(*shape, -1, 3)
+                invJ, nh = self.invJ[p].reshape(*shape, 3, 3), self.nh[p].reshape(*shape, 3)
+                yield e, Lift(None, gref, invJ, None, None, nh, None), self.w[p].reshape(shape)
+
+    def accumulate(self, integrand, out_triplets):
+        """Sum w * v.v' local matrices into the triplet lists, v = integrand(lift) (Ec, q, NB, M)."""
         kern = backends.active()
-        for elems, slc, q in self.groups:
-            E = len(elems)
-            v = vec[slc].reshape(E, q, *vec.shape[1:])
-            w = self.w[slc].reshape(E, q)
-            for s in range(0, E, CHUNK_ELEMS):
-                e = min(s + CHUNK_ELEMS, E)
-                local = kern.accumulate_sym(v[s:e], w[s:e])
-                _scatter(self.mesh.elem_dofs[elems[s:e]], local, out_triplets)
-
-    def moments(self, g):
-        """Vector of the integrals of g * basis_i over the rule, g given per point."""
-        out = np.zeros(self.mesh.ndofs)
-        np.add.at(out, self.mesh.elem_dofs[self.elems].ravel(), (self.vals * g[:, None]).ravel())
-        return out
+        for elems, lift, w in self._chunks():
+            local = kern.accumulate_sym(integrand(lift), w)
+            _scatter(self.mesh.elem_dofs[elems], local, out_triplets)
 
 
 def _points(parts):
@@ -139,8 +134,22 @@ class SurfaceData(LiftedRule):
     """The lifted interface rule.
 
     Points are grouped by the number of interface triangles per element
-    (one or two), so each group has a uniform point count.
+    (one or two), so each group has a uniform point count.  Each group is
+    lifted in one call; the rule keeps per point what the errors read too.
     """
+
+    def __init__(self, mesh, mapping, groups):
+        lifts = [mapping.lift(elems, lam) for elems, lam, _ in groups]
+        super().__init__(
+            mesh,
+            [(elems, wref.shape[1]) for elems, _, wref in groups],
+            [wref * l.det * l.nn for (_, _, wref), l in zip(groups, lifts)],
+            [l.invJ for l in lifts],
+            [l.nh for l in lifts],
+        )
+        self.vals = _points([l.vals for l in lifts])     # (P, NB) basis values
+        self.gref = _points([l.gref for l in lifts])     # (P, NB, 3) physical gradients before the lift
+        self.y = _points([l.y for l in lifts])           # (P, 3) lifted points
 
     @classmethod
     def build(cls, mesh: ActiveMesh, dls: DiscreteLevelSet, mapping: IsoMapping, degree=None):
@@ -163,24 +172,44 @@ class SurfaceData(LiftedRule):
                 groups.append((elems, pts[sel].reshape(E, -1, 4), wref[sel].reshape(E, -1)))
         return cls(mesh, mapping, groups)
 
-    @staticmethod
-    def _weights(wref, lift):
-        return wref * lift.det * lift.nn
+    def _gref(self, elems, p):
+        return self.gref[p]
+
+    def moments(self, g):
+        """Vector of the integrals of g * basis_i over the rule, g given per point."""
+        out = np.zeros(self.mesh.ndofs)
+        np.add.at(out, self.mesh.elem_dofs[self.elems].ravel(), (self.vals * g[:, None]).ravel())
+        return out
 
 
 class VolumeData(LiftedRule):
-    """The deformed-element volume rule: one group, the same reference points in every element."""
+    """The deformed-element volume rule: the same reference points in every element.
+
+    The physical gradients of the basis at the rule's points take one value
+    per Kuhn shape, so they come from a (6, q, NB, 3) table and are never
+    stored per point.  The rule is lifted one element chunk at a time.
+    """
+
+    def __init__(self, mesh, mapping, table, wref):
+        self.table = table           # (6, q, NB, 3)
+        q = len(wref)
+        w, invJ, nh = [], [], []
+        for s in element_chunks(mesh.nelems, q):
+            lift = mapping.lift(np.arange(s.start, s.stop), gref=table[mesh.tet[s]])
+            w.append(wref * lift.det)
+            invJ.append(lift.invJ)
+            nh.append(lift.nh)
+        super().__init__(mesh, [(np.arange(mesh.nelems, dtype=np.int64), q)], w, invJ, nh)
 
     @classmethod
     def build(cls, mesh: ActiveMesh, mapping: IsoMapping, degree: int):
         lam, w = tet_rule(degree)
-        E = mesh.nelems
-        wref = np.broadcast_to(w * mesh.elem_volume, (E, len(w)))
-        return cls(mesh, mapping, [(np.arange(E, dtype=np.int64), lam, wref)])
+        _, dlam = mesh.ref.eval(lam, grad=True)
+        table = physical_gradients(dlam, SHAPE_BARY_A[:, None] / mesh.h)
+        return cls(mesh, mapping, table, w * mesh.elem_volume)
 
-    @staticmethod
-    def _weights(wref, lift):
-        return wref * lift.det
+    def _gref(self, elems, p):
+        return self.table[self.mesh.tet[elems]]
 
 
 def _scatter(dofs, local, out_triplets):
@@ -196,23 +225,31 @@ def _to_csr(triplets, n):
     return sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
 
 
-def _matrix(rule, vec):
-    """CSR matrix of the sum over the rule of w * vec_i . vec_j."""
+def _matrix(rule, integrand):
+    """CSR matrix of the sum over the rule of w * v_i . v_j, v = integrand(lift)."""
     trip = ([], [], [])
-    rule.accumulate(vec, trip)
+    rule.accumulate(integrand, trip)
     return _to_csr(trip, rule.mesh.ndofs)
 
 
-def _normal_derivatives(rule):
-    """(P, NB, 1) derivatives of the basis along the deformed normal."""
-    return np.einsum("pbi,pi->pb", rule.grads, rule.nh)[:, :, None]
+def _grads(lift):
+    return lift.grads
+
+
+def _normal_derivatives(lift):
+    return lift.normal_derivatives()[..., None]
+
+
+def _tangential_grads(lift):
+    g = lift.grads
+    return g - np.einsum("eqbi,eqi->eqb", g, lift.nh)[..., None] * lift.nh[..., None, :]
 
 
 def assemble_a(mesh, dls, mapping, degree=None, surf: SurfaceData | None = None):
     """Tangential stiffness matrix on the deformed surface (CSR)."""
     if surf is None:
         surf = SurfaceData.build(mesh, dls, mapping, degree)
-    return _matrix(surf, surf.grads - _normal_derivatives(surf) * surf.nh[:, None, :])
+    return _matrix(surf, _tangential_grads)
 
 
 def assemble_constraint(mesh, dls, mapping, degree=None, surf: SurfaceData | None = None):
@@ -249,12 +286,12 @@ def assemble_s(mesh, dls, mapping, stab: StabConfig, surf: SurfaceData | None = 
     if stab.variant == "full_gradient_surface":
         if surf is None:
             surf = SurfaceData.build(mesh, dls, mapping)
-        return _matrix(surf, _normal_derivatives(surf))
+        return _matrix(surf, _normal_derivatives)
     vol = VolumeData.build(mesh, mapping, 2 * k)
     vol.w = vol.w * rho
     if stab.variant == "full_gradient_volume":
-        return _matrix(vol, vol.grads)
-    return _matrix(vol, _normal_derivatives(vol))  # normal_volume
+        return _matrix(vol, _grads)
+    return _matrix(vol, _normal_derivatives)  # normal_volume
 
 
 def _assemble_ghost(mesh, rho):

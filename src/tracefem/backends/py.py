@@ -29,6 +29,21 @@ def multi_indices(k: int) -> np.ndarray:
     return _MI_CACHE[k]
 
 
+def _factors(k: int, lam: np.ndarray):
+    """1D factors L[a, m] = prod_{j<a} (k*lam_m - j)/(a - j) at lam (P, 4), with their derivatives dL.
+
+    Both are (k + 1, 4, P), so the rows gathered per basis function are contiguous.
+    """
+    lam = np.ascontiguousarray(lam.T)
+    L = np.ones((k + 1, *lam.shape))
+    dL = np.zeros((k + 1, *lam.shape))
+    for a in range(1, k + 1):
+        fac = (k * lam - (a - 1)) / a
+        dL[a] = dL[a - 1] * fac + L[a - 1] * (k / a)
+        L[a] = L[a - 1] * fac
+    return L, dL
+
+
 def eval_basis(k: int, lam: np.ndarray, grad: bool = True):
     """Evaluate the P^k Lagrange basis at barycentric points ``lam`` (P, 4).
 
@@ -43,19 +58,13 @@ def eval_basis(k: int, lam: np.ndarray, grad: bool = True):
     if squeeze:
         lam = lam[None, :]
     P = lam.shape[0]
-    # L[a] = prod_{j<a} (k*lam - j)/(a - j), with its lam-derivative dL[a].
-    L = np.ones((k + 1, P, 4))
-    dL = np.zeros((k + 1, P, 4))
-    for a in range(1, k + 1):
-        fac = (k * lam - (a - 1)) / a
-        dL[a] = dL[a - 1] * fac + L[a - 1] * (k / a)
-        L[a] = L[a - 1] * fac
+    L, dL = _factors(k, lam)
     mi = multi_indices(k)
-    comp = [L[mi[:, m], :, m].T for m in range(4)]  # each (P, NB)
+    comp = [L[mi[:, m], m].T for m in range(4)]  # each (P, NB)
     vals = comp[0] * comp[1] * comp[2] * comp[3]
     if not grad:
         return (vals[0] if squeeze else vals)
-    dcomp = [dL[mi[:, m], :, m].T for m in range(4)]
+    dcomp = [dL[mi[:, m], m].T for m in range(4)]
     NB = mi.shape[0]
     dlam = np.empty((P, NB, 4))
     dlam[:, :, 0] = dcomp[0] * comp[1] * comp[2] * comp[3]
@@ -68,11 +77,20 @@ def eval_basis(k: int, lam: np.ndarray, grad: bool = True):
 
 
 def _eval_phi_dphi(k, coeffs, lam, glam):
-    """phi_h and its derivative along the search line at lam + d*glam."""
-    vals, dlam = eval_basis(k, lam)
-    g = np.einsum("pb,pb->p", vals, coeffs)
-    gp = np.einsum("pbm,pb,pm->p", dlam, coeffs, glam)
-    return g, gp
+    """phi_h and its derivative along the search line at lam + d*glam.
+
+    On the line each 1D factor L[a](lam_m) changes at the rate dL[a] * glam_m,
+    so the derivative takes the per-point factors and never the (P, NB, 4)
+    barycentric gradient of the basis.
+    """
+    L, dL = _factors(k, lam)
+    dL *= glam.T
+    mi = multi_indices(k)
+    c = [L[mi[:, m], m].T for m in range(4)]   # each (P, NB)
+    dc = [dL[mi[:, m], m].T for m in range(4)]
+    vals = c[0] * c[1] * c[2] * c[3]
+    dvals = (dc[0] * c[1] + c[0] * dc[1]) * (c[2] * c[3]) + (c[0] * c[1]) * (dc[2] * c[3] + c[2] * dc[3])
+    return np.einsum("pb,pb->p", vals, coeffs), np.einsum("pb,pb->p", dvals, coeffs)
 
 
 def solve_dh(

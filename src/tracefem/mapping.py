@@ -25,6 +25,19 @@ from .reference import DiscreteLevelSet, physical_gradients
 DELTA_FRACTION = 0.5
 ROOT_RTOL = 1e-12
 
+# Theta's build and the volume rule stream the mesh in element chunks of at
+# most CHUNK_POINTS points, so their memory does not grow with the mesh.  The
+# value comes from q * NB at k = 3: 256 elements of the degree-6 volume rule
+# (q = 64), whose (points, NB, 3) arrays (NB = 20) are 7.5 MiB each; at
+# k = 5 (NB = 56) they are 21 MiB.
+CHUNK_POINTS = 256 * 64
+
+
+def element_chunks(nelems: int, per_elem: int):
+    """Slices of consecutive elements with at most CHUNK_POINTS points (at least one element)."""
+    step = max(1, CHUNK_POINTS // per_elem)
+    return [slice(s, min(s + step, nelems)) for s in range(0, nelems, step)]
+
 
 class MappingError(RuntimeError):
     pass
@@ -37,33 +50,52 @@ class MappingInvertibilityError(RuntimeError):
 class Lift(NamedTuple):
     """Geometry of points pushed through Theta, element-major (see IsoMapping.lift)."""
 
-    vals: np.ndarray    # (E, q, NB) basis values
-    grads: np.ndarray   # (E, q, NB, 3) gradients of the lifted basis, DTheta^-T grad b
-    y: np.ndarray       # (E, q, 3) deformed points
+    vals: np.ndarray    # (E, q, NB) basis values (None for points given by gref)
+    gref: np.ndarray    # (E, q, NB, 3) physical gradients of the basis before the lift
+    invJ: np.ndarray    # (E, q, 3, 3) DTheta^-1
+    y: np.ndarray       # (E, q, 3) deformed points (None for points given by gref)
     det: np.ndarray     # (E, q) det DTheta
     nh: np.ndarray      # (E, q, 3) unit normal DTheta^-T n-hat / |DTheta^-T n-hat|
     nn: np.ndarray      # (E, q) |DTheta^-T n-hat|
 
+    @property
+    def grads(self) -> np.ndarray:
+        """(E, q, NB, 3) gradients of the lifted basis, DTheta^-T grad b."""
+        return self.gref @ self.invJ
 
-def _solve_points(mesh: ActiveMesh, dls: DiscreteLevelSet, elems, x, delta=None, rtol=ROOT_RTOL):
-    """Batched deformation distances at physical points of given elements."""
-    elems = np.asarray(elems, dtype=np.int64)
-    x = np.asarray(x, dtype=np.float64)
+    def normal_derivatives(self) -> np.ndarray:
+        """(E, q, NB) derivatives of the lifted basis along nh, gref . (DTheta^-1 nh), without grads."""
+        m = (self.invJ @ self.nh[..., None])[..., 0]
+        return np.einsum("eqbi,eqi->eqb", self.gref, m)
+
+
+def _search(mesh: ActiveMesh, elems, coeffs, lam_x, G, delta):
+    """Distances d along the search directions G (P, 3) from barycentric points lam_x (P, 4).
+
+    elems (P,) are the points' elements and coeffs (P, NB) their rows of phi_h.
+    """
     if delta is None:
         delta = DELTA_FRACTION * mesh.h
-    lam_x = mesh.bary_of_points(elems, x)
-    coeffs = dls.values[mesh.elem_dofs[elems]]
-    _, dlam = mesh.ref.eval(lam_x, grad=True)
-    G = np.einsum("pbm,pb,pmi->pi", dlam, coeffs, mesh.bary_grad[elems])
     phihat = np.einsum("pm,pm->p", lam_x, mesh.vertex_phi[elems])
     glam = np.einsum("pmi,pi->pm", mesh.bary_grad[elems], G)
     d, ok = backends.active().solve_dh(
-        mesh.k, coeffs, lam_x, glam, phihat, delta, rtol=rtol
+        mesh.k, coeffs, lam_x, glam, phihat, delta, rtol=ROOT_RTOL
     )
     if not np.all(ok):
         bad = int(elems[np.argmin(ok)])
         raise MappingError(f"mapping construction failed (mesh too coarse): element {bad}")
-    return d, G
+    return d
+
+
+def _solve_points(mesh: ActiveMesh, dls: DiscreteLevelSet, elems, x, delta=None):
+    """Batched deformation distances at physical points of given elements, one point at a time."""
+    elems = np.asarray(elems, dtype=np.int64)
+    x = np.asarray(x, dtype=np.float64)
+    lam_x = mesh.bary_of_points(elems, x)
+    coeffs = dls.values[mesh.elem_dofs[elems]]
+    _, dlam = mesh.ref.eval(lam_x, grad=True)
+    G = np.einsum("pbm,pb,pmi->pi", dlam, coeffs, mesh.bary_grad[elems])
+    return _search(mesh, elems, coeffs, lam_x, G, delta), G
 
 
 class SearchContext:
@@ -89,7 +121,7 @@ class SearchContext:
 
 
 def psi_h(mesh: ActiveMesh, dls: DiscreteLevelSet, elems, x, delta=None):
-    """Per-element deformation images of physical points (batch form)."""
+    """Per-element deformation images of physical points (batch form; build_theta's oracle)."""
     d, G = _solve_points(mesh, dls, elems, x, delta)
     return np.asarray(x, dtype=np.float64) + d[:, None] * G
 
@@ -122,48 +154,59 @@ class IsoMapping:
             self._coeffs = pos[self.mesh.elem_dofs]
         return self._coeffs
 
-    def _jacobian(self, elems, lam):
-        """Basis values, undeformed physical gradients, y and DTheta, each (E, q, ...).
+    def _basis(self, elems, lam):
+        """Basis values (E, q, NB) and physical gradients (E, q, NB, 3) before the lift.
 
         elems is (E,); lam is per element (E, q, 4) or shared by all (q, 4).
-        The basis is evaluated once per given point, Theta's coefficients
-        are gathered once per element and the two meet by broadcasting.
+        The basis is evaluated once per given point and meets the elements'
+        affine maps by broadcasting.
         """
-        elems = np.asarray(elems, dtype=np.int64)
         lam = np.asarray(lam, dtype=np.float64)
         vals, dlam = self.mesh.ref.eval(lam.reshape(-1, 4), grad=True)
         dlam = dlam.reshape(*lam.shape[:-1], *dlam.shape[1:])
         gref = physical_gradients(dlam, self.mesh.bary_grad[elems][:, None])
         del dlam
-        vals = np.broadcast_to(vals.reshape(*lam.shape[:-1], -1), gref.shape[:-1])
+        return np.broadcast_to(vals.reshape(*lam.shape[:-1], -1), gref.shape[:-1]), gref
+
+    def _map(self, elems, vals, gref):
+        """Deformed points (None without vals) and DTheta, each (E, q, ...).
+
+        Theta's coefficients are gathered once per element.
+        """
         Tc = self.coeffs[elems]
-        y = np.einsum("eqb,ebi->eqi", vals, Tc)
-        J = Tc.transpose(0, 2, 1)[:, None] @ gref
-        return vals, gref, y, J
+        y = None if vals is None else np.einsum("eqb,ebi->eqi", vals, Tc)
+        return y, Tc.transpose(0, 2, 1)[:, None] @ gref
 
     def eval(self, elems, lam):
         """Deformed points and Jacobians at barycentric points lam (P, 4) of elements (P,)."""
-        _, _, y, J = self._jacobian(elems, np.asarray(lam)[:, None])
+        elems = np.asarray(elems, dtype=np.int64)
+        y, J = self._map(elems, *self._basis(elems, np.asarray(lam)[:, None]))
         return y[:, 0], J[:, 0]
 
-    def lift(self, elems, lam) -> Lift:
-        """Push barycentric points of elements through Theta.
+    def lift(self, elems, lam=None, gref=None) -> Lift:
+        """Push points of elements (E,) through Theta; every returned array is (E, q, ...).
 
-        elems and lam are as for _jacobian; every returned array is (E, q, ...).
+        The points are barycentric, lam per element (E, q, 4) or shared by
+        all (q, 4).  A caller that needs no basis values passes the physical
+        gradients of the basis there instead, gref (E, q, NB, 3), as the
+        volume rule does from its table; then vals and y are None.
         With J = DTheta, physical gradients pick up J^-T, a flat interface
         measure picks up det(J) * |J^-T n-hat| and the deformed unit normal
         is J^-T n-hat normalised, n-hat being the normal of the linear cut.
         Raises MappingInvertibilityError where det(J) <= 0.
         """
-        vals, gref, y, J = self._jacobian(elems, lam)
+        elems = np.asarray(elems, dtype=np.int64)
+        vals = None
+        if gref is None:
+            vals, gref = self._basis(elems, lam)
+        y, J = self._map(elems, vals, gref)
         det = np.linalg.det(J)
         if np.any(det <= 0.0):
             raise MappingInvertibilityError("deformation not invertible (mesh too coarse)")
         invJ = np.linalg.inv(J)
-        grads = gref @ invJ
         N = (self.n_lin[elems][:, None, None, :] @ invJ)[..., 0, :]
         nn = np.linalg.norm(N, axis=-1)
-        return Lift(vals, grads, y, det, N / nn[..., None], nn)
+        return Lift(vals, gref, invJ, y, det, N / nn[..., None], nn)
 
     def normals(self, elems, lam):
         """Unit normal of the deformed surface at barycentric points lam (P, 4) of elements (P,)."""
@@ -176,6 +219,9 @@ class IsoMapping:
 def build_theta(mesh: ActiveMesh, dls: DiscreteLevelSet, delta=None) -> IsoMapping:
     """Assemble the nodal deformation field by patch-averaging element images.
 
+    Every element solves at its own nodes alpha/k, so the search directions
+    come from one (NB, NB, 4) table of basis gradients at the nodes.  The
+    elements are streamed in chunks and their images summed per node.
     For k = 1 the deformation is the identity by construction; the root
     solve is skipped and a zero displacement field is returned.
     """
@@ -183,12 +229,20 @@ def build_theta(mesh: ActiveMesh, dls: DiscreteLevelSet, delta=None) -> IsoMappi
         raise ValueError("level set was interpolated on a different mesh")
     if mesh.k == 1:
         return IsoMapping(mesh, np.zeros((mesh.ndofs, 3)))
-    E, NB = mesh.elem_dofs.shape
-    elems = np.repeat(np.arange(E, dtype=np.int64), NB)
-    x = mesh.dof_points[mesh.elem_dofs].reshape(E * NB, 3)
-    psi = psi_h(mesh, dls, elems, x, delta)
-    mean = project_average(mesh, psi.reshape(E, NB, 3))
-    return IsoMapping(mesh, mean - mesh.dof_points)
+    NB = mesh.ref.ndofs
+    lam = mesh.ref.nodes_bary
+    _, dlam = mesh.ref.eval(lam, grad=True)
+    table = dlam.transpose(1, 0, 2).reshape(NB, NB * 4)  # row b: gradients of basis b at the nodes
+    sums = np.zeros((mesh.ndofs, 3))
+    for s in element_chunks(mesh.nelems, NB):
+        dofs = mesh.elem_dofs[s]
+        coeffs = dls.values[dofs]
+        # search directions G = grad(phi_h) at the nodes, (E * NB, 3)
+        G = ((coeffs @ table).reshape(-1, NB, 4) @ mesh.bary_grad[s]).reshape(-1, 3)
+        elems = np.repeat(np.arange(s.start, s.stop, dtype=np.int64), NB)
+        d = _search(mesh, elems, np.repeat(coeffs, NB, axis=0), np.tile(lam, (len(dofs), 1)), G, delta)
+        np.add.at(sums, dofs.ravel(), mesh.dof_points[dofs].reshape(-1, 3) + d[:, None] * G)
+    return IsoMapping(mesh, sums / mesh.patch_counts()[:, None] - mesh.dof_points)
 
 
 def facet_jump_psi(mesh: ActiveMesh, dls: DiscreteLevelSet, degree: int = 4) -> float:

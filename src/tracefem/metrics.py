@@ -54,7 +54,7 @@ def compute_errors(mesh, dls, mapping, u, problem, degree=None) -> ErrorReport:
     e_l2 = float(np.sqrt(np.sum(surf.w * (ue - uh) ** 2)))
 
     ge = problem.exact_solution_gradient(surf.y)
-    gh = np.einsum("pbi,pb->pi", surf.grads, u[mesh.elem_dofs[surf.elems]])
+    gh = (np.einsum("pbi,pb->pi", surf.gref, u[mesh.elem_dofs[surf.elems]])[:, None] @ surf.invJ)[:, 0]
     diff = ge - gh
     tang = diff - np.einsum("pi,pi->p", diff, surf.nh)[:, None] * surf.nh
     e_h1t = float(np.sqrt(np.sum(surf.w * np.einsum("pi,pi->p", tang, tang))))

@@ -78,6 +78,9 @@ class StudyConfig:
             raise ValueError(f"levels for k={self.k} must be in 1..{cap}")
         if self.base_n < 2:
             raise ValueError("base_n must be at least 2")
+        if not isinstance(self.out, (str, os.PathLike)) or not os.fspath(self.out):
+            raise ValueError(f"out must be a directory path, got {self.out!r}")
+        self.out = os.fspath(self.out)
         self.tol = float(self.tol)
         if not 0.0 < self.tol < 1.0:  # also rejects nan
             raise ValueError(f"tol must lie strictly inside (0, 1), got {self.tol}")
@@ -279,9 +282,13 @@ def run_conditioning(cfg: StudyConfig):
             except EigenEstimateError:
                 lmax, lmin = float("nan"), float("nan")
             cond = lmax / lmin if lmin > 0 else float("inf")
-            f = synth - synth.sum() / system.c.sum() * system.c
-            rep = solve_constrained(system.S, system.c, f, tol=cfg.tol, raise_on_fail=False)
-            n_its = rep.iterations if rep.converged else -1
+            n_its = -1
+            # lambda_min <= 0 is singular on c-perp, where PCG can only run to its
+            # cap, so it is not solved; a nan estimate still is
+            if not lmin <= 0:
+                f = synth - synth.sum() / system.c.sum() * system.c
+                rep = solve_constrained(system.S, system.c, f, tol=cfg.tol, raise_on_fail=False)
+                n_its = rep.iterations if rep.converged else -1
             reports.append(
                 dict(eps=eps, variant=variant, lambda_max=lmax, lambda_min=lmin, cond=cond, n_its=n_its)
             )

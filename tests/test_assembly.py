@@ -1,10 +1,13 @@
 """Assembled forms checked against closed-form flat-interface integrals."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from tracefem import backends
+from tracefem import mapping as mapping_module
 from tracefem.assembly import (
     StabConfig,
     SurfaceData,
@@ -260,6 +263,43 @@ class TestGeometryData:
         q = len(tet_rule(4)[1])
         assert calls == [q]
         assert len(vol.elems) == mesh.nelems * q
+
+    def test_chunked_volume_rule_matches_one_unchunked_lift(self, monkeypatch):
+        """Ragged chunks of 5 elements and the Kuhn-shape table give the per-point data of one lift of all points."""
+        _, mesh, dls, mapping = torus_case(16, 2)
+        lam, wq = tet_rule(4)
+        q = len(wq)
+        monkeypatch.setattr(mapping_module, "CHUNK_POINTS", 5 * q + q - 1)
+        vol = VolumeData.build(mesh, mapping, 4)
+        lift = mapping.lift(np.arange(mesh.nelems), lam)  # gradients from the basis at every element
+        np.testing.assert_allclose(vol.w, (wq * mesh.elem_volume * lift.det).ravel(), rtol=1e-14)
+        np.testing.assert_allclose(vol.invJ, lift.invJ.reshape(-1, 3, 3), rtol=1e-14, atol=1e-14)
+        np.testing.assert_allclose(vol.nh, lift.nh.reshape(-1, 3), rtol=1e-14, atol=1e-14)
+        np.testing.assert_array_equal(vol.elems, np.repeat(np.arange(mesh.nelems), q))
+        # the normal-volume matrix against the full lifted gradients of that lift
+        dn = np.einsum("eqbi,eqi->eqb", lift.grads, lift.nh)
+        local = np.einsum("eqi,eqj,eq->eij", dn, dn, vol.w.reshape(-1, q))
+        dofs = mesh.elem_dofs
+        S = sp.coo_matrix(
+            (local.ravel(), (np.repeat(dofs, dofs.shape[1], axis=1).ravel(), np.tile(dofs, (1, dofs.shape[1])).ravel())),
+            shape=(mesh.ndofs, mesh.ndofs),
+        ).tocsr()
+        rho = ("custom", 1.0, 0.0)
+        S_nv = assemble_s(mesh, dls, mapping, StabConfig("normal_volume", rho))
+        assert abs(S_nv - S).max() <= 1e-13 * abs(S).max()
+
+    @pytest.mark.parametrize("variant", ["normal_volume", "full_gradient_volume"])
+    def test_volume_stabilization_memory_does_not_grow_with_the_mesh(self, variant):
+        """At torus k=3 n=16 the volume stabilization allocates at most 128 MiB at its peak."""
+        _, mesh, dls, mapping = torus_case(16, 3)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            assemble_s(mesh, dls, mapping, StabConfig(variant))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 128 * 2**20, f"{peak / 2**20:.1f} MiB"
 
     def test_assembled_system_shares_its_pieces(self):
         _, mesh, dls, mapping = torus_case(16, 2)

@@ -1,8 +1,11 @@
 """Deformation root solve, patch averaging, and the assembled mapping."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from tracefem import mapping as mapping_module
 from tracefem.assembly import SurfaceData, VolumeData
 from tracefem.levelset import Plane, Torus
 from tracefem.mapping import (
@@ -96,6 +99,34 @@ class TestRootSolve:
         dls = interpolate(ls, mesh)
         with pytest.raises(MappingError, match="mesh too coarse"):
             build_theta(mesh, dls)
+
+
+class TestStreamedBuild:
+    def test_chunked_build_matches_the_per_point_oracle(self, monkeypatch):
+        """Theta built in ragged chunks of 64 elements is the patch average of psi_h at every element node."""
+        ls, mesh = torus_mesh(16, 3)
+        dls = interpolate(ls, mesh)
+        NB = mesh.ref.ndofs
+        monkeypatch.setattr(mapping_module, "CHUNK_POINTS", 64 * NB + NB - 1)
+        disp = build_theta(mesh, dls).displacement
+        E = mesh.nelems
+        x = mesh.dof_points[mesh.elem_dofs].reshape(E * NB, 3)
+        images = psi_h(mesh, dls, np.repeat(np.arange(E), NB), x).reshape(E, NB, 3)
+        oracle = project_average(mesh, images) - mesh.dof_points
+        assert np.abs(disp - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
+    def test_build_memory_does_not_grow_with_the_mesh(self):
+        """At torus k=3 n=16 the build allocates at most 64 MiB beyond what was live before it."""
+        ls, mesh = torus_mesh(16, 3)
+        dls = interpolate(ls, mesh)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            build_theta(mesh, dls)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 2**20, f"{peak / 2**20:.1f} MiB"
 
 
 class TestIdentityCases:
@@ -243,11 +274,16 @@ class TestLift:
         shared = mapping.lift(elems, lam)
         per_elem = mapping.lift(elems, np.broadcast_to(lam, (E, q, 4)))
         per_point = mapping.lift(np.repeat(elems, q), np.tile(lam, (E, 1))[:, None])
-        shapes = [(E, q, NB), (E, q, NB, 3), (E, q, 3), (E, q), (E, q, 3), (E, q)]
+        shapes = [(E, q, NB), (E, q, NB, 3), (E, q, 3, 3), (E, q, 3), (E, q), (E, q, 3), (E, q)]
         assert [a.shape for a in shared] == shapes
         for a, b, c in zip(shared, per_elem, per_point):
             np.testing.assert_array_equal(a, b)
             np.testing.assert_array_equal(a, c.reshape(a.shape))
+        # points given by their reference gradients alone, as the volume rule gives them
+        from_gref = mapping.lift(elems, gref=shared.gref)
+        assert from_gref.vals is None and from_gref.y is None
+        for name in ("gref", "invJ", "det", "nh", "nn"):
+            np.testing.assert_array_equal(getattr(from_gref, name), getattr(shared, name))
 
     def test_inverted_elements_are_rejected_by_both_rules(self):
         """Theta(x) = -x has det DTheta = -1 everywhere."""

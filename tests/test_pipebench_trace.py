@@ -4,7 +4,8 @@ pipebench/spans.py wraps tracefem's classes and functions by name from
 outside the package; a rename in the library would break a traced
 benchmark run without failing any library test.  This runs one traced
 benchmark process on a small study and checks that it completes and
-that the counters of the volume rule and the basis kernel are filled.
+that the counters of the mapping, the volume rule and the basis kernel
+are filled and count every point once.
 """
 
 import json
@@ -13,6 +14,8 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+
+from tracefem.cutquad import tet_rule
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -29,5 +32,12 @@ def test_traced_benchmark_process_runs_a_small_study(tmp_path):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["failures"] == []
-    assert result["layers"]["assembly.volume_points"] > 0
-    assert result["layers"]["kernel.eval_basis_points"] > 0
+    layers = result["layers"]
+    # Theta solves once per element node and the volume rule has q points per
+    # element, however the two stages split the mesh into chunks
+    nb = (config["k"] + 1) * (config["k"] + 2) * (config["k"] + 3) // 6
+    q = len(tet_rule(2 * config["k"])[1])
+    assert layers["mesh.elements"] > 0
+    assert layers["mapping.points"] == nb * layers["mesh.elements"]
+    assert layers["assembly.volume_points"] == q * layers["mesh.elements"]
+    assert layers["kernel.eval_basis_points"] > 0

@@ -163,6 +163,24 @@ class TestConditioningStudy:
         nv = {r["eps"]: r["cond"] for r in reports if r["variant"] == "normal_volume"}
         assert max(nv.values()) / min(nv.values()) < 10.0
 
+    def test_singular_variants_are_not_solved(self, monkeypatch):
+        """A variant with lambda_min <= 0 on c-perp reports n_its = -1 without a PCG solve."""
+        import tracefem.study as study
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        original = study.solve_constrained
+        monkeypatch.setattr(study, "solve_constrained", counting)
+        cfg = StudyConfig(k=1, base_n=4, conditioning=True, shifts=(0.5,))
+        _, reports = run_conditioning(cfg)
+        singular = [r for r in reports if r["lambda_min"] <= 0]
+        assert singular and all(r["n_its"] == -1 for r in singular)
+        assert len(calls) == len(reports) - len(singular)
+
     def test_unstabilized_conditioning_degrades(self):
         cfg = StudyConfig(benchmark="plane", k=1, base_n=8, conditioning=True, shifts=(0.5, 1e-4))
         _, reports = run_conditioning(cfg)
@@ -235,6 +253,10 @@ class TestCli:
                 {"tol": [1]},
                 {"stab": ["nv"]},
                 [["k", 2]],
+                {"rho": 5},
+                {"rho": ["custom", "1", 0]},
+                {"out": 5},
+                {"out": ""},
             )
         ):
             path = tmp_path / f"bad{i}.json"
