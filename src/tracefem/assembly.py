@@ -112,12 +112,11 @@ class LiftedRule:
                 invJ, nh = self.invJ[p].reshape(*shape, 3, 3), self.nh[p].reshape(*shape, 3)
                 yield e, Lift(None, gref, invJ, None, None, nh, None), self.w[p].reshape(shape)
 
-    def accumulate(self, integrand, out_triplets):
-        """Sum w * v.v' local matrices into the triplet lists, v = integrand(lift) (Ec, q, NB, M)."""
+    def accumulate(self, integrand, out):
+        """Add w * v.v' local matrices into out, a Pattern with element blocks, v = integrand(lift) (Ec, q, NB, M)."""
         kern = backends.active()
         for elems, lift, w in self._chunks():
-            local = kern.accumulate_sym(integrand(lift), w)
-            _scatter(self.mesh.elem_dofs[elems], local, out_triplets)
+            out.add("elements", elems, kern.accumulate_sym(integrand(lift), w))
 
 
 def _points(parts):
@@ -212,24 +211,37 @@ class VolumeData(LiftedRule):
         return self.table[self.mesh.tet[elems]]
 
 
-def _scatter(dofs, local, out_triplets):
-    """Append the triplets of local matrices (E, nb, nb) on dof rows (E, nb)."""
-    nb = dofs.shape[1]
-    out_triplets[0].append(np.repeat(dofs, nb, axis=1).ravel())
-    out_triplets[1].append(np.tile(dofs, (1, nb)).ravel())
-    out_triplets[2].append(local.ravel())
+class Pattern:
+    """CSR matrix on the union of dense dof blocks, into whose data local matrices are added.
+
+    Each keyword names a family of blocks, dof rows (B, nb); slots[name]
+    (B, nb, nb) is the place in matrix.data of every local entry.  Column
+    indices are sorted.
+    """
+
+    def __init__(self, n, **blocks):
+        keys = {name: d[:, :, None] * n + d[:, None, :] for name, d in blocks.items()}
+        # sorted, not np.unique: for int64 keys numpy's unique takes a hash path many times slower
+        uniq = np.sort(_join([k.ravel() for k in keys.values()] or [np.empty(0, np.int64)]))
+        first = np.ones(len(uniq), dtype=bool)
+        np.not_equal(uniq[1:], uniq[:-1], out=first[1:])
+        uniq = uniq[first]
+        self.slots = {name: np.searchsorted(uniq, k) for name, k in keys.items()}
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(uniq // n, minlength=n), out=indptr[1:])
+        self.matrix = sp.csr_matrix((np.zeros(len(uniq)), uniq % n, indptr), shape=(n, n))
+
+    def add(self, name, rows, local):
+        """Add local matrices (B', nb, nb) on the blocks rows of family name."""
+        np.add.at(self.matrix.data, self.slots[name][rows], local)
 
 
-def _to_csr(triplets, n):
-    rows, cols, data = (_join(t) for t in triplets)
-    return sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
-
-
-def _matrix(rule, integrand):
-    """CSR matrix of the sum over the rule of w * v_i . v_j, v = integrand(lift)."""
-    trip = ([], [], [])
-    rule.accumulate(integrand, trip)
-    return _to_csr(trip, rule.mesh.ndofs)
+def _matrix(rule, integrand, out):
+    """CSR matrix of the sum over the rule of w * v_i . v_j, v = integrand(lift), added into out if given."""
+    if out is None:
+        out = Pattern(rule.mesh.ndofs, elements=rule.mesh.elem_dofs)
+    rule.accumulate(integrand, out)
+    return out.matrix
 
 
 def _grads(lift):
@@ -245,11 +257,11 @@ def _tangential_grads(lift):
     return g - np.einsum("eqbi,eqi->eqb", g, lift.nh)[..., None] * lift.nh[..., None, :]
 
 
-def assemble_a(mesh, dls, mapping, degree=None, surf: SurfaceData | None = None):
-    """Tangential stiffness matrix on the deformed surface (CSR)."""
+def assemble_a(mesh, dls, mapping, degree=None, surf: SurfaceData | None = None, out: Pattern | None = None):
+    """Tangential stiffness matrix on the deformed surface (CSR), added into out if given."""
     if surf is None:
         surf = SurfaceData.build(mesh, dls, mapping, degree)
-    return _matrix(surf, _tangential_grads)
+    return _matrix(surf, _tangential_grads, out)
 
 
 def assemble_constraint(mesh, dls, mapping, degree=None, surf: SurfaceData | None = None):
@@ -273,46 +285,48 @@ def assemble_rhs(mesh, dls, mapping, problem, c, degree=None, surf: SurfaceData 
     return f
 
 
-def assemble_s(mesh, dls, mapping, stab: StabConfig, surf: SurfaceData | None = None):
-    """Stabilization matrix for the chosen variant (CSR; zero for 'none')."""
+def assemble_s(mesh, dls, mapping, stab: StabConfig, surf: SurfaceData | None = None, out: Pattern | None = None):
+    """Stabilization matrix for the chosen variant (CSR; zero for 'none'), added into out if given."""
     k = mesh.k
     rho = stab.resolve_rho(mesh.h, k)
     if stab.variant == "none":
-        return sp.csr_matrix((mesh.ndofs, mesh.ndofs))
+        return (Pattern(mesh.ndofs) if out is None else out).matrix
     if stab.variant == "ghost_penalty":
-        if k != 1:
-            raise ValueError("ghost_penalty is unsupported for k > 1 (no higher-order theory)")
-        return _assemble_ghost(mesh, rho)
+        dofs, jump = _ghost_patches(mesh)
+        out = Pattern(mesh.ndofs, facets=dofs) if out is None else out
+        out.add("facets", slice(None), rho * mesh.facets.area[:, None, None] * jump[:, :, None] * jump[:, None, :])
+        return out.matrix
     if stab.variant == "full_gradient_surface":
         if surf is None:
             surf = SurfaceData.build(mesh, dls, mapping)
-        return _matrix(surf, _normal_derivatives)
+        return _matrix(surf, _normal_derivatives, out)
     vol = VolumeData.build(mesh, mapping, 2 * k)
     vol.w = vol.w * rho
     if stab.variant == "full_gradient_volume":
-        return _matrix(vol, _grads)
-    return _matrix(vol, _normal_derivatives)  # normal_volume
+        return _matrix(vol, _grads, out)
+    return _matrix(vol, _normal_derivatives, out)  # normal_volume
 
 
-def _assemble_ghost(mesh, rho):
-    """Gradient-jump penalty over interior facets (piecewise-linear case).
+def _ghost_patches(mesh):
+    """Dofs (F, 5) and normal-derivative jumps (F, 5) of the facet patches of the gradient-jump penalty.
 
-    Gradients of P1 elements are constant, so each facet contributes
-    rho * area(F) * [grad b_i . n_F][grad b_j . n_F] over the union of
-    the two element dof sets.
+    Gradients of P1 elements are constant, so each interior facet F
+    contributes rho * area(F) * [grad b_i . n_F][grad b_j . n_F] on its
+    patch: the lower element's four dofs and the upper element's vertex
+    opposite F.  A dof on F takes the lower minus the upper element's value.
     """
+    if mesh.k != 1:
+        raise ValueError("ghost_penalty is unsupported for k > 1 (no higher-order theory)")
     fs = mesh.facets
-    jumps, dofs = [], []
-    for s, sign in ((0, 1.0), (1, -1.0)):
-        elems = fs.elems[:, s]
-        gn = np.einsum("fmi,fi->fm", mesh.bary_grad[elems], fs.normal)  # (F, 4)
-        jumps.append(sign * gn)
-        dofs.append(mesh.elem_dofs[elems])
-    J = np.concatenate(jumps, axis=1)        # (F, 8)
-    local = rho * fs.area[:, None, None] * J[:, :, None] * J[:, None, :]
-    trip = ([], [], [])
-    _scatter(np.concatenate(dofs, axis=1), local, trip)
-    return _to_csr(trip, mesh.ndofs)
+    lo, hi = (mesh.elem_dofs[e] for e in fs.elems.T)
+    shared = hi[:, :, None] == lo[:, None, :]  # (F, 4, 4)
+    at = (np.arange(len(lo))[:, None], np.where(shared.any(axis=2), shared.argmax(axis=2), 4))  # upper dofs in the patch
+    dofs = np.concatenate([lo, lo[:, :1]], axis=1)
+    dofs[at] = hi
+    gn_lo, gn_hi = (np.einsum("fmi,fi->fm", mesh.bary_grad[e], fs.normal) for e in fs.elems.T)
+    jump = np.concatenate([gn_lo, np.zeros((len(lo), 1))], axis=1)
+    jump[at] -= gn_hi
+    return dofs, jump
 
 
 @dataclass
@@ -323,36 +337,18 @@ class AssembledSystem:
     c: np.ndarray
     f: np.ndarray
     e: np.ndarray
-    rho: float
-    h: float
-    k: int
     ndofs: int
-    A: sp.csr_matrix = None
-    S_stab: sp.csr_matrix = None
-
-    @property
-    def diag(self) -> np.ndarray:
-        return self.S.diagonal()
 
 
 def assemble_system(mesh, dls, mapping, problem, stab: StabConfig, degree=None) -> AssembledSystem:
-    """One-stop assembly sharing the lifted surface rule across all pieces."""
-    k = mesh.k
+    """One-stop assembly sharing the lifted surface rule, and one Pattern for A and the stabilization."""
     surf = SurfaceData.build(mesh, dls, mapping, degree)
-    A = assemble_a(mesh, dls, mapping, surf=surf)
-    Sm = assemble_s(mesh, dls, mapping, stab, surf=surf)
+    blocks = {"elements": mesh.elem_dofs}
+    if stab.variant == "ghost_penalty":
+        blocks["facets"] = _ghost_patches(mesh)[0]
+    out = Pattern(mesh.ndofs, **blocks)
+    assemble_a(mesh, dls, mapping, surf=surf, out=out)
+    S = assemble_s(mesh, dls, mapping, stab, surf=surf, out=out)
     c = assemble_constraint(mesh, dls, mapping, surf=surf)
     f = assemble_rhs(mesh, dls, mapping, problem, c, surf=surf)
-    S = (A + Sm).tocsr()
-    return AssembledSystem(
-        S=S,
-        c=c,
-        f=f,
-        e=np.ones(mesh.ndofs),
-        rho=stab.resolve_rho(mesh.h, k),
-        h=mesh.h,
-        k=k,
-        ndofs=mesh.ndofs,
-        A=A,
-        S_stab=Sm,
-    )
+    return AssembledSystem(S=S, c=c, f=f, e=np.ones(mesh.ndofs), ndofs=mesh.ndofs)

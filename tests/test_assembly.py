@@ -9,6 +9,8 @@ import scipy.sparse as sp
 from tracefem import backends
 from tracefem import mapping as mapping_module
 from tracefem.assembly import (
+    VARIANTS,
+    Pattern,
     StabConfig,
     SurfaceData,
     VolumeData,
@@ -187,6 +189,20 @@ class TestStabilizations:
         v = rng.standard_normal(mesh.ndofs)
         assert v @ (S @ v) > 0  # generic fields are penalized
 
+    def test_ghost_penalty_matches_the_outer_product_of_both_elements(self):
+        """The five-dof patch gives the matrix of the jump over both elements' eight dofs."""
+        _, mesh, dls, mapping = torus_case(16, 1)
+        S = assemble_s(mesh, dls, mapping, StabConfig("ghost_penalty"))
+        fs = mesh.facets
+        gn = [np.einsum("fmi,fi->fm", mesh.bary_grad[e], fs.normal) for e in fs.elems.T]
+        J = np.concatenate([gn[0], -gn[1]], axis=1)  # (F, 8)
+        dofs = np.concatenate([mesh.elem_dofs[e] for e in fs.elems.T], axis=1)
+        local = fs.area[:, None, None] * J[:, :, None] * J[:, None, :]
+        rows, cols = np.repeat(dofs, 8, axis=1).ravel(), np.tile(dofs, (1, 8)).ravel()
+        oracle = sp.coo_matrix((local.ravel(), (rows, cols)), shape=S.shape).tocsr()
+        assert S.nnz == oracle.nnz
+        assert abs(S - oracle).max() <= 1e-15 * abs(S).max()
+
     def test_none_variant_is_the_zero_matrix(self):
         _, mesh, dls, mapping = torus_case(8, 1)
         S = assemble_s(mesh, dls, mapping, StabConfig("none"))
@@ -301,14 +317,57 @@ class TestGeometryData:
             tracemalloc.stop()
         assert peak <= 128 * 2**20, f"{peak / 2**20:.1f} MiB"
 
+    @pytest.mark.parametrize("k, n, variant, limit_mib", [(3, 16, "normal_volume", 96), (1, 32, "ghost_penalty", 32)])
+    def test_assembled_system_memory_is_one_pattern_and_one_chunk(self, k, n, variant, limit_mib):
+        """A and the stabilization are added into the data of one CSR pattern, so the peak is that pattern and one chunk."""
+        _, mesh, dls, mapping = torus_case(n, k)
+        mesh.facets  # built once per mesh, outside the assembly
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            assemble_system(mesh, dls, mapping, torus_benchmark(), StabConfig(variant))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit_mib * 2**20, f"{peak / 2**20:.1f} MiB"
+
     def test_assembled_system_shares_its_pieces(self):
-        _, mesh, dls, mapping = torus_case(16, 2)
-        sys = assemble_system(mesh, dls, mapping, torus_benchmark(), StabConfig("normal_volume"))
-        assert abs(sys.S - (sys.A + sys.S_stab)).max() == 0.0
-        assert sys.ndofs == mesh.ndofs
-        assert sys.k == mesh.k
-        assert sys.h == mesh.h
-        assert sys.rho == pytest.approx(1.0 / mesh.h)
-        np.testing.assert_array_equal(sys.e, np.ones(mesh.ndofs))
-        np.testing.assert_array_equal(sys.diag, sys.S.diagonal())
-        assert abs(sys.S - sys.S.T).max() <= 1e-12 * abs(sys.S).max()
+        """S is A plus the stabilization, each assembled alone, for every variant."""
+        for variant in VARIANTS:
+            _, mesh, dls, mapping = torus_case(8, 1) if variant == "ghost_penalty" else torus_case(16, 2)
+            stab = StabConfig(variant)
+            sys = assemble_system(mesh, dls, mapping, torus_benchmark(), stab)
+            parts = assemble_a(mesh, dls, mapping) + assemble_s(mesh, dls, mapping, stab)
+            scale = abs(sys.S).max()
+            assert sys.S.nnz == parts.nnz, variant
+            assert abs(sys.S - parts).max() <= 1e-15 * scale, variant
+            assert abs(sys.S - sys.S.T).max() <= 1e-12 * scale, variant
+            assert sys.ndofs == mesh.ndofs
+            np.testing.assert_array_equal(sys.e, np.ones(mesh.ndofs))
+
+
+class TestPattern:
+    def test_scatter_matches_a_coo_assembly_of_the_same_blocks(self, rng):
+        """Two block families of different widths; the last rows of the matrix stay empty."""
+        n = 60
+        blocks = {
+            "elements": np.array([rng.choice(50, 4, replace=False) for _ in range(30)]),
+            "facets": np.array([rng.choice(50, 5, replace=False) for _ in range(20)]),
+        }
+        pattern = Pattern(n, **blocks)
+        rows, cols, vals = [], [], []
+        for name, dofs in blocks.items():
+            nb = dofs.shape[1]
+            local = rng.standard_normal((len(dofs), nb, nb))
+            pattern.add(name, slice(None), local)
+            rows.append(np.repeat(dofs, nb, axis=1).ravel())
+            cols.append(np.tile(dofs, (1, nb)).ravel())
+            vals.append(local.ravel())
+        S = pattern.matrix
+        oracle = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)).tocsr()
+        oracle.sort_indices()
+        np.testing.assert_array_equal(S.indptr, oracle.indptr)
+        np.testing.assert_array_equal(S.indices, oracle.indices)
+        assert S.has_sorted_indices
+        assert S.indices.dtype == oracle.indices.dtype
+        np.testing.assert_allclose(S.data, oracle.data, rtol=1e-15, atol=1e-15 * abs(oracle.data).max())

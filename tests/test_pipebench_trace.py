@@ -41,3 +41,7 @@ def test_traced_benchmark_process_runs_a_small_study(tmp_path):
     assert layers["mapping.points"] == nb * layers["mesh.elements"]
     assert layers["assembly.volume_points"] == q * layers["mesh.elements"]
     assert layers["kernel.eval_basis_points"] > 0
+    # assemble_system adds A and the stabilization through the functions the tracer wraps
+    assert layers["assembly.stab_s"] > 0
+    assert layers["assembly.accumulate_s"] > 0
+    assert layers["assembly.nnz"] > 0
