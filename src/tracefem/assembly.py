@@ -82,73 +82,73 @@ class StabConfig:
 class LiftedRule:
     """Quadrature points of the active elements pushed through Theta.
 
-    Points are stored element-major, in groups of elements with q points
-    each (groups: elems (E,), first point, q).  Per point a rule keeps its
-    element, its lifted weight and, from DTheta, what the integrands need:
-    DTheta^-1 and the deformed unit normal.  Integrands see the points one
-    element chunk at a time, as a Lift of (Ec, q, ...) arrays whose
-    physical gradients of the basis come from _gref, with weights (Ec, q),
-    so local matrices reduce to one batched contraction per chunk.
+    Points are stored in cells of q points, cell by cell; each cell lies in
+    one element, cells (C,) naming it: an interface triangle for the
+    surface rule, an element for the volume rule.  Per point a rule keeps
+    its element, its lifted weight and, from DTheta, what the integrands
+    need: DTheta^-1 and the deformed unit normal.  Cells are lifted and
+    integrated in chunks of consecutive cells; integrands see a chunk as a
+    Lift of (Ec, q, ...) arrays whose physical gradients of the basis come
+    from _gref, with weights (Ec, q), so local matrices reduce to one
+    batched contraction per chunk.  An element with two cells gets two
+    local matrices, which Pattern.add sums.
     """
 
-    def __init__(self, mesh, groups, w, invJ, nh):
-        """groups: (elems (E,), q) in point order; w, invJ, nh: parts (E', q, ...) in point order."""
-        self.mesh = mesh
-        self.groups, start = [], 0
-        for elems, q in groups:
-            self.groups.append((elems, start, q))
-            start += len(elems) * q
-        self.elems = np.concatenate([np.repeat(e, q) for e, q in groups])  # (P,)
-        self.w = _points(w)          # (P,) lifted weights
-        self.invJ = _points(invJ)    # (P, 3, 3) DTheta^-1
-        self.nh = _points(nh)        # (P, 3) deformed unit normals
+    def __init__(self, mesh, cells, q, lift_cells, keep=()):
+        """lift_cells(s) lifts the cells s (a slice) and returns (Lift, lifted weights (Ec, q)).
+
+        Besides w, invJ and nh the fields keep of each Lift are stored, into
+        arrays the subclass allocated per point.
+        """
+        self.mesh, self.cells, self.q = mesh, cells, q
+        self.elems = np.repeat(cells, q)  # (P,)
+        P = len(self.elems)
+        self.w = np.empty(P)              # lifted weights
+        self.invJ = np.empty((P, 3, 3))   # DTheta^-1
+        self.nh = np.empty((P, 3))        # deformed unit normals
+        for s, p in self._chunks():
+            lift, w = lift_cells(s)
+            self.w[p] = w.ravel()
+            for name in ("invJ", "nh", *keep):
+                a = getattr(lift, name)
+                getattr(self, name)[p] = a.reshape(-1, *a.shape[2:])
 
     def _chunks(self):
-        for elems, start, q in self.groups:
-            for s in element_chunks(len(elems), q):
-                e, p = elems[s], slice(start + s.start * q, start + s.stop * q)
-                shape = (len(e), q)
-                gref = self._gref(e, p).reshape(*shape, -1, 3)
-                invJ, nh = self.invJ[p].reshape(*shape, 3, 3), self.nh[p].reshape(*shape, 3)
-                yield e, Lift(None, gref, invJ, None, None, nh, None), self.w[p].reshape(shape)
+        """Slices of cells and of their points, at most CHUNK_POINTS points each."""
+        q = self.q
+        return [(s, slice(s.start * q, s.stop * q)) for s in element_chunks(len(self.cells), q)]
 
     def accumulate(self, integrand, out):
         """Add w * v.v' local matrices into out, a Pattern with element blocks, v = integrand(lift) (Ec, q, NB, M)."""
         kern = backends.active()
-        for elems, lift, w in self._chunks():
-            out.add("elements", elems, kern.accumulate_sym(integrand(lift), w))
-
-
-def _points(parts):
-    """Group arrays (E, q, ...) as one point array (P, ...); one group stays a view."""
-    return _join([a.reshape(-1, *a.shape[2:]) for a in parts])
-
-
-def _join(arrays):
-    """Concatenation that does not copy a single array."""
-    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+        for s, p in self._chunks():
+            e = self.cells[s]
+            shape = (len(e), self.q)
+            gref = self._gref(e, p).reshape(*shape, -1, 3)
+            invJ, nh = self.invJ[p].reshape(*shape, 3, 3), self.nh[p].reshape(*shape, 3)
+            lift = Lift(None, gref, invJ, None, None, nh, None)
+            out.add("elements", e, kern.accumulate_sym(integrand(lift), self.w[p].reshape(shape)))
 
 
 class SurfaceData(LiftedRule):
-    """The lifted interface rule.
+    """The lifted interface rule: its cells are the interface triangles.
 
-    Points are grouped by the number of interface triangles per element
-    (one or two), so each group has a uniform point count.  Each group is
-    lifted in one call; the rule keeps per point what the errors read too.
+    It keeps per point what the errors read too: basis values, physical
+    gradients before the lift and the lifted points.
     """
 
-    def __init__(self, mesh, mapping, groups):
-        lifts = [mapping.lift(elems, lam) for elems, lam, _ in groups]
-        super().__init__(
-            mesh,
-            [(elems, wref.shape[1]) for elems, _, wref in groups],
-            [wref * l.det * l.nn for (_, _, wref), l in zip(groups, lifts)],
-            [l.invJ for l in lifts],
-            [l.nh for l in lifts],
-        )
-        self.vals = _points([l.vals for l in lifts])     # (P, NB) basis values
-        self.gref = _points([l.gref for l in lifts])     # (P, NB, 3) physical gradients before the lift
-        self.y = _points([l.y for l in lifts])           # (P, 3) lifted points
+    def __init__(self, mesh, mapping, tri_elem, pts, wref):
+        """tri_elem (T,): the triangles' elements; pts (T, q, 4) barycentric points; wref (T, q) flat weights."""
+        P, NB = wref.size, mesh.ref.ndofs
+        self.vals = np.empty((P, NB))     # basis values
+        self.gref = np.empty((P, NB, 3))  # physical gradients before the lift
+        self.y = np.empty((P, 3))         # lifted points
+
+        def lift_cells(s):
+            lift = mapping.lift(tri_elem[s], pts[s])
+            return lift, wref[s] * lift.det * lift.nn
+
+        super().__init__(mesh, tri_elem, pts.shape[1], lift_cells, ("vals", "gref", "y"))
 
     @classmethod
     def build(cls, mesh: ActiveMesh, dls: DiscreteLevelSet, mapping: IsoMapping, degree=None):
@@ -157,19 +157,8 @@ class SurfaceData(LiftedRule):
             degree = max(0, 2 * mesh.k - 2)
         tri_elem, tri_bary, tri_area = extract_cuts(dls.mesh.vertex_phi, mesh.verts_phys)
         lam, w = triangle_rule(degree)
-        pts = np.einsum("qc,tcm->tqm", lam, tri_bary)      # (T, q, 4)
-        wref = tri_area[:, None] * w[None, :]               # (T, q)
-
-        counts = np.bincount(tri_elem, minlength=mesh.nelems)
-        groups = []
-        # triangles are sorted by element, so per-element blocks are contiguous
-        for ntri in (1, 2):
-            elems = np.flatnonzero(counts == ntri)
-            if len(elems):
-                sel = counts[tri_elem] == ntri
-                E = len(elems)
-                groups.append((elems, pts[sel].reshape(E, -1, 4), wref[sel].reshape(E, -1)))
-        return cls(mesh, mapping, groups)
+        pts = np.einsum("qc,tcm->tqm", lam, tri_bary)  # (T, q, 4)
+        return cls(mesh, mapping, tri_elem, pts, tri_area[:, None] * w[None, :])
 
     def _gref(self, elems, p):
         return self.gref[p]
@@ -182,23 +171,21 @@ class SurfaceData(LiftedRule):
 
 
 class VolumeData(LiftedRule):
-    """The deformed-element volume rule: the same reference points in every element.
+    """The deformed-element volume rule: its cells are the elements, with the same reference points.
 
     The physical gradients of the basis at the rule's points take one value
     per Kuhn shape, so they come from a (6, q, NB, 3) table and are never
-    stored per point.  The rule is lifted one element chunk at a time.
+    stored per point.
     """
 
     def __init__(self, mesh, mapping, table, wref):
-        self.table = table           # (6, q, NB, 3)
-        q = len(wref)
-        w, invJ, nh = [], [], []
-        for s in element_chunks(mesh.nelems, q):
+        self.table = table  # (6, q, NB, 3)
+
+        def lift_cells(s):
             lift = mapping.lift(np.arange(s.start, s.stop), gref=table[mesh.tet[s]])
-            w.append(wref * lift.det)
-            invJ.append(lift.invJ)
-            nh.append(lift.nh)
-        super().__init__(mesh, [(np.arange(mesh.nelems, dtype=np.int64), q)], w, invJ, nh)
+            return lift, wref * lift.det
+
+        super().__init__(mesh, np.arange(mesh.nelems, dtype=np.int64), len(wref), lift_cells)
 
     @classmethod
     def build(cls, mesh: ActiveMesh, mapping: IsoMapping, degree: int):
@@ -222,7 +209,8 @@ class Pattern:
     def __init__(self, n, **blocks):
         keys = {name: d[:, :, None] * n + d[:, None, :] for name, d in blocks.items()}
         # sorted, not np.unique: for int64 keys numpy's unique takes a hash path many times slower
-        uniq = np.sort(_join([k.ravel() for k in keys.values()] or [np.empty(0, np.int64)]))
+        uniq = np.concatenate([k.ravel() for k in keys.values()] or [np.empty(0, np.int64)])
+        uniq.sort()
         first = np.ones(len(uniq), dtype=bool)
         np.not_equal(uniq[1:], uniq[:-1], out=first[1:])
         uniq = uniq[first]
@@ -232,7 +220,7 @@ class Pattern:
         self.matrix = sp.csr_matrix((np.zeros(len(uniq)), uniq % n, indptr), shape=(n, n))
 
     def add(self, name, rows, local):
-        """Add local matrices (B', nb, nb) on the blocks rows of family name."""
+        """Add local matrices (B', nb, nb) on the blocks rows of family name; a repeated row sums."""
         np.add.at(self.matrix.data, self.slots[name][rows], local)
 
 

@@ -25,8 +25,8 @@ from .reference import DiscreteLevelSet, physical_gradients
 DELTA_FRACTION = 0.5
 ROOT_RTOL = 1e-12
 
-# Theta's build and the volume rule stream the mesh in element chunks of at
-# most CHUNK_POINTS points, so their memory does not grow with the mesh.  The
+# Theta's build and both lifted rules stream the mesh in chunks of at most
+# CHUNK_POINTS points, so their memory does not grow with the mesh.  The
 # value comes from q * NB at k = 3: 256 elements of the degree-6 volume rule
 # (q = 64), whose (points, NB, 3) arrays (NB = 20) are 7.5 MiB each; at
 # k = 5 (NB = 56) they are 21 MiB.

@@ -146,7 +146,7 @@ class StudyResult:
         if self.kind == "convergence":
             stab = StabConfig(self.config.stab, self.config.rho)
             rhos = [
-                _fmt(stab.resolve_rho(4.0 / (self.config.base_n * 2**l), self.config.k))
+                _fmt(stab.resolve_rho(MeshParams(self.config.base_n * 2**l).h, self.config.k))
                 for l in range(self.config.levels)
             ]
             lines.append("# rho_s per level: " + ",".join(rhos))
@@ -281,11 +281,13 @@ def run_conditioning(cfg: StudyConfig):
                 lmax, lmin = estimate_condition(system.S, system.c)
             except EigenEstimateError:
                 lmax, lmin = float("nan"), float("nan")
-            cond = lmax / lmin if lmin > 0 else float("inf")
+            # lambda_min at or below numpy's matrix_rank tolerance is singular on
+            # c-perp, where PCG can only run to its cap, so it is not solved; a
+            # nan estimate still is
+            tol = system.ndofs * np.finfo(float).eps * lmax
+            cond = lmax / lmin if lmin > tol else float("inf")
             n_its = -1
-            # lambda_min <= 0 is singular on c-perp, where PCG can only run to its
-            # cap, so it is not solved; a nan estimate still is
-            if not lmin <= 0:
+            if not lmin <= tol:
                 f = synth - synth.sum() / system.c.sum() * system.c
                 rep = solve_constrained(system.S, system.c, f, tol=cfg.tol, raise_on_fail=False)
                 n_its = rep.iterations if rep.converged else -1

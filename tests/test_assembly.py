@@ -20,7 +20,7 @@ from tracefem.assembly import (
     assemble_s,
     assemble_system,
 )
-from tracefem.cutquad import extract_cuts, tet_rule
+from tracefem.cutquad import extract_cuts, tet_rule, triangle_rule
 from tracefem.levelset import Plane, shifted_plane
 from tracefem.mapping import IsoMapping
 from tracefem.reference import interpolate
@@ -279,6 +279,34 @@ class TestGeometryData:
         q = len(tet_rule(4)[1])
         assert calls == [q]
         assert len(vol.elems) == mesh.nelems * q
+
+    def test_chunked_surface_rule_matches_one_lift_of_all_triangles(self, monkeypatch):
+        """Ragged chunks of 5 triangles give, point for point, what one lift of every triangle gives."""
+        _, mesh, dls, mapping = torus_case(16, 2)
+        lam, wq = triangle_rule(4)
+        q = len(wq)
+        monkeypatch.setattr(mapping_module, "CHUNK_POINTS", 5 * q + q - 1)
+        surf = SurfaceData.build(mesh, dls, mapping, 4)
+        tri_elem, tri_bary, tri_area = extract_cuts(mesh.vertex_phi, mesh.verts_phys)
+        assert len(mapping_module.element_chunks(len(tri_elem), q)) > 1
+        lift = mapping.lift(tri_elem, np.einsum("qc,tcm->tqm", lam, tri_bary))
+        np.testing.assert_array_equal(surf.elems, np.repeat(tri_elem, q))
+        np.testing.assert_array_equal(surf.w, (tri_area[:, None] * wq * lift.det * lift.nn).ravel())
+        for name in ("invJ", "nh", "vals", "gref", "y"):
+            a = getattr(lift, name)
+            np.testing.assert_array_equal(getattr(surf, name), a.reshape(-1, *a.shape[2:]))
+
+    def test_surface_rule_memory_does_not_grow_with_the_mesh(self):
+        """At torus k=1 n=64 the degree-2 rule of the errors allocates at most 100 MiB at its peak."""
+        _, mesh, dls, mapping = torus_case(64, 1)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            SurfaceData.build(mesh, dls, mapping, 2)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 100 * 2**20, f"{peak / 2**20:.1f} MiB"
 
     def test_chunked_volume_rule_matches_one_unchunked_lift(self, monkeypatch):
         """Ragged chunks of 5 elements and the Kuhn-shape table give the per-point data of one lift of all points."""
