@@ -83,35 +83,55 @@ class EigenEstimateError(RuntimeError):
     pass
 
 
-def _projected_dense(S, c):
-    n = len(c)
-    Q = scipy.linalg.null_space(c[None, :])  # (n, n-1) orthonormal basis of c-perp
-    return Q.T @ (S @ Q)
+def _projected_dense(chat, S):
+    """S on the hyperplane of the unit vector chat, as a dense (n-1, n-1) array.
+
+    The Householder reflector H = I - 2 v v' with v along chat + sign(chat_j) e_j,
+    j = argmax |chat_j| (so |chat + sign(chat_j) e_j|^2 >= 2), maps chat onto
+    the axis e_j; its other columns are an orthonormal basis of chat-perp.
+    H S H = S - v w' - w v' with w = 2 (S v - (v' S v) v) is one rank-two
+    update of S, and dropping row and column j leaves the projection.
+    """
+    j = int(np.argmax(np.abs(chat)))
+    v = chat.copy()
+    v[j] += 1.0 if chat[j] >= 0.0 else -1.0
+    v /= np.linalg.norm(v)
+    Sv = S @ v
+    w = 2.0 * (Sv - (v @ Sv) * v)
+    A = S.toarray()
+    A -= np.outer(v, w)
+    A -= np.outer(w, v)
+    keep = np.delete(np.arange(len(v)), j)
+    return A[np.ix_(keep, keep)]
 
 
 def estimate_condition(S, c, method: str = "auto", tol: float = 5e-3, maxouter: int = 200):
     """Spectral bounds of S on the hyperplane c.u = 0.
 
-    Returns (lambda_max, lambda_min).  'dense' projects onto an
-    orthonormal basis of the hyperplane and calls a dense symmetric
-    eigensolver; 'iterative' uses power iteration for the top and
-    inverse iteration (inner Jacobi PCG) for the bottom of the spectrum,
-    both deflated by projection.  'auto' picks dense below
-    DENSE_EIG_LIMIT dofs.
+    Returns (lambda_max, lambda_min).  'dense' reflects S with one
+    Householder reflector that maps c onto a coordinate axis, drops that
+    row and column and takes the eigenvalues of the dense (n-1, n-1)
+    rest; 'iterative' uses power iteration for the top and inverse
+    iteration (inner Jacobi PCG) for the bottom of the spectrum, both
+    deflated by projection.  'auto' picks dense up to DENSE_EIG_LIMIT
+    dofs.  A zero or non-finite c raises ValueError.
     """
     c = np.asarray(c, dtype=np.float64)
     n = len(c)
     if method == "auto":
         method = "dense" if n <= DENSE_EIG_LIMIT else "iterative"
-    if method == "dense":
-        w = scipy.linalg.eigvalsh(_projected_dense(S, c))
-        return float(w[-1]), float(w[0])
-    if method != "iterative":
+    if method not in ("dense", "iterative"):
         raise ValueError(f"unknown method {method!r}")
+    norm = np.linalg.norm(c)
+    if not 0.0 < norm < np.inf:
+        raise ValueError("constraint vector is zero or not finite")
+    chat = c / norm
+    if method == "dense":
+        # the transpose is Fortran-ordered, so LAPACK takes it without a copy
+        w = scipy.linalg.eigvalsh(_projected_dense(chat, S).T, overwrite_a=True, check_finite=False)
+        return float(w[-1]), float(w[0])
     if n > ITERATIVE_DOF_CAP:
         raise EigenEstimateError(f"conditioning estimate capped at {ITERATIVE_DOF_CAP} dofs")
-
-    chat = c / np.linalg.norm(c)
 
     def project(v):
         return v - (chat @ v) * chat

@@ -65,6 +65,10 @@ class StudyConfig:
         self.stab = STAB_ALIASES.get(self.stab, self.stab)
         if isinstance(self.rho, list):
             self.rho = tuple(self.rho)
+        if not isinstance(self.shifts, (list, tuple)) or not all(
+            type(s) in (int, float) for s in self.shifts
+        ):
+            raise ValueError(f"shifts must be a list of numbers, got {self.shifts!r}")
         self.shifts = tuple(float(s) for s in self.shifts)
         ints = ("k", "levels", "base_n", "seed")
         for name in ints + ("export_vtk", "export_matrix", "conditioning"):
@@ -76,6 +80,8 @@ class StudyConfig:
         cap = _LEVEL_CAPS[self.k]
         if not 1 <= self.levels <= cap:
             raise ValueError(f"levels for k={self.k} must be in 1..{cap}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.base_n < 2:
             raise ValueError("base_n must be at least 2")
         if not isinstance(self.out, (str, os.PathLike)) or not os.fspath(self.out):
@@ -89,6 +95,8 @@ class StudyConfig:
         # the conditioning sweep skips ghost_penalty for k > 1 instead
         if self.stab == "ghost_penalty" and self.k > 1 and not self.conditioning:
             raise ValueError("ghost_penalty is unsupported for k > 1 (no higher-order theory)")
+        if self.conditioning and not self.shifts:
+            raise ValueError("shifts must not be empty for the conditioning sweep")
         if self.conditioning and not all(0.0 < s < 1.0 for s in self.shifts):
             raise ValueError("shift fractions must lie strictly inside (0, 1)")
 

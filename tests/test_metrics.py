@@ -1,7 +1,10 @@
 """Error measures and conditioning estimates against closed forms."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
 from tracefem.assembly import StabConfig, assemble_constraint, assemble_a, assemble_system
@@ -114,6 +117,26 @@ class TestEoc:
         assert eoc([1.0]) == []
 
 
+def null_space_bounds(S, c):
+    """Reference: S on an orthonormal basis of c-perp from scipy.linalg.null_space."""
+    Q = scipy.linalg.null_space(c[None, :])
+    w = scipy.linalg.eigvalsh(Q.T @ (S @ Q))
+    return w[-1], w[0]
+
+
+@pytest.fixture(scope="module")
+def plane_k2_systems():
+    """The plane k=2 n=8 systems of the four k=2 sweep variants at shifts 0.5 and 1e-5."""
+    n = 8
+    systems = {}
+    for eps in (0.5, 1e-5):
+        plane = shifted_plane(eps, n)
+        mesh, dls, mapping = plane_case(plane, n, 2)
+        for variant in ("none", "normal_volume", "full_gradient_surface", "full_gradient_volume"):
+            systems[eps, variant] = assemble_system(mesh, dls, mapping, ZeroBenchmark(plane), StabConfig(variant))
+    return systems
+
+
 class TestConditionEstimates:
     def test_dense_recovers_restricted_diagonal_spectrum(self):
         """With c on a coordinate axis the hyperplane spectrum is explicit."""
@@ -157,3 +180,43 @@ class TestConditionEstimates:
         c = np.array([0.0, 0.0, 0.0, 1.0])
         lmax, lmin = estimate_condition(S, c)  # auto; n << DENSE_EIG_LIMIT
         assert (lmax, lmin) == (pytest.approx(9.0), pytest.approx(2.0))
+
+    def test_reflected_projection_matches_the_null_space_basis(self, plane_k2_systems):
+        """One Householder reflection gives the spectral bounds of an orthonormal basis of c-perp."""
+        for key, sys in plane_k2_systems.items():
+            lmax, lmin = estimate_condition(sys.S, sys.c, method="dense")
+            rmax, rmin = null_space_bounds(sys.S, sys.c)
+            assert abs(lmax - rmax) <= 1e-13 * rmax, key
+            assert abs(lmin - rmin) <= 1e-13 * rmax, key
+
+    def test_reflector_sign_follows_the_largest_entry(self, rng):
+        """A mixed-sign c whose largest entry is negative, on a random SPD matrix."""
+        n = 40
+        M = rng.standard_normal((n, n))
+        S = sp.csr_matrix(M @ M.T + np.eye(n))
+        c = rng.standard_normal(n)
+        c[7] = -2.0 * np.abs(c).max()
+        lmax, lmin = estimate_condition(S, c, method="dense")
+        rmax, rmin = null_space_bounds(S, c)
+        assert abs(lmax - rmax) <= 1e-13 * rmax
+        assert abs(lmin - rmin) <= 1e-13 * rmax
+
+    @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
+    def test_zero_or_non_finite_constraint_rejected(self, bad):
+        S = sp.eye(4).tocsr()
+        c = np.array([bad, 0.0, 0.0, 0.0])
+        for method in ("dense", "iterative"):
+            with pytest.raises(ValueError, match="constraint vector"):
+                estimate_condition(S, c, method=method)
+
+    def test_dense_estimate_memory_is_two_dense_copies(self, plane_k2_systems):
+        """At plane k=2 n=8 (867 dofs) the dense estimate peaks at most 2.5 dense n x n arrays."""
+        sys = plane_k2_systems[0.5, "normal_volume"]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            estimate_condition(sys.S, sys.c, method="dense")
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * sys.ndofs**2 * 8, f"{peak / 2**20:.1f} MiB"

@@ -242,7 +242,13 @@ class TestCli:
         assert not os.path.exists(str(tmp_path / "from_file"))
 
     def test_configuration_errors_exit_one(self, tmp_path, capsys):
-        for argv in (["--k", "9"], ["--tol", "0"], ["--tol", "2"], ["--k", "2", "--stab", "ghost"]):
+        for argv in (
+            ["--k", "9"],
+            ["--tol", "0"],
+            ["--tol", "2"],
+            ["--k", "2", "--stab", "ghost"],
+            ["--conditioning", "--seed", "-1"],
+        ):
             assert main(argv) == 1
             assert "error: [config]" in capsys.readouterr().err
         assert main(["--config", "/nonexistent/cfg.json"]) == 1
@@ -251,6 +257,7 @@ class TestCli:
                 {"base_n": "16"},
                 {"levels": "2"},
                 {"seed": "x"},
+                {"seed": -1},
                 {"base_n": 16.5},
                 {"k": True},
                 {"export_vtk": "no"},
@@ -268,6 +275,12 @@ class TestCli:
             path.write_text(json.dumps(bad))
             assert main(["--config", str(path)]) == 1, bad
             assert "error: [config]" in capsys.readouterr().err
+        for i, shifts in enumerate(([], "0.5")):
+            path = tmp_path / f"bad_shifts{i}.json"
+            path.write_text(json.dumps({"conditioning": True, "shifts": shifts}))
+            assert main(["--config", str(path)]) == 1, shifts
+            err = capsys.readouterr().err
+            assert "error: [config]" in err and "shifts" in err
 
     def test_pipeline_errors_exit_two_with_stage_tag(self, tmp_path, capsys):
         code = main(
