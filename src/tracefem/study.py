@@ -291,11 +291,11 @@ def run_conditioning(cfg: StudyConfig):
                 lmax, lmin = float("nan"), float("nan")
             # lambda_min at or below numpy's matrix_rank tolerance is singular on
             # c-perp, where PCG can only run to its cap, so it is not solved; a
-            # nan estimate still is
-            tol = system.ndofs * np.finfo(float).eps * lmax
-            cond = lmax / lmin if lmin > tol else float("inf")
+            # nan estimate gives cond nan and is still solved
+            singular = lmin <= system.ndofs * np.finfo(float).eps * lmax
+            cond = float("inf") if singular else lmax / lmin
             n_its = -1
-            if not lmin <= tol:
+            if not singular:
                 f = synth - synth.sum() / system.c.sum() * system.c
                 rep = solve_constrained(system.S, system.c, f, tol=cfg.tol, raise_on_fail=False)
                 n_its = rep.iterations if rep.converged else -1

@@ -1,12 +1,15 @@
 """Error measures and conditioning estimates against closed forms."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.optimize import brentq
 
+import tracefem.metrics as metrics
 from tracefem.assembly import StabConfig, assemble_constraint, assemble_a, assemble_system
 from tracefem.levelset import Plane, ZeroBenchmark, shifted_plane
 from tracefem.metrics import (
@@ -220,3 +223,45 @@ class TestConditionEstimates:
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * sys.ndofs**2 * 8, f"{peak / 2**20:.1f} MiB"
+
+
+class TestLobpcgEstimate:
+    def test_matches_dense_on_the_plane_systems(self, plane_k2_systems):
+        """Non-singular systems agree with the dense oracle; singular ones are refused."""
+        for (eps, variant), sys in plane_k2_systems.items():
+            if variant in ("none", "full_gradient_surface"):
+                with pytest.raises(EigenEstimateError):
+                    estimate_condition(sys.S, sys.c, method="iterative")
+                continue
+            dmax, dmin = estimate_condition(sys.S, sys.c, method="dense")
+            imax, imin = estimate_condition(sys.S, sys.c, method="iterative")
+            assert imax == pytest.approx(dmax, rel=1e-4), (eps, variant)
+            assert imin == pytest.approx(dmin, rel=1e-3), (eps, variant)
+
+    def test_large_diagonal_system_within_closed_form_bounds(self, rng):
+        """Above 20,000 unknowns: D on c-perp, with two low and two high outliers of D.
+
+        Cauchy interlacing gives d1 <= lambda_min <= d2 and d_{n-1} <= lambda_max <= d_n;
+        lambda_min and lambda_max are the extreme roots of sum_i c_i^2 / (d_i - mu) = 0.
+        """
+        n = 20_500
+        d = np.sort(np.concatenate([[0.1, 0.2, 10.0, 20.0], rng.uniform(1.0, 2.0, n - 4)]))
+        c = rng.standard_normal(n)
+        lmax, lmin = estimate_condition(sp.diags(d).tocsr(), c, method="iterative")
+        assert d[0] <= lmin <= d[1] and d[-2] <= lmax <= d[-1]
+
+        def secular(mu):
+            return np.sum(c**2 / (d - mu))
+
+        tiny = 1e-12
+        assert lmin == pytest.approx(brentq(secular, d[0] + tiny, d[1] - tiny, xtol=1e-14), rel=1e-8)
+        assert lmax == pytest.approx(brentq(secular, d[-2] + tiny, d[-1] - tiny, xtol=1e-14), rel=1e-8)
+
+    def test_non_convergence_raises_without_a_warning(self, plane_k2_systems, monkeypatch):
+        sys = plane_k2_systems[0.5, "normal_volume"]
+        monkeypatch.setattr(metrics, "LOBPCG_MAXITER", 3)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(EigenEstimateError, match="residual"):
+                estimate_condition(sys.S, sys.c, method="iterative")
+        assert caught == []

@@ -2,6 +2,7 @@
 
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -88,17 +89,17 @@ class TestConvergenceStudy:
     def test_csv_output_is_reproducible(self, tmp_path):
         cfg = small_config(out=str(tmp_path / "a"))
         result, _, paths, _ = run_study(cfg)
-        text_a = open(paths[0]).read()
+        text_a = Path(paths[0]).read_text()
         cfg_b = small_config(out=str(tmp_path / "a"))
         result_b, _, paths_b, _ = run_study(cfg_b)
-        assert open(paths_b[0]).read() == text_a
+        assert Path(paths_b[0]).read_text() == text_a
         assert "# config:" in text_a
         assert "# rho_s per level:" in text_a
 
     def test_csv_echoes_the_configuration(self, tmp_path):
         cfg = small_config(out=str(tmp_path / "out"), rho="h_inv")
         result, _, paths, _ = run_study(cfg)
-        header = [l for l in open(paths[0]) if l.startswith("# config:")][0]
+        header = [l for l in Path(paths[0]).read_text().splitlines() if l.startswith("# config:")][0]
         echoed = json.loads(header.split("# config:", 1)[1])
         assert echoed == cfg.to_dict()
         assert echoed["rho"] == "h_inv"
@@ -186,6 +187,21 @@ class TestConditioningStudy:
         assert all(r["n_its"] == -1 for r in singular)
         assert len(calls) == len(reports) - len(singular)
 
+    def test_failed_estimates_print_nan_and_are_solved(self, monkeypatch):
+        """cond inf is kept for singular rows; a failed estimate is nan and its row still solved."""
+        import tracefem.study as study
+
+        def failing(S, c):
+            raise study.EigenEstimateError("no estimate")
+
+        monkeypatch.setattr(study, "estimate_condition", failing)
+        cfg = StudyConfig(k=1, base_n=4, conditioning=True, shifts=(0.5,))
+        result, reports = run_conditioning(cfg)
+        assert all(np.isnan(r["cond"]) for r in reports)
+        assert all(row[2:5] == ["nan", "nan", "nan"] for row in result.rows)
+        nv = [r for r in reports if r["variant"] == "normal_volume"]
+        assert nv and all(r["n_its"] >= 0 for r in nv)
+
     def test_unstabilized_conditioning_degrades(self):
         cfg = StudyConfig(benchmark="plane", k=1, base_n=8, conditioning=True, shifts=(0.5, 1e-4))
         _, reports = run_conditioning(cfg)
@@ -234,7 +250,7 @@ class TestCli:
         out = str(tmp_path / "override")
         code = main(["--config", str(cfg_path), "--levels", "1", "--out", out])
         assert code == 0
-        text = open(os.path.join(out, "convergence.csv")).read()
+        text = Path(out, "convergence.csv").read_text()
         echoed = json.loads(
             [l for l in text.splitlines() if l.startswith("# config:")][0].split(": ", 1)[1]
         )
@@ -305,7 +321,7 @@ class TestCli:
             ]
         )
         assert code == 0
-        text = open(os.path.join(out, "conditioning.csv")).read()
+        text = Path(out, "conditioning.csv").read_text()
         assert text.splitlines()[-1].count(",") == 5  # eps,variant,lmax,lmin,cond,n_its
         assert "ghost_penalty" in text
         # the sweep always runs on a shifted plane, whatever --benchmark says
@@ -335,7 +351,7 @@ class TestCli:
             ]
         )
         assert code == 0
-        text = open(os.path.join(out, "convergence.csv")).read()
+        text = Path(out, "convergence.csv").read_text()
         echoed = json.loads(
             [l for l in text.splitlines() if l.startswith("# config:")][0].split(": ", 1)[1]
         )
