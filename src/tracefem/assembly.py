@@ -19,7 +19,7 @@ import scipy.sparse as sp
 
 from . import backends
 from .cutquad import extract_cuts, tet_rule, triangle_rule
-from .mapping import IsoMapping, Lift, element_chunks
+from .mapping import IsoMapping, element_chunks
 from .mesh import SHAPE_BARY_A, ActiveMesh
 from .reference import DiscreteLevelSet, physical_gradients
 
@@ -80,75 +80,58 @@ class StabConfig:
 
 
 class LiftedRule:
-    """Quadrature points of the active elements pushed through Theta.
+    """Quadrature points of the active elements, pushed through Theta chunk by chunk where they are used.
 
-    Points are stored in cells of q points, cell by cell; each cell lies in
-    one element, cells (C,) naming it: an interface triangle for the
-    surface rule, an element for the volume rule.  Per point a rule keeps
-    its element, its lifted weight and, from DTheta, what the integrands
-    need: DTheta^-1 and the deformed unit normal.  Cells are lifted and
-    integrated in chunks of consecutive cells; integrands see a chunk as a
-    Lift of (Ec, q, ...) arrays whose physical gradients of the basis come
-    from _gref, with weights (Ec, q), so local matrices reduce to one
-    batched contraction per chunk.  An element with two cells gets two
-    local matrices, which Pattern.add sums.
+    Points come in cells of q points, cell by cell; each cell lies in one
+    element, cells (C,) naming it: an interface triangle for the surface
+    rule, an element for the volume rule.  A rule keeps only what lifts a
+    slice of cells, never lifted data: chunks() lifts at most CHUNK_POINTS
+    points at a time and yields each chunk as a Lift of (Ec, q, ...) arrays
+    with its lifted weights (Ec, q), which the caller uses at once; a
+    subclass lifts the cells of a slice in _lift(s).  Local
+    matrices then reduce to one batched contraction per chunk.  An element
+    with two cells gets two local matrices, which Pattern.add sums.
     """
 
-    def __init__(self, mesh, cells, q, lift_cells, keep=()):
-        """lift_cells(s) lifts the cells s (a slice) and returns (Lift, lifted weights (Ec, q)).
+    def __init__(self, mesh, mapping, cells, q):
+        self.mesh, self.mapping, self.cells, self.q = mesh, mapping, cells, q
 
-        Besides w, invJ and nh the fields keep of each Lift are stored, into
-        arrays the subclass allocated per point.
+    @property
+    def elems(self):
+        """(P,) the element of every point."""
+        return np.repeat(self.cells, self.q)
+
+    def chunks(self):
+        """Yield (cells (Ec,), Lift, lifted weights (Ec, q)) for consecutive cells, at most CHUNK_POINTS points each."""
+        for s in element_chunks(len(self.cells), self.q):
+            lift, w = self._lift(s)
+            yield self.cells[s], lift, w
+
+    def accumulate(self, integrand, out, each=None):
+        """Add w * v.v' local matrices into out, a Pattern with element blocks, v = integrand(lift) (Ec, q, NB, M).
+
+        each(cells, lift, w), if given, is called on every chunk too, so
+        other integrals share the chunk's lift.
         """
-        self.mesh, self.cells, self.q = mesh, cells, q
-        self.elems = np.repeat(cells, q)  # (P,)
-        P = len(self.elems)
-        self.w = np.empty(P)              # lifted weights
-        self.invJ = np.empty((P, 3, 3))   # DTheta^-1
-        self.nh = np.empty((P, 3))        # deformed unit normals
-        for s, p in self._chunks():
-            lift, w = lift_cells(s)
-            self.w[p] = w.ravel()
-            for name in ("invJ", "nh", *keep):
-                a = getattr(lift, name)
-                getattr(self, name)[p] = a.reshape(-1, *a.shape[2:])
-
-    def _chunks(self):
-        """Slices of cells and of their points, at most CHUNK_POINTS points each."""
-        q = self.q
-        return [(s, slice(s.start * q, s.stop * q)) for s in element_chunks(len(self.cells), q)]
-
-    def accumulate(self, integrand, out):
-        """Add w * v.v' local matrices into out, a Pattern with element blocks, v = integrand(lift) (Ec, q, NB, M)."""
         kern = backends.active()
-        for s, p in self._chunks():
-            e = self.cells[s]
-            shape = (len(e), self.q)
-            gref = self._gref(e, p).reshape(*shape, -1, 3)
-            invJ, nh = self.invJ[p].reshape(*shape, 3, 3), self.nh[p].reshape(*shape, 3)
-            lift = Lift(None, gref, invJ, None, None, nh, None)
-            out.add("elements", e, kern.accumulate_sym(integrand(lift), self.w[p].reshape(shape)))
+        for cells, lift, w in self.chunks():
+            out.add("elements", cells, kern.accumulate_sym(integrand(lift), w))
+            if each is not None:
+                each(cells, lift, w)
 
 
 class SurfaceData(LiftedRule):
     """The lifted interface rule: its cells are the interface triangles.
 
-    It keeps per point what the errors read too: basis values, physical
-    gradients before the lift and the lifted points.
+    It keeps the triangles' elements, their barycentric points (T, q, 4)
+    and flat weights (T, q); a chunk's Lift carries basis values and lifted
+    points too, for the constraint, the load and the errors.
     """
 
     def __init__(self, mesh, mapping, tri_elem, pts, wref):
         """tri_elem (T,): the triangles' elements; pts (T, q, 4) barycentric points; wref (T, q) flat weights."""
-        P, NB = wref.size, mesh.ref.ndofs
-        self.vals = np.empty((P, NB))     # basis values
-        self.gref = np.empty((P, NB, 3))  # physical gradients before the lift
-        self.y = np.empty((P, 3))         # lifted points
-
-        def lift_cells(s):
-            lift = mapping.lift(tri_elem[s], pts[s])
-            return lift, wref[s] * lift.det * lift.nn
-
-        super().__init__(mesh, tri_elem, pts.shape[1], lift_cells, ("vals", "gref", "y"))
+        super().__init__(mesh, mapping, tri_elem, pts.shape[1])
+        self.pts, self.wref = pts, wref
 
     @classmethod
     def build(cls, mesh: ActiveMesh, dls: DiscreteLevelSet, mapping: IsoMapping, degree=None):
@@ -160,50 +143,44 @@ class SurfaceData(LiftedRule):
         pts = np.einsum("qc,tcm->tqm", lam, tri_bary)  # (T, q, 4)
         return cls(mesh, mapping, tri_elem, pts, tri_area[:, None] * w[None, :])
 
-    def _gref(self, elems, p):
-        return self.gref[p]
-
-    def moments(self, g):
-        """Vector of the integrals of g * basis_i over the rule, g given per point."""
-        out = np.zeros(self.mesh.ndofs)
-        np.add.at(out, self.mesh.elem_dofs[self.elems].ravel(), (self.vals * g[:, None]).ravel())
-        return out
+    def _lift(self, s):
+        lift = self.mapping.lift(self.cells[s], self.pts[s])
+        return lift, self.wref[s] * lift.det * lift.nn
 
 
 class VolumeData(LiftedRule):
     """The deformed-element volume rule: its cells are the elements, with the same reference points.
 
-    The physical gradients of the basis at the rule's points take one value
-    per Kuhn shape, so they come from a (6, q, NB, 3) table and are never
-    stored per point.
+    It keeps the physical gradients of the basis at the reference points,
+    which take one value per Kuhn shape, as a (6, q, NB, 3) table, the
+    reference weights (q,) and a weight scale (the stabilization's rho, or
+    None): a chunk's weights are (wref * det DTheta) * scale.
     """
 
-    def __init__(self, mesh, mapping, table, wref):
-        self.table = table  # (6, q, NB, 3)
-
-        def lift_cells(s):
-            lift = mapping.lift(np.arange(s.start, s.stop), gref=table[mesh.tet[s]])
-            return lift, wref * lift.det
-
-        super().__init__(mesh, np.arange(mesh.nelems, dtype=np.int64), len(wref), lift_cells)
+    def __init__(self, mesh, mapping, table, wref, scale=None):
+        super().__init__(mesh, mapping, np.arange(mesh.nelems, dtype=np.int64), len(wref))
+        self.table, self.wref, self.scale = table, wref, scale
 
     @classmethod
-    def build(cls, mesh: ActiveMesh, mapping: IsoMapping, degree: int):
+    def build(cls, mesh: ActiveMesh, mapping: IsoMapping, degree: int, scale=None):
         lam, w = tet_rule(degree)
         _, dlam = mesh.ref.eval(lam, grad=True)
         table = physical_gradients(dlam, SHAPE_BARY_A[:, None] / mesh.h)
-        return cls(mesh, mapping, table, w * mesh.elem_volume)
+        return cls(mesh, mapping, table, w * mesh.elem_volume, scale)
 
-    def _gref(self, elems, p):
-        return self.table[self.mesh.tet[elems]]
+    def _lift(self, s):
+        lift = self.mapping.lift(self.cells[s], gref=self.table[self.mesh.tet[s]])
+        w = self.wref * lift.det
+        return lift, w if self.scale is None else w * self.scale
 
 
 class Pattern:
     """CSR matrix on the union of dense dof blocks, into whose data local matrices are added.
 
     Each keyword names a family of blocks, dof rows (B, nb); slots[name]
-    (B, nb, nb) is the place in matrix.data of every local entry.  Column
-    indices are sorted.
+    (B, nb, nb) is the place in matrix.data of every local entry, int32
+    while the matrix has fewer than 2^31 nonzeros.  Column indices are
+    sorted.
     """
 
     def __init__(self, n, **blocks):
@@ -214,7 +191,9 @@ class Pattern:
         first = np.ones(len(uniq), dtype=bool)
         np.not_equal(uniq[1:], uniq[:-1], out=first[1:])
         uniq = uniq[first]
-        self.slots = {name: np.searchsorted(uniq, k) for name, k in keys.items()}
+        index = np.int32 if len(uniq) < 2**31 else np.int64
+        # each family's keys go as soon as its slots are found
+        self.slots = {name: np.searchsorted(uniq, keys.pop(name)).astype(index, copy=False) for name in blocks}
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(uniq // n, minlength=n), out=indptr[1:])
         self.matrix = sp.csr_matrix((np.zeros(len(uniq)), uniq % n, indptr), shape=(n, n))
@@ -224,11 +203,11 @@ class Pattern:
         np.add.at(self.matrix.data, self.slots[name][rows], local)
 
 
-def _matrix(rule, integrand, out):
+def _matrix(rule, integrand, out, each=None):
     """CSR matrix of the sum over the rule of w * v_i . v_j, v = integrand(lift), added into out if given."""
     if out is None:
         out = Pattern(rule.mesh.ndofs, elements=rule.mesh.elem_dofs)
-    rule.accumulate(integrand, out)
+    rule.accumulate(integrand, out, each)
     return out.matrix
 
 
@@ -245,42 +224,70 @@ def _tangential_grads(lift):
     return g - np.einsum("eqbi,eqi->eqb", g, lift.nh)[..., None] * lift.nh[..., None, :]
 
 
-def assemble_a(mesh, dls, mapping, degree=None, surf: SurfaceData | None = None, out: Pattern | None = None):
+def _surface_pass(surf, problem=None, out=None):
+    """One pass over the surface rule: c, the raw load moments (None without problem), and A added into out if given.
+
+    c_i is the integral of basis_i and f_i that of f(y) * basis_i; both are
+    summed chunk by chunk, in point order.
+    """
+    mesh = surf.mesh
+    c = np.zeros(mesh.ndofs)
+    f = None if problem is None else np.zeros(mesh.ndofs)
+
+    def moments(cells, lift, w):
+        dofs = np.broadcast_to(mesh.elem_dofs[cells][:, None], lift.vals.shape).ravel()
+        np.add.at(c, dofs, (lift.vals * w[..., None]).ravel())
+        if f is not None:
+            g = w * problem.rhs(lift.y.reshape(-1, 3)).reshape(w.shape)
+            np.add.at(f, dofs, (lift.vals * g[..., None]).ravel())
+
+    if out is None:
+        for chunk in surf.chunks():
+            moments(*chunk)
+    else:
+        _matrix(surf, _tangential_grads, out, moments)
+    return c, f
+
+
+def _mean_zero(f, c):
+    """f -= (<f, e>/<c, e>) c with e the coefficient vector of the constant one."""
+    f -= f.sum() / c.sum() * c  # pairwise sums: independent of the BLAS thread count
+    return f
+
+
+def assemble_a(mesh, dls, mapping, degree=None, out: Pattern | None = None):
     """Tangential stiffness matrix on the deformed surface (CSR), added into out if given."""
-    if surf is None:
-        surf = SurfaceData.build(mesh, dls, mapping, degree)
-    return _matrix(surf, _tangential_grads, out)
+    return _matrix(SurfaceData.build(mesh, dls, mapping, degree), _tangential_grads, out)
 
 
-def assemble_constraint(mesh, dls, mapping, degree=None, surf: SurfaceData | None = None):
+def assemble_constraint(mesh, dls, mapping, degree=None):
     """Mean-value constraint vector c_i = integral of basis_i over the deformed surface."""
-    if surf is None:
-        surf = SurfaceData.build(mesh, dls, mapping, degree)
-    return surf.moments(surf.w)
+    return _surface_pass(SurfaceData.build(mesh, dls, mapping, degree))[0]
 
 
-def assemble_rhs(mesh, dls, mapping, problem, c, degree=None, surf: SurfaceData | None = None):
+def assemble_rhs(mesh, dls, mapping, problem, c, degree=None):
     """Load vector for the extended right-hand side, projected to mean zero.
 
     The raw moments f_i = int f(y) basis_i ds are corrected by
     f -= (<f, e>/<c, e>) c with e the coefficient vector of the constant
     one, which places f in the range of the singular stiffness operator.
     """
-    if surf is None:
-        surf = SurfaceData.build(mesh, dls, mapping, degree)
-    f = surf.moments(surf.w * problem.rhs(surf.y))
-    f -= f.sum() / c.sum() * c  # pairwise sums: independent of the BLAS thread count
-    return f
+    return _mean_zero(_surface_pass(SurfaceData.build(mesh, dls, mapping, degree), problem)[1], c)
 
 
-def assemble_s(mesh, dls, mapping, stab: StabConfig, surf: SurfaceData | None = None, out: Pattern | None = None):
-    """Stabilization matrix for the chosen variant (CSR; zero for 'none'), added into out if given."""
+def assemble_s(mesh, dls, mapping, stab: StabConfig, surf: SurfaceData | None = None,
+               out: Pattern | None = None, patches=None):
+    """Stabilization matrix for the chosen variant (CSR; zero for 'none'), added into out if given.
+
+    surf is the surface rule of full_gradient_surface and patches the
+    result of _ghost_patches for ghost_penalty; each is built if not given.
+    """
     k = mesh.k
     rho = stab.resolve_rho(mesh.h, k)
     if stab.variant == "none":
         return (Pattern(mesh.ndofs) if out is None else out).matrix
     if stab.variant == "ghost_penalty":
-        dofs, jump = _ghost_patches(mesh)
+        dofs, jump = _ghost_patches(mesh) if patches is None else patches
         out = Pattern(mesh.ndofs, facets=dofs) if out is None else out
         out.add("facets", slice(None), rho * mesh.facets.area[:, None, None] * jump[:, :, None] * jump[:, None, :])
         return out.matrix
@@ -288,8 +295,7 @@ def assemble_s(mesh, dls, mapping, stab: StabConfig, surf: SurfaceData | None = 
         if surf is None:
             surf = SurfaceData.build(mesh, dls, mapping)
         return _matrix(surf, _normal_derivatives, out)
-    vol = VolumeData.build(mesh, mapping, 2 * k)
-    vol.w = vol.w * rho
+    vol = VolumeData.build(mesh, mapping, 2 * k, scale=rho)
     if stab.variant == "full_gradient_volume":
         return _matrix(vol, _grads, out)
     return _matrix(vol, _normal_derivatives, out)  # normal_volume
@@ -329,14 +335,14 @@ class AssembledSystem:
 
 
 def assemble_system(mesh, dls, mapping, problem, stab: StabConfig, degree=None) -> AssembledSystem:
-    """One-stop assembly sharing the lifted surface rule, and one Pattern for A and the stabilization."""
+    """One-stop assembly: one pass over the surface rule for A, c and f, and one Pattern for A and the stabilization."""
     surf = SurfaceData.build(mesh, dls, mapping, degree)
     blocks = {"elements": mesh.elem_dofs}
+    patches = None
     if stab.variant == "ghost_penalty":
-        blocks["facets"] = _ghost_patches(mesh)[0]
+        patches = _ghost_patches(mesh)
+        blocks["facets"] = patches[0]
     out = Pattern(mesh.ndofs, **blocks)
-    assemble_a(mesh, dls, mapping, surf=surf, out=out)
-    S = assemble_s(mesh, dls, mapping, stab, surf=surf, out=out)
-    c = assemble_constraint(mesh, dls, mapping, surf=surf)
-    f = assemble_rhs(mesh, dls, mapping, problem, c, surf=surf)
-    return AssembledSystem(S=S, c=c, f=f, e=np.ones(mesh.ndofs), ndofs=mesh.ndofs)
+    c, f = _surface_pass(surf, problem, out)
+    S = assemble_s(mesh, dls, mapping, stab, surf=surf, out=out, patches=patches)
+    return AssembledSystem(S=S, c=c, f=_mean_zero(f, c), e=np.ones(mesh.ndofs), ndofs=mesh.ndofs)

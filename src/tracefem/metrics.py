@@ -41,33 +41,38 @@ class ErrorReport:
 
 
 def compute_errors(mesh, dls, mapping, u, problem, degree=None) -> ErrorReport:
-    """Geometry and solution errors for a coefficient vector u."""
+    """Geometry and solution errors for a coefficient vector u.
+
+    The four integrals are reduced chunk by chunk of the lifted surface
+    rule, a running max and three running sums, so nothing that grows with
+    the number of points is kept.
+    """
     u = np.asarray(u, dtype=np.float64)
     if u.shape != (mesh.ndofs,):
         raise ValueError("coefficient vector does not match the dof count")
     if degree is None:
         degree = 2 * mesh.k
-    surf = SurfaceData.build(mesh, dls, mapping, degree)
+    e_dist, sq = 0.0, np.zeros(3)  # squares of e_L2, e_H1t, e_H1n
+    for cells, lift, w in SurfaceData.build(mesh, dls, mapping, degree).chunks():
+        y, w = lift.y.reshape(-1, 3), w.ravel()
+        nh, invJ = lift.nh.reshape(-1, 3), lift.invJ.reshape(-1, 3, 3)
+        uc = np.repeat(u[mesh.elem_dofs[cells]], lift.vals.shape[1], axis=0)  # (points, NB)
+        e_dist = np.maximum(e_dist, np.abs(problem.levelset.phi(y)).max(initial=0.0))  # keeps a nan
 
-    phi_at = problem.levelset.phi(surf.y)
-    e_dist = float(np.abs(phi_at).max())
+        uh = np.einsum("pb,pb->p", lift.vals.reshape(len(y), -1), uc)
+        sq[0] += np.sum(w * (problem.exact_solution(y) - uh) ** 2)
 
-    ue = problem.exact_solution(surf.y)
-    uh = np.einsum("pb,pb->p", surf.vals, u[mesh.elem_dofs[surf.elems]])
-    e_l2 = float(np.sqrt(np.sum(surf.w * (ue - uh) ** 2)))
+        gh = (np.einsum("pbi,pb->pi", lift.gref.reshape(len(y), -1, 3), uc)[:, None] @ invJ)[:, 0]
+        diff = problem.exact_solution_gradient(y) - gh
+        tang = diff - np.einsum("pi,pi->p", diff, nh)[:, None] * nh
+        sq[1] += np.sum(w * np.einsum("pi,pi->p", tang, tang))
 
-    ge = problem.exact_solution_gradient(surf.y)
-    gh = (np.einsum("pbi,pb->pi", surf.gref, u[mesh.elem_dofs[surf.elems]])[:, None] @ surf.invJ)[:, 0]
-    diff = ge - gh
-    tang = diff - np.einsum("pi,pi->p", diff, surf.nh)[:, None] * surf.nh
-    e_h1t = float(np.sqrt(np.sum(surf.w * np.einsum("pi,pi->p", tang, tang))))
+        n_exact = problem.levelset.grad_phi(y)
+        n_exact = n_exact / np.linalg.norm(n_exact, axis=-1, keepdims=True)
+        sq[2] += np.sum(w * np.einsum("pi,pi->p", n_exact, gh) ** 2)
 
-    n_exact = problem.levelset.grad_phi(surf.y)
-    n_exact = n_exact / np.linalg.norm(n_exact, axis=-1, keepdims=True)
-    gn = np.einsum("pi,pi->p", n_exact, gh)
-    e_h1n = float(np.sqrt(np.sum(surf.w * gn**2)))
-
-    return ErrorReport(e_dist, e_l2, e_h1t, e_h1n, mesh.ndofs, mesh.h)
+    e_l2, e_h1t, e_h1n = (float(v) for v in np.sqrt(sq))
+    return ErrorReport(float(e_dist), e_l2, e_h1t, e_h1n, mesh.ndofs, mesh.h)
 
 
 def eoc(errors) -> list:
@@ -120,7 +125,9 @@ def estimate_condition(S, c, method: str = "auto"):
     with its residual norm above LOBPCG_RTOL times the Gershgorin bound
     of S, or if lambda_min is not above its own residual norm, since such
     a value cannot be told from zero.  'auto' picks dense up to
-    DENSE_EIG_LIMIT dofs.  A zero or non-finite c raises ValueError.
+    DENSE_EIG_LIMIT dofs, and 'iterative' takes the dense path too below
+    six unknowns, where LOBPCG's own dense fallback refuses the constraint.
+    A zero or non-finite c raises ValueError.
     """
     c = np.asarray(c, dtype=np.float64)
     n = len(c)
@@ -132,7 +139,7 @@ def estimate_condition(S, c, method: str = "auto"):
     if not 0.0 < norm < np.inf:
         raise ValueError("constraint vector is zero or not finite")
     chat = c / norm
-    if method == "dense":
+    if method == "dense" or n < 6:
         # the transpose is Fortran-ordered, so LAPACK takes it without a copy
         w = scipy.linalg.eigvalsh(_projected_dense(chat, S).T, overwrite_a=True, check_finite=False)
         return float(w[-1]), float(w[0])

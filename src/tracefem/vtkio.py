@@ -89,4 +89,5 @@ def export_level(outdir, tag, mesh, dls, mapping):
     from .assembly import SurfaceData
 
     surf = SurfaceData.build(mesh, dls, mapping)
-    write_point_cloud(os.path.join(outdir, f"interface_lifted_{tag}.vtk"), surf.y)
+    y = [lift.y.reshape(-1, 3) for _, lift, _ in surf.chunks()]
+    write_point_cloud(os.path.join(outdir, f"interface_lifted_{tag}.vtk"), np.concatenate(y or [np.empty((0, 3))]))

@@ -23,9 +23,10 @@ from tracefem.assembly import (
 from tracefem.cutquad import extract_cuts, tet_rule, triangle_rule
 from tracefem.levelset import Plane, shifted_plane
 from tracefem.mapping import IsoMapping
+from tracefem.metrics import compute_errors
 from tracefem.reference import interpolate
 
-from helpers import plane_box_section_area, plane_case, torus_benchmark, torus_case
+from helpers import benchmark_interpolant, plane_box_section_area, plane_case, torus_benchmark, torus_case
 
 BOX_LO = (-2.0, -2.0, -2.0)
 BOX_HI = (2.0, 2.0, 2.0)
@@ -246,23 +247,35 @@ class TestConstraintAndLoad:
         assert abs(f.sum()) <= 1e-12 * np.linalg.norm(f) * np.sqrt(mesh.ndofs)
 
 
+def lifted_arrays(rule):
+    """Per-point arrays of a rule concatenated from its chunks: the weights w and the Lift's fields, flattened to (P, ...)."""
+    parts = {}
+    for _, lift, w in rule.chunks():
+        parts.setdefault("w", []).append(w.ravel())
+        for name in ("vals", "gref", "invJ", "y", "nh"):
+            a = getattr(lift, name)
+            if a is not None:
+                parts.setdefault(name, []).append(a.reshape(-1, *a.shape[2:]))
+    return {name: np.concatenate(a) for name, a in parts.items()}
+
+
 class TestGeometryData:
     def test_lifted_weights_reduce_to_flat_areas_for_identity(self):
         _, mesh, dls, mapping = torus_case(8, 1)
-        surf = SurfaceData.build(mesh, dls, mapping, degree=2)
+        surf = lifted_arrays(SurfaceData.build(mesh, dls, mapping, degree=2))
         _, _, area = extract_cuts(mesh.vertex_phi, mesh.verts_phys)
-        assert surf.w.sum() == pytest.approx(area.sum(), rel=1e-13)
+        assert surf["w"].sum() == pytest.approx(area.sum(), rel=1e-13)
         np.testing.assert_allclose(
-            np.linalg.norm(surf.nh, axis=1), 1.0, atol=1e-13
+            np.linalg.norm(surf["nh"], axis=1), 1.0, atol=1e-13
         )
 
     def test_volume_data_tracks_the_jacobian_determinant(self):
         """Theta(x) = 2x has det = 8, scaling the measure accordingly."""
         _, mesh, dls, _ = torus_case(8, 1)
         doubling = IsoMapping(mesh, mesh.dof_points.copy())
-        vol = VolumeData.build(mesh, doubling, degree=2)
+        vol = lifted_arrays(VolumeData.build(mesh, doubling, degree=2))
         total = mesh.nelems * mesh.elem_volume
-        assert vol.w.sum() == pytest.approx(8.0 * total, rel=1e-12)
+        assert vol["w"].sum() == pytest.approx(8.0 * total, rel=1e-12)
 
     def test_volume_rule_evaluates_the_basis_once_per_reference_point(self, monkeypatch):
         """Every element shares the q reference points, so the basis is evaluated at q points, not E*q."""
@@ -276,6 +289,7 @@ class TestGeometryData:
 
         monkeypatch.setattr(kern, "eval_basis", counting)
         vol = VolumeData.build(mesh, mapping, 4)
+        lifted_arrays(vol)
         q = len(tet_rule(4)[1])
         assert calls == [q]
         assert len(vol.elems) == mesh.nelems * q
@@ -286,23 +300,25 @@ class TestGeometryData:
         lam, wq = triangle_rule(4)
         q = len(wq)
         monkeypatch.setattr(mapping_module, "CHUNK_POINTS", 5 * q + q - 1)
-        surf = SurfaceData.build(mesh, dls, mapping, 4)
+        rule = SurfaceData.build(mesh, dls, mapping, 4)
+        surf = lifted_arrays(rule)
         tri_elem, tri_bary, tri_area = extract_cuts(mesh.vertex_phi, mesh.verts_phys)
         assert len(mapping_module.element_chunks(len(tri_elem), q)) > 1
         lift = mapping.lift(tri_elem, np.einsum("qc,tcm->tqm", lam, tri_bary))
-        np.testing.assert_array_equal(surf.elems, np.repeat(tri_elem, q))
-        np.testing.assert_array_equal(surf.w, (tri_area[:, None] * wq * lift.det * lift.nn).ravel())
+        np.testing.assert_array_equal(rule.elems, np.repeat(tri_elem, q))
+        np.testing.assert_array_equal(surf["w"], (tri_area[:, None] * wq * lift.det * lift.nn).ravel())
         for name in ("invJ", "nh", "vals", "gref", "y"):
             a = getattr(lift, name)
-            np.testing.assert_array_equal(getattr(surf, name), a.reshape(-1, *a.shape[2:]))
+            np.testing.assert_array_equal(surf[name], a.reshape(-1, *a.shape[2:]))
 
     def test_surface_rule_memory_does_not_grow_with_the_mesh(self):
-        """At torus k=1 n=64 the degree-2 rule of the errors allocates at most 100 MiB at its peak."""
+        """At torus k=1 n=64 the degree-2 rule of the errors allocates at most 100 MiB at its peak, lifted chunk by chunk."""
         _, mesh, dls, mapping = torus_case(64, 1)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            SurfaceData.build(mesh, dls, mapping, 2)
+            for _ in SurfaceData.build(mesh, dls, mapping, 2).chunks():
+                pass
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
@@ -314,15 +330,16 @@ class TestGeometryData:
         lam, wq = tet_rule(4)
         q = len(wq)
         monkeypatch.setattr(mapping_module, "CHUNK_POINTS", 5 * q + q - 1)
-        vol = VolumeData.build(mesh, mapping, 4)
+        rule = VolumeData.build(mesh, mapping, 4)
+        vol = lifted_arrays(rule)
         lift = mapping.lift(np.arange(mesh.nelems), lam)  # gradients from the basis at every element
-        np.testing.assert_allclose(vol.w, (wq * mesh.elem_volume * lift.det).ravel(), rtol=1e-14)
-        np.testing.assert_allclose(vol.invJ, lift.invJ.reshape(-1, 3, 3), rtol=1e-14, atol=1e-14)
-        np.testing.assert_allclose(vol.nh, lift.nh.reshape(-1, 3), rtol=1e-14, atol=1e-14)
-        np.testing.assert_array_equal(vol.elems, np.repeat(np.arange(mesh.nelems), q))
+        np.testing.assert_allclose(vol["w"], (wq * mesh.elem_volume * lift.det).ravel(), rtol=1e-14)
+        np.testing.assert_allclose(vol["invJ"], lift.invJ.reshape(-1, 3, 3), rtol=1e-14, atol=1e-14)
+        np.testing.assert_allclose(vol["nh"], lift.nh.reshape(-1, 3), rtol=1e-14, atol=1e-14)
+        np.testing.assert_array_equal(rule.elems, np.repeat(np.arange(mesh.nelems), q))
         # the normal-volume matrix against the full lifted gradients of that lift
         dn = np.einsum("eqbi,eqi->eqb", lift.grads, lift.nh)
-        local = np.einsum("eqi,eqj,eq->eij", dn, dn, vol.w.reshape(-1, q))
+        local = np.einsum("eqi,eqj,eq->eij", dn, dn, vol["w"].reshape(-1, q))
         dofs = mesh.elem_dofs
         S = sp.coo_matrix(
             (local.ravel(), (np.repeat(dofs, dofs.shape[1], axis=1).ravel(), np.tile(dofs, (1, dofs.shape[1])).ravel())),
@@ -331,6 +348,27 @@ class TestGeometryData:
         rho = ("custom", 1.0, 0.0)
         S_nv = assemble_s(mesh, dls, mapping, StabConfig("normal_volume", rho))
         assert abs(S_nv - S).max() <= 1e-13 * abs(S).max()
+
+    @pytest.mark.parametrize("variant", ["normal_volume", "full_gradient_surface"])
+    def test_small_chunks_give_the_default_system_and_errors(self, variant, monkeypatch):
+        """Chunks of at most 64 points give S, c, f and the four errors of the default chunking."""
+        bench = torus_benchmark()
+        _, mesh, dls, mapping = torus_case(16, 2)
+        u = benchmark_interpolant(mesh, bench)
+
+        def run():
+            sys = assemble_system(mesh, dls, mapping, bench, StabConfig(variant))
+            err = compute_errors(mesh, dls, mapping, u, bench)
+            return sys, np.array([err.e_dist, err.e_l2, err.e_h1t, err.e_h1n])
+
+        ref, ref_err = run()
+        monkeypatch.setattr(mapping_module, "CHUNK_POINTS", 64)
+        small, small_err = run()
+        assert abs(small.S - ref.S).max() <= 1e-13 * abs(ref.S).max()
+        for name in ("c", "f"):
+            a, b = getattr(small, name), getattr(ref, name)
+            assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max(), name
+        np.testing.assert_allclose(small_err, ref_err, rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("variant", ["normal_volume", "full_gradient_volume"])
     def test_volume_stabilization_memory_does_not_grow_with_the_mesh(self, variant):
@@ -358,6 +396,15 @@ class TestGeometryData:
         finally:
             tracemalloc.stop()
         assert peak <= limit_mib * 2**20, f"{peak / 2**20:.1f} MiB"
+
+    def test_ghost_patches_are_built_once_per_assembly(self, monkeypatch):
+        from tracefem import assembly
+
+        _, mesh, dls, mapping = torus_case(8, 1)
+        original, calls = assembly._ghost_patches, []
+        monkeypatch.setattr(assembly, "_ghost_patches", lambda m: calls.append(1) or original(m))
+        assemble_system(mesh, dls, mapping, torus_benchmark(), StabConfig("ghost_penalty"))
+        assert len(calls) == 1
 
     def test_assembled_system_shares_its_pieces(self):
         """S is A plus the stabilization, each assembled alone, for every variant."""

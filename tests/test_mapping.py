@@ -291,6 +291,6 @@ class TestLift:
         dls = interpolate(ls, mesh)
         mapping = IsoMapping(mesh, -2.0 * mesh.dof_points)
         with pytest.raises(MappingInvertibilityError, match="not invertible"):
-            SurfaceData.build(mesh, dls, mapping, 2)
+            next(SurfaceData.build(mesh, dls, mapping, 2).chunks())
         with pytest.raises(MappingInvertibilityError, match="not invertible"):
-            VolumeData.build(mesh, mapping, 4)
+            next(VolumeData.build(mesh, mapping, 4).chunks())

@@ -10,7 +10,7 @@ import scipy.sparse as sp
 from scipy.optimize import brentq
 
 import tracefem.metrics as metrics
-from tracefem.assembly import StabConfig, assemble_constraint, assemble_a, assemble_system
+from tracefem.assembly import StabConfig, SurfaceData, assemble_constraint, assemble_a, assemble_system
 from tracefem.levelset import Plane, ZeroBenchmark, shifted_plane
 from tracefem.metrics import (
     DENSE_EIG_LIMIT,
@@ -21,7 +21,7 @@ from tracefem.metrics import (
     estimate_condition,
 )
 
-from helpers import plane_case, torus_benchmark, torus_case
+from helpers import benchmark_interpolant, errors_oracle, plane_case, torus_benchmark, torus_case
 
 
 class AffinePlaneProblem:
@@ -104,6 +104,37 @@ class TestErrorMeasures:
         _, mesh, dls, mapping = torus_case(8, 1)
         with pytest.raises(ValueError, match="dof count"):
             compute_errors(mesh, dls, mapping, np.zeros(3), bench)
+
+
+class TestStreamedErrors:
+    @pytest.mark.parametrize("n, k", [(16, 1), (16, 3)])
+    def test_matches_the_whole_array_oracle(self, n, k, rng):
+        """The chunk-by-chunk reduction gives the four integrals of one whole-surface evaluation."""
+        bench = torus_benchmark()
+        _, mesh, dls, mapping = torus_case(n, k)
+        u = benchmark_interpolant(mesh, bench) + 1e-2 * rng.standard_normal(mesh.ndofs)
+        rep = compute_errors(mesh, dls, mapping, u, bench)
+        oracle = errors_oracle(mesh, mapping, u, bench)
+        got = (rep.e_dist, rep.e_l2, rep.e_h1t, rep.e_h1n)
+        np.testing.assert_allclose(got, oracle, rtol=1e-13, atol=0.0)
+
+    def test_peak_grows_by_at_most_256_bytes_per_point(self):
+        """Between torus k=3 n=12 and n=24 the error stage holds no per-point array of the lifted rule."""
+        bench = torus_benchmark()
+        points, peaks = [], []
+        for n in (12, 24):
+            _, mesh, dls, mapping = torus_case(n, 3)
+            points.append(len(SurfaceData.build(mesh, dls, mapping, 2 * mesh.k).elems))
+            u = np.zeros(mesh.ndofs)
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                compute_errors(mesh, dls, mapping, u, bench)
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            finally:
+                tracemalloc.stop()
+        per_point = (peaks[1] - peaks[0]) / (points[1] - points[0])
+        assert per_point <= 256, f"{per_point:.0f} bytes per point"
 
 
 class TestEoc:
@@ -256,6 +287,14 @@ class TestLobpcgEstimate:
         tiny = 1e-12
         assert lmin == pytest.approx(brentq(secular, d[0] + tiny, d[1] - tiny, xtol=1e-14), rel=1e-8)
         assert lmax == pytest.approx(brentq(secular, d[-2] + tiny, d[-1] - tiny, xtol=1e-14), rel=1e-8)
+
+    def test_five_unknowns_take_the_dense_path(self):
+        """lobpcg's dense fallback refuses a constraint below six unknowns; the dense estimate answers instead."""
+        S = sp.diags([3.0, 1.0, 7.0, 5.0, 42.0]).tocsr()
+        c = np.array([0.0, 0.0, 0.0, 0.0, 1.0])
+        lmax, lmin = estimate_condition(S, c, method="iterative")
+        assert lmax == pytest.approx(7.0, abs=1e-12)
+        assert lmin == pytest.approx(1.0, abs=1e-12)
 
     def test_non_convergence_raises_without_a_warning(self, plane_k2_systems, monkeypatch):
         sys = plane_k2_systems[0.5, "normal_volume"]
