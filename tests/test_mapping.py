@@ -257,6 +257,7 @@ class TestLift:
         np.testing.assert_allclose(lift.y, y, atol=1e-14)
         np.testing.assert_allclose(lift.vals, vals, atol=1e-14)
         np.testing.assert_allclose(lift.det, np.linalg.det(J), rtol=1e-13)
+        np.testing.assert_allclose(lift.invJ, np.linalg.inv(J), rtol=1e-13, atol=1e-14)
         np.testing.assert_allclose(lift.nh, N / nn[:, None], atol=1e-13)
         np.testing.assert_allclose(lift.det * lift.nn, np.linalg.det(J) * nn, rtol=1e-13)
         np.testing.assert_allclose(
