@@ -85,12 +85,12 @@ class LiftedRule:
     Points come in cells of q points, cell by cell; each cell lies in one
     element, cells (C,) naming it: an interface triangle for the surface
     rule, an element for the volume rule.  A rule keeps only what lifts a
-    slice of cells, never lifted data: chunks() lifts at most CHUNK_POINTS
-    points at a time and yields each chunk as a Lift of (Ec, q, ...) arrays
-    with its lifted weights (Ec, q), which the caller uses at once; a
-    subclass lifts the cells of a slice in _lift(s).  Local
-    matrices then reduce to one batched contraction per chunk.  An element
-    with two cells gets two local matrices, which Pattern.add sums.
+    slice of cells, never lifted data: a subclass lifts the cells of a
+    slice in _lift(s), and chunks() lifts at most CHUNK_POINTS points at a
+    time and yields each chunk as a Lift of (Ec, q, ...) arrays with its
+    lifted weights (Ec, q), which the caller uses at once.  Local matrices
+    then reduce to one batched contraction per chunk.  An element with two
+    cells gets two local matrices, which Pattern.add sums.
     """
 
     def __init__(self, mesh, mapping, cells, q):
