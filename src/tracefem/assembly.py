@@ -153,16 +153,16 @@ class VolumeData(LiftedRule):
 
     It keeps the physical gradients of the basis at the reference points,
     which take one value per Kuhn shape, as a (6, q, NB, 3) table, the
-    reference weights (q,) and a weight scale (the stabilization's rho, or
-    None): a chunk's weights are (wref * det DTheta) * scale.
+    reference weights (q,) and a weight scale (the stabilization's rho):
+    a chunk's weights are (wref * det DTheta) * scale.
     """
 
-    def __init__(self, mesh, mapping, table, wref, scale=None):
+    def __init__(self, mesh, mapping, table, wref, scale=1.0):
         super().__init__(mesh, mapping, np.arange(mesh.nelems, dtype=np.int64), len(wref))
         self.table, self.wref, self.scale = table, wref, scale
 
     @classmethod
-    def build(cls, mesh: ActiveMesh, mapping: IsoMapping, degree: int, scale=None):
+    def build(cls, mesh: ActiveMesh, mapping: IsoMapping, degree: int, scale=1.0):
         lam, w = tet_rule(degree)
         _, dlam = mesh.ref.eval(lam, grad=True)
         table = physical_gradients(dlam, SHAPE_BARY_A[:, None] / mesh.h)
@@ -170,8 +170,7 @@ class VolumeData(LiftedRule):
 
     def _lift(self, s):
         lift = self.mapping.lift(self.cells[s], gref=self.table[self.mesh.tet[s]])
-        w = self.wref * lift.det
-        return lift, w if self.scale is None else w * self.scale
+        return lift, self.wref * lift.det * self.scale
 
 
 class Pattern:
@@ -224,40 +223,45 @@ def _tangential_grads(lift):
     return g - np.einsum("eqbi,eqi->eqb", g, lift.nh)[..., None] * lift.nh[..., None, :]
 
 
-def _surface_pass(surf, problem=None, out=None):
-    """One pass over the surface rule: c, the raw load moments (None without problem), and A added into out if given.
+def _surface_pass(surf, problem=None, out=None, normal=False):
+    """One pass over the surface rule: c, the raw load moments and the full-gradient surface stabilization.
 
-    c_i is the integral of basis_i and f_i that of f(y) * basis_i; both are
-    summed chunk by chunk, in point order.
+    c_i is the integral of basis_i and f_i that of f(y) * basis_i (None
+    without problem); both are summed chunk by chunk, in point order.  If
+    out is given, A is added into it, and with normal the normal-derivative
+    stabilization is summed on out's element slots into its own data array
+    (else None), which the caller adds to out's data afterwards.
     """
     mesh = surf.mesh
     c = np.zeros(mesh.ndofs)
     f = None if problem is None else np.zeros(mesh.ndofs)
+    nd = np.zeros_like(out.matrix.data) if normal else None
+    kern = backends.active()
 
-    def moments(cells, lift, w):
+    def each(cells, lift, w):
         dofs = np.broadcast_to(mesh.elem_dofs[cells][:, None], lift.vals.shape).ravel()
         np.add.at(c, dofs, (lift.vals * w[..., None]).ravel())
         if f is not None:
             g = w * problem.rhs(lift.y.reshape(-1, 3)).reshape(w.shape)
             np.add.at(f, dofs, (lift.vals * g[..., None]).ravel())
+        if nd is not None:
+            np.add.at(nd, out.slots["elements"][cells], kern.accumulate_sym(_normal_derivatives(lift), w))
 
     if out is None:
         for chunk in surf.chunks():
-            moments(*chunk)
+            each(*chunk)
     else:
-        _matrix(surf, _tangential_grads, out, moments)
-    return c, f
-
-
+        _matrix(surf, _tangential_grads, out, each)
+    return c, f, nd
 def _mean_zero(f, c):
     """f -= (<f, e>/<c, e>) c with e the coefficient vector of the constant one."""
     f -= f.sum() / c.sum() * c  # pairwise sums: independent of the BLAS thread count
     return f
 
 
-def assemble_a(mesh, dls, mapping, degree=None, out: Pattern | None = None):
-    """Tangential stiffness matrix on the deformed surface (CSR), added into out if given."""
-    return _matrix(SurfaceData.build(mesh, dls, mapping, degree), _tangential_grads, out)
+def assemble_a(mesh, dls, mapping, degree=None):
+    """Tangential stiffness matrix on the deformed surface (CSR)."""
+    return _matrix(SurfaceData.build(mesh, dls, mapping, degree), _tangential_grads, None)
 
 
 def assemble_constraint(mesh, dls, mapping, degree=None):
@@ -275,12 +279,12 @@ def assemble_rhs(mesh, dls, mapping, problem, c, degree=None):
     return _mean_zero(_surface_pass(SurfaceData.build(mesh, dls, mapping, degree), problem)[1], c)
 
 
-def assemble_s(mesh, dls, mapping, stab: StabConfig, surf: SurfaceData | None = None,
-               out: Pattern | None = None, patches=None):
+def assemble_s(mesh, dls, mapping, stab: StabConfig, out: Pattern | None = None, patches=None, normal=None):
     """Stabilization matrix for the chosen variant (CSR; zero for 'none'), added into out if given.
 
-    surf is the surface rule of full_gradient_surface and patches the
-    result of _ghost_patches for ghost_penalty; each is built if not given.
+    patches is the result of _ghost_patches for ghost_penalty, and normal
+    the full_gradient_surface data on out's pattern from _surface_pass;
+    each is built if not given.
     """
     k = mesh.k
     rho = stab.resolve_rho(mesh.h, k)
@@ -292,9 +296,10 @@ def assemble_s(mesh, dls, mapping, stab: StabConfig, surf: SurfaceData | None = 
         out.add("facets", slice(None), rho * mesh.facets.area[:, None, None] * jump[:, :, None] * jump[:, None, :])
         return out.matrix
     if stab.variant == "full_gradient_surface":
-        if surf is None:
-            surf = SurfaceData.build(mesh, dls, mapping)
-        return _matrix(surf, _normal_derivatives, out)
+        if normal is None:
+            return _matrix(SurfaceData.build(mesh, dls, mapping), _normal_derivatives, out)
+        out.matrix.data += normal
+        return out.matrix
     vol = VolumeData.build(mesh, mapping, 2 * k, scale=rho)
     if stab.variant == "full_gradient_volume":
         return _matrix(vol, _grads, out)
@@ -335,7 +340,7 @@ class AssembledSystem:
 
 
 def assemble_system(mesh, dls, mapping, problem, stab: StabConfig, degree=None) -> AssembledSystem:
-    """One-stop assembly: one pass over the surface rule for A, c and f, and one Pattern for A and the stabilization."""
+    """One-stop assembly: one pass over the surface rule for A, c, f and a surface stabilization, and one Pattern for S."""
     surf = SurfaceData.build(mesh, dls, mapping, degree)
     blocks = {"elements": mesh.elem_dofs}
     patches = None
@@ -343,6 +348,6 @@ def assemble_system(mesh, dls, mapping, problem, stab: StabConfig, degree=None) 
         patches = _ghost_patches(mesh)
         blocks["facets"] = patches[0]
     out = Pattern(mesh.ndofs, **blocks)
-    c, f = _surface_pass(surf, problem, out)
-    S = assemble_s(mesh, dls, mapping, stab, surf=surf, out=out, patches=patches)
+    c, f, normal = _surface_pass(surf, problem, out, normal=stab.variant == "full_gradient_surface")
+    S = assemble_s(mesh, dls, mapping, stab, out=out, patches=patches, normal=normal)
     return AssembledSystem(S=S, c=c, f=_mean_zero(f, c), e=np.ones(mesh.ndofs), ndofs=mesh.ndofs)

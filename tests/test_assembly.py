@@ -406,6 +406,23 @@ class TestGeometryData:
         assemble_system(mesh, dls, mapping, torus_benchmark(), StabConfig("ghost_penalty"))
         assert len(calls) == 1
 
+    def test_surface_stabilization_shares_the_surface_lift(self, monkeypatch):
+        """full_gradient_surface lifts each surface point once, and S is A plus the stabilization to the bit."""
+        _, mesh, dls, mapping = torus_case(12, 2)
+        stab = StabConfig("full_gradient_surface")
+        parts = assemble_a(mesh, dls, mapping) + assemble_s(mesh, dls, mapping, stab)
+        original, lifted = IsoMapping.lift, []
+
+        def counting(self, elems, lam=None, gref=None):
+            lifted.append(0 if lam is None else lam.shape[0] * lam.shape[1])
+            return original(self, elems, lam, gref)
+
+        monkeypatch.setattr(IsoMapping, "lift", counting)
+        sys = assemble_system(mesh, dls, mapping, torus_benchmark(), stab)
+        assert sum(lifted) == len(SurfaceData.build(mesh, dls, mapping).elems)
+        assert sys.S.nnz == parts.nnz
+        assert abs(sys.S - parts).max() == 0.0
+
     def test_assembled_system_shares_its_pieces(self):
         """S is A plus the stabilization, each assembled alone, for every variant."""
         for variant in VARIANTS:
