@@ -38,8 +38,9 @@ class StabConfig:
 
     rho is one of 'h_inv' (1/h), 'h_times_k4' (k^4 * h), a
     ('custom', prefactor, exponent) triple meaning prefactor * h^exponent,
-    or None for the variant default (1 for ghost_penalty, h for
-    full_gradient_volume, 1/h for normal_volume).
+    or None for the variant default (1 for ghost_penalty and
+    full_gradient_surface, h for full_gradient_volume, 1/h for
+    normal_volume).
     """
 
     variant: str = "normal_volume"
@@ -283,8 +284,8 @@ def assemble_s(mesh, dls, mapping, stab: StabConfig, out: Pattern | None = None,
     """Stabilization matrix for the chosen variant (CSR; zero for 'none'), added into out if given.
 
     patches is the result of _ghost_patches for ghost_penalty, and normal
-    the full_gradient_surface data on out's pattern from _surface_pass;
-    each is built if not given.
+    the full_gradient_surface data on out's pattern from _surface_pass,
+    before rho; each is built if not given.
     """
     k = mesh.k
     rho = stab.resolve_rho(mesh.h, k)
@@ -296,9 +297,10 @@ def assemble_s(mesh, dls, mapping, stab: StabConfig, out: Pattern | None = None,
         out.add("facets", slice(None), rho * mesh.facets.area[:, None, None] * jump[:, :, None] * jump[:, None, :])
         return out.matrix
     if stab.variant == "full_gradient_surface":
-        if normal is None:
-            return _matrix(SurfaceData.build(mesh, dls, mapping), _normal_derivatives, out)
-        out.matrix.data += normal
+        if normal is None:  # on a pattern of the element blocks alone, out's layout for this variant
+            normal = _matrix(SurfaceData.build(mesh, dls, mapping), _normal_derivatives, None).data
+        out = Pattern(mesh.ndofs, elements=mesh.elem_dofs) if out is None else out
+        out.matrix.data += rho * normal
         return out.matrix
     vol = VolumeData.build(mesh, mapping, 2 * k, scale=rho)
     if stab.variant == "full_gradient_volume":

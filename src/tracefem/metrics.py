@@ -10,7 +10,9 @@ Errors are integrated with rules one exactness step above assembly
     e_H1n  = |n . grad u_h| with the exact unit normal.
 
 Condition numbers are those of S restricted to the constraint hyperplane
-c.u = 0: the extreme eigenvalues of S on c-perp.
+c.u = 0: the extreme eigenvalues of S on c-perp.  Small systems take them
+exactly, from one Householder reflection, one tridiagonal reduction and
+two bisected ends; large ones from LOBPCG.
 """
 
 from __future__ import annotations
@@ -19,11 +21,12 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import blas, lapack
 
 from .assembly import SurfaceData
 
-DENSE_EIG_LIMIT = 4000
+# the dense estimate's n^3 cost meets LOBPCG's between 1,323 and 1,587 dofs (plane k=2, the four sweep variants)
+DENSE_EIG_LIMIT = 1500
 # residual tolerance of LOBPCG, relative to the Gershgorin bound of S, and
 # its iteration cap (plane k=2 n=48, 28k dofs, takes up to ~2900)
 LOBPCG_RTOL = 1e-7
@@ -91,14 +94,24 @@ class EigenEstimateError(RuntimeError):
     pass
 
 
-def _projected_dense(chat, S):
-    """S on the hyperplane of the unit vector chat, as a dense (n-1, n-1) array.
+class SingularEstimateError(EigenEstimateError):
+    """A converged LOBPCG lambda_min not above its own residual: S is singular on c-perp as far as it can tell."""
+
+    def __init__(self, lmax, lmin, res):
+        super().__init__(f"lambda_min {lmin:.3e} is not above its residual {res:.3e}")
+        self.lmax, self.lmin = lmax, lmin
+
+
+def _dense_ends(chat, S):
+    """The extreme eigenvalues (lambda_max, lambda_min) of S on the hyperplane of the unit vector chat.
 
     The Householder reflector H = I - 2 v v' with v along chat + sign(chat_j) e_j,
     j = argmax |chat_j| (so |chat + sign(chat_j) e_j|^2 >= 2), maps chat onto
     the axis e_j; its other columns are an orthonormal basis of chat-perp.
-    H S H = S - v w' - w v' with w = 2 (S v - (v' S v) v) is one rank-two
-    update of S, and dropping row and column j leaves the projection.
+    H S H = S - v w' - w v' with w = 2 (S v - (v' S v) v), so S without row
+    and column j, densified once in Fortran order, takes that rank-two
+    update in place (upper triangle only, the one LAPACK reads) and is
+    reduced to tridiagonal form once; bisection then finds its two ends.
     """
     j = int(np.argmax(np.abs(chat)))
     v = chat.copy()
@@ -106,28 +119,36 @@ def _projected_dense(chat, S):
     v /= np.linalg.norm(v)
     Sv = S @ v
     w = 2.0 * (Sv - (v @ Sv) * v)
-    A = S.toarray()
-    A -= np.outer(v, w)
-    A -= np.outer(w, v)
     keep = np.delete(np.arange(len(v)), j)
-    return A[np.ix_(keep, keep)]
+    A = blas.dsyr2(-1.0, v[keep], w[keep], a=S[keep][:, keep].toarray(order="F"), overwrite_a=True)
+    m = len(keep)
+    # the blocked reduction needs the queried workspace; the wrapper's default lwork = m runs the unblocked one
+    _, d, e, _, _ = lapack.dsytrd(A, lwork=int(lapack.dsytrd_lwork(m)[0]), overwrite_a=True)
+    if m == 1:
+        return float(d[0]), float(d[0])
+    ends = [lapack.dstebz(d, e, 2, 0.0, 0.0, i, i, 0.0, "E") for i in (m, 1)]
+    if any(found != 1 or info for found, *_, info in ends):
+        raise np.linalg.LinAlgError("bisection found no eigenvalue: S is not finite")
+    return tuple(float(lam[0]) for _, lam, *_ in ends)
 
 
 def estimate_condition(S, c, method: str = "auto"):
     """Spectral bounds of S restricted to the hyperplane c.u = 0.
 
     Returns (lambda_max, lambda_min).  'dense' reflects S with one
-    Householder reflector that maps c onto a coordinate axis, drops that
-    row and column and takes the eigenvalues of the dense (n-1, n-1)
-    rest.  'iterative' runs LOBPCG on S restricted to c-perp twice, from
-    seeded start vectors: for lambda_max without a preconditioner, for
+    Householder reflector that maps c onto a coordinate axis and drops
+    that row and column: one reduction of the dense (n-1, n-1) rest to
+    tridiagonal form, two bisected ends.  S need not be definite.
+    'iterative' runs LOBPCG on S restricted to c-perp twice, from seeded
+    start vectors: for lambda_max without a preconditioner, for
     lambda_min with Jacobi.  It raises EigenEstimateError if a run ends
     with its residual norm above LOBPCG_RTOL times the Gershgorin bound
-    of S, or if lambda_min is not above its own residual norm, since such
-    a value cannot be told from zero.  'auto' picks dense up to
-    DENSE_EIG_LIMIT dofs, and 'iterative' takes the dense path too below
-    six unknowns, where LOBPCG's own dense fallback refuses the constraint.
-    A zero or non-finite c raises ValueError.
+    of S, and SingularEstimateError, carrying both values, if lambda_min
+    is not above its own residual norm, since such a value cannot be told
+    from zero.  'auto' picks dense up to DENSE_EIG_LIMIT dofs, and
+    'iterative' takes the dense path too below six unknowns, where
+    LOBPCG's own dense fallback refuses the constraint.  A zero or
+    non-finite c, or a single unknown (c-perp is empty), raises ValueError.
     """
     c = np.asarray(c, dtype=np.float64)
     n = len(c)
@@ -135,14 +156,14 @@ def estimate_condition(S, c, method: str = "auto"):
         method = "dense" if n <= DENSE_EIG_LIMIT else "iterative"
     if method not in ("dense", "iterative"):
         raise ValueError(f"unknown method {method!r}")
+    if n < 2:
+        raise ValueError("c-perp is empty: the constraint leaves no unknowns")
     norm = np.linalg.norm(c)
     if not 0.0 < norm < np.inf:
         raise ValueError("constraint vector is zero or not finite")
     chat = c / norm
     if method == "dense" or n < 6:
-        # the transpose is Fortran-ordered, so LAPACK takes it without a copy
-        w = scipy.linalg.eigvalsh(_projected_dense(chat, S).T, overwrite_a=True, check_finite=False)
-        return float(w[-1]), float(w[0])
+        return _dense_ends(chat, S)
     from scipy.sparse import diags
     from scipy.sparse.linalg import lobpcg
 
@@ -170,5 +191,5 @@ def estimate_condition(S, c, method: str = "auto"):
     lmax, _ = extreme(True, None)
     lmin, res = extreme(False, diags(1.0 / np.maximum(S.diagonal(), 1e-300)))
     if not lmin > res:
-        raise EigenEstimateError(f"lambda_min {lmin:.3e} is not above its residual {res:.3e}")
+        raise SingularEstimateError(lmax, lmin, res)
     return lmax, lmin

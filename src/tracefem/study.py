@@ -22,7 +22,7 @@ from .assembly import StabConfig, assemble_system
 from .levelset import make_benchmark, shifted_plane, ZeroBenchmark
 from .mapping import build_theta
 from .mesh import ActiveMesh, MeshParams
-from .metrics import EigenEstimateError, compute_errors, eoc, estimate_condition
+from .metrics import EigenEstimateError, SingularEstimateError, compute_errors, eoc, estimate_condition
 from .reference import interpolate
 from .solver import solve_constrained
 
@@ -285,14 +285,17 @@ def run_conditioning(cfg: StudyConfig):
                 continue
             stab = StabConfig(variant, cfg.rho if variant == cfg.stab else None)
             system = _stage("assemble", assemble_system, mesh, dls, mapping, problem, stab)
+            # lambda_min at or below numpy's matrix_rank tolerance, or LOBPCG's
+            # below its own residual, is singular on c-perp, where PCG can only
+            # run to its cap, so it is not solved; a failed estimate gives
+            # cond nan and is still solved
             try:
                 lmax, lmin = estimate_condition(system.S, system.c)
+                singular = lmin <= system.ndofs * np.finfo(float).eps * lmax
+            except SingularEstimateError as err:
+                lmax, lmin, singular = err.lmax, err.lmin, True
             except EigenEstimateError:
-                lmax, lmin = float("nan"), float("nan")
-            # lambda_min at or below numpy's matrix_rank tolerance is singular on
-            # c-perp, where PCG can only run to its cap, so it is not solved; a
-            # nan estimate gives cond nan and is still solved
-            singular = lmin <= system.ndofs * np.finfo(float).eps * lmax
+                lmax, lmin, singular = float("nan"), float("nan"), False
             cond = float("inf") if singular else lmax / lmin
             n_its = -1
             if not singular:

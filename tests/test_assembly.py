@@ -144,6 +144,15 @@ class TestStabilizations:
         S2 = assemble_s(mesh, dls, mapping, StabConfig("normal_volume", ("custom", 2.0, 0.0)))
         assert abs(S2 - 2.0 * S1).max() <= 1e-12 * abs(S1).max()
 
+    def test_full_gradient_surface_applies_rho(self):
+        """A custom rho scales the full-gradient surface stabilization, alone and in the assembled S."""
+        _, mesh, dls, mapping = torus_case(8, 1)
+        default, five = StabConfig("full_gradient_surface"), StabConfig("full_gradient_surface", ("custom", 5.0, 0.0))
+        A = assemble_a(mesh, dls, mapping)
+        S1, S5 = (assemble_system(mesh, dls, mapping, torus_benchmark(), stab).S for stab in (default, five))
+        assert abs((S5 - A) - 5.0 * (S1 - A)).max() <= 1e-14 * abs(S5).max()
+        assert abs(assemble_s(mesh, dls, mapping, five) - 5.0 * assemble_s(mesh, dls, mapping, default)).max() == 0.0
+
     def test_full_gradient_surface_measures_the_section(self):
         n = 8
         mesh, dls, mapping = plane_case(shifted_plane(0.5, n), n, 1)

@@ -16,6 +16,7 @@ from tracefem.metrics import (
     DENSE_EIG_LIMIT,
     EigenEstimateError,
     ErrorReport,
+    SingularEstimateError,
     compute_errors,
     eoc,
     estimate_condition,
@@ -243,8 +244,48 @@ class TestConditionEstimates:
             with pytest.raises(ValueError, match="constraint vector"):
                 estimate_condition(S, c, method=method)
 
-    def test_dense_estimate_memory_is_two_dense_copies(self, plane_k2_systems):
-        """At plane k=2 n=8 (867 dofs) the dense estimate peaks at most 2.5 dense n x n arrays."""
+    def test_indefinite_matrix_matches_the_null_space_basis(self, rng):
+        """The one-triangle update and the bisection assume no definiteness: a random symmetric S, mixed-sign c."""
+        n = 40
+        M = rng.standard_normal((n, n))
+        S = sp.csr_matrix(M + M.T)
+        c = rng.standard_normal(n)
+        lmax, lmin = estimate_condition(S, c, method="dense")
+        rmax, rmin = null_space_bounds(S, c)
+        assert rmin < 0.0 < rmax
+        scale = max(abs(rmax), abs(rmin))
+        assert abs(lmax - rmax) <= 1e-13 * scale
+        assert abs(lmin - rmin) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrix_raises(self, bad):
+        """Bisection finds no eigenvalue of a non-finite S; that is an error, not a value."""
+        M = np.diag(np.arange(1.0, 9.0))
+        M[2, 3] = M[3, 2] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(np.linalg.LinAlgError):
+                estimate_condition(sp.csr_matrix(M), np.ones(8), method="dense")
+
+    def test_one_unknown_rejected(self):
+        """With one unknown c-perp is empty; neither method has an estimate."""
+        for method in ("dense", "iterative"):
+            with pytest.raises(ValueError, match="c-perp is empty"):
+                estimate_condition(sp.csr_matrix([[2.0]]), np.array([1.0]), method=method)
+
+    def test_two_unknowns_leave_one_value(self):
+        """With two unknowns the reduced matrix is 1 x 1: u = (1, -1) / sqrt(2) on c = (1, 1)."""
+        S = sp.csr_matrix([[2.0, 1.0], [1.0, 5.0]])
+        for method in ("dense", "iterative"):
+            lmax, lmin = estimate_condition(S, np.array([1.0, 1.0]), method=method)
+            assert lmax == lmin == pytest.approx(2.5, abs=1e-14)
+
+    def test_dense_estimate_memory_is_one_dense_copy(self, plane_k2_systems):
+        """At plane k=2 n=8 (867 dofs) the dense estimate peaks at most 1.25 dense n x n arrays.
+
+        The reduced matrix is densified once; the reflection and the
+        tridiagonal reduction work in it in place.
+        """
         sys = plane_k2_systems[0.5, "normal_volume"]
         tracemalloc.start()
         try:
@@ -253,7 +294,7 @@ class TestConditionEstimates:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * sys.ndofs**2 * 8, f"{peak / 2**20:.1f} MiB"
+        assert peak <= 1.25 * sys.ndofs**2 * 8, f"{peak / 2**20:.1f} MiB"
 
 
 class TestLobpcgEstimate:
@@ -295,6 +336,15 @@ class TestLobpcgEstimate:
         lmax, lmin = estimate_condition(S, c, method="iterative")
         assert lmax == pytest.approx(7.0, abs=1e-12)
         assert lmin == pytest.approx(1.0, abs=1e-12)
+
+    def test_singular_systems_carry_both_values(self, plane_k2_systems):
+        """A lambda_min not above its residual is reported as singular, with lambda_max as the dense path gives it."""
+        sys = plane_k2_systems[0.5, "none"]
+        with pytest.raises(SingularEstimateError) as caught:
+            estimate_condition(sys.S, sys.c, method="iterative")
+        dmax, _ = estimate_condition(sys.S, sys.c, method="dense")
+        assert caught.value.lmax == pytest.approx(dmax, rel=1e-4)
+        assert abs(caught.value.lmin) <= 1e-6 * dmax
 
     def test_non_convergence_raises_without_a_warning(self, plane_k2_systems, monkeypatch):
         sys = plane_k2_systems[0.5, "normal_volume"]

@@ -187,6 +187,30 @@ class TestConditioningStudy:
         assert all(r["n_its"] == -1 for r in singular)
         assert len(calls) == len(reports) - len(singular)
 
+    def test_singular_lobpcg_estimates_print_inf_and_are_not_solved(self, monkeypatch):
+        """Above DENSE_EIG_LIMIT a lambda_min below its own LOBPCG residual is singular: inf, -1 and no solve."""
+        import tracefem.metrics as metrics
+        import tracefem.study as study
+
+        solved = []
+
+        def recording(S, *args, **kwargs):
+            solved.append(S.nnz)
+            return original(S, *args, **kwargs)
+
+        original = study.solve_constrained
+        monkeypatch.setattr(study, "solve_constrained", recording)
+        monkeypatch.setattr(metrics, "DENSE_EIG_LIMIT", 100)
+        cfg = StudyConfig(k=2, base_n=8, conditioning=True, shifts=(0.5,))
+        result, reports = run_conditioning(cfg)
+        by = {r["variant"]: r for r in reports}
+        assert by["none"]["cond"] == float("inf") and by["none"]["n_its"] == -1
+        assert by["none"]["lambda_max"] > 0.0
+        assert 1.0 < by["normal_volume"]["cond"] < np.inf and by["normal_volume"]["n_its"] > 0
+        rows = {row[1]: row for row in result.rows}
+        assert rows["none"][4:] == ["inf", "-1"]
+        assert len(solved) == sum(r["cond"] < np.inf for r in reports)
+
     def test_failed_estimates_print_nan_and_are_solved(self, monkeypatch):
         """cond inf is kept for singular rows; a failed estimate is nan and its row still solved."""
         import tracefem.study as study
