@@ -194,9 +194,9 @@ class TestConditioningStudy:
 
         solved = []
 
-        def recording(S, *args, **kwargs):
-            solved.append(S.nnz)
-            return original(S, *args, **kwargs)
+        def recording(*args, **kwargs):
+            solved.append(1)
+            return original(*args, **kwargs)
 
         original = study.solve_constrained
         monkeypatch.setattr(study, "solve_constrained", recording)
