@@ -1,7 +1,7 @@
 """Isoparametric trace finite elements for PDEs on level-set surfaces."""
 
 from . import backends
-from .assembly import AssembledSystem, StabConfig, assemble_a, assemble_constraint, assemble_rhs, assemble_s, assemble_system
+from .assembly import AssembledSystem, StabConfig, assemble_s, assemble_system
 from .levelset import Plane, Sphere, SphereBenchmark, Torus, TorusBenchmark, ZeroBenchmark, make_benchmark, shifted_plane
 from .mapping import IsoMapping, SearchContext, build_theta, facet_jump_psi, normal_deviation, project_average, psi_h
 from .mesh import ActiveMesh, MeshParams, enumerate_active
@@ -27,9 +27,6 @@ __all__ = [
     "Torus",
     "TorusBenchmark",
     "ZeroBenchmark",
-    "assemble_a",
-    "assemble_constraint",
-    "assemble_rhs",
     "assemble_s",
     "assemble_system",
     "augment_gamma",

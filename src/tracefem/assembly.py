@@ -6,13 +6,15 @@ isoparametric map: with J = DTheta at a quadrature point, physical
 gradients pick up J^-T, the surface measure picks up
 det(J) * |J^-T n-hat|, and tangential projection uses the deformed unit
 normal.  Volume stabilizations integrate over the deformed cut elements
-with the det(J) factor alone.
+with the det(J) factor alone.  The full-gradient surface stabilization is
+part of the stiffness integrand (_surface_pass).
 """
 
 from __future__ import annotations
 
+import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -57,7 +59,10 @@ class StabConfig:
             real = all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in self.rho[1:])
             if len(self.rho) != 3 or self.rho[0] != "custom" or not real:
                 raise ValueError("custom rho must be ('custom', prefactor, exponent)")
-            if self.variant == "normal_volume" and not -1.0 <= float(self.rho[2]) <= 1.0:
+            pre, expo = (float(v) for v in self.rho[1:])
+            if not (math.isfinite(pre) and pre >= 0.0 and math.isfinite(expo)):
+                raise ValueError(f"custom rho needs a finite prefactor >= 0 and a finite exponent, got {self.rho!r}")
+            if self.variant == "normal_volume" and not -1.0 <= expo <= 1.0:
                 raise ValueError(
                     "normal_volume scaling must stay between h and 1/h (exponent in [-1, 1])"
                 )
@@ -203,109 +208,48 @@ class Pattern:
         np.add.at(self.matrix.data, self.slots[name][rows], local)
 
 
-def _matrix(rule, integrand, out, each=None):
-    """CSR matrix of the sum over the rule of w * v_i . v_j, v = integrand(lift), added into out if given."""
-    if out is None:
-        out = Pattern(rule.mesh.ndofs, elements=rule.mesh.elem_dofs)
-    rule.accumulate(integrand, out, each)
-    return out.matrix
+def _surface_pass(surf, problem, out, root_rho):
+    """One pass over the surface rule: the surface integrand into out, c and the raw load moments.
 
-
-def _grads(lift):
-    return lift.grads
-
-
-def _normal_derivatives(lift):
-    return lift.normal_derivatives()[..., None]
-
-
-def _tangential_grads(lift):
-    g = lift.grads
-    return g - np.einsum("eqbi,eqi->eqb", g, lift.nh)[..., None] * lift.nh[..., None, :]
-
-
-def _surface_pass(surf, problem=None, out=None, normal=False):
-    """One pass over the surface rule: c, the raw load moments and the full-gradient surface stabilization.
-
-    c_i is the integral of basis_i and f_i that of f(y) * basis_i (None
-    without problem); both are summed chunk by chunk, in point order.  If
-    out is given, A is added into it, and with normal the normal-derivative
-    stabilization is summed on out's element slots into its own data array
-    (else None), which the caller adds to out's data afterwards.
+    v = g - (1 - root_rho) (g . n) n of the lifted gradients g gives
+    v . v' = Pg . Pg' + rho (n . g)(n . g'): A plus the full-gradient
+    surface stabilization for root_rho = sqrt(rho), and A to the bit for
+    root_rho = 0.  c_i is the integral of basis_i and f_i that of
+    f(y) * basis_i, both summed chunk by chunk, in point order.
     """
     mesh = surf.mesh
     c = np.zeros(mesh.ndofs)
-    f = None if problem is None else np.zeros(mesh.ndofs)
-    nd = np.zeros_like(out.matrix.data) if normal else None
-    kern = backends.active()
+    f = np.zeros(mesh.ndofs)
+
+    def integrand(lift):
+        g = lift.grads
+        return g - np.einsum("eqbi,eqi->eqb", g, lift.nh)[..., None] * ((1.0 - root_rho) * lift.nh)[..., None, :]
 
     def each(cells, lift, w):
         dofs = np.broadcast_to(mesh.elem_dofs[cells][:, None], lift.vals.shape).ravel()
         np.add.at(c, dofs, (lift.vals * w[..., None]).ravel())
-        if f is not None:
-            g = w * problem.rhs(lift.y.reshape(-1, 3)).reshape(w.shape)
-            np.add.at(f, dofs, (lift.vals * g[..., None]).ravel())
-        if nd is not None:
-            np.add.at(nd, out.slots["elements"][cells], kern.accumulate_sym(_normal_derivatives(lift), w))
+        g = w * problem.rhs(lift.y.reshape(-1, 3)).reshape(w.shape)
+        np.add.at(f, dofs, (lift.vals * g[..., None]).ravel())
 
-    if out is None:
-        for chunk in surf.chunks():
-            each(*chunk)
-    else:
-        _matrix(surf, _tangential_grads, out, each)
-    return c, f, nd
-def _mean_zero(f, c):
-    """f -= (<f, e>/<c, e>) c with e the coefficient vector of the constant one."""
-    f -= f.sum() / c.sum() * c  # pairwise sums: independent of the BLAS thread count
-    return f
+    surf.accumulate(integrand, out, each)
+    return c, f
 
 
-def assemble_a(mesh, dls, mapping, degree=None):
-    """Tangential stiffness matrix on the deformed surface (CSR)."""
-    return _matrix(SurfaceData.build(mesh, dls, mapping, degree), _tangential_grads, None)
+def assemble_s(mesh, mapping, stab: StabConfig, out: Pattern, patches):
+    """Add the facet or volume stabilization of stab into out.
 
-
-def assemble_constraint(mesh, dls, mapping, degree=None):
-    """Mean-value constraint vector c_i = integral of basis_i over the deformed surface."""
-    return _surface_pass(SurfaceData.build(mesh, dls, mapping, degree))[0]
-
-
-def assemble_rhs(mesh, dls, mapping, problem, c, degree=None):
-    """Load vector for the extended right-hand side, projected to mean zero.
-
-    The raw moments f_i = int f(y) basis_i ds are corrected by
-    f -= (<f, e>/<c, e>) c with e the coefficient vector of the constant
-    one, which places f in the range of the singular stiffness operator.
+    patches is the result of _ghost_patches for ghost_penalty, whose
+    dofs are out's 'facets' blocks.  'none' adds nothing, and neither does
+    full_gradient_surface: its term is part of the surface integrand.
     """
-    return _mean_zero(_surface_pass(SurfaceData.build(mesh, dls, mapping, degree), problem)[1], c)
-
-
-def assemble_s(mesh, dls, mapping, stab: StabConfig, out: Pattern | None = None, patches=None, normal=None):
-    """Stabilization matrix for the chosen variant (CSR; zero for 'none'), added into out if given.
-
-    patches is the result of _ghost_patches for ghost_penalty, and normal
-    the full_gradient_surface data on out's pattern from _surface_pass,
-    before rho; each is built if not given.
-    """
-    k = mesh.k
-    rho = stab.resolve_rho(mesh.h, k)
-    if stab.variant == "none":
-        return (Pattern(mesh.ndofs) if out is None else out).matrix
+    rho = stab.resolve_rho(mesh.h, mesh.k)
     if stab.variant == "ghost_penalty":
-        dofs, jump = _ghost_patches(mesh) if patches is None else patches
-        out = Pattern(mesh.ndofs, facets=dofs) if out is None else out
+        _, jump = patches
         out.add("facets", slice(None), rho * mesh.facets.area[:, None, None] * jump[:, :, None] * jump[:, None, :])
-        return out.matrix
-    if stab.variant == "full_gradient_surface":
-        if normal is None:  # on a pattern of the element blocks alone, out's layout for this variant
-            normal = _matrix(SurfaceData.build(mesh, dls, mapping), _normal_derivatives, None).data
-        out = Pattern(mesh.ndofs, elements=mesh.elem_dofs) if out is None else out
-        out.matrix.data += rho * normal
-        return out.matrix
-    vol = VolumeData.build(mesh, mapping, 2 * k, scale=rho)
-    if stab.variant == "full_gradient_volume":
-        return _matrix(vol, _grads, out)
-    return _matrix(vol, _normal_derivatives, out)  # normal_volume
+    elif stab.variant in ("full_gradient_volume", "normal_volume"):
+        full = stab.variant == "full_gradient_volume"
+        vol = VolumeData.build(mesh, mapping, 2 * mesh.k, scale=rho)
+        vol.accumulate(lambda lift: lift.grads if full else lift.normal_derivatives()[..., None], out)
 
 
 def _ghost_patches(mesh):
@@ -341,15 +285,22 @@ class AssembledSystem:
     ndofs: int
 
 
-def assemble_system(mesh, dls, mapping, problem, stab: StabConfig, degree=None) -> AssembledSystem:
-    """One-stop assembly: one pass over the surface rule for A, c, f and a surface stabilization, and one Pattern for S."""
-    surf = SurfaceData.build(mesh, dls, mapping, degree)
+def assemble_system(mesh, dls, mapping, problem, stab: StabConfig) -> AssembledSystem:
+    """One-stop assembly: one pass over the surface rule for A, c, f and a surface stabilization, and one Pattern for S.
+
+    The raw load moments f are projected to mean zero, f -= (<f, e>/<c, e>) c
+    with e the coefficient vector of the constant one, which places f in
+    the range of the singular stiffness operator.
+    """
+    surf = SurfaceData.build(mesh, dls, mapping)
     blocks = {"elements": mesh.elem_dofs}
     patches = None
     if stab.variant == "ghost_penalty":
         patches = _ghost_patches(mesh)
         blocks["facets"] = patches[0]
     out = Pattern(mesh.ndofs, **blocks)
-    c, f, normal = _surface_pass(surf, problem, out, normal=stab.variant == "full_gradient_surface")
-    S = assemble_s(mesh, dls, mapping, stab, out=out, patches=patches, normal=normal)
-    return AssembledSystem(S=S, c=c, f=_mean_zero(f, c), e=np.ones(mesh.ndofs), ndofs=mesh.ndofs)
+    root_rho = math.sqrt(stab.resolve_rho(mesh.h, mesh.k)) if stab.variant == "full_gradient_surface" else 0.0
+    c, f = _surface_pass(surf, problem, out, root_rho)
+    assemble_s(mesh, mapping, stab, out, patches)
+    f -= f.sum() / c.sum() * c  # pairwise sums: independent of the BLAS thread count
+    return AssembledSystem(S=out.matrix, c=c, f=f, e=np.ones(mesh.ndofs), ndofs=mesh.ndofs)

@@ -259,12 +259,11 @@ def run_convergence(cfg: StudyConfig):
 COND_COLUMNS = ["eps", "variant", "lambda_max", "lambda_min", "cond", "n_its"]
 
 
-def _conditioning_variants(k: int, configured: str):
+def _conditioning_variants(k: int):
+    """Every variant, in the sweep's order; ghost_penalty only for k = 1."""
     variants = ["none", "normal_volume", "full_gradient_surface", "full_gradient_volume"]
     if k == 1:
         variants.append("ghost_penalty")
-    if configured not in variants:
-        variants.append(configured)
     return variants
 
 
@@ -280,9 +279,7 @@ def run_conditioning(cfg: StudyConfig):
         dls = _stage("interpolate", interpolate, ls, mesh)
         mapping = _stage("mapping", build_theta, mesh, dls)
         synth = rng.standard_normal(mesh.ndofs)
-        for variant in _conditioning_variants(cfg.k, cfg.stab):
-            if variant == "ghost_penalty" and cfg.k != 1:
-                continue
+        for variant in _conditioning_variants(cfg.k):
             stab = StabConfig(variant, cfg.rho if variant == cfg.stab else None)
             system = _stage("assemble", assemble_system, mesh, dls, mapping, problem, stab)
             # lambda_min at or below numpy's matrix_rank tolerance, or LOBPCG's

@@ -305,3 +305,18 @@ def errors_oracle(mesh, mapping, u, problem, degree=None):
     n_exact = n_exact / np.linalg.norm(n_exact, axis=-1, keepdims=True)
     e_h1n = float(np.sqrt(np.sum(w * np.einsum("pi,pi->p", n_exact, gh) ** 2)))
     return e_dist, e_l2, e_h1t, e_h1n
+
+
+def stabilization_matrix(mesh, mapping, stab):
+    """The facet or volume stabilization of stab alone: assemble_s added into a Pattern of the blocks it adds to."""
+    from tracefem.assembly import Pattern, _ghost_patches, assemble_s
+
+    blocks, patches = {}, None
+    if stab.variant == "ghost_penalty":
+        patches = _ghost_patches(mesh)
+        blocks["facets"] = patches[0]
+    elif stab.variant in ("full_gradient_volume", "normal_volume"):
+        blocks["elements"] = mesh.elem_dofs
+    out = Pattern(mesh.ndofs, **blocks)
+    assemble_s(mesh, mapping, stab, out, patches)
+    return out.matrix

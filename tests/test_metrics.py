@@ -10,7 +10,7 @@ import scipy.sparse as sp
 from scipy.optimize import brentq
 
 import tracefem.metrics as metrics
-from tracefem.assembly import StabConfig, SurfaceData, assemble_constraint, assemble_a, assemble_system
+from tracefem.assembly import StabConfig, SurfaceData, assemble_system
 from tracefem.levelset import Plane, ZeroBenchmark, shifted_plane
 from tracefem.metrics import (
     DENSE_EIG_LIMIT,
@@ -78,11 +78,12 @@ class TestErrorMeasures:
         assert rep.e_h1n == pytest.approx(4.0, rel=1e-12)
 
     def test_tangential_seminorm_matches_the_stiffness_energy(self, rng):
-        """e_H1t of u_h against zero data equals sqrt(u' A u) at matching degree."""
+        """e_H1t of u_h against zero data equals sqrt(u' A u) at the assembly's degree 2k - 2."""
         _, mesh, dls, mapping = torus_case(16, 2)
         u = rng.standard_normal(mesh.ndofs)
-        rep = compute_errors(mesh, dls, mapping, u, ZeroBenchmark(torus_benchmark().levelset))
-        A = assemble_a(mesh, dls, mapping, degree=2 * mesh.k)
+        zero = ZeroBenchmark(torus_benchmark().levelset)
+        rep = compute_errors(mesh, dls, mapping, u, zero, degree=2 * mesh.k - 2)
+        A = assemble_system(mesh, dls, mapping, zero, StabConfig("none")).S
         assert rep.e_h1t == pytest.approx(np.sqrt(u @ (A @ u)), rel=1e-10)
 
     def test_l2_of_exact_solution_matches_parametric_integral(self):

@@ -154,9 +154,11 @@ class TestConditioningStudy:
             assert r["cond"] >= 1.0 or np.isnan(r["cond"])
 
     def test_degree_two_drops_ghost_penalty(self):
-        cfg = StudyConfig(benchmark="plane", k=2, base_n=8, conditioning=True, shifts=(0.5,))
-        _, reports = run_conditioning(cfg)
-        assert "ghost_penalty" not in {r["variant"] for r in reports}
+        """Also when ghost_penalty is the configured variant."""
+        for stab in ("nv", "ghost"):
+            cfg = StudyConfig(benchmark="plane", k=2, base_n=8, stab=stab, conditioning=True, shifts=(0.5,))
+            _, reports = run_conditioning(cfg)
+            assert "ghost_penalty" not in {r["variant"] for r in reports}, stab
 
     def test_stabilized_conditioning_is_shift_robust(self):
         cfg = StudyConfig(benchmark="plane", k=1, base_n=8, conditioning=True, shifts=(0.5, 1e-4))
@@ -288,6 +290,9 @@ class TestCli:
             ["--tol", "2"],
             ["--k", "2", "--stab", "ghost"],
             ["--conditioning", "--seed", "-1"],
+            ["--rho", "custom:nan,0"],
+            ["--rho", "custom:-1,0"],
+            ["--conditioning", "--k", "1", "--base-n", "4", "--shifts", "0.5", "--rho", "custom:nan,0"],
         ):
             assert main(argv) == 1
             assert "error: [config]" in capsys.readouterr().err
