@@ -92,11 +92,18 @@ class LiftedRule:
     element, cells (C,) naming it: an interface triangle for the surface
     rule, an element for the volume rule.  A rule keeps only what lifts a
     slice of cells, never lifted data: a subclass lifts the cells of a
-    slice in _lift(s), and chunks() lifts at most CHUNK_POINTS points at a
-    time and yields each chunk as a Lift of (Ec, q, ...) arrays with its
-    lifted weights (Ec, q), which the caller uses at once.  Local matrices
-    then reduce to one batched contraction per chunk.  An element with two
-    cells gets two local matrices, which Pattern.add sums.
+    slice in _lift(s), and chunks() yields each chunk as a Lift of
+    (Ec, q, ...) arrays with its lifted weights (Ec, q), which the caller
+    uses at once.  Local matrices then reduce to one batched contraction
+    per chunk.  An element with two cells gets two local matrices, which
+    Pattern.add sums.
+
+    A chunk is bounded by its basis values, q * NB per cell, to at most
+    mapping.CHUNK_VALUES: the lift's (points, NB, 3) arrays, eval_basis's
+    factors and the integrand scale with NB, not with the point count.
+    At k = 3 a fixed 16,384 points made each of them 7.5 MiB, mapped and
+    faulted in afresh for every chunk; bounded by values they stay near
+    0.5 MiB and are reused.
     """
 
     def __init__(self, mesh, mapping, cells, q):
@@ -108,8 +115,8 @@ class LiftedRule:
         return np.repeat(self.cells, self.q)
 
     def chunks(self):
-        """Yield (cells (Ec,), Lift, lifted weights (Ec, q)) for consecutive cells, at most CHUNK_POINTS points each."""
-        for s in element_chunks(len(self.cells), self.q):
+        """Yield (cells (Ec,), Lift, lifted weights (Ec, q)) for consecutive cells, at most CHUNK_VALUES basis values each."""
+        for s in element_chunks(len(self.cells), self.q * self.mesh.ref.ndofs):
             lift, w = self._lift(s)
             yield self.cells[s], lift, w
 
@@ -185,20 +192,34 @@ class Pattern:
     Each keyword names a family of blocks, dof rows (B, nb); slots[name]
     (B, nb, nb) is the place in matrix.data of every local entry, int32
     while the matrix has fewer than 2^31 nonzeros.  Column indices are
-    sorted.
+    sorted.  An entry's key is row * n + column, int32 while n^2 < 2^31.
+    All keys are sorted once; the slots are searched chunk by chunk of
+    blocks, so no key array but the sorted one is ever whole.
     """
 
     def __init__(self, n, **blocks):
-        keys = {name: d[:, :, None] * n + d[:, None, :] for name, d in blocks.items()}
-        # sorted, not np.unique: for int64 keys numpy's unique takes a hash path many times slower
-        uniq = np.concatenate([k.ravel() for k in keys.values()] or [np.empty(0, np.int64)])
+        key = np.int32 if n * n < 2**31 else np.int64
+
+        def keys(d):
+            d = d.astype(key)
+            return d[:, :, None] * n + d[:, None, :]
+
+        chunks = [(name, s) for name, d in blocks.items() for s in element_chunks(len(d), d.shape[1] ** 2)]
+        uniq = np.empty(sum(d.size * d.shape[1] for d in blocks.values()), dtype=key)
+        at = 0
+        for name, s in chunks:
+            k = keys(blocks[name][s]).ravel()
+            uniq[at : at + k.size] = k
+            at += k.size
+        # sorted, not np.unique: for integer keys numpy's unique takes a hash path many times slower
         uniq.sort()
         first = np.ones(len(uniq), dtype=bool)
         np.not_equal(uniq[1:], uniq[:-1], out=first[1:])
         uniq = uniq[first]
         index = np.int32 if len(uniq) < 2**31 else np.int64
-        # each family's keys go as soon as its slots are found
-        self.slots = {name: np.searchsorted(uniq, keys.pop(name)).astype(index, copy=False) for name in blocks}
+        self.slots = {name: np.empty((len(d), d.shape[1], d.shape[1]), dtype=index) for name, d in blocks.items()}
+        for name, s in chunks:
+            self.slots[name][s] = np.searchsorted(uniq, keys(blocks[name][s]))
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(uniq // n, minlength=n), out=indptr[1:])
         self.matrix = sp.csr_matrix((np.zeros(len(uniq)), uniq % n, indptr), shape=(n, n))

