@@ -98,12 +98,11 @@ class LiftedRule:
     per chunk.  An element with two cells gets two local matrices, which
     Pattern.add sums.
 
-    A chunk is bounded by its basis values, q * NB per cell, to at most
-    mapping.CHUNK_VALUES: the lift's (points, NB, 3) arrays, eval_basis's
-    factors and the integrand scale with NB, not with the point count.
-    At k = 3 a fixed 16,384 points made each of them 7.5 MiB, mapped and
-    faulted in afresh for every chunk; bounded by values they stay near
-    0.5 MiB and are reused.
+    A chunk holds at most mapping.CHUNK_VALUES basis values, q * NB per
+    cell, because the lift's (points, NB, 3) arrays, eval_basis's factors
+    and the integrand grow with NB as well as with the points; bounded by
+    points alone they were faulted in again for every chunk from k = 2 on
+    (measured in the comment on mapping.CHUNK_VALUES).
     """
 
     def __init__(self, mesh, mapping, cells, q):

@@ -261,8 +261,8 @@ def build_theta(mesh: ActiveMesh, dls: DiscreteLevelSet, delta=None) -> IsoMappi
     sums = np.zeros((mesh.ndofs, 3))
     # NB nodes of NB coefficients per element, counted four times: the root
     # solve makes its (points, NB) arrays afresh at every Newton step, for a
-    # shrinking set of rows, and at NB^2 per element the kernel faulted them
-    # in again at every step (torus k=3 n=20 from a fresh process: 100,136
+    # shrinking set of rows, and at NB^2 per element they were faulted in
+    # again at every step (torus k=3 n=20 from a fresh process: 100,136
     # minor faults and 387 ms, against 477 and 195 ms at 4 NB^2)
     for s in element_chunks(mesh.nelems, 4 * NB * NB):
         dofs = mesh.elem_dofs[s]
