@@ -125,9 +125,8 @@ class LiftedRule:
         each(cells, lift, w), if given, is called on every chunk too, so
         other integrals share the chunk's lift.
         """
-        kern = backends.active()
         for cells, lift, w in self.chunks():
-            out.add("elements", cells, kern.accumulate_sym(integrand(lift), w))
+            out.add("elements", cells, backends.accumulate_sym(integrand(lift), w))
             if each is not None:
                 each(cells, lift, w)
 
@@ -150,7 +149,8 @@ class SurfaceData(LiftedRule):
         """Rule exact to `degree` on each triangle; by default 2k - 2, the assembly degree."""
         if degree is None:
             degree = max(0, 2 * mesh.k - 2)
-        tri_elem, tri_bary, tri_area = extract_cuts(dls.mesh.vertex_phi, mesh.verts_phys)
+        dls.check_mesh(mesh)
+        tri_elem, tri_bary, tri_area = extract_cuts(mesh.vertex_phi, mesh.verts_phys)
         lam, w = triangle_rule(degree)
         pts = np.einsum("qc,tcm->tqm", lam, tri_bary)  # (T, q, 4)
         return cls(mesh, mapping, tri_elem, pts, tri_area[:, None] * w[None, :])
@@ -176,7 +176,7 @@ class VolumeData(LiftedRule):
     @classmethod
     def build(cls, mesh: ActiveMesh, mapping: IsoMapping, degree: int, scale=1.0):
         lam, w = tet_rule(degree)
-        _, dlam = mesh.ref.eval(lam, grad=True)
+        _, dlam = mesh.ref.eval(lam)
         table = physical_gradients(dlam, SHAPE_BARY_A[:, None] / mesh.h)
         return cls(mesh, mapping, table, w * mesh.elem_volume, scale)
 

@@ -1,13 +1,26 @@
-"""Pure-numpy compute kernels.
+"""The numpy compute kernels.
 
 The three hot kernels: equispaced simplex Lagrange basis evaluation, the
 batched 1D root solve used by the mesh deformation, and the symmetric
-local-matrix accumulation used by the bilinear-form assembly.
+local-matrix accumulation used by the bilinear-form assembly.  Library
+code looks them up on this module at call time (``backends.eval_basis``),
+never by ``from ... import``, so a wrapper set on the module sees every call.
 """
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
+
+ROOT_RTOL = 1e-12   # solve_dh's residual tolerance, relative to max(1, |phihat|)
+MAX_NEWTON = 50     # Newton steps before a row falls back to bisection
+SCAN = 16           # equispaced intervals of the fallback's bracket search
+
+
+# pipebench/spans.py is the only caller: its tracer wraps the kernels on this module.
+def active():
+    return sys.modules[__name__]
 
 
 def _multi_indices(k: int) -> np.ndarray:
@@ -29,10 +42,14 @@ def multi_indices(k: int) -> np.ndarray:
     return _MI_CACHE[k]
 
 
-def _factors(k: int, lam: np.ndarray):
-    """1D factors L[a, m] = prod_{j<a} (k*lam_m - j)/(a - j) at lam (P, 4), with their derivatives dL.
+def _factors(k: int, lam: np.ndarray, glam=None):
+    """Per-coordinate 1D factors of every basis function at lam (P, 4), and their derivatives.
 
-    Both are (k + 1, 4, P), so the rows gathered per basis function are contiguous.
+    Returns lists c, dc of four (P, NB) arrays: c[m][p, b] = L[a](lam[p, m])
+    with a = multi_indices(k)[b, m] and L[a](t) = prod_{j<a} (k*t - j)/(a - j),
+    and dc[m] its derivative in lam[:, m], or along the search line
+    lam + d*glam when glam (P, 4) is given.  A basis function is the
+    product of its four factors.
     """
     lam = np.ascontiguousarray(lam.T)
     L = np.ones((k + 1, *lam.shape))
@@ -41,32 +58,29 @@ def _factors(k: int, lam: np.ndarray):
         fac = (k * lam - (a - 1)) / a
         dL[a] = dL[a - 1] * fac + L[a - 1] * (k / a)
         L[a] = L[a - 1] * fac
-    return L, dL
+    if glam is not None:
+        dL *= glam.T
+    mi = multi_indices(k)
+    # rows gathered per basis function are contiguous in the (k + 1, 4, P) tables
+    return [L[mi[:, m], m].T for m in range(4)], [dL[mi[:, m], m].T for m in range(4)]
 
 
-def eval_basis(k: int, lam: np.ndarray, grad: bool = True):
+def eval_basis(k: int, lam: np.ndarray):
     """Evaluate the P^k Lagrange basis at barycentric points ``lam`` (P, 4).
 
     Nodes sit at multi_indices(k)/k.  Values are products of 1D factors
     prod_{j<a} (k*t - j)/(a - j), which reproduce the Kronecker property
     exactly at the nodes and extrapolate polynomially outside the simplex.
-    Returns (vals (P, NB)[, dlam (P, NB, 4)]) with dlam the gradient with
+    Returns (vals (P, NB), dlam (P, NB, 4)) with dlam the gradient with
     respect to the four barycentric coordinates.
     """
     lam = np.asarray(lam, dtype=np.float64)
     squeeze = lam.ndim == 1
     if squeeze:
         lam = lam[None, :]
-    P = lam.shape[0]
-    L, dL = _factors(k, lam)
-    mi = multi_indices(k)
-    comp = [L[mi[:, m], m].T for m in range(4)]  # each (P, NB)
+    comp, dcomp = _factors(k, lam)
     vals = comp[0] * comp[1] * comp[2] * comp[3]
-    if not grad:
-        return (vals[0] if squeeze else vals)
-    dcomp = [dL[mi[:, m], m].T for m in range(4)]
-    NB = mi.shape[0]
-    dlam = np.empty((P, NB, 4))
+    dlam = np.empty((*vals.shape, 4))
     dlam[:, :, 0] = dcomp[0] * comp[1] * comp[2] * comp[3]
     dlam[:, :, 1] = comp[0] * dcomp[1] * comp[2] * comp[3]
     dlam[:, :, 2] = comp[0] * comp[1] * dcomp[2] * comp[3]
@@ -79,15 +93,11 @@ def eval_basis(k: int, lam: np.ndarray, grad: bool = True):
 def _eval_phi_dphi(k, coeffs, lam, glam):
     """phi_h and its derivative along the search line at lam + d*glam.
 
-    On the line each 1D factor L[a](lam_m) changes at the rate dL[a] * glam_m,
-    so the derivative takes the per-point factors and never the (P, NB, 4)
-    barycentric gradient of the basis.
+    On the line each 1D factor changes at the rate of its derivative times
+    glam_m, so the derivative takes the per-point factors and never the
+    (P, NB, 4) barycentric gradient of the basis.
     """
-    L, dL = _factors(k, lam)
-    dL *= glam.T
-    mi = multi_indices(k)
-    c = [L[mi[:, m], m].T for m in range(4)]   # each (P, NB)
-    dc = [dL[mi[:, m], m].T for m in range(4)]
+    c, dc = _factors(k, lam, glam)
     vals = c[0] * c[1] * c[2] * c[3]
     dvals = (dc[0] * c[1] + c[0] * dc[1]) * (c[2] * c[3]) + (c[0] * c[1]) * (dc[2] * c[3] + c[2] * dc[3])
     return np.einsum("pb,pb->p", vals, coeffs), np.einsum("pb,pb->p", dvals, coeffs)
@@ -100,9 +110,6 @@ def solve_dh(
     glam: np.ndarray,
     phihat: np.ndarray,
     delta: np.ndarray,
-    rtol: float = 1e-12,
-    max_newton: int = 50,
-    scan: int = 16,
 ):
     """Batched safeguarded-Newton root solve for the deformation distance.
 
@@ -121,13 +128,13 @@ def solve_dh(
     phihat = np.asarray(phihat, dtype=np.float64)
     P = lam_x.shape[0]
     delta = np.broadcast_to(np.asarray(delta, dtype=np.float64), (P,))
-    tol = rtol * np.maximum(1.0, np.abs(phihat))
+    tol = ROOT_RTOL * np.maximum(1.0, np.abs(phihat))
 
     d = np.zeros(P)
     converged = np.zeros(P, dtype=bool)
     failed = np.zeros(P, dtype=bool)
     active = np.arange(P)
-    for _ in range(max_newton):
+    for _ in range(MAX_NEWTON):
         lam = lam_x[active] + d[active, None] * glam[active]
         g, gp = _eval_phi_dphi(k, coeffs[active], lam, glam[active])
         g = g - phihat[active]
@@ -151,18 +158,16 @@ def solve_dh(
 
     if failed.any():
         idx = np.flatnonzero(failed)
-        d_f, ok_f = _bisect_fallback(
-            k, coeffs[idx], lam_x[idx], glam[idx], phihat[idx], delta[idx], tol[idx], scan
-        )
+        d_f, ok_f = _bisect_fallback(k, coeffs[idx], lam_x[idx], glam[idx], phihat[idx], delta[idx], tol[idx])
         d[idx] = d_f
         converged[idx] = ok_f
     return d, converged
 
 
-def _bisect_fallback(k, coeffs, lam_x, glam, phihat, delta, tol, scan):
+def _bisect_fallback(k, coeffs, lam_x, glam, phihat, delta, tol):
     P = lam_x.shape[0]
-    ts = np.linspace(-1.0, 1.0, scan + 1)
-    samples = np.empty((scan + 1, P))
+    ts = np.linspace(-1.0, 1.0, SCAN + 1)
+    samples = np.empty((SCAN + 1, P))
     for i, t in enumerate(ts):
         lam = lam_x + (t * delta)[:, None] * glam
         g, _ = _eval_phi_dphi(k, coeffs, lam, glam)

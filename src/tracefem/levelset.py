@@ -37,12 +37,11 @@ class Torus:
     of the tube; both sit far from the zero set for r < R.
     """
 
-    def __init__(self, R: float = 1.0, r: float = 0.6, box=DEFAULT_BOX):
+    def __init__(self, R: float = 1.0, r: float = 0.6):
         if not 0.0 < r < R:
             raise ValueError("torus requires 0 < r < R")
         self.R = float(R)
         self.r = float(r)
-        self.box = (np.asarray(box[0], float), np.asarray(box[1], float))
 
     def _rho_q(self, x):
         rho = np.hypot(x[:, 0], x[:, 1])
@@ -91,11 +90,10 @@ class Torus:
 class Sphere:
     """Signed distance to the origin-centered sphere of given radius."""
 
-    def __init__(self, radius: float = 1.0, box=DEFAULT_BOX):
+    def __init__(self, radius: float = 1.0):
         if radius <= 0.0:
             raise ValueError("radius must be positive")
         self.radius = float(radius)
-        self.box = (np.asarray(box[0], float), np.asarray(box[1], float))
 
     def phi(self, x):
         x, sq = _as_points(x)
@@ -122,14 +120,13 @@ class Sphere:
 class Plane:
     """Signed distance to the plane normal.x = offset, with unit normal."""
 
-    def __init__(self, normal=(0.0, 0.0, 1.0), offset: float = 0.0, box=DEFAULT_BOX):
+    def __init__(self, normal=(0.0, 0.0, 1.0), offset: float = 0.0):
         n = np.asarray(normal, dtype=np.float64)
         nn = np.linalg.norm(n)
         if nn == 0.0:
             raise ValueError("normal must be nonzero")
         self.normal = n / nn
         self.offset = float(offset)
-        self.box = (np.asarray(box[0], float), np.asarray(box[1], float))
 
     def phi(self, x):
         x, sq = _as_points(x)
@@ -157,8 +154,8 @@ class TorusBenchmark:
 
     name = "torus"
 
-    def __init__(self, R: float = 1.0, r: float = 0.6, box=DEFAULT_BOX):
-        self.levelset = Torus(R, r, box)
+    def __init__(self, R: float = 1.0, r: float = 0.6):
+        self.levelset = Torus(R, r)
 
     def _parts(self, x):
         x, sq = _as_points(x)
@@ -217,8 +214,8 @@ class SphereBenchmark:
 
     name = "sphere"
 
-    def __init__(self, radius: float = 1.0, box=DEFAULT_BOX):
-        self.levelset = Sphere(radius, box)
+    def __init__(self, radius: float = 1.0):
+        self.levelset = Sphere(radius)
 
     def exact_solution(self, x):
         x, sq = _as_points(x)
@@ -263,14 +260,14 @@ class ZeroBenchmark:
         return _ret(np.zeros(len(x)), sq)
 
 
-def shifted_plane(eps: float, n: int, box=DEFAULT_BOX) -> Plane:
-    """Plane x3 = eps*h sitting a fraction eps above a lattice plane of an n^3 mesh."""
-    lo, hi = np.asarray(box[0], float), np.asarray(box[1], float)
+def shifted_plane(eps: float, n: int) -> Plane:
+    """Plane x3 = eps*h sitting a fraction eps above a lattice plane of the n^3 mesh of DEFAULT_BOX."""
+    lo, hi = DEFAULT_BOX
     h = (hi[2] - lo[2]) / n
     if not 0.0 < eps < 1.0:
         raise ValueError("shift fraction must lie strictly inside (0, 1)")
     base = lo[2] + (n // 2) * h
-    return Plane((0.0, 0.0, 1.0), base + eps * h, box)
+    return Plane((0.0, 0.0, 1.0), base + eps * h)
 
 
 def make_benchmark(name: str, **kw):

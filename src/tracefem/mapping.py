@@ -23,7 +23,6 @@ from .mesh import ActiveMesh
 from .reference import DiscreteLevelSet, physical_gradients
 
 DELTA_FRACTION = 0.5
-ROOT_RTOL = 1e-12
 
 # Theta's build, every use of a lifted rule (the assembly, the errors, the
 # normal deviation, the VTK export) and the slot search of assembly.Pattern
@@ -78,60 +77,51 @@ class Lift(NamedTuple):
         return np.einsum("eqbi,eqi->eqb", self.gref, m)
 
 
-def _search(mesh: ActiveMesh, elems, coeffs, lam_x, G, delta):
-    """Distances d along the search directions G (P, 3) from barycentric points lam_x (P, 4).
+def _search(mesh: ActiveMesh, elems, coeffs, lam_x, G):
+    """Distances |d| <= DELTA_FRACTION * h along the search directions G (P, 3) from barycentric points lam_x (P, 4).
 
     elems (P,) are the points' elements and coeffs (P, NB) their rows of phi_h.
     """
-    if delta is None:
-        delta = DELTA_FRACTION * mesh.h
     phihat = np.einsum("pm,pm->p", lam_x, mesh.vertex_phi[elems])
     glam = np.einsum("pmi,pi->pm", mesh.bary_grad[elems], G)
-    d, ok = backends.active().solve_dh(
-        mesh.k, coeffs, lam_x, glam, phihat, delta, rtol=ROOT_RTOL
-    )
+    d, ok = backends.solve_dh(mesh.k, coeffs, lam_x, glam, phihat, DELTA_FRACTION * mesh.h)
     if not np.all(ok):
         bad = int(elems[np.argmin(ok)])
         raise MappingError(f"mapping construction failed (mesh too coarse): element {bad}")
     return d
 
 
-def _solve_points(mesh: ActiveMesh, dls: DiscreteLevelSet, elems, x, delta=None):
-    """Batched deformation distances at physical points of given elements, one point at a time."""
+def _solve_points(mesh: ActiveMesh, dls: DiscreteLevelSet, elems, x):
+    """Batched deformation distances and search directions at physical points of given elements, one point at a time."""
     elems = np.asarray(elems, dtype=np.int64)
-    x = np.asarray(x, dtype=np.float64)
-    lam_x = mesh.bary_of_points(elems, x)
-    coeffs = dls.values[mesh.elem_dofs[elems]]
-    _, dlam = mesh.ref.eval(lam_x, grad=True)
-    G = np.einsum("pbm,pb,pmi->pi", dlam, coeffs, mesh.bary_grad[elems])
-    return _search(mesh, elems, coeffs, lam_x, G, delta), G
+    lam_x = mesh.bary_of_points(elems, np.asarray(x, dtype=np.float64))
+    _, G = dls.eval(elems, lam_x, grad=True)
+    return _search(mesh, elems, dls.values[mesh.elem_dofs[elems]], lam_x, G), G
 
 
 class SearchContext:
     """Deformation search restricted to a single element."""
 
-    def __init__(self, mesh: ActiveMesh, dls: DiscreteLevelSet, elem: int, delta: float | None = None):
+    def __init__(self, mesh: ActiveMesh, dls: DiscreteLevelSet, elem: int):
         self.mesh = mesh
         self.dls = dls
         self.elem = int(elem)
-        self.delta = DELTA_FRACTION * mesh.h if delta is None else float(delta)
+
+    def _points(self, x):
+        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        return np.full(len(x), self.elem, dtype=np.int64), x
 
     def solve_dh(self, x):
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        elems = np.full(len(x), self.elem, dtype=np.int64)
-        d, _ = _solve_points(self.mesh, self.dls, elems, x, self.delta)
+        d, _ = _solve_points(self.mesh, self.dls, *self._points(x))
         return d if d.size > 1 else float(d[0])
 
     def psi_h(self, x):
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        elems = np.full(len(x), self.elem, dtype=np.int64)
-        d, G = _solve_points(self.mesh, self.dls, elems, x, self.delta)
-        return x + d[:, None] * G
+        return psi_h(self.mesh, self.dls, *self._points(x))
 
 
-def psi_h(mesh: ActiveMesh, dls: DiscreteLevelSet, elems, x, delta=None):
+def psi_h(mesh: ActiveMesh, dls: DiscreteLevelSet, elems, x):
     """Per-element deformation images of physical points (batch form; build_theta's oracle)."""
-    d, G = _solve_points(mesh, dls, elems, x, delta)
+    d, G = _solve_points(mesh, dls, elems, x)
     return np.asarray(x, dtype=np.float64) + d[:, None] * G
 
 
@@ -187,7 +177,7 @@ class IsoMapping:
         affine maps by broadcasting.
         """
         lam = np.asarray(lam, dtype=np.float64)
-        vals, dlam = self.mesh.ref.eval(lam.reshape(-1, 4), grad=True)
+        vals, dlam = self.mesh.ref.eval(lam.reshape(-1, 4))
         dlam = dlam.reshape(*lam.shape[:-1], *dlam.shape[1:])
         gref = physical_gradients(dlam, self.mesh.bary_grad[elems][:, None])
         del dlam
@@ -241,7 +231,7 @@ class IsoMapping:
         return float(np.linalg.norm(self.displacement, axis=-1).max(initial=0.0))
 
 
-def build_theta(mesh: ActiveMesh, dls: DiscreteLevelSet, delta=None) -> IsoMapping:
+def build_theta(mesh: ActiveMesh, dls: DiscreteLevelSet) -> IsoMapping:
     """Assemble the nodal deformation field by patch-averaging element images.
 
     Every element solves at its own nodes alpha/k, so the search directions
@@ -250,13 +240,12 @@ def build_theta(mesh: ActiveMesh, dls: DiscreteLevelSet, delta=None) -> IsoMappi
     For k = 1 the deformation is the identity by construction; the root
     solve is skipped and a zero displacement field is returned.
     """
-    if dls.mesh is not mesh:
-        raise ValueError("level set was interpolated on a different mesh")
+    dls.check_mesh(mesh)
     if mesh.k == 1:
         return IsoMapping(mesh, np.zeros((mesh.ndofs, 3)))
     NB = mesh.ref.ndofs
     lam = mesh.ref.nodes_bary
-    _, dlam = mesh.ref.eval(lam, grad=True)
+    _, dlam = mesh.ref.eval(lam)
     table = dlam.transpose(1, 0, 2).reshape(NB, NB * 4)  # row b: gradients of basis b at the nodes
     sums = np.zeros((mesh.ndofs, 3))
     # NB nodes of NB coefficients per element, counted four times: the root
@@ -270,7 +259,7 @@ def build_theta(mesh: ActiveMesh, dls: DiscreteLevelSet, delta=None) -> IsoMappi
         # search directions G = grad(phi_h) at the nodes, (E * NB, 3)
         G = ((coeffs @ table).reshape(-1, NB, 4) @ mesh.bary_grad[s]).reshape(-1, 3)
         elems = np.repeat(np.arange(s.start, s.stop, dtype=np.int64), NB)
-        d = _search(mesh, elems, np.repeat(coeffs, NB, axis=0), np.tile(lam, (len(dofs), 1)), G, delta)
+        d = _search(mesh, elems, np.repeat(coeffs, NB, axis=0), np.tile(lam, (len(dofs), 1)), G)
         np.add.at(sums, dofs.ravel(), mesh.dof_points[dofs].reshape(-1, 3) + d[:, None] * G)
     return IsoMapping(mesh, sums / mesh.patch_counts()[:, None] - mesh.dof_points)
 

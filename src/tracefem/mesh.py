@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .levelset import DEFAULT_BOX
 from .reference import ReferenceElement
 
 ZERO_SHIFT = 1e-14  # exact-zero vertex values are moved to +ZERO_SHIFT*h
@@ -60,11 +61,7 @@ SHAPE_BARY_A, SHAPE_BARY_B = _shape_bary()
 class MeshParams:
     """Uniform cubic grid of n^3 cells over an axis-aligned box."""
 
-    def __init__(self, n: int, box=None):
-        if box is None:
-            from .levelset import DEFAULT_BOX
-
-            box = DEFAULT_BOX
+    def __init__(self, n: int, box=DEFAULT_BOX):
         self.lo = np.asarray(box[0], dtype=np.float64)
         self.hi = np.asarray(box[1], dtype=np.float64)
         if int(n) < 1:

@@ -22,13 +22,13 @@ class ReferenceElement:
         if not 1 <= k <= MAX_DEGREE:
             raise ValueError(f"polynomial degree must be in 1..{MAX_DEGREE}, got {k}")
         self.k = k
-        self.multi_indices = backends.py.multi_indices(k)
+        self.multi_indices = backends.multi_indices(k)
         self.nodes_bary = self.multi_indices / float(k)
         self.ndofs = len(self.multi_indices)
 
-    def eval(self, lam, grad: bool = True):
-        """Basis values (and barycentric gradients) at barycentric points."""
-        return backends.active().eval_basis(self.k, lam, grad=grad)
+    def eval(self, lam):
+        """Basis values and barycentric gradients at barycentric points."""
+        return backends.eval_basis(self.k, lam)
 
 
 def physical_gradients(dlam: np.ndarray, bary_grad: np.ndarray) -> np.ndarray:
@@ -64,6 +64,11 @@ class DiscreteLevelSet:
     def k(self) -> int:
         return self.mesh.k
 
+    def check_mesh(self, mesh):
+        """Raise ValueError unless this level set was interpolated on mesh."""
+        if self.mesh is not mesh:
+            raise ValueError("level set was interpolated on a different mesh")
+
     @property
     def coeffs(self) -> np.ndarray:
         """(E, NB) per-element coefficient rows."""
@@ -72,15 +77,12 @@ class DiscreteLevelSet:
     def eval(self, elems, lam, grad: bool = False):
         """Evaluate phi_h (and its physical gradient) on elements at barycentric points."""
         mesh = self.mesh
-        ref = mesh.ref
         c = self.values[mesh.elem_dofs[elems]]
-        if grad:
-            vals, dlam = ref.eval(lam, grad=True)
-            phi = np.einsum("pb,pb->p", vals, c)
-            g = np.einsum("pbm,pb,pmi->pi", dlam, c, mesh.bary_grad[elems])
-            return phi, g
-        vals = ref.eval(lam, grad=False)
-        return np.einsum("pb,pb->p", vals, c)
+        vals, dlam = mesh.ref.eval(lam)
+        phi = np.einsum("pb,pb->p", vals, c)
+        if not grad:
+            return phi
+        return phi, np.einsum("pbm,pb,pmi->pi", dlam, c, mesh.bary_grad[elems])
 
 
 def interpolate(levelset, mesh) -> DiscreteLevelSet:

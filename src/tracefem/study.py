@@ -95,6 +95,8 @@ class StudyConfig:
         # the conditioning sweep skips ghost_penalty for k > 1 instead
         if self.stab == "ghost_penalty" and self.k > 1 and not self.conditioning:
             raise ValueError("ghost_penalty is unsupported for k > 1 (no higher-order theory)")
+        if self.conditioning and (self.export_vtk or self.export_matrix):
+            raise ValueError("the conditioning sweep writes no VTK or matrix files; drop export_vtk and export_matrix")
         if self.conditioning and not self.shifts:
             raise ValueError("shifts must not be empty for the conditioning sweep")
         if self.conditioning and not all(0.0 < s < 1.0 for s in self.shifts):

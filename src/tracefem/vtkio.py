@@ -15,7 +15,7 @@ def _write_points(fh, points):
         fh.write(f"{p[0]:.16g} {p[1]:.16g} {p[2]:.16g}\n")
 
 
-def write_unstructured_tets(path, points, tets, scalars=None, scalar_name="phi"):
+def write_unstructured_tets(path, points, tets):
     """Tetrahedral mesh as an ASCII legacy UNSTRUCTURED_GRID file."""
     with open(path, "w") as fh:
         fh.write("# vtk DataFile Version 3.0\ntracefem mesh\nASCII\n")
@@ -26,10 +26,6 @@ def write_unstructured_tets(path, points, tets, scalars=None, scalar_name="phi")
             fh.write(f"4 {t[0]} {t[1]} {t[2]} {t[3]}\n")
         fh.write(f"CELL_TYPES {len(tets)}\n")
         fh.write("\n".join(["10"] * len(tets)) + "\n")
-        if scalars is not None:
-            fh.write(f"POINT_DATA {len(points)}\n")
-            fh.write(f"SCALARS {scalar_name} double 1\nLOOKUP_TABLE default\n")
-            fh.write("\n".join(f"{v:.16g}" for v in scalars) + "\n")
 
 
 def write_triangles(path, points, tris):

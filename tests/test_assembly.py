@@ -31,6 +31,7 @@ from helpers import (
     stabilization_matrix,
     torus_benchmark,
     torus_case,
+    torus_mesh,
 )
 
 BOX_LO = (-2.0, -2.0, -2.0)
@@ -285,6 +286,18 @@ def lifted_arrays(rule):
 
 
 class TestGeometryData:
+    def test_surface_rule_rejects_a_level_set_of_another_mesh(self):
+        """The interface is cut on the rule's own mesh; a level set interpolated on another mesh is refused."""
+        ls, coarse = torus_mesh(8, 2)
+        _, mesh, _, mapping = torus_case(16, 2)
+        foreign = interpolate(ls, coarse)
+        with pytest.raises(ValueError, match="different mesh"):
+            SurfaceData.build(mesh, foreign, mapping)
+        with pytest.raises(ValueError, match="different mesh"):
+            assemble_system(mesh, foreign, mapping, torus_benchmark(), StabConfig())
+        with pytest.raises(ValueError, match="different mesh"):
+            compute_errors(mesh, foreign, mapping, np.zeros(mesh.ndofs), torus_benchmark())
+
     def test_lifted_weights_reduce_to_flat_areas_for_identity(self):
         _, mesh, dls, mapping = torus_case(8, 1)
         surf = lifted_arrays(SurfaceData.build(mesh, dls, mapping, degree=2))
@@ -305,14 +318,13 @@ class TestGeometryData:
     def test_volume_rule_evaluates_the_basis_once_per_reference_point(self, monkeypatch):
         """Every element shares the q reference points, so the basis is evaluated at q points, not E*q."""
         _, mesh, _, mapping = torus_case(16, 2)
-        kern = backends.active()
-        original, calls = kern.eval_basis, []
+        original, calls = backends.eval_basis, []
 
-        def counting(k, lam, grad=True):
+        def counting(k, lam):
             calls.append(len(lam))
-            return original(k, lam, grad=grad)
+            return original(k, lam)
 
-        monkeypatch.setattr(kern, "eval_basis", counting)
+        monkeypatch.setattr(backends, "eval_basis", counting)
         vol = VolumeData.build(mesh, mapping, 4)
         lifted_arrays(vol)
         q = len(tet_rule(4)[1])
@@ -452,9 +464,8 @@ class TestGeometryData:
         NB = mesh.ref.ndofs
         monkeypatch.setattr(mapping_module, "CHUNK_VALUES", 50 * surf.q * NB)
         chunks = len(mapping_module.element_chunks(len(surf.cells), surf.q * NB))
-        kern = backends.active()
-        original, calls = kern.accumulate_sym, []
-        monkeypatch.setattr(kern, "accumulate_sym", lambda v, w: calls.append(1) or original(v, w))
+        original, calls = backends.accumulate_sym, []
+        monkeypatch.setattr(backends, "accumulate_sym", lambda v, w: calls.append(1) or original(v, w))
         assemble_system(mesh, dls, mapping, torus_benchmark(), StabConfig("full_gradient_surface"))
         assert chunks > 1
         assert len(calls) == chunks

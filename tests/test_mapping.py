@@ -87,12 +87,14 @@ class TestRootSolve:
         disp = np.linalg.norm(mapping.displacement[on_lattice], axis=-1)
         assert disp.max() <= 1e-13 * mesh.h
 
-    def test_search_interval_is_enforced(self):
+    def test_search_interval_is_enforced(self, monkeypatch):
         """A tiny search radius leaves the roots out of reach."""
         ls, mesh = torus_mesh(12, 2)
         dls = interpolate(ls, mesh)
+        build_theta(mesh, dls)
+        monkeypatch.setattr(mapping_module, "DELTA_FRACTION", 1e-12)
         with pytest.raises(MappingError, match="too coarse"):
-            build_theta(mesh, dls, delta=1e-12)
+            build_theta(mesh, dls)
 
     def test_too_coarse_mesh_fails_loudly(self):
         ls, mesh = torus_mesh(8, 2)
@@ -248,7 +250,7 @@ class TestLift:
         lift = Lift(*(a[:, 0] for a in mapping.lift(elems, lam[:, None])))  # one point per element
 
         y, J = mapping.eval(elems, lam)
-        vals, dlam = mesh.ref.eval(lam, grad=True)
+        vals, dlam = mesh.ref.eval(lam)
         gref = np.einsum("pbm,pmi->pbi", dlam, mesh.bary_grad[elems])
         invJT = np.linalg.inv(J).transpose(0, 2, 1)
         N = np.einsum("pij,pj->pi", invJT, mapping.n_lin[elems])

@@ -4,7 +4,7 @@ pipebench/spans.py wraps tracefem's classes and functions by name from
 outside the package; a rename in the library would break a traced
 benchmark run without failing any library test.  This runs one traced
 benchmark process on a small study and checks that it completes and
-that the counters of the mapping, the volume rule and the basis kernel
+that the counters of the mapping, the volume rule and the three kernels
 are filled and count every point once.
 """
 
@@ -40,7 +40,10 @@ def test_traced_benchmark_process_runs_a_small_study(tmp_path):
     assert layers["mesh.elements"] > 0
     assert layers["mapping.points"] == nb * layers["mesh.elements"]
     assert layers["assembly.volume_points"] == q * layers["mesh.elements"]
+    # the tracer wraps all three kernels on the backends module
     assert layers["kernel.eval_basis_points"] > 0
+    assert layers["kernel.solve_dh_points"] > 0
+    assert layers["kernel.accumulate_sym_s"] > 0
     # assemble_system adds A and the stabilization through the functions the tracer wraps
     assert layers["assembly.stab_s"] > 0
     assert layers["assembly.accumulate_s"] > 0

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from tracefem.backends import py as pyk
+from tracefem import backends
 from tracefem.levelset import Plane, Torus
 from tracefem.mesh import ActiveMesh, MeshParams
 from tracefem.reference import (
@@ -30,14 +30,14 @@ class TestBasis:
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_kronecker_at_nodes(self, k):
         ref = ReferenceElement(k)
-        vals = ref.eval(ref.nodes_bary, grad=False)
+        vals = ref.eval(ref.nodes_bary)[0]
         np.testing.assert_allclose(vals, np.eye(ref.ndofs), atol=1e-13)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_partition_of_unity_inside_and_outside(self, k, rng):
         ref = ReferenceElement(k)
         lam = random_bary(rng, 200, spread=0.3)  # includes exterior points
-        vals, dlam = ref.eval(lam, grad=True)
+        vals, dlam = ref.eval(lam)
         np.testing.assert_allclose(vals.sum(axis=1), 1.0, atol=1e-12)
         # the gradient sum is normal to the constraint plane: constant across
         # components, so the physical gradient of the constant 1 vanishes
@@ -49,7 +49,7 @@ class TestBasis:
         """Nodal interpolation of lam0^a*lam1^b*... is exact for total degree <= k."""
         ref = ReferenceElement(k)
         lam = random_bary(rng, 100)
-        vals = ref.eval(lam, grad=False)
+        vals = ref.eval(lam)[0]
         for powers in ref.multi_indices[:: max(1, len(ref.multi_indices) // 8)]:
             f = lambda L: np.prod(L ** powers, axis=-1)
             nodal = f(ref.nodes_bary)
@@ -58,22 +58,20 @@ class TestBasis:
     def test_gradient_matches_finite_differences(self, rng):
         ref = ReferenceElement(3)
         lam = random_bary(rng, 20)
-        _, dlam = ref.eval(lam, grad=True)
+        _, dlam = ref.eval(lam)
         step = 1e-6
         for m in range(4):
             lp = lam.copy()
             lp[:, m] += step
             lm = lam.copy()
             lm[:, m] -= step
-            fd = (ref.eval(lp, grad=False) - ref.eval(lm, grad=False)) / (2 * step)
+            fd = (ref.eval(lp)[0] - ref.eval(lm)[0]) / (2 * step)
             np.testing.assert_allclose(dlam[:, :, m], fd, atol=1e-8)
 
     def test_single_point_squeeze(self):
         ref = ReferenceElement(2)
-        v = ref.eval(np.array([0.25, 0.25, 0.25, 0.25]), grad=False)
-        assert v.shape == (ref.ndofs,)
-        v2, d2 = ref.eval(np.array([0.25, 0.25, 0.25, 0.25]), grad=True)
-        assert v2.shape == (ref.ndofs,) and d2.shape == (ref.ndofs, 4)
+        v, d = ref.eval(np.array([0.25, 0.25, 0.25, 0.25]))
+        assert v.shape == (ref.ndofs,) and d.shape == (ref.ndofs, 4)
 
     def test_degree_bounds(self):
         with pytest.raises(ValueError, match="degree"):
@@ -91,7 +89,7 @@ class TestBasis:
 class TestPythonKernels:
     def test_multi_indices_enumerate_the_simplex_lattice(self):
         for k in (1, 2, 3, 4, 5):
-            mi = pyk.multi_indices(k)
+            mi = backends.multi_indices(k)
             assert mi.shape == ((k + 1) * (k + 2) * (k + 3) // 6, 4)
             assert np.all(mi.sum(axis=1) == k)
             assert len(np.unique(mi, axis=0)) == len(mi)
@@ -99,7 +97,7 @@ class TestPythonKernels:
     def test_accumulate_sym_is_a_weighted_outer_product(self, rng):
         v = rng.standard_normal((3, 5, 4, 1))
         w = rng.uniform(0.5, 2.0, size=(3, 5))
-        out = pyk.accumulate_sym(v, w)
+        out = backends.accumulate_sym(v, w)
         expected = np.einsum("eqbd,eqcd,eq->ebc", v, v, w)
         np.testing.assert_allclose(out, expected, atol=1e-13)
         np.testing.assert_allclose(out, out.transpose(0, 2, 1), atol=0)
@@ -122,7 +120,7 @@ class TestPhysicalGradients:
     def test_shape_contract(self, rng):
         _, mesh = torus_mesh(4, 2)
         lam = rng.dirichlet(np.ones(4), size=10)
-        _, dlam = mesh.ref.eval(lam, grad=True)
+        _, dlam = mesh.ref.eval(lam)
         g = physical_gradients(dlam, mesh.bary_grad[np.zeros(10, dtype=int)])
         assert g.shape == (10, mesh.ref.ndofs, 3)
 
@@ -130,7 +128,7 @@ class TestPhysicalGradients:
         """The constant field has zero gradient after the chain rule."""
         _, mesh = torus_mesh(4, 3)
         lam = rng.dirichlet(np.ones(4), size=mesh.nelems)
-        _, dlam = mesh.ref.eval(lam, grad=True)
+        _, dlam = mesh.ref.eval(lam)
         g = physical_gradients(dlam, mesh.bary_grad)
         np.testing.assert_allclose(g.sum(axis=1), 0.0, atol=1e-11)
 

@@ -293,6 +293,8 @@ class TestCli:
             ["--rho", "custom:nan,0"],
             ["--rho", "custom:-1,0"],
             ["--conditioning", "--k", "1", "--base-n", "4", "--shifts", "0.5", "--rho", "custom:nan,0"],
+            ["--conditioning", "--export-vtk", "--export-matrix"],
+            ["--conditioning", "--export-matrix"],
         ):
             assert main(argv) == 1
             assert "error: [config]" in capsys.readouterr().err
