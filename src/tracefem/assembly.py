@@ -134,30 +134,38 @@ class LiftedRule:
 class SurfaceData(LiftedRule):
     """The lifted interface rule: its cells are the interface triangles.
 
-    It keeps the triangles' elements, their barycentric points (T, q, 4)
-    and flat weights (T, q); a chunk's Lift carries basis values and lifted
-    points too, for the constraint, the load and the errors.
+    It keeps the triangles' elements, their barycentric corners (T, 3, 4)
+    and flat areas (T,) and the triangle rule, points lam (q, 3) and
+    weights w (q,); a chunk forms its barycentric points (Ec, q, 4) and
+    flat weights from them.  A chunk's Lift carries basis values and
+    lifted points too, for the constraint, the load and the errors.
     """
 
-    def __init__(self, mesh, mapping, tri_elem, pts, wref):
-        """tri_elem (T,): the triangles' elements; pts (T, q, 4) barycentric points; wref (T, q) flat weights."""
-        super().__init__(mesh, mapping, tri_elem, pts.shape[1])
-        self.pts, self.wref = pts, wref
+    def __init__(self, mesh, mapping, tri_elem, tri_bary, tri_area, degree):
+        """tri_elem (T,): the triangles' elements; tri_bary (T, 3, 4) their corners; tri_area (T,) their areas."""
+        self.lam, self.w = triangle_rule(degree)
+        super().__init__(mesh, mapping, tri_elem, len(self.w))
+        self.tri_bary, self.tri_area = tri_bary, tri_area
 
     @classmethod
     def build(cls, mesh: ActiveMesh, dls: DiscreteLevelSet, mapping: IsoMapping, degree=None):
-        """Rule exact to `degree` on each triangle; by default 2k - 2, the assembly degree."""
+        """Rule exact to `degree` on each triangle; by default 2k - 2, the assembly degree.
+
+        The elements are cut chunk by chunk, at most two triangles of
+        (3, 4) corners each; the triangles stay sorted by element.
+        """
         if degree is None:
             degree = max(0, 2 * mesh.k - 2)
         dls.check_mesh(mesh)
-        tri_elem, tri_bary, tri_area = extract_cuts(mesh.vertex_phi, mesh.verts_phys)
-        lam, w = triangle_rule(degree)
-        pts = np.einsum("qc,tcm->tqm", lam, tri_bary)  # (T, q, 4)
-        return cls(mesh, mapping, tri_elem, pts, tri_area[:, None] * w[None, :])
+        chunks = element_chunks(mesh.nelems, 2 * 3 * 4)
+        cuts = [extract_cuts(mesh.vertex_phi[s], mesh.verts_phys(s)) for s in chunks]
+        tri_elem = np.concatenate([elem + s.start for s, (elem, _, _) in zip(chunks, cuts)])
+        tri_bary, tri_area = (np.concatenate([cut[i] for cut in cuts]) for i in (1, 2))
+        return cls(mesh, mapping, tri_elem, tri_bary, tri_area, degree)
 
     def _lift(self, s):
-        lift = self.mapping.lift(self.cells[s], self.pts[s])
-        return lift, self.wref[s] * lift.det * lift.nn
+        lift = self.mapping.lift(self.cells[s], np.einsum("qc,tcm->tqm", self.lam, self.tri_bary[s]))
+        return lift, self.tri_area[s][:, None] * self.w * lift.det * lift.nn
 
 
 class VolumeData(LiftedRule):
@@ -185,6 +193,15 @@ class VolumeData(LiftedRule):
         return lift, self.wref * lift.det * self.scale
 
 
+# Sorting a block's dofs before the slot search pays from k = 3 (20 dofs)
+# on and costs as much as it saves at k = 2 (10), but at k = 1 (4 and 5)
+# its ranks cost more than the search saves: medians of 8 alternating
+# searches, torus k=1 n=64 (elements and facet patches) 136 -> 166 ms,
+# k=1 n=128 536 -> 677, k=2 n=32 45 -> 46, k=3 n=20 95 -> 84, k=5 n=16
+# 588 -> 441 ms.
+SORTED_SEARCH_DOFS = 10
+
+
 class Pattern:
     """CSR matrix on the union of dense dof blocks, into whose data local matrices are added.
 
@@ -193,7 +210,10 @@ class Pattern:
     while the matrix has fewer than 2^31 nonzeros.  Column indices are
     sorted.  An entry's key is row * n + column, int32 while n^2 < 2^31.
     All keys are sorted once; the slots are searched chunk by chunk of
-    blocks, so no key array but the sorted one is ever whole.
+    blocks, so no key array but the sorted one is ever whole.  Blocks of
+    more than SORTED_SEARCH_DOFS dofs are searched with each block's dofs
+    sorted, so that its keys ascend and each search starts near the last,
+    and every slot is taken back through the dofs' ranks.
     """
 
     def __init__(self, n, **blocks):
@@ -218,7 +238,18 @@ class Pattern:
         index = np.int32 if len(uniq) < 2**31 else np.int64
         self.slots = {name: np.empty((len(d), d.shape[1], d.shape[1]), dtype=index) for name, d in blocks.items()}
         for name, s in chunks:
-            self.slots[name][s] = np.searchsorted(uniq, keys(blocks[name][s]))
+            d = blocks[name][s]
+            B, nb = d.shape
+            if nb <= SORTED_SEARCH_DOFS:
+                self.slots[name][s] = np.searchsorted(uniq, keys(d))
+                continue
+            order = np.argsort(d, axis=1)
+            rank = np.empty_like(order)
+            np.put_along_axis(rank, order, np.arange(nb), axis=1)
+            found = np.searchsorted(uniq, keys(np.take_along_axis(d, order, axis=1)))
+            # entry (a, c) of a block is entry (rank a, rank c) of its sorted block
+            at = (np.arange(B) * nb * nb)[:, None, None] + rank[:, :, None] * nb + rank[:, None, :]
+            self.slots[name][s] = found.ravel().take(at)
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(uniq // n, minlength=n), out=indptr[1:])
         self.matrix = sp.csr_matrix((np.zeros(len(uniq)), uniq % n, indptr), shape=(n, n))
@@ -255,17 +286,19 @@ def _surface_pass(surf, problem, out, root_rho):
     return c, f
 
 
-def assemble_s(mesh, mapping, stab: StabConfig, out: Pattern, patches):
+def assemble_s(mesh, mapping, stab: StabConfig, out: Pattern, jump):
     """Add the facet or volume stabilization of stab into out.
 
-    patches is the result of _ghost_patches for ghost_penalty, whose
-    dofs are out's 'facets' blocks.  'none' adds nothing, and neither does
-    full_gradient_surface: its term is part of the surface integrand.
+    jump is the normal-derivative jumps (F, 5) of _ghost_patches for
+    ghost_penalty, whose dofs are out's 'facets' blocks; their local
+    matrices are added chunk by chunk.  'none' adds nothing, and neither
+    does full_gradient_surface: its term is part of the surface integrand.
     """
     rho = stab.resolve_rho(mesh.h, mesh.k)
     if stab.variant == "ghost_penalty":
-        _, jump = patches
-        out.add("facets", slice(None), rho * mesh.facets.area[:, None, None] * jump[:, :, None] * jump[:, None, :])
+        area = mesh.facets.area
+        for s in element_chunks(len(jump), 5 * 5):
+            out.add("facets", s, rho * area[s, None, None] * jump[s, :, None] * jump[s, None, :])
     elif stab.variant in ("full_gradient_volume", "normal_volume"):
         full = stab.variant == "full_gradient_volume"
         vol = VolumeData.build(mesh, mapping, 2 * mesh.k, scale=rho)
@@ -279,18 +312,24 @@ def _ghost_patches(mesh):
     contributes rho * area(F) * [grad b_i . n_F][grad b_j . n_F] on its
     patch: the lower element's four dofs and the upper element's vertex
     opposite F.  A dof on F takes the lower minus the upper element's value.
+    Both are formed chunk by chunk of facets.
     """
     if mesh.k != 1:
         raise ValueError("ghost_penalty is unsupported for k > 1 (no higher-order theory)")
     fs = mesh.facets
-    lo, hi = (mesh.elem_dofs[e] for e in fs.elems.T)
-    shared = hi[:, :, None] == lo[:, None, :]  # (F, 4, 4)
-    at = (np.arange(len(lo))[:, None], np.where(shared.any(axis=2), shared.argmax(axis=2), 4))  # upper dofs in the patch
-    dofs = np.concatenate([lo, lo[:, :1]], axis=1)
-    dofs[at] = hi
-    gn_lo, gn_hi = (np.einsum("fmi,fi->fm", mesh.bary_grad[e], fs.normal) for e in fs.elems.T)
-    jump = np.concatenate([gn_lo, np.zeros((len(lo), 1))], axis=1)
-    jump[at] -= gn_hi
+    dofs = np.empty((len(fs), 5), dtype=np.int64)
+    jump = np.empty((len(fs), 5))
+    for s in element_chunks(len(fs), 2 * 4 * 3):  # per facet: both elements' (4, 3) barycentric gradients
+        elems = fs.elems[s].T
+        lo, hi = (mesh.elem_dofs[e] for e in elems)
+        shared = hi[:, :, None] == lo[:, None, :]  # (F', 4, 4)
+        at = (np.arange(len(lo))[:, None], np.where(shared.any(axis=2), shared.argmax(axis=2), 4))  # upper dofs
+        d = np.concatenate([lo, lo[:, :1]], axis=1)
+        d[at] = hi
+        gn_lo, gn_hi = (np.einsum("fmi,fi->fm", mesh.bary_grad(e), fs.normal[s]) for e in elems)
+        j = np.concatenate([gn_lo, np.zeros((len(lo), 1))], axis=1)
+        j[at] -= gn_hi
+        dofs[s], jump[s] = d, j
     return dofs, jump
 
 
@@ -312,15 +351,15 @@ def assemble_system(mesh, dls, mapping, problem, stab: StabConfig) -> AssembledS
     with e the coefficient vector of the constant one, which places f in
     the range of the singular stiffness operator.
     """
-    surf = SurfaceData.build(mesh, dls, mapping)
-    blocks = {"elements": mesh.elem_dofs}
-    patches = None
+    blocks, jump = {"elements": mesh.elem_dofs}, None
     if stab.variant == "ghost_penalty":
-        patches = _ghost_patches(mesh)
-        blocks["facets"] = patches[0]
+        blocks["facets"], jump = _ghost_patches(mesh)
     out = Pattern(mesh.ndofs, **blocks)
+    del blocks  # the facet patches' dofs: out's slots stand for them now
+    # the surface rule is built after the pattern, so it is not alive at the pattern's peak
+    surf = SurfaceData.build(mesh, dls, mapping)
     root_rho = math.sqrt(stab.resolve_rho(mesh.h, mesh.k)) if stab.variant == "full_gradient_surface" else 0.0
     c, f = _surface_pass(surf, problem, out, root_rho)
-    assemble_s(mesh, mapping, stab, out, patches)
+    assemble_s(mesh, mapping, stab, out, jump)
     f -= f.sum() / c.sum() * c  # pairwise sums: independent of the BLAS thread count
     return AssembledSystem(S=out.matrix, c=c, f=f, e=np.ones(mesh.ndofs), ndofs=mesh.ndofs)

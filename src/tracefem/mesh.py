@@ -11,6 +11,8 @@ the whole mesh is index arithmetic plus the active-set arrays.
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 from .levelset import DEFAULT_BOX
@@ -130,9 +132,8 @@ class ActiveMesh:
         self.tet = np.ascontiguousarray(tet[order])
         self.vertex_phi = np.ascontiguousarray(vertex_phi[order])
         self.nelems = len(self.cube)
-        self.verts_lattice = self.cube[:, None, :] + KUHN_VERTS[self.tet]  # (E, 4, 3)
+        self.elem_volume = self.h**3 / 6.0
         self._build_dofs()
-        self._build_affine()
         self._facets = None
         self._patch = None
 
@@ -171,7 +172,7 @@ class ActiveMesh:
     def _build_dofs(self):
         k, n = self.k, self.params.n
         alpha = self.ref.multi_indices  # (NB, 4)
-        nodes = np.einsum("bm,emj->ebj", alpha, self.verts_lattice)  # (E, NB, 3) fine lattice
+        nodes = np.einsum("bm,emj->ebj", alpha, self.verts_lattice(slice(None)))  # (E, NB, 3) fine lattice
         m = k * n + 1
         keys = (nodes[:, :, 0] * m + nodes[:, :, 1]) * m + nodes[:, :, 2]
         self.dof_keys, inv = np.unique(keys, return_inverse=True)
@@ -185,27 +186,42 @@ class ActiveMesh:
         self.dof_lattice = lat
         self.dof_points = self.params.lo + self.params.h * (lat / float(k))
 
-    def _build_affine(self):
-        h = self.params.h
-        origin = self.params.lo + h * self.cube  # (E, 3)
-        A = SHAPE_BARY_A[self.tet]  # (E, 4, 3)
-        self.bary_grad = A / h
-        self.bary_off = SHAPE_BARY_B[self.tet] - np.einsum("emi,ei->em", A, origin) / h
-        self.verts_phys = self.params.lo + h * self.verts_lattice
-        self.elem_volume = h**3 / 6.0
-
     # -- lookups -----------------------------------------------------
 
     @property
     def h(self) -> float:
         return self.params.h
 
+    def verts_lattice(self, elems) -> np.ndarray:
+        """(E', 4, 3) lattice vertices of the given elements (an index array or a slice)."""
+        return self.cube[elems][:, None, :] + KUHN_VERTS[self.tet[elems]]
+
+    def vertex_ids(self, elems) -> np.ndarray:
+        """(E', 4) int64 indices of the given elements' vertices in the (n+1)^3 grid, z fastest."""
+        lat = self.verts_lattice(elems)
+        m = self.params.n + 1
+        return (lat[:, :, 0] * m + lat[:, :, 1]) * m + lat[:, :, 2]
+
+    def verts_phys(self, elems) -> np.ndarray:
+        """(E', 4, 3) physical vertices of the given elements."""
+        return self.params.lo + self.params.h * self.verts_lattice(elems)
+
+    def bary_grad(self, elems) -> np.ndarray:
+        """(E', 4, 3) constant gradients of the barycentric coordinates of the given elements, one per Kuhn shape."""
+        return (SHAPE_BARY_A / self.params.h)[self.tet[elems]]
+
+    def bary_off(self, elems) -> np.ndarray:
+        """(E', 4) barycentric coordinates of the origin: lam = bary_grad . x + bary_off."""
+        h, tet = self.params.h, self.tet[elems]
+        origin = self.params.lo + h * self.cube[elems]
+        return SHAPE_BARY_B[tet] - np.einsum("emi,ei->em", SHAPE_BARY_A[tet], origin) / h
+
     def bary_of_points(self, elems, x) -> np.ndarray:
         """Barycentric coordinates of physical points wrt the given elements."""
-        return np.einsum("pmi,pi->pm", self.bary_grad[elems], x) + self.bary_off[elems]
+        return np.einsum("pmi,pi->pm", self.bary_grad(elems), x) + self.bary_off(elems)
 
     def points_of_bary(self, elems, lam) -> np.ndarray:
-        return np.einsum("pm,pmi->pi", lam, self.verts_phys[elems])
+        return np.einsum("pm,pmi->pi", lam, self.verts_phys(elems))
 
     def dof_index_of(self, lattice) -> np.ndarray:
         lattice = np.atleast_2d(np.asarray(lattice, dtype=np.int64))
@@ -248,21 +264,22 @@ class ActiveMesh:
         return self._facets
 
 
-_FACE_LOCAL = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
+_FACE_LOCAL = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])  # row m: the face opposite vertex m
 
 
 class FacetSet:
-    """Interior facets of the active mesh (triangles shared by two elements)."""
+    """Interior facets of the active mesh (triangles shared by two elements).
+
+    It keeps the two elements of every facet, elems (F, 2), lower first,
+    and the facet's area (F,) and unit normal (F, 3), which points from the
+    lower element into the upper one; triangles() gives the face's
+    vertices on demand.  It holds its mesh by a weak reference: the mesh
+    caches its FacetSet, and a strong one back would make a cycle that
+    only the garbage collector frees.
+    """
 
     def __init__(self, mesh: ActiveMesh):
-        tris = mesh.verts_lattice[:, _FACE_LOCAL, :]  # (E, 4, 3, 3)
-        E = mesh.nelems
-        flat = tris.reshape(E * 4, 3, 3)
-        keys = np.sort(
-            (flat[:, :, 0] * (mesh.params.n + 1) + flat[:, :, 1]) * (mesh.params.n + 1)
-            + flat[:, :, 2],
-            axis=1,
-        )
+        keys = np.sort(mesh.vertex_ids(slice(None))[:, _FACE_LOCAL].reshape(-1, 3), axis=1)
         # faces in lexicographic order of their keys, equal faces in face order,
         # as np.unique(keys, axis=0) groups them: one stable sort, 16-21 ms
         # against unique's 126-178 ms at torus k=1 n=64
@@ -274,25 +291,38 @@ class FacetSet:
             raise MeshError("nonconforming mesh: a facet is shared by more than two elements")
         pairs = starts[counts == 2]
         first = order[pairs]  # the shared face of the lower element
-        lo, hi = first // 4, order[pairs + 1] // 4
-        self.mesh = mesh
-        self.elems = np.stack([lo, hi], axis=-1)
-        self.tri_lattice = tris.reshape(E, 4, 3, 3)[lo, first % 4]
-        p = mesh.params.lo + mesh.params.h * self.tri_lattice
-        self.tri_points = p
-        nvec = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
-        nn = np.linalg.norm(nvec, axis=-1)
-        self.area = 0.5 * nn
-        normal = nvec / nn[:, None]
-        cent = mesh.verts_phys.mean(axis=1)
-        d = cent[hi] - cent[lo]
-        flip = np.einsum("fi,fi->f", normal, d) < 0.0
-        normal[flip] *= -1.0
-        self.normal = normal
+        self._mesh = weakref.ref(mesh)
+        self.elems = np.stack([first // 4, order[pairs + 1] // 4], axis=-1)
         self.nfacets = len(self.elems)
+        self.area = np.empty(self.nfacets)
+        self.normal = np.empty((self.nfacets, 3))
+        from .mapping import element_chunks  # mapping imports this module
+
+        for s in element_chunks(self.nfacets, 2 * 4 * 3):  # per facet: both elements' (4, 3) vertices
+            lo, hi = self.elems[s].T
+            verts = mesh.verts_phys(lo)
+            p = verts[np.arange(len(lo))[:, None], _FACE_LOCAL[first[s] % 4]]
+            nvec = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+            nn = np.linalg.norm(nvec, axis=-1)
+            self.area[s] = 0.5 * nn
+            normal = nvec / nn[:, None]
+            d = mesh.verts_phys(hi).mean(axis=1) - verts.mean(axis=1)
+            flip = np.einsum("fi,fi->f", normal, d) < 0.0
+            normal[flip] *= -1.0
+            self.normal[s] = normal
 
     def __len__(self) -> int:
         return self.nfacets
+
+    def triangles(self, facets=slice(None)) -> np.ndarray:
+        """(F', 3, 3) physical vertices of the given facets, in the lower element's local order."""
+        mesh = self._mesh()
+        lo, hi = self.elems[facets].T
+        ids_lo, ids_hi = mesh.vertex_ids(lo), mesh.vertex_ids(hi)
+        # the shared face is opposite the lower element's vertex that the upper one lacks
+        alone = (ids_lo[:, :, None] != ids_hi[:, None, :]).all(axis=2)
+        face = _FACE_LOCAL[alone.argmax(axis=1)]
+        return mesh.verts_phys(lo)[np.arange(len(lo))[:, None], face]
 
 
 def enumerate_active(params: MeshParams, vertex_values: np.ndarray, k: int = 1) -> ActiveMesh:

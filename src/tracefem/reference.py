@@ -82,7 +82,7 @@ class DiscreteLevelSet:
         phi = np.einsum("pb,pb->p", vals, c)
         if not grad:
             return phi
-        return phi, np.einsum("pbm,pb,pmi->pi", dlam, c, mesh.bary_grad[elems])
+        return phi, np.einsum("pbm,pb,pmi->pi", dlam, c, mesh.bary_grad(elems))
 
 
 def interpolate(levelset, mesh) -> DiscreteLevelSet:

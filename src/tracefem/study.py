@@ -222,30 +222,31 @@ CONV_COLUMNS = [
 ]
 
 
+def _convergence_level(cfg: StudyConfig, problem, level: int) -> dict:
+    """Solve and measure one level; its mesh, mapping and system are freed on return, before the next level is built."""
+    n = cfg.base_n * 2**level
+    mesh, dls, mapping, system = _level_pipeline(cfg, problem, n, export_tag=f"l{level}")
+    rep = _stage("solve", solve_constrained, system.S, system.c, system.f, tol=cfg.tol)
+    err = _stage("errors", compute_errors, mesh, dls, mapping, rep.u, problem)
+    return dict(
+        level=level,
+        n=n,
+        h=mesh.h,
+        ndofs=mesh.ndofs,
+        e_dist=err.e_dist,
+        e_l2=err.e_l2,
+        e_h1t=err.e_h1t,
+        e_h1n=err.e_h1n,
+        n_its=rep.iterations,
+    )
+
+
 def run_convergence(cfg: StudyConfig):
     """Refinement study; returns (StudyResult, reports) and checks solver health."""
     problem = _stage("config", make_benchmark, cfg.benchmark)
     if not hasattr(problem, "exact_solution"):
         raise StageError("config", f"benchmark {cfg.benchmark!r} has no exact solution")
-    reports = []
-    for level in range(cfg.levels):
-        n = cfg.base_n * 2**level
-        mesh, dls, mapping, system = _level_pipeline(cfg, problem, n, export_tag=f"l{level}")
-        rep = _stage("solve", solve_constrained, system.S, system.c, system.f, tol=cfg.tol)
-        err = _stage("errors", compute_errors, mesh, dls, mapping, rep.u, problem)
-        reports.append(
-            dict(
-                level=level,
-                n=n,
-                h=mesh.h,
-                ndofs=mesh.ndofs,
-                e_dist=err.e_dist,
-                e_l2=err.e_l2,
-                e_h1t=err.e_h1t,
-                e_h1n=err.e_h1n,
-                n_its=rep.iterations,
-            )
-        )
+    reports = [_convergence_level(cfg, problem, level) for level in range(cfg.levels)]
     keys = ("e_dist", "e_l2", "e_h1t", "e_h1n")
     orders = {key: [None] + eoc([r[key] for r in reports]) for key in keys}
     rows = []

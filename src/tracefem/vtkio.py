@@ -50,11 +50,9 @@ def write_point_cloud(path, points):
 
 
 def _mesh_vertex_arrays(mesh, deformed=None):
-    verts = mesh.verts_lattice.reshape(-1, 3)
-    keys = (verts[:, 0] * (mesh.params.n + 1) + verts[:, 1]) * (mesh.params.n + 1) + verts[:, 2]
-    uniq, inv = np.unique(keys, return_inverse=True)
+    uniq, inv = np.unique(mesh.vertex_ids(slice(None)).ravel(), return_inverse=True)
     pos = np.empty((len(uniq), 3))
-    pts = mesh.verts_phys.reshape(-1, 3) if deformed is None else deformed.reshape(-1, 3)
+    pts = mesh.verts_phys(slice(None)).reshape(-1, 3) if deformed is None else deformed.reshape(-1, 3)
     pos[inv] = pts
     cells = inv.reshape(-1, 4)
     return pos, cells
@@ -66,16 +64,15 @@ def export_level(outdir, tag, mesh, dls, mapping):
     pos, cells = _mesh_vertex_arrays(mesh)
     write_unstructured_tets(os.path.join(outdir, f"active_mesh_{tag}.vtk"), pos, cells)
 
-    tri_elem, tri_bary, _ = extract_cuts(mesh.vertex_phi, mesh.verts_phys)
-    pts = np.einsum("tcm,tmi->tci", tri_bary, mesh.verts_phys[tri_elem]).reshape(-1, 3)
+    verts = mesh.verts_phys(slice(None))
+    tri_elem, tri_bary, _ = extract_cuts(mesh.vertex_phi, verts)
+    pts = np.einsum("tcm,tmi->tci", tri_bary, verts[tri_elem]).reshape(-1, 3)
     tris = np.arange(len(pts)).reshape(-1, 3)
     write_triangles(os.path.join(outdir, f"interface_lin_{tag}.vtk"), pts, tris)
 
     if mesh.k > 1:
         # deformed vertices coincide with the originals; export nodal images instead
-        corners = mesh.bary_of_points(
-            np.repeat(np.arange(mesh.nelems), 4), mesh.verts_phys.reshape(-1, 3)
-        )
+        corners = mesh.bary_of_points(np.repeat(np.arange(mesh.nelems), 4), verts.reshape(-1, 3))
         y, _ = mapping.eval(np.repeat(np.arange(mesh.nelems), 4), corners)
         pos_d, cells_d = _mesh_vertex_arrays(mesh, deformed=y.reshape(mesh.nelems, 4, 3))
         write_unstructured_tets(

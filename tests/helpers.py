@@ -147,7 +147,7 @@ def brute_force_active(params: MeshParams, grid: np.ndarray):
 
 def mesh_active_sets(mesh: ActiveMesh):
     """Library active elements in the same vertex-set encoding."""
-    return {frozenset(map(tuple, verts)) for verts in mesh.verts_lattice.tolist()}
+    return {frozenset(map(tuple, verts)) for verts in mesh.verts_lattice(slice(None)).tolist()}
 
 
 def clip_polygon_oracle(vphi, verts):
@@ -286,7 +286,7 @@ def errors_oracle(mesh, mapping, u, problem, degree=None):
 
     if degree is None:
         degree = 2 * mesh.k
-    tri_elem, tri_bary, tri_area = extract_cuts(mesh.vertex_phi, mesh.verts_phys)
+    tri_elem, tri_bary, tri_area = extract_cuts(mesh.vertex_phi, mesh.verts_phys(slice(None)))
     lam, wq = triangle_rule(degree)
     lift = mapping.lift(tri_elem, np.einsum("qc,tcm->tqm", lam, tri_bary))
     P = lift.det.size
@@ -311,14 +311,13 @@ def stabilization_matrix(mesh, mapping, stab):
     """The facet or volume stabilization of stab alone: assemble_s added into a Pattern of the blocks it adds to."""
     from tracefem.assembly import Pattern, _ghost_patches, assemble_s
 
-    blocks, patches = {}, None
+    blocks, jump = {}, None
     if stab.variant == "ghost_penalty":
-        patches = _ghost_patches(mesh)
-        blocks["facets"] = patches[0]
+        blocks["facets"], jump = _ghost_patches(mesh)
     elif stab.variant in ("full_gradient_volume", "normal_volume"):
         blocks["elements"] = mesh.elem_dofs
     out = Pattern(mesh.ndofs, **blocks)
-    assemble_s(mesh, mapping, stab, out, patches)
+    assemble_s(mesh, mapping, stab, out, jump)
     return out.matrix
 
 
@@ -328,7 +327,7 @@ def facet_pairs_unique_rows(mesh):
     Facets come in lexicographic order of their keys; each pair's lower
     element is the one whose face comes first in element-major face order.
     """
-    tris = mesh.verts_lattice[:, [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]], :]  # (E, 4, 3, 3)
+    tris = mesh.verts_lattice(slice(None))[:, [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]], :]  # (E, 4, 3, 3)
     m = mesh.params.n + 1
     flat = tris.reshape(-1, 3, 3)
     keys = np.sort((flat[:, :, 0] * m + flat[:, :, 1]) * m + flat[:, :, 2], axis=1)
@@ -338,6 +337,21 @@ def facet_pairs_unique_rows(mesh):
     first, second = order[starts], order[starts + 1]
     elems = np.stack([first // 4, second // 4], axis=-1)
     return elems, flat[first]
+
+
+def geometry_oracle(mesh):
+    """Per-element geometry of every element at once, as ActiveMesh stored it: verts_phys, bary_grad (E, 4, 3) and bary_off (E, 4)."""
+    from tracefem.mesh import KUHN_VERTS, SHAPE_BARY_A, SHAPE_BARY_B
+
+    h = mesh.params.h
+    verts_lattice = mesh.cube[:, None, :] + KUHN_VERTS[mesh.tet]
+    origin = mesh.params.lo + h * mesh.cube
+    A = SHAPE_BARY_A[mesh.tet]
+    return {
+        "verts_phys": mesh.params.lo + h * verts_lattice,
+        "bary_grad": A / h,
+        "bary_off": SHAPE_BARY_B[mesh.tet] - np.einsum("emi,ei->em", A, origin) / h,
+    }
 
 
 def pattern_unique_keys(n, **blocks):

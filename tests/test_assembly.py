@@ -222,7 +222,7 @@ class TestStabilizations:
         _, mesh, dls, mapping = torus_case(16, 1)
         S = stabilization_matrix(mesh, mapping, StabConfig("ghost_penalty"))
         fs = mesh.facets
-        gn = [np.einsum("fmi,fi->fm", mesh.bary_grad[e], fs.normal) for e in fs.elems.T]
+        gn = [np.einsum("fmi,fi->fm", mesh.bary_grad(e), fs.normal) for e in fs.elems.T]
         J = np.concatenate([gn[0], -gn[1]], axis=1)  # (F, 8)
         dofs = np.concatenate([mesh.elem_dofs[e] for e in fs.elems.T], axis=1)
         local = fs.area[:, None, None] * J[:, :, None] * J[:, None, :]
@@ -258,7 +258,7 @@ class TestConstraintAndLoad:
     def test_flat_constraint_matches_triangle_areas(self):
         _, mesh, dls, mapping = torus_case(8, 1)
         c = none_system(mesh, dls, mapping).c
-        _, _, area = extract_cuts(mesh.vertex_phi, mesh.verts_phys)
+        _, _, area = extract_cuts(mesh.vertex_phi, mesh.verts_phys(slice(None)))
         assert c.sum() == pytest.approx(area.sum(), rel=1e-13)
 
     def test_constant_load_is_projected_away(self):
@@ -301,7 +301,7 @@ class TestGeometryData:
     def test_lifted_weights_reduce_to_flat_areas_for_identity(self):
         _, mesh, dls, mapping = torus_case(8, 1)
         surf = lifted_arrays(SurfaceData.build(mesh, dls, mapping, degree=2))
-        _, _, area = extract_cuts(mesh.vertex_phi, mesh.verts_phys)
+        _, _, area = extract_cuts(mesh.vertex_phi, mesh.verts_phys(slice(None)))
         assert surf["w"].sum() == pytest.approx(area.sum(), rel=1e-13)
         np.testing.assert_allclose(
             np.linalg.norm(surf["nh"], axis=1), 1.0, atol=1e-13
@@ -332,7 +332,11 @@ class TestGeometryData:
         assert len(vol.elems) == mesh.nelems * q
 
     def test_chunked_surface_rule_matches_one_lift_of_all_triangles(self, monkeypatch):
-        """Ragged chunks of 5 triangles give, point for point, what one lift of every triangle gives."""
+        """Ragged chunks of 5 triangles give, point for point, what one lift of every triangle gives.
+
+        The elements are cut chunk by chunk too, and give the triangles of
+        one cut of every element.
+        """
         _, mesh, dls, mapping = torus_case(16, 2)
         lam, wq = triangle_rule(4)
         q = len(wq)
@@ -340,8 +344,11 @@ class TestGeometryData:
         monkeypatch.setattr(mapping_module, "CHUNK_VALUES", (5 * q + q - 1) * NB)
         rule = SurfaceData.build(mesh, dls, mapping, 4)
         surf = lifted_arrays(rule)
-        tri_elem, tri_bary, tri_area = extract_cuts(mesh.vertex_phi, mesh.verts_phys)
+        tri_elem, tri_bary, tri_area = extract_cuts(mesh.vertex_phi, mesh.verts_phys(slice(None)))
         assert len(mapping_module.element_chunks(len(tri_elem), q * NB)) > 1
+        assert len(mapping_module.element_chunks(mesh.nelems, 2 * 3 * 4)) > 1
+        np.testing.assert_array_equal(rule.tri_bary, tri_bary)
+        np.testing.assert_array_equal(rule.tri_area, tri_area)
         lift = mapping.lift(tri_elem, np.einsum("qc,tcm->tqm", lam, tri_bary))
         np.testing.assert_array_equal(rule.elems, np.repeat(tri_elem, q))
         np.testing.assert_array_equal(surf["w"], (tri_area[:, None] * wq * lift.det * lift.nn).ravel())
@@ -361,6 +368,19 @@ class TestGeometryData:
         finally:
             tracemalloc.stop()
         assert peak <= 100 * 2**20, f"{peak / 2**20:.1f} MiB"
+
+    def test_surface_rule_keeps_triangles_not_points(self):
+        """The degree-6 rule (16 points) keeps 112 bytes per triangle: its element, corners (3, 4) and area; points (T, 16, 4) would add 512."""
+        _, mesh, dls, mapping = torus_case(16, 2)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            rule = SurfaceData.build(mesh, dls, mapping, 6)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert rule.q == 16
+        assert kept <= 128 * len(rule.cells), f"{kept / len(rule.cells):.1f} B per triangle"
 
     def test_chunked_volume_rule_matches_one_unchunked_lift(self, monkeypatch):
         """Ragged chunks of 5 elements and the Kuhn-shape table give the per-point data of one lift of all points."""
@@ -421,9 +441,15 @@ class TestGeometryData:
             tracemalloc.stop()
         assert peak <= 128 * 2**20, f"{peak / 2**20:.1f} MiB"
 
-    @pytest.mark.parametrize("k, n, variant, limit_mib", [(3, 16, "normal_volume", 40), (1, 32, "ghost_penalty", 32)])
+    @pytest.mark.parametrize(
+        "k, n, variant, limit_mib", [(3, 16, "normal_volume", 40), (1, 32, "ghost_penalty", 32), (1, 64, "ghost_penalty", 35)]
+    )
     def test_assembled_system_memory_is_one_pattern_and_one_chunk(self, k, n, variant, limit_mib):
-        """A and the stabilization are added into the data of one CSR pattern, so the peak is that pattern and one chunk."""
+        """A and the stabilization are added into the data of one CSR pattern, so the peak is that pattern and one chunk.
+
+        At torus k=1 n=64 the ghost penalty peaks at 32.3 MiB: one (E, 4, 3)
+        or (F, 4, 3) float64 array more, 3.8 or 6.2 MiB, fails the bound.
+        """
         _, mesh, dls, mapping = torus_case(n, k)
         mesh.facets  # built once per mesh, outside the assembly
         tracemalloc.start()
@@ -476,7 +502,7 @@ class TestGeometryData:
         _, mesh, dls, mapping = torus_case(n, k)
         rho = 5.0
         lam, wq = triangle_rule(2 * k - 2)
-        tri_elem, tri_bary, tri_area = extract_cuts(mesh.vertex_phi, mesh.verts_phys)
+        tri_elem, tri_bary, tri_area = extract_cuts(mesh.vertex_phi, mesh.verts_phys(slice(None)))
         lift = mapping.lift(tri_elem, np.einsum("qc,tcm->tqm", lam, tri_bary))
         w = tri_area[:, None] * wq * lift.det * lift.nn
         g, nh = lift.grads, lift.nh

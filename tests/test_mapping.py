@@ -179,7 +179,7 @@ class TestMapping:
         fs = mesh.facets
         pick = rng.integers(0, len(fs), size=200)
         lam3 = rng.dirichlet(np.ones(3), size=200)
-        pts = np.einsum("fq,fqi->fi", lam3, fs.tri_points[pick])
+        pts = np.einsum("fq,fqi->fi", lam3, fs.triangles(pick))
         out = []
         for s in range(2):
             elems = fs.elems[pick, s]
@@ -251,7 +251,7 @@ class TestLift:
 
         y, J = mapping.eval(elems, lam)
         vals, dlam = mesh.ref.eval(lam)
-        gref = np.einsum("pbm,pmi->pbi", dlam, mesh.bary_grad[elems])
+        gref = np.einsum("pbm,pmi->pbi", dlam, mesh.bary_grad(elems))
         invJT = np.linalg.inv(J).transpose(0, 2, 1)
         N = np.einsum("pij,pj->pi", invJT, mapping.n_lin[elems])
         nn = np.linalg.norm(N, axis=-1)

@@ -1,6 +1,7 @@
 """Active-mesh enumeration checked against a brute-force reimplementation."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from tracefem.mesh import (
 from helpers import (
     brute_force_active,
     facet_pairs_unique_rows,
+    geometry_oracle,
     kuhn_tets_of_cube,
     mesh_active_sets,
     torus_mesh,
@@ -143,7 +145,7 @@ class TestActiveEnumeration:
     def test_vertex_phi_samples_the_level_set(self):
         ls, mesh = torus_mesh(4, 1)
         np.testing.assert_array_equal(
-            mesh.vertex_phi, ls.phi(mesh.verts_phys.reshape(-1, 3)).reshape(-1, 4)
+            mesh.vertex_phi, ls.phi(mesh.verts_phys(slice(None)).reshape(-1, 3)).reshape(-1, 4)
         )
 
     def test_every_active_element_changes_sign(self):
@@ -171,10 +173,30 @@ class TestMeshParams:
 class TestGeometry:
     def test_vertices_and_volume(self):
         _, mesh = torus_mesh(4, 1)
-        np.testing.assert_allclose(
-            mesh.verts_phys, mesh.params.lo + mesh.h * mesh.verts_lattice, atol=0
+        np.testing.assert_array_equal(
+            mesh.verts_phys(slice(None)), mesh.params.lo + mesh.h * mesh.verts_lattice(slice(None))
         )
         assert mesh.elem_volume == pytest.approx(mesh.h**3 / 6.0)
+
+    def test_build_keeps_no_per_element_geometry(self):
+        """At torus k=1 n=64 a mesh keeps 115 bytes per element (cube, tet, vertex_phi, elem_dofs and the dof arrays); one (E, 4, 3) float64 array would add 96."""
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            mesh = ActiveMesh.build(MeshParams(64), Torus(), 1)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept <= 128 * mesh.nelems, f"{kept / mesh.nelems:.1f} B per element"
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_accessors_match_the_whole_array_formulas(self, k, rng):
+        """Per-element geometry gathered for random subsets (repeats included) and slices is, bit for bit, the stored arrays' rows."""
+        _, mesh = torus_mesh(16, k)
+        whole = geometry_oracle(mesh)
+        for elems in (rng.integers(0, mesh.nelems, size=257), np.array([mesh.nelems - 1]), slice(5, 905)):
+            for name, expected in whole.items():
+                np.testing.assert_array_equal(getattr(mesh, name)(elems), expected[elems], err_msg=name)
 
     def test_barycentric_round_trip(self, rng):
         _, mesh = torus_mesh(4, 2)
@@ -195,13 +217,13 @@ class TestGeometry:
             np.testing.assert_allclose(lam0, np.tile(unit, (2, 1)), atol=1e-12)
         # finite step along each axis reproduces the stored gradient
         step = 1e-6
-        base = mesh.verts_phys[e, 0] + mesh.h * 0.1
+        base = mesh.verts_phys(e)[:, 0] + mesh.h * 0.1
         lam_b = mesh.bary_of_points(e, base)
         for d in range(3):
             shift = base.copy()
             shift[:, d] += step
             dlam = (mesh.bary_of_points(e, shift) - lam_b) / step
-            np.testing.assert_allclose(dlam, mesh.bary_grad[e][:, :, d].reshape(2, 4), atol=1e-6)
+            np.testing.assert_allclose(dlam, mesh.bary_grad(e)[:, :, d], atol=1e-6)
 
 
 def dof_oracle(mesh):
@@ -214,7 +236,7 @@ def dof_oracle(mesh):
     ]
     nodes = set()
     elem_nodes = []
-    for verts in mesh.verts_lattice.tolist():
+    for verts in mesh.verts_lattice(slice(None)).tolist():
         row = []
         for m in mi:
             node = tuple(
@@ -285,14 +307,14 @@ class TestNodePatches:
             incident = {
                 e
                 for e in range(mesh.nelems)
-                if vert in {tuple(v) for v in mesh.verts_lattice[e].tolist()}
+                if vert in {tuple(v) for v in mesh.verts_lattice([e])[0].tolist()}
             }
             assert set(mesh.node_patch(dof).tolist()) == incident
 
     def test_interior_node_patch_is_a_singleton(self):
         """The k=4 barycenter node belongs to exactly one element."""
         _, mesh = torus_mesh(4, 4)
-        interior = mesh.verts_lattice.sum(axis=1)  # multi-index (1,1,1,1)
+        interior = mesh.verts_lattice(slice(None)).sum(axis=1)  # multi-index (1,1,1,1)
         for e in (0, mesh.nelems // 2):
             dof = int(mesh.dof_index_of([interior[e]])[0])
             assert mesh.node_patch(dof).tolist() == [e]
@@ -306,10 +328,10 @@ class TestNodePatches:
 
 
 def facet_oracle(mesh):
-    """Face pairing recomputed from sorted vertex triples."""
+    """Face pairing recomputed from sets of physical vertices."""
     faces = {}
     local = [(1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)]
-    for e, verts in enumerate(mesh.verts_lattice.tolist()):
+    for e, verts in enumerate(mesh.verts_phys(slice(None)).tolist()):
         for loc in local:
             key = frozenset(tuple(verts[j]) for j in loc)
             faces.setdefault(key, []).append(e)
@@ -326,13 +348,17 @@ class TestFacets:
         assert fs.nfacets == len(fs) == len(oracle)
         got = {
             frozenset(map(tuple, tri)): tuple(pair)
-            for tri, pair in zip(fs.tri_lattice.tolist(), fs.elems.tolist())
+            for tri, pair in zip(fs.triangles().tolist(), fs.elems.tolist())
         }
         assert got == oracle
 
     @pytest.mark.parametrize("surface", ["torus", "plane"])
-    def test_pairing_and_order_match_unique_rows(self, surface):
-        """One lexsort gives the facets of np.unique(keys, axis=0), in its order, so the ghost penalty's S stays bit-identical."""
+    def test_pairing_and_order_match_unique_rows(self, surface, rng):
+        """One lexsort gives the facets of np.unique(keys, axis=0), in its order, so the ghost penalty's S stays bit-identical.
+
+        The triangles, whole and for a random subset of facets, are bit for
+        bit those that FacetSet stored, lo + h * the lower element's face.
+        """
         if surface == "torus":
             _, mesh = torus_mesh(24, 1)
         else:
@@ -341,7 +367,10 @@ class TestFacets:
         fs = FacetSet(mesh)
         assert len(fs) > 1000
         np.testing.assert_array_equal(fs.elems, elems)
-        np.testing.assert_array_equal(fs.tri_lattice, tri_lattice)
+        tri_points = mesh.params.lo + mesh.h * tri_lattice
+        np.testing.assert_array_equal(fs.triangles(), tri_points)
+        pick = rng.integers(0, len(fs), size=300)
+        np.testing.assert_array_equal(fs.triangles(pick), tri_points[pick])
 
     def test_no_face_shared_by_more_than_two(self):
         _, mesh = torus_mesh(5, 1)
@@ -351,32 +380,47 @@ class TestFacets:
         _, mesh = torus_mesh(5, 1)
         fs = mesh.facets
         np.testing.assert_allclose(np.linalg.norm(fs.normal, axis=1), 1.0, atol=1e-13)
-        e1 = fs.tri_points[:, 1] - fs.tri_points[:, 0]
-        e2 = fs.tri_points[:, 2] - fs.tri_points[:, 0]
+        p = fs.triangles()
+        e1 = p[:, 1] - p[:, 0]
+        e2 = p[:, 2] - p[:, 0]
         np.testing.assert_allclose(np.einsum("fi,fi->f", fs.normal, e1), 0.0, atol=1e-13)
         np.testing.assert_allclose(np.einsum("fi,fi->f", fs.normal, e2), 0.0, atol=1e-13)
 
     def test_normals_point_from_low_to_high_element(self):
         _, mesh = torus_mesh(5, 1)
         fs = mesh.facets
-        cent = mesh.verts_phys.mean(axis=1)
+        cent = mesh.verts_phys(slice(None)).mean(axis=1)
         d = cent[fs.elems[:, 1]] - cent[fs.elems[:, 0]]
         assert np.all(np.einsum("fi,fi->f", fs.normal, d) > 0)
 
     def test_areas_match_herons_formula(self):
         _, mesh = torus_mesh(5, 1)
         fs = mesh.facets
-        a = np.linalg.norm(fs.tri_points[:, 1] - fs.tri_points[:, 0], axis=1)
-        b = np.linalg.norm(fs.tri_points[:, 2] - fs.tri_points[:, 1], axis=1)
-        c = np.linalg.norm(fs.tri_points[:, 0] - fs.tri_points[:, 2], axis=1)
+        p = fs.triangles()
+        a = np.linalg.norm(p[:, 1] - p[:, 0], axis=1)
+        b = np.linalg.norm(p[:, 2] - p[:, 1], axis=1)
+        c = np.linalg.norm(p[:, 0] - p[:, 2], axis=1)
         s = 0.5 * (a + b + c)
         heron = np.sqrt(s * (s - a) * (s - b) * (s - c))
         np.testing.assert_allclose(fs.area, heron, rtol=1e-10)
 
+    def test_facets_keep_their_elements_area_and_normal_only(self):
+        """At torus k=1 n=64 a FacetSet keeps 48 bytes per facet; a stored (F, 3, 3) float64 array would add 72."""
+        _, mesh = torus_mesh(64, 1)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            fs = FacetSet(mesh)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept <= 64 * len(fs), f"{kept / len(fs):.1f} B per facet"
+
     def test_face_vertices_belong_to_both_elements(self):
         _, mesh = torus_mesh(5, 1)
         fs = mesh.facets
-        for tri, (lo, hi) in zip(fs.tri_lattice.tolist(), fs.elems.tolist()):
+        verts = mesh.verts_phys(slice(None))
+        for tri, (lo, hi) in zip(fs.triangles().tolist(), fs.elems.tolist()):
             tri_set = {tuple(v) for v in tri}
             for e in (lo, hi):
-                assert tri_set <= {tuple(v) for v in mesh.verts_lattice[e].tolist()}
+                assert tri_set <= {tuple(v) for v in verts[e].tolist()}

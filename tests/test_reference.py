@@ -121,7 +121,7 @@ class TestPhysicalGradients:
         _, mesh = torus_mesh(4, 2)
         lam = rng.dirichlet(np.ones(4), size=10)
         _, dlam = mesh.ref.eval(lam)
-        g = physical_gradients(dlam, mesh.bary_grad[np.zeros(10, dtype=int)])
+        g = physical_gradients(dlam, mesh.bary_grad(np.zeros(10, dtype=int)))
         assert g.shape == (10, mesh.ref.ndofs, 3)
 
     def test_basis_physical_gradients_sum_to_zero(self, rng):
@@ -129,7 +129,7 @@ class TestPhysicalGradients:
         _, mesh = torus_mesh(4, 3)
         lam = rng.dirichlet(np.ones(4), size=mesh.nelems)
         _, dlam = mesh.ref.eval(lam)
-        g = physical_gradients(dlam, mesh.bary_grad)
+        g = physical_gradients(dlam, mesh.bary_grad(slice(None)))
         np.testing.assert_allclose(g.sum(axis=1), 0.0, atol=1e-11)
 
 

@@ -1,13 +1,16 @@
 """Study harness determinism, file outputs, and command-line behaviour."""
 
+import gc
 import json
 import os
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tracefem.cli import main
+from tracefem.mesh import ActiveMesh
 from tracefem.study import (
     StageError,
     StudyConfig,
@@ -85,6 +88,29 @@ class TestConvergenceStudy:
         _, reports = run_convergence(small_config())
         assert reports[1]["e_l2"] < reports[0]["e_l2"]
         assert reports[1]["e_dist"] < reports[0]["e_dist"]
+
+    @pytest.mark.parametrize("stab, k, base_n", [("ghost", 1, 8), ("nv", 2, 12)])
+    def test_one_level_is_alive_at_a_time(self, stab, k, base_n, monkeypatch):
+        """Every earlier level's mesh, which its mapping, system and facets hold, is freed when a level's build starts.
+
+        The garbage collector is off, so a level kept alive by a reference
+        cycle fails the test as one kept alive by a name.
+        """
+        original, built, alive = ActiveMesh.build, [], []
+
+        def build(params, levelset, k):
+            alive.append([ref() is not None for ref in built])
+            mesh = original(params, levelset, k)
+            built.append(weakref.ref(mesh))
+            return mesh
+
+        monkeypatch.setattr(ActiveMesh, "build", build)
+        gc.disable()
+        try:
+            run_convergence(small_config(stab=stab, k=k, base_n=base_n, levels=3 if k == 1 else 2))
+        finally:
+            gc.enable()
+        assert alive == ([[], [False], [False, False]] if k == 1 else [[], [False]])
 
     def test_csv_output_is_reproducible(self, tmp_path):
         cfg = small_config(out=str(tmp_path / "a"))
