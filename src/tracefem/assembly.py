@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,6 +107,8 @@ class LiftedRule:
     """
 
     def __init__(self, mesh, mapping, cells, q):
+        if mapping.mesh is not mesh:
+            raise ValueError("mapping was built on a different mesh")
         self.mesh, self.mapping, self.cells, self.q = mesh, mapping, cells, q
 
     @property
@@ -131,14 +134,22 @@ class LiftedRule:
                 each(cells, lift, w)
 
 
+# The interface triangles of every mesh: the zero level of the linear
+# vertex interpolant depends on the mesh alone, so it is cut once and
+# shared by every surface rule of the mesh, whatever its degree.  Keyed
+# weakly, the triangles die with their mesh.
+_CUTS = weakref.WeakKeyDictionary()
+
+
 class SurfaceData(LiftedRule):
     """The lifted interface rule: its cells are the interface triangles.
 
     It keeps the triangles' elements, their barycentric corners (T, 3, 4)
-    and flat areas (T,) and the triangle rule, points lam (q, 3) and
-    weights w (q,); a chunk forms its barycentric points (Ec, q, 4) and
-    flat weights from them.  A chunk's Lift carries basis values and
-    lifted points too, for the constraint, the load and the errors.
+    and flat areas (T,), shared with every other surface rule of the mesh,
+    and the triangle rule, points lam (q, 3) and weights w (q,); a chunk
+    forms its barycentric points (Ec, q, 4) and flat weights from them.  A
+    chunk's Lift carries basis values and lifted points too, for the
+    constraint, the load and the errors.
     """
 
     def __init__(self, mesh, mapping, tri_elem, tri_bary, tri_area, degree):
@@ -151,17 +162,22 @@ class SurfaceData(LiftedRule):
     def build(cls, mesh: ActiveMesh, dls: DiscreteLevelSet, mapping: IsoMapping, degree=None):
         """Rule exact to `degree` on each triangle; by default 2k - 2, the assembly degree.
 
-        The elements are cut chunk by chunk, at most two triangles of
-        (3, 4) corners each; the triangles stay sorted by element.
+        The first rule of a mesh cuts its elements chunk by chunk, at most
+        two triangles of (3, 4) corners each; the triangles stay sorted by
+        element, and later rules of the mesh reuse them (read-only).
         """
         if degree is None:
             degree = max(0, 2 * mesh.k - 2)
         dls.check_mesh(mesh)
-        chunks = element_chunks(mesh.nelems, 2 * 3 * 4)
-        cuts = [extract_cuts(mesh.vertex_phi[s], mesh.verts_phys(s)) for s in chunks]
-        tri_elem = np.concatenate([elem + s.start for s, (elem, _, _) in zip(chunks, cuts)])
-        tri_bary, tri_area = (np.concatenate([cut[i] for cut in cuts]) for i in (1, 2))
-        return cls(mesh, mapping, tri_elem, tri_bary, tri_area, degree)
+        if mesh not in _CUTS:
+            chunks = element_chunks(mesh.nelems, 2 * 3 * 4)
+            cuts = [extract_cuts(mesh.vertex_phi[s], mesh.verts_phys(s)) for s in chunks]
+            tri_elem = np.concatenate([elem + s.start for s, (elem, _, _) in zip(chunks, cuts)])
+            tri = (tri_elem, *(np.concatenate([cut[i] for cut in cuts]) for i in (1, 2)))
+            for a in tri:
+                a.setflags(write=False)
+            _CUTS[mesh] = tri
+        return cls(mesh, mapping, *_CUTS[mesh], degree)
 
     def _lift(self, s):
         lift = self.mapping.lift(self.cells[s], np.einsum("qc,tcm->tqm", self.lam, self.tri_bary[s]))

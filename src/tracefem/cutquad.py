@@ -188,22 +188,3 @@ def cut_element(vertex_phi, verts_phys) -> CutInterface:
     """Interface polygon of one tetrahedron, triangulated and oriented."""
     return CutInterface(vertex_phi, verts_phys)
 
-
-def surface_rule(cut: CutInterface, degree: int):
-    """Quadrature on the flat interface of one element.
-
-    Returns (bary4 (P, 4), weights (P,)); weights carry the physical
-    triangle areas, so they sum to the interface area.
-    """
-    lam, w = triangle_rule(degree)
-    pts = np.einsum("qc,tcm->tqm", lam, cut.bary).reshape(-1, 4)
-    wts = (cut.area[:, None] * w[None, :]).ravel()
-    return pts, wts
-
-
-def volume_rule(verts_phys, degree: int):
-    """Quadrature over a full tetrahedron: (bary4 (P, 4), weights (P,))."""
-    lam, w = tet_rule(degree)
-    verts = np.asarray(verts_phys, dtype=np.float64)
-    vol = abs(np.linalg.det(verts[1:] - verts[:1])) / 6.0
-    return lam.copy(), w * vol

@@ -270,14 +270,16 @@ def shifted_plane(eps: float, n: int) -> Plane:
     return Plane((0.0, 0.0, 1.0), base + eps * h)
 
 
+BENCHMARKS = {
+    "torus": TorusBenchmark,
+    "sphere": SphereBenchmark,
+    "torus-zero": lambda **kw: ZeroBenchmark(Torus(**kw), name="torus-zero"),
+    "plane": lambda **kw: ZeroBenchmark(Plane(), name="plane"),
+}
+
+
 def make_benchmark(name: str, **kw):
     """Benchmark registry used by the study harness and the CLI."""
-    if name == "torus":
-        return TorusBenchmark(**kw)
-    if name == "sphere":
-        return SphereBenchmark(**kw)
-    if name == "torus-zero":
-        return ZeroBenchmark(Torus(**kw), name="torus-zero")
-    if name == "plane":
-        return ZeroBenchmark(Plane(), name="plane")
-    raise ValueError(f"unknown benchmark {name!r}")
+    if name not in BENCHMARKS:
+        raise ValueError(f"unknown benchmark {name!r}")
+    return BENCHMARKS[name](**kw)

@@ -135,7 +135,6 @@ class ActiveMesh:
         self.elem_volume = self.h**3 / 6.0
         self._build_dofs()
         self._facets = None
-        self._patch = None
 
     # -- construction ------------------------------------------------
 
@@ -233,29 +232,15 @@ class ActiveMesh:
             raise KeyError(f"lattice point {lattice[np.argmax(bad)]} is not an active dof")
         return idx
 
-    def _build_patches(self):
-        flat = self.elem_dofs.ravel()
-        order = np.argsort(flat, kind="stable")
-        elems = np.repeat(np.arange(self.nelems, dtype=np.int64), self.elem_dofs.shape[1])[order]
-        counts = np.bincount(flat, minlength=self.ndofs)
-        ptr = np.zeros(self.ndofs + 1, dtype=np.int64)
-        np.cumsum(counts, out=ptr[1:])
-        self._patch = (ptr, elems)
-
     def node_patch(self, dof: int) -> np.ndarray:
         """Active elements whose closure contains the dof node."""
         if not 0 <= dof < self.ndofs:
             raise KeyError(f"unknown dof index {dof}")
-        if self._patch is None:
-            self._build_patches()
-        ptr, elems = self._patch
-        return elems[ptr[dof] : ptr[dof + 1]]
+        return np.flatnonzero((self.elem_dofs == dof).any(axis=1))
 
     def patch_counts(self) -> np.ndarray:
-        if self._patch is None:
-            self._build_patches()
-        ptr, _ = self._patch
-        return np.diff(ptr)
+        """(ndofs,) the number of active elements around every dof node."""
+        return np.bincount(self.elem_dofs.ravel(), minlength=self.ndofs)
 
     @property
     def facets(self) -> "FacetSet":

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .assembly import StabConfig, assemble_system
-from .levelset import make_benchmark, shifted_plane, ZeroBenchmark
+from .levelset import BENCHMARKS, make_benchmark, shifted_plane, ZeroBenchmark
 from .mapping import build_theta
 from .mesh import ActiveMesh, MeshParams
 from .metrics import EigenEstimateError, SingularEstimateError, compute_errors, eoc, estimate_condition
@@ -62,6 +62,8 @@ class StudyConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.benchmark, str) or self.benchmark not in BENCHMARKS:
+            raise ValueError(f"unknown benchmark {self.benchmark!r}")
         self.stab = STAB_ALIASES.get(self.stab, self.stab)
         if isinstance(self.rho, list):
             self.rho = tuple(self.rho)
@@ -243,9 +245,7 @@ def _convergence_level(cfg: StudyConfig, problem, level: int) -> dict:
 
 def run_convergence(cfg: StudyConfig):
     """Refinement study; returns (StudyResult, reports) and checks solver health."""
-    problem = _stage("config", make_benchmark, cfg.benchmark)
-    if not hasattr(problem, "exact_solution"):
-        raise StageError("config", f"benchmark {cfg.benchmark!r} has no exact solution")
+    problem = make_benchmark(cfg.benchmark)
     reports = [_convergence_level(cfg, problem, level) for level in range(cfg.levels)]
     keys = ("e_dist", "e_l2", "e_h1t", "e_h1n")
     orders = {key: [None] + eoc([r[key] for r in reports]) for key in keys}
@@ -270,44 +270,47 @@ def _conditioning_variants(k: int):
     return variants
 
 
+def _conditioning_shift(cfg: StudyConfig, eps: float, rng) -> list:
+    """Estimate and solve every variant at one shift; its mesh, mapping and systems are freed on return, before the next shift is built."""
+    ls = _stage("mesh", shifted_plane, eps, cfg.base_n)
+    problem = ZeroBenchmark(ls, name="plane")
+    mesh = _stage("mesh", ActiveMesh.build, MeshParams(cfg.base_n), ls, cfg.k)
+    dls = _stage("interpolate", interpolate, ls, mesh)
+    mapping = _stage("mapping", build_theta, mesh, dls)
+    synth = rng.standard_normal(mesh.ndofs)
+    reports = []
+    for variant in _conditioning_variants(cfg.k):
+        stab = StabConfig(variant, cfg.rho if variant == cfg.stab else None)
+        system = _stage("assemble", assemble_system, mesh, dls, mapping, problem, stab)
+        # lambda_min at or below numpy's matrix_rank tolerance, or LOBPCG's
+        # below its own residual, is singular on c-perp, where PCG can only
+        # run to its cap, so it is not solved; a failed estimate gives
+        # cond nan and is still solved
+        try:
+            lmax, lmin = estimate_condition(system.S, system.c)
+            singular = lmin <= system.ndofs * np.finfo(float).eps * lmax
+        except SingularEstimateError as err:
+            lmax, lmin, singular = err.lmax, err.lmin, True
+        except EigenEstimateError:
+            lmax, lmin, singular = float("nan"), float("nan"), False
+        cond = float("inf") if singular else lmax / lmin
+        n_its = -1
+        if not singular:
+            f = synth - synth.sum() / system.c.sum() * system.c
+            rep = solve_constrained(system.S, system.c, f, tol=cfg.tol, raise_on_fail=False)
+            n_its = rep.iterations if rep.converged else -1
+        reports.append(dict(eps=eps, variant=variant, lambda_max=lmax, lambda_min=lmin, cond=cond, n_its=n_its))
+    return reports
+
+
 def run_conditioning(cfg: StudyConfig):
     """Interface-shift sweep on a fixed mesh; never aborts on estimate failures."""
     rng = np.random.default_rng(cfg.seed)
-    rows = []
-    reports = []
-    for eps in cfg.shifts:
-        ls = _stage("mesh", shifted_plane, eps, cfg.base_n)
-        problem = ZeroBenchmark(ls, name="plane")
-        mesh = _stage("mesh", ActiveMesh.build, MeshParams(cfg.base_n), ls, cfg.k)
-        dls = _stage("interpolate", interpolate, ls, mesh)
-        mapping = _stage("mapping", build_theta, mesh, dls)
-        synth = rng.standard_normal(mesh.ndofs)
-        for variant in _conditioning_variants(cfg.k):
-            stab = StabConfig(variant, cfg.rho if variant == cfg.stab else None)
-            system = _stage("assemble", assemble_system, mesh, dls, mapping, problem, stab)
-            # lambda_min at or below numpy's matrix_rank tolerance, or LOBPCG's
-            # below its own residual, is singular on c-perp, where PCG can only
-            # run to its cap, so it is not solved; a failed estimate gives
-            # cond nan and is still solved
-            try:
-                lmax, lmin = estimate_condition(system.S, system.c)
-                singular = lmin <= system.ndofs * np.finfo(float).eps * lmax
-            except SingularEstimateError as err:
-                lmax, lmin, singular = err.lmax, err.lmin, True
-            except EigenEstimateError:
-                lmax, lmin, singular = float("nan"), float("nan"), False
-            cond = float("inf") if singular else lmax / lmin
-            n_its = -1
-            if not singular:
-                f = synth - synth.sum() / system.c.sum() * system.c
-                rep = solve_constrained(system.S, system.c, f, tol=cfg.tol, raise_on_fail=False)
-                n_its = rep.iterations if rep.converged else -1
-            reports.append(
-                dict(eps=eps, variant=variant, lambda_max=lmax, lambda_min=lmin, cond=cond, n_its=n_its)
-            )
-            rows.append(
-                [_fmt(float(eps)), variant, _fmt(lmax), _fmt(lmin), _fmt(cond), str(n_its)]
-            )
+    reports = [r for eps in cfg.shifts for r in _conditioning_shift(cfg, eps, rng)]
+    rows = [
+        [_fmt(r["eps"]), r["variant"], _fmt(r["lambda_max"]), _fmt(r["lambda_min"]), _fmt(r["cond"]), str(r["n_its"])]
+        for r in reports
+    ]
     # the sweep ignores cfg.benchmark; the header names the surface it ran on
     return StudyResult(replace(cfg, benchmark="plane"), COND_COLUMNS, rows, "conditioning"), reports
 

@@ -6,7 +6,7 @@ import os
 
 import numpy as np
 
-from .cutquad import extract_cuts
+from .assembly import SurfaceData
 
 
 def _write_points(fh, points):
@@ -64,9 +64,10 @@ def export_level(outdir, tag, mesh, dls, mapping):
     pos, cells = _mesh_vertex_arrays(mesh)
     write_unstructured_tets(os.path.join(outdir, f"active_mesh_{tag}.vtk"), pos, cells)
 
+    # the interface triangles of the mesh's own cut, which the assembly has already made
+    surf = SurfaceData.build(mesh, dls, mapping)
     verts = mesh.verts_phys(slice(None))
-    tri_elem, tri_bary, _ = extract_cuts(mesh.vertex_phi, verts)
-    pts = np.einsum("tcm,tmi->tci", tri_bary, verts[tri_elem]).reshape(-1, 3)
+    pts = np.einsum("tcm,tmi->tci", surf.tri_bary, verts[surf.cells]).reshape(-1, 3)
     tris = np.arange(len(pts)).reshape(-1, 3)
     write_triangles(os.path.join(outdir, f"interface_lin_{tag}.vtk"), pts, tris)
 
@@ -79,8 +80,5 @@ def export_level(outdir, tag, mesh, dls, mapping):
             os.path.join(outdir, f"deformed_mesh_{tag}.vtk"), pos_d, cells_d
         )
 
-    from .assembly import SurfaceData
-
-    surf = SurfaceData.build(mesh, dls, mapping)
     y = [lift.y.reshape(-1, 3) for _, lift, _ in surf.chunks()]
     write_point_cloud(os.path.join(outdir, f"interface_lifted_{tag}.vtk"), np.concatenate(y or [np.empty((0, 3))]))

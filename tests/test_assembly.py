@@ -287,9 +287,9 @@ def lifted_arrays(rule):
 
 class TestGeometryData:
     def test_surface_rule_rejects_a_level_set_of_another_mesh(self):
-        """The interface is cut on the rule's own mesh; a level set interpolated on another mesh is refused."""
+        """The interface is cut on the rule's own mesh; a level set interpolated or a Theta built on another mesh is refused."""
         ls, coarse = torus_mesh(8, 2)
-        _, mesh, _, mapping = torus_case(16, 2)
+        _, mesh, dls, mapping = torus_case(16, 2)
         foreign = interpolate(ls, coarse)
         with pytest.raises(ValueError, match="different mesh"):
             SurfaceData.build(mesh, foreign, mapping)
@@ -297,6 +297,11 @@ class TestGeometryData:
             assemble_system(mesh, foreign, mapping, torus_benchmark(), StabConfig())
         with pytest.raises(ValueError, match="different mesh"):
             compute_errors(mesh, foreign, mapping, np.zeros(mesh.ndofs), torus_benchmark())
+        _, _, _, alien = torus_case(12, 2)
+        with pytest.raises(ValueError, match="different mesh"):
+            assemble_system(mesh, dls, alien, torus_benchmark(), StabConfig())
+        with pytest.raises(ValueError, match="different mesh"):
+            compute_errors(mesh, dls, alien, np.zeros(mesh.ndofs), torus_benchmark())
 
     def test_lifted_weights_reduce_to_flat_areas_for_identity(self):
         _, mesh, dls, mapping = torus_case(8, 1)

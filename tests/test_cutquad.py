@@ -6,18 +6,18 @@ import math
 import numpy as np
 import pytest
 
+from tracefem.assembly import VolumeData
 from tracefem.cutquad import (
     MAX_SURFACE_DEGREE,
     MAX_VOLUME_DEGREE,
     CutInterface,
     cut_element,
     extract_cuts,
-    surface_rule,
     tet_rule,
     triangle_rule,
-    volume_rule,
 )
 from tracefem.levelset import Plane, Sphere, Torus, shifted_plane
+from tracefem.mapping import IsoMapping
 from tracefem.mesh import ActiveMesh, MeshParams
 
 from helpers import (
@@ -197,24 +197,27 @@ class TestMeshSections:
 
 
 class TestCompositeRules:
+    """The triangle rule on the cut's triangles, as SurfaceData composes them, and the tetrahedron rule on a physical element."""
+
     def test_surface_rule_weights_sum_to_interface_area(self, rng):
         vphi = rng.standard_normal(4)
         vphi[0] = -abs(vphi[0]) - 0.1
         vphi[1:] = np.abs(vphi[1:]) + 0.1
         cut = cut_element(vphi, UNIT_TET)
-        pts, wts = surface_rule(cut, degree=4)
-        assert wts.sum() == pytest.approx(cut.total_area, rel=1e-13)
-        assert pts.shape[1] == 4
-        np.testing.assert_allclose(pts.sum(axis=1), 1.0, atol=1e-13)
+        lam, w = triangle_rule(4)
+        pts = np.einsum("qc,tcm->tqm", lam, cut.bary)
+        assert (cut.area[:, None] * w).sum() == pytest.approx(cut.total_area, rel=1e-13)
+        assert pts.shape[-1] == 4
+        np.testing.assert_allclose(pts.sum(axis=-1), 1.0, atol=1e-13)
 
     def test_surface_rule_integrates_linear_fields_exactly(self):
         """Integral of an affine function over the flat interface polygon."""
         vphi = np.array([-0.7, 0.4, 0.9, 0.3])
         cut = cut_element(vphi, UNIT_TET)
         coef = np.array([0.3, -1.1, 0.7])
-        pts, wts = surface_rule(cut, degree=2)
-        x = pts @ UNIT_TET
-        got = np.sum(wts * (x @ coef + 0.25))
+        lam, w = triangle_rule(2)
+        x = np.einsum("qc,tcm,mi->tqi", lam, cut.bary, UNIT_TET)
+        got = np.sum(cut.area[:, None] * w * (x @ coef + 0.25))
         exact = sum(
             area * ((tri @ UNIT_TET).mean(axis=0) @ coef + 0.25)
             for tri, area in zip(cut.bary, cut.area)
@@ -224,7 +227,8 @@ class TestCompositeRules:
     def test_volume_rule_measures_the_tetrahedron(self, rng):
         verts = UNIT_TET + 0.2 * rng.standard_normal((4, 3))
         vol = abs(np.linalg.det(verts[1:] - verts[0])) / 6.0
-        lam, w = volume_rule(verts, degree=3)
+        lam, w = tet_rule(3)
+        w = w * vol
         assert w.sum() == pytest.approx(vol, rel=1e-13)
         # degree-1 exactness in physical coordinates
         x = lam @ verts
@@ -233,6 +237,8 @@ class TestCompositeRules:
         assert got == pytest.approx(exact, rel=1e-12)
 
     def test_volume_rule_on_mesh_element(self):
+        """Under the identity, every element's volume weights sum to its volume."""
         _, mesh = torus_mesh(4, 1)
-        lam, w = volume_rule(mesh.verts_phys([0])[0], degree=2)
-        assert w.sum() == pytest.approx(mesh.elem_volume, rel=1e-13)
+        vol = VolumeData.build(mesh, IsoMapping(mesh, np.zeros((mesh.ndofs, 3))), degree=2)
+        for _, _, w in vol.chunks():
+            np.testing.assert_allclose(w.sum(axis=1), mesh.elem_volume, rtol=1e-13)

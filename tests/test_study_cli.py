@@ -9,8 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tracefem import assembly, cutquad, study, vtkio
 from tracefem.cli import main
-from tracefem.mesh import ActiveMesh
+from tracefem.levelset import Sphere
+from tracefem.mesh import ActiveMesh, MeshParams
 from tracefem.study import (
     StageError,
     StudyConfig,
@@ -24,6 +26,44 @@ def small_config(**kw):
     base = dict(benchmark="torus", k=1, levels=2, base_n=8, stab="nv", tol=1e-9)
     base.update(kw)
     return StudyConfig(**base)
+
+
+def whole_cut(mesh):
+    """The interface triangles of a mesh, cut in one call."""
+    return cutquad.extract_cuts(mesh.vertex_phi, mesh.verts_phys(slice(None)))
+
+
+def count_cuts(monkeypatch):
+    """Count the triangles that go through the assembly's cut, and those of every mesh built."""
+    cut, meshes, original = [], [], ActiveMesh.build
+
+    def build(params, levelset, k):
+        mesh = original(params, levelset, k)
+        meshes.append(len(whole_cut(mesh)[0]))
+        return mesh
+
+    def extract(*args):
+        tris = cutquad.extract_cuts(*args)
+        cut.append(len(tris[0]))
+        return tris
+
+    monkeypatch.setattr(ActiveMesh, "build", build)
+    monkeypatch.setattr(assembly, "extract_cuts", extract)
+    return cut, meshes
+
+
+def track_alive(monkeypatch):
+    """For every ActiveMesh.build, whether each mesh built before it is still alive."""
+    original, built, alive = ActiveMesh.build, [], []
+
+    def build(params, levelset, k):
+        alive.append([ref() is not None for ref in built])
+        mesh = original(params, levelset, k)
+        built.append(weakref.ref(mesh))
+        return mesh
+
+    monkeypatch.setattr(ActiveMesh, "build", build)
+    return alive
 
 
 class TestStudyConfig:
@@ -96,21 +136,37 @@ class TestConvergenceStudy:
         The garbage collector is off, so a level kept alive by a reference
         cycle fails the test as one kept alive by a name.
         """
-        original, built, alive = ActiveMesh.build, [], []
-
-        def build(params, levelset, k):
-            alive.append([ref() is not None for ref in built])
-            mesh = original(params, levelset, k)
-            built.append(weakref.ref(mesh))
-            return mesh
-
-        monkeypatch.setattr(ActiveMesh, "build", build)
+        alive = track_alive(monkeypatch)
         gc.disable()
         try:
             run_convergence(small_config(stab=stab, k=k, base_n=base_n, levels=3 if k == 1 else 2))
         finally:
             gc.enable()
         assert alive == ([[], [False], [False, False]] if k == 1 else [[], [False]])
+
+    def test_each_level_is_cut_once(self, monkeypatch, tmp_path):
+        """The assembly, the errors and the VTK export share one cut of each level's interface."""
+        cut, meshes = count_cuts(monkeypatch)
+        run_convergence(small_config(stab="ghost", export_vtk=True, out=str(tmp_path)))
+        assert len(meshes) == 2 and sum(cut) == sum(meshes)
+
+    def test_a_level_leaves_no_cut_behind(self, monkeypatch):
+        """The cut dies with its mesh: after a level returns, the cache holds no entry for it."""
+        original, held = study._convergence_level, []
+
+        def level(*args):
+            before = len(assembly._CUTS)
+            report = original(*args)
+            held.append(len(assembly._CUTS) - before)
+            return report
+
+        monkeypatch.setattr(study, "_convergence_level", level)
+        gc.disable()
+        try:
+            run_convergence(small_config(k=2, base_n=12))
+        finally:
+            gc.enable()
+        assert held == [0, 0]
 
     def test_csv_output_is_reproducible(self, tmp_path):
         cfg = small_config(out=str(tmp_path / "a"))
@@ -133,8 +189,9 @@ class TestConvergenceStudy:
     def test_pipeline_failures_carry_the_stage_tag(self):
         with pytest.raises(StageError, match=r"\[mapping\]"):
             run_convergence(StudyConfig(benchmark="torus", k=2, levels=1, base_n=8))
-        with pytest.raises(StageError, match=r"\[config\]"):
-            run_convergence(small_config(benchmark="moebius"))
+        # an unknown benchmark is a configuration error, refused before any stage runs
+        with pytest.raises(ValueError, match="unknown benchmark 'moebius'"):
+            small_config(benchmark="moebius")
 
     def test_vtk_and_matrix_exports_written(self, tmp_path):
         out = str(tmp_path / "exp")
@@ -151,6 +208,16 @@ class TestConvergenceStudy:
             "convergence.md",
         } <= names
 
+    def test_vtk_interface_is_the_whole_mesh_cut(self, tmp_path):
+        """The exported linear interface, from the assembly's chunked cut, matches the bytes of one whole-mesh cut."""
+        out = tmp_path / "vtk"
+        run_study(StudyConfig(benchmark="sphere", k=2, levels=1, base_n=8, out=str(out), export_vtk=True))
+        mesh = ActiveMesh.build(MeshParams(8), Sphere(), 2)
+        tri_elem, tri_bary, _ = whole_cut(mesh)
+        pts = np.einsum("tcm,tmi->tci", tri_bary, mesh.verts_phys(tri_elem)).reshape(-1, 3)
+        vtkio.write_triangles(tmp_path / "oracle.vtk", pts, np.arange(len(pts)).reshape(-1, 3))
+        assert (out / "interface_lin_l0.vtk").read_bytes() == (tmp_path / "oracle.vtk").read_bytes()
+
     def test_markdown_table_shape(self):
         result, _ = run_convergence(small_config(levels=1))
         md = result.markdown_text()
@@ -161,6 +228,22 @@ class TestConvergenceStudy:
 
 
 class TestConditioningStudy:
+    def test_one_shift_is_alive_at_a_time(self, monkeypatch):
+        """The previous shift's mesh, which its mapping and systems hold, is freed when the next shift's build starts."""
+        alive = track_alive(monkeypatch)
+        gc.disable()
+        try:
+            run_conditioning(StudyConfig(k=2, base_n=8, conditioning=True, shifts=(0.5, 1e-1, 1e-3)))
+        finally:
+            gc.enable()
+        assert alive == [[], [False], [False, False]]
+
+    def test_each_shift_is_cut_once(self, monkeypatch):
+        """The four variants at a shift share one cut of its mesh."""
+        cut, meshes = count_cuts(monkeypatch)
+        _, reports = run_conditioning(StudyConfig(k=2, base_n=8, conditioning=True, shifts=(0.5,)))
+        assert len(reports) == 4 and len(meshes) == 1 and sum(cut) == meshes[0]
+
     def test_sweep_covers_all_variants_and_shifts(self):
         cfg = StudyConfig(
             benchmark="plane", k=1, base_n=8, conditioning=True, shifts=(0.5, 1e-2)
@@ -342,6 +425,8 @@ class TestCli:
                 {"rho": ["custom", "1", 0]},
                 {"out": 5},
                 {"out": ""},
+                {"benchmark": "cube"},
+                {"benchmark": ["torus"]},
             )
         ):
             path = tmp_path / f"bad{i}.json"
