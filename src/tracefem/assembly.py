@@ -107,8 +107,7 @@ class LiftedRule:
     """
 
     def __init__(self, mesh, mapping, cells, q):
-        if mapping.mesh is not mesh:
-            raise ValueError("mapping was built on a different mesh")
+        mapping.check_mesh(mesh)
         self.mesh, self.mapping, self.cells, self.q = mesh, mapping, cells, q
 
     @property
@@ -169,6 +168,7 @@ class SurfaceData(LiftedRule):
         if degree is None:
             degree = max(0, 2 * mesh.k - 2)
         dls.check_mesh(mesh)
+        mapping.check_mesh(mesh)  # before the cut, so a refused call caches nothing
         if mesh not in _CUTS:
             chunks = element_chunks(mesh.nelems, 2 * 3 * 4)
             cuts = [extract_cuts(mesh.vertex_phi[s], mesh.verts_phys(s)) for s in chunks]
@@ -372,7 +372,9 @@ def assemble_system(mesh, dls, mapping, problem, stab: StabConfig) -> AssembledS
         blocks["facets"], jump = _ghost_patches(mesh)
     out = Pattern(mesh.ndofs, **blocks)
     del blocks  # the facet patches' dofs: out's slots stand for them now
-    # the surface rule is built after the pattern, so it is not alive at the pattern's peak
+    # the surface rule is built after the pattern, so a mesh's first rule and
+    # its cut are not alive at the pattern's peak; a later assembly of the
+    # mesh builds its pattern with the cached cut alive
     surf = SurfaceData.build(mesh, dls, mapping)
     root_rho = math.sqrt(stab.resolve_rho(mesh.h, mesh.k)) if stab.variant == "full_gradient_surface" else 0.0
     c, f = _surface_pass(surf, problem, out, root_rho)

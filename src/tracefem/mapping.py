@@ -166,6 +166,11 @@ class IsoMapping:
         g = np.einsum("emi,em->ei", mesh.bary_grad(slice(None)), mesh.vertex_phi)
         self.n_lin = g / np.linalg.norm(g, axis=-1, keepdims=True)
 
+    def check_mesh(self, mesh):
+        """Raise ValueError unless this mapping was built on mesh."""
+        if self.mesh is not mesh:
+            raise ValueError("mapping was built on a different mesh")
+
     def _basis(self, elems, lam):
         """Basis values (E, q, NB) and physical gradients (E, q, NB, 3) before the lift.
 

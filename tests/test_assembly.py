@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from tracefem import backends
+from tracefem import assembly, backends
 from tracefem import mapping as mapping_module
 from tracefem.assembly import (
     VARIANTS,
@@ -302,6 +302,7 @@ class TestGeometryData:
             assemble_system(mesh, dls, alien, torus_benchmark(), StabConfig())
         with pytest.raises(ValueError, match="different mesh"):
             compute_errors(mesh, dls, alien, np.zeros(mesh.ndofs), torus_benchmark())
+        assert mesh not in assembly._CUTS  # refused before the cut
 
     def test_lifted_weights_reduce_to_flat_areas_for_identity(self):
         _, mesh, dls, mapping = torus_case(8, 1)
@@ -414,12 +415,16 @@ class TestGeometryData:
 
     @pytest.mark.parametrize("variant", ["normal_volume", "full_gradient_surface"])
     def test_small_chunks_give_the_default_system_and_errors(self, variant, monkeypatch):
-        """Chunks of at most 64 points (64 * NB values) give S, c, f and the four errors of the default chunking."""
+        """Chunks of at most 64 points (64 * NB values) give S, c, f and the four errors of the default chunking.
+
+        Each run cuts the interface afresh, at its own chunk size.
+        """
         bench = torus_benchmark()
         _, mesh, dls, mapping = torus_case(16, 2)
         u = benchmark_interpolant(mesh, bench)
 
         def run():
+            assembly._CUTS.pop(mesh, None)
             sys = assemble_system(mesh, dls, mapping, bench, StabConfig(variant))
             err = compute_errors(mesh, dls, mapping, u, bench)
             return sys, np.array([err.e_dist, err.e_l2, err.e_h1t, err.e_h1n])
@@ -467,8 +472,6 @@ class TestGeometryData:
         assert peak <= limit_mib * 2**20, f"{peak / 2**20:.1f} MiB"
 
     def test_ghost_patches_are_built_once_per_assembly(self, monkeypatch):
-        from tracefem import assembly
-
         _, mesh, dls, mapping = torus_case(8, 1)
         original, calls = assembly._ghost_patches, []
         monkeypatch.setattr(assembly, "_ghost_patches", lambda m: calls.append(1) or original(m))
