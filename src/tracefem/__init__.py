@@ -4,7 +4,7 @@ from . import backends
 from .assembly import AssembledSystem, StabConfig, assemble_s, assemble_system
 from .levelset import Plane, Sphere, SphereBenchmark, Torus, TorusBenchmark, ZeroBenchmark, make_benchmark, shifted_plane
 from .mapping import IsoMapping, SearchContext, build_theta, facet_jump_psi, normal_deviation, project_average, psi_h
-from .mesh import ActiveMesh, MeshParams, enumerate_active
+from .mesh import ActiveMesh, MeshParams
 from .metrics import ErrorReport, compute_errors, eoc, estimate_condition
 from .reference import DiscreteLevelSet, ReferenceElement, interpolate
 from .solver import SolveReport, SolverDivergenceError, augment_gamma, pcg, solve_constrained
@@ -33,7 +33,6 @@ __all__ = [
     "backends",
     "build_theta",
     "compute_errors",
-    "enumerate_active",
     "eoc",
     "estimate_condition",
     "facet_jump_psi",

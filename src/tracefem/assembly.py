@@ -23,8 +23,8 @@ import scipy.sparse as sp
 from . import backends
 from .cutquad import extract_cuts, tet_rule, triangle_rule
 from .mapping import IsoMapping, element_chunks
-from .mesh import SHAPE_BARY_A, ActiveMesh
-from .reference import DiscreteLevelSet, physical_gradients
+from .mesh import SHAPE_BARY_A
+from .reference import physical_gradients
 
 VARIANTS = (
     "none",
@@ -106,9 +106,8 @@ class LiftedRule:
     (measured in the comment on mapping.CHUNK_VALUES).
     """
 
-    def __init__(self, mesh, mapping, cells, q):
-        mapping.check_mesh(mesh)
-        self.mesh, self.mapping, self.cells, self.q = mesh, mapping, cells, q
+    def __init__(self, mapping, cells, q):
+        self.mesh, self.mapping, self.cells, self.q = mapping.mesh, mapping, cells, q
 
     @property
     def elems(self):
@@ -151,24 +150,23 @@ class SurfaceData(LiftedRule):
     constraint, the load and the errors.
     """
 
-    def __init__(self, mesh, mapping, tri_elem, tri_bary, tri_area, degree):
+    def __init__(self, mapping, tri_elem, tri_bary, tri_area, degree):
         """tri_elem (T,): the triangles' elements; tri_bary (T, 3, 4) their corners; tri_area (T,) their areas."""
         self.lam, self.w = triangle_rule(degree)
-        super().__init__(mesh, mapping, tri_elem, len(self.w))
+        super().__init__(mapping, tri_elem, len(self.w))
         self.tri_bary, self.tri_area = tri_bary, tri_area
 
     @classmethod
-    def build(cls, mesh: ActiveMesh, dls: DiscreteLevelSet, mapping: IsoMapping, degree=None):
-        """Rule exact to `degree` on each triangle; by default 2k - 2, the assembly degree.
+    def build(cls, mapping: IsoMapping, degree=None):
+        """Rule exact to `degree` on each triangle of mapping's mesh; by default 2k - 2, the assembly degree.
 
         The first rule of a mesh cuts its elements chunk by chunk, at most
         two triangles of (3, 4) corners each; the triangles stay sorted by
         element, and later rules of the mesh reuse them (read-only).
         """
+        mesh = mapping.mesh
         if degree is None:
             degree = max(0, 2 * mesh.k - 2)
-        dls.check_mesh(mesh)
-        mapping.check_mesh(mesh)  # before the cut, so a refused call caches nothing
         if mesh not in _CUTS:
             chunks = element_chunks(mesh.nelems, 2 * 3 * 4)
             cuts = [extract_cuts(mesh.vertex_phi[s], mesh.verts_phys(s)) for s in chunks]
@@ -177,7 +175,7 @@ class SurfaceData(LiftedRule):
             for a in tri:
                 a.setflags(write=False)
             _CUTS[mesh] = tri
-        return cls(mesh, mapping, *_CUTS[mesh], degree)
+        return cls(mapping, *_CUTS[mesh], degree)
 
     def _lift(self, s):
         lift = self.mapping.lift(self.cells[s], np.einsum("qc,tcm->tqm", self.lam, self.tri_bary[s]))
@@ -193,16 +191,17 @@ class VolumeData(LiftedRule):
     a chunk's weights are (wref * det DTheta) * scale.
     """
 
-    def __init__(self, mesh, mapping, table, wref, scale=1.0):
-        super().__init__(mesh, mapping, np.arange(mesh.nelems, dtype=np.int64), len(wref))
+    def __init__(self, mapping, table, wref, scale=1.0):
+        super().__init__(mapping, np.arange(mapping.mesh.nelems, dtype=np.int64), len(wref))
         self.table, self.wref, self.scale = table, wref, scale
 
     @classmethod
-    def build(cls, mesh: ActiveMesh, mapping: IsoMapping, degree: int, scale=1.0):
+    def build(cls, mapping: IsoMapping, degree: int, scale=1.0):
+        mesh = mapping.mesh
         lam, w = tet_rule(degree)
         _, dlam = mesh.ref.eval(lam)
         table = physical_gradients(dlam, SHAPE_BARY_A[:, None] / mesh.h)
-        return cls(mesh, mapping, table, w * mesh.elem_volume, scale)
+        return cls(mapping, table, w * mesh.elem_volume, scale)
 
     def _lift(self, s):
         lift = self.mapping.lift(self.cells[s], gref=self.table[self.mesh.tet[s]])
@@ -302,14 +301,15 @@ def _surface_pass(surf, problem, out, root_rho):
     return c, f
 
 
-def assemble_s(mesh, mapping, stab: StabConfig, out: Pattern, jump):
-    """Add the facet or volume stabilization of stab into out.
+def assemble_s(mapping, stab: StabConfig, out: Pattern, jump):
+    """Add the facet or volume stabilization of stab on mapping's mesh into out.
 
     jump is the normal-derivative jumps (F, 5) of _ghost_patches for
     ghost_penalty, whose dofs are out's 'facets' blocks; their local
     matrices are added chunk by chunk.  'none' adds nothing, and neither
     does full_gradient_surface: its term is part of the surface integrand.
     """
+    mesh = mapping.mesh
     rho = stab.resolve_rho(mesh.h, mesh.k)
     if stab.variant == "ghost_penalty":
         area = mesh.facets.area
@@ -317,7 +317,7 @@ def assemble_s(mesh, mapping, stab: StabConfig, out: Pattern, jump):
             out.add("facets", s, rho * area[s, None, None] * jump[s, :, None] * jump[s, None, :])
     elif stab.variant in ("full_gradient_volume", "normal_volume"):
         full = stab.variant == "full_gradient_volume"
-        vol = VolumeData.build(mesh, mapping, 2 * mesh.k, scale=rho)
+        vol = VolumeData.build(mapping, 2 * mesh.k, scale=rho)
         vol.accumulate(lambda lift: lift.grads if full else lift.normal_derivatives()[..., None], out)
 
 
@@ -356,17 +356,18 @@ class AssembledSystem:
     S: sp.csr_matrix
     c: np.ndarray
     f: np.ndarray
-    e: np.ndarray
-    ndofs: int
 
 
 def assemble_system(mesh, dls, mapping, problem, stab: StabConfig) -> AssembledSystem:
     """One-stop assembly: one pass over the surface rule for A, c, f and a surface stabilization, and one Pattern for S.
 
-    The raw load moments f are projected to mean zero, f -= (<f, e>/<c, e>) c
-    with e the coefficient vector of the constant one, which places f in
-    the range of the singular stiffness operator.
+    The three must be one level, dls and mapping both on mesh; anything
+    else raises ValueError before anything is cut or cached.  The raw load moments f are projected to mean zero,
+    f -= (<f, e>/<c, e>) c with e the coefficient vector of the constant
+    one, which places f in the range of the singular stiffness operator.
     """
+    if not (dls.mesh is mesh is mapping.mesh):
+        raise ValueError("mesh, level set and mapping are not one level")
     blocks, jump = {"elements": mesh.elem_dofs}, None
     if stab.variant == "ghost_penalty":
         blocks["facets"], jump = _ghost_patches(mesh)
@@ -375,9 +376,9 @@ def assemble_system(mesh, dls, mapping, problem, stab: StabConfig) -> AssembledS
     # the surface rule is built after the pattern, so a mesh's first rule and
     # its cut are not alive at the pattern's peak; a later assembly of the
     # mesh builds its pattern with the cached cut alive
-    surf = SurfaceData.build(mesh, dls, mapping)
+    surf = SurfaceData.build(mapping)
     root_rho = math.sqrt(stab.resolve_rho(mesh.h, mesh.k)) if stab.variant == "full_gradient_surface" else 0.0
     c, f = _surface_pass(surf, problem, out, root_rho)
-    assemble_s(mesh, mapping, stab, out, jump)
+    assemble_s(mapping, stab, out, jump)
     f -= f.sum() / c.sum() * c  # pairwise sums: independent of the BLAS thread count
-    return AssembledSystem(S=out.matrix, c=c, f=f, e=np.ones(mesh.ndofs), ndofs=mesh.ndofs)
+    return AssembledSystem(S=out.matrix, c=c, f=f)

@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 
+from .levelset import BENCHMARKS
 from .study import StudyConfig, StageError, run_study
 
 
@@ -38,7 +39,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Trace finite element studies for the Laplace-Beltrami equation on level-set surfaces.",
     )
     p.add_argument("--config", help="JSON file with StudyConfig fields; flags override it")
-    p.add_argument("--benchmark", choices=["torus", "sphere", "plane"], help="surface and exact solution")
+    # every flag after --config sets the StudyConfig field of its dest
+    p.add_argument("--benchmark", choices=sorted(BENCHMARKS), help="surface and exact solution")
     p.add_argument("--k", type=int, help="polynomial degree 1..5")
     p.add_argument("--levels", type=int, help="number of uniform refinements")
     p.add_argument("--base-n", type=int, dest="base_n", help="cells per axis on the coarsest level")
@@ -55,32 +57,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(argv=None) -> StudyConfig:
-    args = build_parser().parse_args(argv)
+    args = vars(build_parser().parse_args(argv))
+    path = args.pop("config")
     data: dict = {}
-    if args.config:
-        with open(args.config) as fh:
+    if path:
+        with open(path) as fh:
             data = json.load(fh)
         if not isinstance(data, dict):
-            raise ValueError(f"{args.config}: the top level must be a JSON object")
-    for key in (
-        "benchmark",
-        "k",
-        "levels",
-        "base_n",
-        "stab",
-        "rho",
-        "tol",
-        "out",
-        "export_vtk",
-        "export_matrix",
-        "conditioning",
-        "seed",
-    ):
-        val = getattr(args, key)
-        if val is not None:
-            data[key] = val
-    if args.shifts is not None:
-        data["shifts"] = [float(s) for s in args.shifts.split(",")]
+            raise ValueError(f"{path}: the top level must be a JSON object")
+    if args["shifts"] is not None:
+        args["shifts"] = [float(s) for s in args["shifts"].split(",")]
+    data.update((key, val) for key, val in args.items() if val is not None)
     return StudyConfig.from_dict(data)
 
 

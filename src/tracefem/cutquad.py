@@ -183,8 +183,3 @@ class CutInterface:
     def total_area(self) -> float:
         return float(self.area.sum())
 
-
-def cut_element(vertex_phi, verts_phys) -> CutInterface:
-    """Interface polygon of one tetrahedron, triangulated and oriented."""
-    return CutInterface(vertex_phi, verts_phys)
-

@@ -91,8 +91,9 @@ def _search(mesh: ActiveMesh, elems, coeffs, lam_x, G):
     return d
 
 
-def _solve_points(mesh: ActiveMesh, dls: DiscreteLevelSet, elems, x):
+def _solve_points(dls: DiscreteLevelSet, elems, x):
     """Batched deformation distances and search directions at physical points of given elements, one point at a time."""
+    mesh = dls.mesh
     elems = np.asarray(elems, dtype=np.int64)
     lam_x = mesh.bary_of_points(elems, np.asarray(x, dtype=np.float64))
     _, G = dls.eval(elems, lam_x, grad=True)
@@ -102,8 +103,7 @@ def _solve_points(mesh: ActiveMesh, dls: DiscreteLevelSet, elems, x):
 class SearchContext:
     """Deformation search restricted to a single element."""
 
-    def __init__(self, mesh: ActiveMesh, dls: DiscreteLevelSet, elem: int):
-        self.mesh = mesh
+    def __init__(self, dls: DiscreteLevelSet, elem: int):
         self.dls = dls
         self.elem = int(elem)
 
@@ -112,16 +112,16 @@ class SearchContext:
         return np.full(len(x), self.elem, dtype=np.int64), x
 
     def solve_dh(self, x):
-        d, _ = _solve_points(self.mesh, self.dls, *self._points(x))
+        d, _ = _solve_points(self.dls, *self._points(x))
         return d if d.size > 1 else float(d[0])
 
     def psi_h(self, x):
-        return psi_h(self.mesh, self.dls, *self._points(x))
+        return psi_h(self.dls, *self._points(x))
 
 
-def psi_h(mesh: ActiveMesh, dls: DiscreteLevelSet, elems, x):
+def psi_h(dls: DiscreteLevelSet, elems, x):
     """Per-element deformation images of physical points (batch form; build_theta's oracle)."""
-    d, G = _solve_points(mesh, dls, elems, x)
+    d, G = _solve_points(dls, elems, x)
     return np.asarray(x, dtype=np.float64) + d[:, None] * G
 
 
@@ -165,11 +165,6 @@ class IsoMapping:
         self.nodes = mesh.dof_points + self.displacement  # (ndofs, 3) Theta's nodal values
         g = np.einsum("emi,em->ei", mesh.bary_grad(slice(None)), mesh.vertex_phi)
         self.n_lin = g / np.linalg.norm(g, axis=-1, keepdims=True)
-
-    def check_mesh(self, mesh):
-        """Raise ValueError unless this mapping was built on mesh."""
-        if self.mesh is not mesh:
-            raise ValueError("mapping was built on a different mesh")
 
     def _basis(self, elems, lam):
         """Basis values (E, q, NB) and physical gradients (E, q, NB, 3) before the lift.
@@ -226,16 +221,12 @@ class IsoMapping:
         nn = np.linalg.norm(N, axis=-1)
         return Lift(vals, gref, invJ, y, det, N / nn[..., None], nn)
 
-    def normals(self, elems, lam):
-        """Unit normal of the deformed surface at barycentric points lam (P, 4) of elements (P,)."""
-        return self.lift(elems, np.asarray(lam)[:, None]).nh[:, 0]
-
     def max_displacement(self) -> float:
         return float(np.linalg.norm(self.displacement, axis=-1).max(initial=0.0))
 
 
-def build_theta(mesh: ActiveMesh, dls: DiscreteLevelSet) -> IsoMapping:
-    """Assemble the nodal deformation field by patch-averaging element images.
+def build_theta(dls: DiscreteLevelSet) -> IsoMapping:
+    """Assemble the nodal deformation field of dls's mesh by patch-averaging element images.
 
     Every element solves at its own nodes alpha/k, so the search directions
     come from one (NB, NB, 4) table of basis gradients at the nodes.  The
@@ -243,7 +234,7 @@ def build_theta(mesh: ActiveMesh, dls: DiscreteLevelSet) -> IsoMapping:
     For k = 1 the deformation is the identity by construction; the root
     solve is skipped and a zero displacement field is returned.
     """
-    dls.check_mesh(mesh)
+    mesh = dls.mesh
     if mesh.k == 1:
         return IsoMapping(mesh, np.zeros((mesh.ndofs, 3)))
     NB = mesh.ref.ndofs
@@ -267,11 +258,11 @@ def build_theta(mesh: ActiveMesh, dls: DiscreteLevelSet) -> IsoMapping:
     return IsoMapping(mesh, sums / mesh.patch_counts()[:, None] - mesh.dof_points)
 
 
-def facet_jump_psi(mesh: ActiveMesh, dls: DiscreteLevelSet, degree: int = 4) -> float:
+def facet_jump_psi(dls: DiscreteLevelSet, degree: int = 4) -> float:
     """Max two-sided mismatch of the element deformations across interior facets."""
     from .cutquad import triangle_rule
 
-    fs = mesh.facets
+    fs = dls.mesh.facets
     if len(fs) == 0:
         return 0.0
     lam, _ = triangle_rule(degree)
@@ -280,15 +271,15 @@ def facet_jump_psi(mesh: ActiveMesh, dls: DiscreteLevelSet, degree: int = 4) -> 
     sides = []
     for s in range(2):
         elems = np.repeat(fs.elems[:, s], q)
-        sides.append(psi_h(mesh, dls, elems, pts))
+        sides.append(psi_h(dls, elems, pts))
     return float(np.linalg.norm(sides[0] - sides[1], axis=-1).max())
 
 
-def normal_deviation(mesh: ActiveMesh, dls: DiscreteLevelSet, mapping: IsoMapping, levelset, degree=None) -> float:
+def normal_deviation(mapping: IsoMapping, levelset, degree=None) -> float:
     """Max deviation of the discrete unit normal from the exact surface normal."""
     from .assembly import SurfaceData
 
-    surf = SurfaceData.build(mesh, dls, mapping, degree if degree is not None else 2 * mesh.k)
+    surf = SurfaceData.build(mapping, degree if degree is not None else 2 * mapping.mesh.k)
     dev = 0.0
     for _, lift, _ in surf.chunks():
         n_exact = levelset.grad_phi(lift.y.reshape(-1, 3))

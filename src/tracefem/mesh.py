@@ -308,8 +308,3 @@ class FacetSet:
         alone = (ids_lo[:, :, None] != ids_hi[:, None, :]).all(axis=2)
         face = _FACE_LOCAL[alone.argmax(axis=1)]
         return mesh.verts_phys(lo)[np.arange(len(lo))[:, None], face]
-
-
-def enumerate_active(params: MeshParams, vertex_values: np.ndarray, k: int = 1) -> ActiveMesh:
-    """Public entry: active mesh from a full vertex-value grid."""
-    return ActiveMesh.from_vertex_values(params, vertex_values, k)

@@ -43,20 +43,21 @@ class ErrorReport:
     h: float
 
 
-def compute_errors(mesh, dls, mapping, u, problem, degree=None) -> ErrorReport:
-    """Geometry and solution errors for a coefficient vector u.
+def compute_errors(mapping, u, problem, degree=None) -> ErrorReport:
+    """Geometry and solution errors for a coefficient vector u on mapping's mesh.
 
     The four integrals are reduced chunk by chunk of the lifted surface
     rule, a running max and three running sums, so nothing that grows with
     the number of points is kept.
     """
+    mesh = mapping.mesh
     u = np.asarray(u, dtype=np.float64)
     if u.shape != (mesh.ndofs,):
         raise ValueError("coefficient vector does not match the dof count")
     if degree is None:
         degree = 2 * mesh.k
     e_dist, sq = 0.0, np.zeros(3)  # squares of e_L2, e_H1t, e_H1n
-    for cells, lift, w in SurfaceData.build(mesh, dls, mapping, degree).chunks():
+    for cells, lift, w in SurfaceData.build(mapping, degree).chunks():
         y, w = lift.y.reshape(-1, 3), w.ravel()
         nh, invJ = lift.nh.reshape(-1, 3), lift.invJ.reshape(-1, 3, 3)
         uc = np.repeat(u[mesh.elem_dofs[cells]], lift.vals.shape[1], axis=0)  # (points, NB)

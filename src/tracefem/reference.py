@@ -64,16 +64,6 @@ class DiscreteLevelSet:
     def k(self) -> int:
         return self.mesh.k
 
-    def check_mesh(self, mesh):
-        """Raise ValueError unless this level set was interpolated on mesh."""
-        if self.mesh is not mesh:
-            raise ValueError("level set was interpolated on a different mesh")
-
-    @property
-    def coeffs(self) -> np.ndarray:
-        """(E, NB) per-element coefficient rows."""
-        return self.values[self.mesh.elem_dofs]
-
     def eval(self, elems, lam, grad: bool = False):
         """Evaluate phi_h (and its physical gradient) on elements at barycentric points."""
         mesh = self.mesh

@@ -186,25 +186,29 @@ class StudyResult:
         return base + ".csv", base + ".md"
 
 
+def _level(levelset, n: int, k: int):
+    """The first three stages of a level: mesh, interpolate and Theta; returns (mesh, dls, mapping)."""
+    mesh = _stage("mesh", ActiveMesh.build, _stage("mesh", MeshParams, n), levelset, k)
+    dls = _stage("interpolate", interpolate, levelset, mesh)
+    return mesh, dls, _stage("mapping", build_theta, dls)
+
+
 def _level_pipeline(cfg: StudyConfig, problem, n: int, export_tag=None):
-    params = _stage("mesh", MeshParams, n)
-    mesh = _stage("mesh", ActiveMesh.build, params, problem.levelset, cfg.k)
-    dls = _stage("interpolate", interpolate, problem.levelset, mesh)
-    mapping = _stage("mapping", build_theta, mesh, dls)
+    mesh, dls, mapping = _level(problem.levelset, n, cfg.k)
     stab = StabConfig(cfg.stab, cfg.rho)
     system = _stage("assemble", assemble_system, mesh, dls, mapping, problem, stab)
     if cfg.export_vtk and export_tag is not None:
         from . import vtkio
 
         os.makedirs(cfg.out, exist_ok=True)
-        vtkio.export_level(cfg.out, export_tag, mesh, dls, mapping)
+        vtkio.export_level(cfg.out, export_tag, mapping)
     if cfg.export_matrix and export_tag is not None:
         from scipy.io import mmwrite
 
         os.makedirs(cfg.out, exist_ok=True)
         mmwrite(os.path.join(cfg.out, f"system_{export_tag}.mtx"), system.S)
         mmwrite(os.path.join(cfg.out, f"constraint_{export_tag}.mtx"), system.c[:, None])
-    return mesh, dls, mapping, system
+    return mapping, system
 
 
 CONV_COLUMNS = [
@@ -227,14 +231,14 @@ CONV_COLUMNS = [
 def _convergence_level(cfg: StudyConfig, problem, level: int) -> dict:
     """Solve and measure one level; its mesh, mapping and system are freed on return, before the next level is built."""
     n = cfg.base_n * 2**level
-    mesh, dls, mapping, system = _level_pipeline(cfg, problem, n, export_tag=f"l{level}")
+    mapping, system = _level_pipeline(cfg, problem, n, export_tag=f"l{level}")
     rep = _stage("solve", solve_constrained, system.S, system.c, system.f, tol=cfg.tol)
-    err = _stage("errors", compute_errors, mesh, dls, mapping, rep.u, problem)
+    err = _stage("errors", compute_errors, mapping, rep.u, problem)
     return dict(
         level=level,
         n=n,
-        h=mesh.h,
-        ndofs=mesh.ndofs,
+        h=err.h,
+        ndofs=err.ndofs,
         e_dist=err.e_dist,
         e_l2=err.e_l2,
         e_h1t=err.e_h1t,
@@ -274,9 +278,7 @@ def _conditioning_shift(cfg: StudyConfig, eps: float, rng) -> list:
     """Estimate and solve every variant at one shift; its mesh, mapping and systems are freed on return, before the next shift is built."""
     ls = _stage("mesh", shifted_plane, eps, cfg.base_n)
     problem = ZeroBenchmark(ls, name="plane")
-    mesh = _stage("mesh", ActiveMesh.build, MeshParams(cfg.base_n), ls, cfg.k)
-    dls = _stage("interpolate", interpolate, ls, mesh)
-    mapping = _stage("mapping", build_theta, mesh, dls)
+    mesh, dls, mapping = _level(ls, cfg.base_n, cfg.k)
     synth = rng.standard_normal(mesh.ndofs)
     reports = []
     for variant in _conditioning_variants(cfg.k):
@@ -288,7 +290,7 @@ def _conditioning_shift(cfg: StudyConfig, eps: float, rng) -> list:
         # cond nan and is still solved
         try:
             lmax, lmin = estimate_condition(system.S, system.c)
-            singular = lmin <= system.ndofs * np.finfo(float).eps * lmax
+            singular = lmin <= len(system.c) * np.finfo(float).eps * lmax
         except SingularEstimateError as err:
             lmax, lmin, singular = err.lmax, err.lmin, True
         except EigenEstimateError:

@@ -58,14 +58,15 @@ def _mesh_vertex_arrays(mesh, deformed=None):
     return pos, cells
 
 
-def export_level(outdir, tag, mesh, dls, mapping):
-    """Write the standard bundle for one refinement level."""
+def export_level(outdir, tag, mapping):
+    """Write the standard bundle for one refinement level, the level of mapping's mesh."""
+    mesh = mapping.mesh
     os.makedirs(outdir, exist_ok=True)
     pos, cells = _mesh_vertex_arrays(mesh)
     write_unstructured_tets(os.path.join(outdir, f"active_mesh_{tag}.vtk"), pos, cells)
 
     # the interface triangles of the mesh's own cut, which the assembly has already made
-    surf = SurfaceData.build(mesh, dls, mapping)
+    surf = SurfaceData.build(mapping)
     verts = mesh.verts_phys(slice(None))
     pts = np.einsum("tcm,tmi->tci", surf.tri_bary, verts[surf.cells]).reshape(-1, 3)
     tris = np.arange(len(pts)).reshape(-1, 3)

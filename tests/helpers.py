@@ -35,7 +35,7 @@ def torus_case(n: int, k: int):
     if key not in _CASE_CACHE:
         ls, mesh = torus_mesh(n, k)
         dls = interpolate(ls, mesh)
-        mapping = build_theta(mesh, dls)
+        mapping = build_theta(dls)
         _CASE_CACHE[key] = (ls, mesh, dls, mapping)
     return _CASE_CACHE[key]
 
@@ -44,7 +44,7 @@ def plane_case(levelset, n: int, k: int):
     """Uncached pipeline for a plane level set."""
     mesh = ActiveMesh.build(MeshParams(n), levelset, k)
     dls = interpolate(levelset, mesh)
-    mapping = build_theta(mesh, dls)
+    mapping = build_theta(dls)
     return mesh, dls, mapping
 
 
@@ -307,17 +307,18 @@ def errors_oracle(mesh, mapping, u, problem, degree=None):
     return e_dist, e_l2, e_h1t, e_h1n
 
 
-def stabilization_matrix(mesh, mapping, stab):
+def stabilization_matrix(mapping, stab):
     """The facet or volume stabilization of stab alone: assemble_s added into a Pattern of the blocks it adds to."""
     from tracefem.assembly import Pattern, _ghost_patches, assemble_s
 
+    mesh = mapping.mesh
     blocks, jump = {}, None
     if stab.variant == "ghost_penalty":
         blocks["facets"], jump = _ghost_patches(mesh)
     elif stab.variant in ("full_gradient_volume", "normal_volume"):
         blocks["elements"] = mesh.elem_dofs
     out = Pattern(mesh.ndofs, **blocks)
-    assemble_s(mesh, mapping, stab, out, jump)
+    assemble_s(mapping, stab, out, jump)
     return out.matrix
 
 

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from tracefem.assembly import StabConfig, assemble_system
-from tracefem.cutquad import cut_element, tet_rule, triangle_rule
+from tracefem.cutquad import CutInterface, tet_rule, triangle_rule
 from tracefem.levelset import Plane, ZeroBenchmark, shifted_plane
 from tracefem.mapping import (
     DELTA_FRACTION,
@@ -153,8 +153,8 @@ def test_criterion_6_mapping_decay_rates():
         jump, dev = [], []
         for n in (16, 32):
             ls, mesh, dls, mapping = torus_case(n, k)
-            jump.append(facet_jump_psi(mesh, dls))
-            dev.append(normal_deviation(mesh, dls, mapping, ls))
+            jump.append(facet_jump_psi(dls))
+            dev.append(normal_deviation(mapping, ls))
         assert np.log2(jump[0] / jump[1]) >= k + 0.6  # measured 4.27 / 6.13
         assert np.log2(dev[0] / dev[1]) >= k - 0.3  # measured 1.94 / 2.99
 
@@ -183,7 +183,7 @@ def test_criterion_7_oracle_equivalences():
         if vphi.min() >= 0 or vphi.max() <= 0:
             continue
         verts = UNIT_TET + 0.2 * rng.standard_normal((4, 3))
-        cut = cut_element(vphi, verts)
+        cut = CutInterface(vphi, verts)
         oracle = polygon_area(clip_polygon_oracle(vphi, verts))
         assert cut.total_area == pytest.approx(oracle, abs=1e-10)
         count += 1
@@ -215,9 +215,9 @@ def test_criterion_7_oracle_equivalences():
     mesh = ActiveMesh.build(MeshParams(6), q, 2)
     dls = interpolate(q, mesh)
     delta = DELTA_FRACTION * mesh.h
-    build_theta(mesh, dls)  # every node is solvable
+    build_theta(dls)  # every node is solvable
     for elem in rng.integers(0, mesh.nelems, size=8):
-        ctx = SearchContext(mesh, dls, int(elem))
+        ctx = SearchContext(dls, int(elem))
         x = mesh.dof_points[mesh.elem_dofs[elem]]
         lam = mesh.bary_of_points(np.full(len(x), elem), x)
         phihat = np.einsum("pm,m->p", lam, mesh.vertex_phi[elem])
@@ -270,7 +270,8 @@ def test_criterion_8_exact_identities():
     sysm = assemble_system(
         mesh, dls, mapping, torus_benchmark(), StabConfig("normal_volume")
     )
-    fe = abs(sysm.f @ sysm.e)
+    ones = np.ones(mesh.ndofs)  # the coefficient vector of the constant one
+    fe = abs(sysm.f @ ones)
     assert fe <= 1e-12 * np.linalg.norm(sysm.f) * np.sqrt(mesh.ndofs)
     rep = solve_constrained(sysm.S, sysm.c, sysm.f, tol=1e-9)
     cu = abs(sysm.c @ rep.u) / (np.linalg.norm(sysm.c) * np.linalg.norm(rep.u))
@@ -279,8 +280,8 @@ def test_criterion_8_exact_identities():
     # the operator is symmetric, PSD, and kills the constant vector
     scale = abs(sysm.S).max()
     assert abs(sysm.S - sysm.S.T).max() <= 1e-14 * scale
-    assert np.abs(sysm.S @ sysm.e).max() <= 1e-12 * scale
+    assert np.abs(sysm.S @ ones).max() <= 1e-12 * scale
     rng = np.random.default_rng(8)
     for _ in range(20):
-        x = rng.standard_normal(sysm.ndofs)
+        x = rng.standard_normal(mesh.ndofs)
         assert x @ (sysm.S @ x) >= -1e-12 * scale * (x @ x)

@@ -11,7 +11,6 @@ from tracefem.cutquad import (
     MAX_SURFACE_DEGREE,
     MAX_VOLUME_DEGREE,
     CutInterface,
-    cut_element,
     extract_cuts,
     tet_rule,
     triangle_rule,
@@ -150,7 +149,7 @@ class TestExtractCuts:
             if vphi.min() >= 0 or vphi.max() <= 0 or np.any(vphi == 0):
                 continue
             verts = UNIT_TET + 0.2 * rng.standard_normal((4, 3))
-            cut = cut_element(vphi, verts)
+            cut = CutInterface(vphi, verts)
             poly = clip_polygon_oracle(vphi, verts)
             assert cut.total_area == pytest.approx(polygon_area(poly), abs=1e-10)
             count += 1
@@ -203,7 +202,7 @@ class TestCompositeRules:
         vphi = rng.standard_normal(4)
         vphi[0] = -abs(vphi[0]) - 0.1
         vphi[1:] = np.abs(vphi[1:]) + 0.1
-        cut = cut_element(vphi, UNIT_TET)
+        cut = CutInterface(vphi, UNIT_TET)
         lam, w = triangle_rule(4)
         pts = np.einsum("qc,tcm->tqm", lam, cut.bary)
         assert (cut.area[:, None] * w).sum() == pytest.approx(cut.total_area, rel=1e-13)
@@ -213,7 +212,7 @@ class TestCompositeRules:
     def test_surface_rule_integrates_linear_fields_exactly(self):
         """Integral of an affine function over the flat interface polygon."""
         vphi = np.array([-0.7, 0.4, 0.9, 0.3])
-        cut = cut_element(vphi, UNIT_TET)
+        cut = CutInterface(vphi, UNIT_TET)
         coef = np.array([0.3, -1.1, 0.7])
         lam, w = triangle_rule(2)
         x = np.einsum("qc,tcm,mi->tqi", lam, cut.bary, UNIT_TET)
@@ -239,6 +238,6 @@ class TestCompositeRules:
     def test_volume_rule_on_mesh_element(self):
         """Under the identity, every element's volume weights sum to its volume."""
         _, mesh = torus_mesh(4, 1)
-        vol = VolumeData.build(mesh, IsoMapping(mesh, np.zeros((mesh.ndofs, 3))), degree=2)
+        vol = VolumeData.build(IsoMapping(mesh, np.zeros((mesh.ndofs, 3))), degree=2)
         for _, _, w in vol.chunks():
             np.testing.assert_allclose(w.sum(axis=1), mesh.elem_volume, rtol=1e-13)

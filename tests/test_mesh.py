@@ -13,7 +13,6 @@ from tracefem.mesh import (
     FacetSet,
     MeshError,
     MeshParams,
-    enumerate_active,
 )
 
 from helpers import (
@@ -91,7 +90,7 @@ class TestActiveEnumeration:
         ls = Torus()
         grid = lattice_values(ls, params)
         a = ActiveMesh.build(params, ls, 1)
-        b = enumerate_active(params, grid, 1)
+        b = ActiveMesh.from_vertex_values(params, grid, 1)
         assert np.array_equal(a.cube, b.cube)
         assert np.array_equal(a.tet, b.tet)
         np.testing.assert_array_equal(a.vertex_phi, b.vertex_phi)
@@ -107,7 +106,7 @@ class TestActiveEnumeration:
         params = MeshParams(2, ((0.0, 0.0, 0.0), (2.0, 2.0, 2.0)))
         z = np.arange(3, dtype=float) - 1.0
         grid = np.broadcast_to(z, (3, 3, 3)).copy()  # zero plane on the lattice
-        mesh = enumerate_active(params, grid, 1)
+        mesh = ActiveMesh.from_vertex_values(params, grid, 1)
         expected = brute_force_active(params, grid)
         assert mesh_active_sets(mesh) == expected
         assert np.all(mesh.cube[:, 2] == 0)  # upper slab is uniformly nonnegative
@@ -123,11 +122,11 @@ class TestActiveEnumeration:
         grid = np.ones((3, 3, 3))
         grid[1, 1, 1] = np.nan
         with pytest.raises(MeshError, match="finite"):
-            enumerate_active(params, grid, 1)
+            ActiveMesh.from_vertex_values(params, grid, 1)
 
     def test_wrong_grid_shape_rejected(self):
         with pytest.raises(ValueError, match="shape"):
-            enumerate_active(MeshParams(4), np.ones((3, 3, 3)), 1)
+            ActiveMesh.from_vertex_values(MeshParams(4), np.ones((3, 3, 3)), 1)
 
     def test_build_is_deterministic(self):
         a = ActiveMesh.build(MeshParams(6), Torus(), 2)

@@ -154,7 +154,6 @@ class TestInterpolation:
         dls = interpolate(ls, mesh)
         np.testing.assert_array_equal(dls.values, ls.phi(mesh.dof_points))
         assert dls.k == 2
-        assert np.array_equal(dls.coeffs, dls.values[mesh.elem_dofs])
 
     def test_affine_level_set_is_reproduced_everywhere(self, rng):
         plane = Plane((0.3, -0.2, 0.9), 0.17)

@@ -49,7 +49,7 @@ class TestAugmentation:
         sys = torus_system()
         gamma = augment_gamma(sys.S, sys.c)
         dense = sys.S.toarray() + gamma * np.outer(sys.c, sys.c)
-        np.linalg.cholesky(dense + 1e-14 * np.eye(sys.ndofs) * dense.diagonal().max())
+        np.linalg.cholesky(dense + 1e-14 * np.eye(len(sys.c)) * dense.diagonal().max())
 
 
 class TestPcg:
@@ -120,7 +120,7 @@ class TestConstrainedSolve:
 
     def test_zero_load_returns_zero(self):
         sys = torus_system()
-        rep = solve_constrained(sys.S, sys.c, np.zeros(sys.ndofs))
+        rep = solve_constrained(sys.S, sys.c, np.zeros(len(sys.c)))
         assert rep.converged and rep.iterations == 0
         assert np.all(rep.u == 0) and rep.relres_true == 0.0
 

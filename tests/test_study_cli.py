@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from tracefem import assembly, cutquad, study, vtkio
-from tracefem.cli import main
+from tracefem.cli import build_parser, main
 from tracefem.levelset import Sphere
 from tracefem.mesh import ActiveMesh, MeshParams
 from tracefem.study import (
@@ -368,6 +368,18 @@ class TestCli:
         assert os.path.exists(os.path.join(out, "convergence.csv"))
         assert "| level |" in captured.out
         assert "wrote" in captured.out
+
+    def test_every_registered_benchmark_runs_from_the_command_line(self, tmp_path, capsys):
+        """torus-zero, a registered benchmark, is a valid --benchmark choice; its one level is solved exactly."""
+        out = tmp_path / "zero"
+        argv = ["--benchmark", "torus-zero", "--k", "1", "--levels", "1", "--base-n", "8", "--out", str(out)]
+        assert main(argv) == 0
+        assert (out / "convergence.csv").exists()
+
+    def test_every_flag_sets_a_config_field(self):
+        """The flags after --config are copied into the StudyConfig by their dests."""
+        dests = set(vars(build_parser().parse_args([]))) - {"config"}
+        assert dests == set(StudyConfig.__dataclass_fields__)
 
     def test_config_file_with_flag_overrides(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
