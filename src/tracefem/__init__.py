@@ -3,9 +3,9 @@
 from . import backends
 from .assembly import AssembledSystem, StabConfig, assemble_s, assemble_system
 from .levelset import Plane, Sphere, SphereBenchmark, Torus, TorusBenchmark, ZeroBenchmark, make_benchmark, shifted_plane
-from .mapping import IsoMapping, SearchContext, build_theta, facet_jump_psi, normal_deviation, project_average, psi_h
+from .mapping import IsoMapping, build_theta, facet_jump_psi, project_average, psi_h
 from .mesh import ActiveMesh, MeshParams
-from .metrics import ErrorReport, compute_errors, eoc, estimate_condition
+from .metrics import ErrorReport, compute_errors, eoc, estimate_condition, normal_deviation
 from .reference import DiscreteLevelSet, ReferenceElement, interpolate
 from .solver import SolveReport, SolverDivergenceError, augment_gamma, pcg, solve_constrained
 
@@ -19,7 +19,6 @@ __all__ = [
     "MeshParams",
     "Plane",
     "ReferenceElement",
-    "SearchContext",
     "SolveReport",
     "Sphere",
     "SphereBenchmark",

@@ -22,8 +22,8 @@ import scipy.sparse as sp
 
 from . import backends
 from .cutquad import extract_cuts, tet_rule, triangle_rule
-from .mapping import IsoMapping, element_chunks
-from .mesh import SHAPE_BARY_A
+from .mapping import IsoMapping
+from .mesh import SHAPE_BARY_A, element_chunks
 from .reference import physical_gradients
 
 VARIANTS = (
@@ -99,11 +99,11 @@ class LiftedRule:
     per chunk.  An element with two cells gets two local matrices, which
     Pattern.add sums.
 
-    A chunk holds at most mapping.CHUNK_VALUES basis values, q * NB per
+    A chunk holds at most mesh.CHUNK_VALUES basis values, q * NB per
     cell, because the lift's (points, NB, 3) arrays, eval_basis's factors
     and the integrand grow with NB as well as with the points; bounded by
     points alone they were faulted in again for every chunk from k = 2 on
-    (measured in the comment on mapping.CHUNK_VALUES).
+    (measured in the comment on mesh.CHUNK_VALUES).
     """
 
     def __init__(self, mapping, cells, q):

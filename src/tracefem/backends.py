@@ -74,19 +74,13 @@ def eval_basis(k: int, lam: np.ndarray):
     Returns (vals (P, NB), dlam (P, NB, 4)) with dlam the gradient with
     respect to the four barycentric coordinates.
     """
-    lam = np.asarray(lam, dtype=np.float64)
-    squeeze = lam.ndim == 1
-    if squeeze:
-        lam = lam[None, :]
-    comp, dcomp = _factors(k, lam)
+    comp, dcomp = _factors(k, np.asarray(lam, dtype=np.float64))
     vals = comp[0] * comp[1] * comp[2] * comp[3]
     dlam = np.empty((*vals.shape, 4))
     dlam[:, :, 0] = dcomp[0] * comp[1] * comp[2] * comp[3]
     dlam[:, :, 1] = comp[0] * dcomp[1] * comp[2] * comp[3]
     dlam[:, :, 2] = comp[0] * comp[1] * dcomp[2] * comp[3]
     dlam[:, :, 3] = comp[0] * comp[1] * comp[2] * dcomp[3]
-    if squeeze:
-        return vals[0], dlam[0]
     return vals, dlam
 
 

@@ -13,7 +13,7 @@ import json
 import sys
 
 from .levelset import BENCHMARKS
-from .study import StudyConfig, StageError, run_study
+from .study import STAB_ALIASES, StudyConfig, StageError, run_study
 
 
 def _parse_rho(text: str):
@@ -44,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, help="polynomial degree 1..5")
     p.add_argument("--levels", type=int, help="number of uniform refinements")
     p.add_argument("--base-n", type=int, dest="base_n", help="cells per axis on the coarsest level")
-    p.add_argument("--stab", choices=list("none ghost fgs fgv nv".split()), help="stabilization variant")
+    p.add_argument("--stab", choices=list(STAB_ALIASES), help="stabilization variant")
     p.add_argument("--rho", type=_parse_rho, help="stabilization scaling: hinv, hk4 or custom:PRE,EXP")
     p.add_argument("--tol", type=float, help="relative solver tolerance")
     p.add_argument("--out", help="output directory")

@@ -164,22 +164,3 @@ def _lin_gradient(vphi, verts):
     e = verts[:, 1:] - verts[:, :1]
     dv = vphi[:, 1:] - vphi[:, :1]
     return np.linalg.solve(e, dv[:, :, None])[:, :, 0]
-
-
-class CutInterface:
-    """Interface triangles of a single cut tetrahedron."""
-
-    def __init__(self, vertex_phi, verts_phys):
-        vphi = np.asarray(vertex_phi, dtype=np.float64)[None, :]
-        verts = np.asarray(verts_phys, dtype=np.float64)[None, :, :]
-        _, bary, area = extract_cuts(vphi, verts)
-        self.vertex_phi = vphi[0]
-        self.verts_phys = verts[0]
-        self.bary = bary  # (ntri, 3, 4)
-        self.area = area
-        self.points = np.einsum("tcm,mi->tci", bary, verts[0])
-
-    @property
-    def total_area(self) -> float:
-        return float(self.area.sum())
-

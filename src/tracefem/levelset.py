@@ -4,7 +4,8 @@ Each surface is the zero set of a signed-distance function phi on a
 bounding box.  Benchmarks pair a surface with an exact solution u of the
 Laplace-Beltrami equation -lap_G u = f, int_G u = 0; both u and f are
 extended off the surface as constants along exact normals, so they can
-be evaluated directly at points of the discrete surface.
+be evaluated directly at points of the discrete surface.  Every method
+takes a batch of points (P, 3) and returns values (P,) or vectors (P, 3).
 """
 
 from __future__ import annotations
@@ -16,17 +17,6 @@ DEFAULT_BOX = (np.array([-2.0, -2.0, -2.0]), np.array([2.0, 2.0, 2.0]))
 
 class SingularPointError(ValueError):
     """Evaluation requested on the singular set of the level-set gradient."""
-
-
-def _as_points(x):
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        return x[None, :], True
-    return x, False
-
-
-def _ret(v, squeeze):
-    return v[0] if squeeze else v
 
 
 class Torus:
@@ -49,42 +39,24 @@ class Torus:
         return rho, q
 
     def phi(self, x):
-        x, sq = _as_points(x)
         rho, q = self._rho_q(x)
-        return _ret(q - self.r, sq)
+        return q - self.r
 
     def grad_phi(self, x):
-        x, sq = _as_points(x)
         rho, q = self._rho_q(x)
         if np.any(rho <= 1e-12) or np.any(q <= 1e-12):
             raise SingularPointError("gradient undefined on the torus axis or core circle")
         s = (rho - self.R) / (q * rho)
-        g = np.stack([s * x[:, 0], s * x[:, 1], x[:, 2] / q], axis=-1)
-        return _ret(g, sq)
+        return np.stack([s * x[:, 0], s * x[:, 1], x[:, 2] / q], axis=-1)
 
     def closest_point(self, x):
-        x, sq = _as_points(x)
         rho, q = self._rho_q(x)
         if np.any(rho <= 1e-12) or np.any(q <= 1e-12):
             raise SingularPointError("closest point undefined on the torus axis or core circle")
         cx = self.R * x[:, 0] / rho
         cy = self.R * x[:, 1] / rho
         t = self.r / q
-        p = np.stack(
-            [cx + t * (x[:, 0] - cx), cy + t * (x[:, 1] - cy), t * x[:, 2]], axis=-1
-        )
-        return _ret(p, sq)
-
-    def angles(self, x):
-        """Toroidal angles (phi_ang, theta); constant along exact normals."""
-        x, sq = _as_points(x)
-        rho = np.hypot(x[:, 0], x[:, 1])
-        phi_ang = np.arctan2(x[:, 1], x[:, 0])
-        theta = np.arctan2(x[:, 2], rho - self.R)
-        return _ret(phi_ang, sq), _ret(theta, sq)
-
-    def area(self) -> float:
-        return 4.0 * np.pi**2 * self.R * self.r
+        return np.stack([cx + t * (x[:, 0] - cx), cy + t * (x[:, 1] - cy), t * x[:, 2]], axis=-1)
 
 
 class Sphere:
@@ -96,25 +68,19 @@ class Sphere:
         self.radius = float(radius)
 
     def phi(self, x):
-        x, sq = _as_points(x)
-        return _ret(np.linalg.norm(x, axis=-1) - self.radius, sq)
+        return np.linalg.norm(x, axis=-1) - self.radius
 
     def grad_phi(self, x):
-        x, sq = _as_points(x)
         n = np.linalg.norm(x, axis=-1)
         if np.any(n <= 1e-12):
             raise SingularPointError("gradient undefined at the sphere center")
-        return _ret(x / n[:, None], sq)
+        return x / n[:, None]
 
     def closest_point(self, x):
-        x, sq = _as_points(x)
         n = np.linalg.norm(x, axis=-1)
         if np.any(n <= 1e-12):
             raise SingularPointError("closest point undefined at the sphere center")
-        return _ret(self.radius * x / n[:, None], sq)
-
-    def area(self) -> float:
-        return 4.0 * np.pi * self.radius**2
+        return self.radius * x / n[:, None]
 
 
 class Plane:
@@ -129,17 +95,14 @@ class Plane:
         self.offset = float(offset)
 
     def phi(self, x):
-        x, sq = _as_points(x)
-        return _ret(x @ self.normal - self.offset, sq)
+        return x @ self.normal - self.offset
 
     def grad_phi(self, x):
-        x, sq = _as_points(x)
-        return _ret(np.broadcast_to(self.normal, x.shape).copy(), sq)
+        return np.broadcast_to(self.normal, x.shape).copy()
 
     def closest_point(self, x):
-        x, sq = _as_points(x)
         d = x @ self.normal - self.offset
-        return _ret(x - d[:, None] * self.normal, sq)
+        return x - d[:, None] * self.normal
 
 
 class TorusBenchmark:
@@ -158,20 +121,19 @@ class TorusBenchmark:
         self.levelset = Torus(R, r)
 
     def _parts(self, x):
-        x, sq = _as_points(x)
         ls = self.levelset
         rho = np.hypot(x[:, 0], x[:, 1])
         pa = np.arctan2(x[:, 1], x[:, 0])
         th = np.arctan2(x[:, 2], rho - ls.R)
-        return x, sq, rho, pa, th
+        return rho, pa, th
 
     def exact_solution(self, x):
-        x, sq, _, pa, th = self._parts(x)
-        return _ret(np.sin(3.0 * pa) * np.cos(3.0 * th + pa), sq)
+        _, pa, th = self._parts(x)
+        return np.sin(3.0 * pa) * np.cos(3.0 * th + pa)
 
     def exact_solution_gradient(self, x):
         """Gradient of the normal extension of u, analytic chain rule."""
-        x, sq, rho, pa, th = self._parts(x)
+        rho, pa, th = self._parts(x)
         ls = self.levelset
         if np.any(rho <= 1e-12):
             raise SingularPointError("extension gradient undefined on the torus axis")
@@ -189,10 +151,10 @@ class TorusBenchmark:
             )
             / q2[:, None]
         )
-        return _ret(u_p[:, None] * grad_pa + u_t[:, None] * grad_th, sq)
+        return u_p[:, None] * grad_pa + u_t[:, None] * grad_th
 
     def rhs(self, x):
-        x, sq, _, pa, th = self._parts(x)
+        _, pa, th = self._parts(x)
         ls = self.levelset
         s3, c3 = np.sin(3.0 * pa), np.cos(3.0 * pa)
         sm, cm = np.sin(3.0 * th + pa), np.cos(3.0 * th + pa)
@@ -201,7 +163,7 @@ class TorusBenchmark:
         u_tt = -9.0 * s3 * cm
         rt = ls.R + ls.r * np.cos(th)
         lap = u_pp / rt**2 + u_tt / ls.r**2 - np.sin(th) * u_t / (ls.r * rt)
-        return _ret(-lap, sq)
+        return -lap
 
     def solution_l2_norm(self) -> float:
         """||u||_{L2} over the exact surface, closed form."""
@@ -218,26 +180,22 @@ class SphereBenchmark:
         self.levelset = Sphere(radius)
 
     def exact_solution(self, x):
-        x, sq = _as_points(x)
         n = np.linalg.norm(x, axis=-1)
-        return _ret(x[:, 0] * x[:, 1] * x[:, 2] / n**3, sq)
+        return x[:, 0] * x[:, 1] * x[:, 2] / n**3
 
     def exact_solution_gradient(self, x):
-        x, sq = _as_points(x)
         n = np.linalg.norm(x, axis=-1)
         xyz = x[:, 0] * x[:, 1] * x[:, 2]
-        g = np.stack(
+        return np.stack(
             [x[:, 1] * x[:, 2], x[:, 0] * x[:, 2], x[:, 0] * x[:, 1]], axis=-1
         ) / n[:, None] ** 3 - 3.0 * xyz[:, None] * x / n[:, None] ** 5
-        return _ret(g, sq)
 
     def rhs(self, x):
         # Degree-3 spherical harmonic: -lap_G u = 12 u on the unit sphere,
         # scaled by 1/radius^2 in general.
-        x, sq = _as_points(x)
         n = np.linalg.norm(x, axis=-1)
         u = x[:, 0] * x[:, 1] * x[:, 2] / n**3
-        return _ret(12.0 * u / self.levelset.radius**2, sq)
+        return 12.0 * u / self.levelset.radius**2
 
 
 class ZeroBenchmark:
@@ -248,16 +206,13 @@ class ZeroBenchmark:
         self.name = name
 
     def exact_solution(self, x):
-        x, sq = _as_points(x)
-        return _ret(np.zeros(len(x)), sq)
+        return np.zeros(len(x))
 
     def exact_solution_gradient(self, x):
-        x, sq = _as_points(x)
-        return _ret(np.zeros((len(x), 3)), sq)
+        return np.zeros((len(x), 3))
 
     def rhs(self, x):
-        x, sq = _as_points(x)
-        return _ret(np.zeros(len(x)), sq)
+        return np.zeros(len(x))
 
 
 def shifted_plane(eps: float, n: int) -> Plane:
@@ -273,13 +228,13 @@ def shifted_plane(eps: float, n: int) -> Plane:
 BENCHMARKS = {
     "torus": TorusBenchmark,
     "sphere": SphereBenchmark,
-    "torus-zero": lambda **kw: ZeroBenchmark(Torus(**kw), name="torus-zero"),
-    "plane": lambda **kw: ZeroBenchmark(Plane(), name="plane"),
+    "torus-zero": lambda: ZeroBenchmark(Torus(), name="torus-zero"),
+    "plane": lambda: ZeroBenchmark(Plane(), name="plane"),
 }
 
 
-def make_benchmark(name: str, **kw):
+def make_benchmark(name: str):
     """Benchmark registry used by the study harness and the CLI."""
     if name not in BENCHMARKS:
         raise ValueError(f"unknown benchmark {name!r}")
-    return BENCHMARKS[name](**kw)
+    return BENCHMARKS[name]()

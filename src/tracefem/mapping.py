@@ -19,32 +19,11 @@ from typing import NamedTuple
 import numpy as np
 
 from . import backends
-from .mesh import ActiveMesh
+from .cutquad import triangle_rule
+from .mesh import ActiveMesh, element_chunks
 from .reference import DiscreteLevelSet, physical_gradients
 
 DELTA_FRACTION = 0.5
-
-# Theta's build, every use of a lifted rule (the assembly, the errors, the
-# normal deviation, the VTK export) and the slot search of assembly.Pattern
-# stream in chunks of cells, and nothing a chunk makes outlives it, so their
-# memory does not grow with the mesh.  A chunk holds at most CHUNK_VALUES
-# values per (points, NB) array: q * NB per cell of a lifted rule, nb^2 per
-# block of Pattern, 4 NB^2 per element of Theta (see build_theta).  The
-# bound is on values, not points, because every per-point array of a chunk
-# has NB (or 3 NB) entries per point: a fixed 16,384 points made them
-# 2.6-7.5 MiB at k = 3 and 21 MiB at k = 5, each mapped afresh and faulted
-# in again per chunk.  Medians of three fresh processes, torus k=3 n=20
-# (k=5 n=16): build_theta 428 -> 177 ms (1,708 -> 797 ms) with 126,162 ->
-# 478 minor page faults (212,566 -> 1,739), assemble_system 603 -> 532 ms
-# (3,194 -> 2,823 ms), compute_errors 247 -> 194 ms (817 -> 529 ms).
-# For k = 1 (NB = 4) a lifted rule's chunk keeps 16,384 points.
-CHUNK_VALUES = 2**16
-
-
-def element_chunks(ncells: int, per_cell: int):
-    """Slices of consecutive cells with at most CHUNK_VALUES values, per_cell per cell (at least one cell)."""
-    step = max(1, CHUNK_VALUES // per_cell)
-    return [slice(s, min(s + step, ncells)) for s in range(0, ncells, step)]
 
 
 class MappingError(RuntimeError):
@@ -92,31 +71,12 @@ def _search(mesh: ActiveMesh, elems, coeffs, lam_x, G):
 
 
 def _solve_points(dls: DiscreteLevelSet, elems, x):
-    """Batched deformation distances and search directions at physical points of given elements, one point at a time."""
+    """Deformation distances (P,) and search directions (P, 3) at physical points x (P, 3) of the elements elems (P,), one per point."""
     mesh = dls.mesh
     elems = np.asarray(elems, dtype=np.int64)
     lam_x = mesh.bary_of_points(elems, np.asarray(x, dtype=np.float64))
     _, G = dls.eval(elems, lam_x, grad=True)
     return _search(mesh, elems, dls.values[mesh.elem_dofs[elems]], lam_x, G), G
-
-
-class SearchContext:
-    """Deformation search restricted to a single element."""
-
-    def __init__(self, dls: DiscreteLevelSet, elem: int):
-        self.dls = dls
-        self.elem = int(elem)
-
-    def _points(self, x):
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        return np.full(len(x), self.elem, dtype=np.int64), x
-
-    def solve_dh(self, x):
-        d, _ = _solve_points(self.dls, *self._points(x))
-        return d if d.size > 1 else float(d[0])
-
-    def psi_h(self, x):
-        return psi_h(self.dls, *self._points(x))
 
 
 def psi_h(dls: DiscreteLevelSet, elems, x):
@@ -260,8 +220,6 @@ def build_theta(dls: DiscreteLevelSet) -> IsoMapping:
 
 def facet_jump_psi(dls: DiscreteLevelSet, degree: int = 4) -> float:
     """Max two-sided mismatch of the element deformations across interior facets."""
-    from .cutquad import triangle_rule
-
     fs = dls.mesh.facets
     if len(fs) == 0:
         return 0.0
@@ -273,16 +231,3 @@ def facet_jump_psi(dls: DiscreteLevelSet, degree: int = 4) -> float:
         elems = np.repeat(fs.elems[:, s], q)
         sides.append(psi_h(dls, elems, pts))
     return float(np.linalg.norm(sides[0] - sides[1], axis=-1).max())
-
-
-def normal_deviation(mapping: IsoMapping, levelset, degree=None) -> float:
-    """Max deviation of the discrete unit normal from the exact surface normal."""
-    from .assembly import SurfaceData
-
-    surf = SurfaceData.build(mapping, degree if degree is not None else 2 * mapping.mesh.k)
-    dev = 0.0
-    for _, lift, _ in surf.chunks():
-        n_exact = levelset.grad_phi(lift.y.reshape(-1, 3))
-        n_exact = n_exact / np.linalg.norm(n_exact, axis=-1, keepdims=True)
-        dev = np.maximum(dev, np.linalg.norm(lift.nh.reshape(-1, 3) - n_exact, axis=-1).max(initial=0.0))
-    return float(dev)

@@ -20,6 +20,28 @@ from .reference import ReferenceElement
 
 ZERO_SHIFT = 1e-14  # exact-zero vertex values are moved to +ZERO_SHIFT*h
 
+# Theta's build, every use of a lifted rule (the assembly, the errors, the
+# normal deviation, the VTK export) and the slot search of assembly.Pattern
+# stream in chunks of cells, and nothing a chunk makes outlives it, so their
+# memory does not grow with the mesh.  A chunk holds at most CHUNK_VALUES
+# values per (points, NB) array: q * NB per cell of a lifted rule, nb^2 per
+# block of Pattern, 4 NB^2 per element of Theta (see build_theta).  The
+# bound is on values, not points, because every per-point array of a chunk
+# has NB (or 3 NB) entries per point: a fixed 16,384 points made them
+# 2.6-7.5 MiB at k = 3 and 21 MiB at k = 5, each mapped afresh and faulted
+# in again per chunk.  Medians of three fresh processes, torus k=3 n=20
+# (k=5 n=16): build_theta 428 -> 177 ms (1,708 -> 797 ms) with 126,162 ->
+# 478 minor page faults (212,566 -> 1,739), assemble_system 603 -> 532 ms
+# (3,194 -> 2,823 ms), compute_errors 247 -> 194 ms (817 -> 529 ms).
+# For k = 1 (NB = 4) a lifted rule's chunk keeps 16,384 points.
+CHUNK_VALUES = 2**16
+
+
+def element_chunks(ncells: int, per_cell: int):
+    """Slices of consecutive cells with at most CHUNK_VALUES values, per_cell per cell (at least one cell)."""
+    step = max(1, CHUNK_VALUES // per_cell)
+    return [slice(s, min(s + step, ncells)) for s in range(0, ncells, step)]
+
 
 class MeshError(RuntimeError):
     pass
@@ -76,9 +98,6 @@ class MeshParams:
         if not np.allclose(h, h[0], rtol=1e-12, atol=0.0):
             raise ValueError("cells must be cubic; box extents must match")
         self.h = float(h[0])
-
-    def refined(self, factor: int = 2) -> "MeshParams":
-        return MeshParams(self.n * factor, (self.lo, self.hi))
 
 
 def _corner_index(off):
@@ -223,7 +242,7 @@ class ActiveMesh:
         return np.einsum("pm,pmi->pi", lam, self.verts_phys(elems))
 
     def dof_index_of(self, lattice) -> np.ndarray:
-        lattice = np.atleast_2d(np.asarray(lattice, dtype=np.int64))
+        lattice = np.asarray(lattice, dtype=np.int64)
         m = self.k * self.params.n + 1
         keys = (lattice[:, 0] * m + lattice[:, 1]) * m + lattice[:, 2]
         idx = np.searchsorted(self.dof_keys, keys)
@@ -281,8 +300,6 @@ class FacetSet:
         self.nfacets = len(self.elems)
         self.area = np.empty(self.nfacets)
         self.normal = np.empty((self.nfacets, 3))
-        from .mapping import element_chunks  # mapping imports this module
-
         for s in element_chunks(self.nfacets, 2 * 4 * 3):  # per facet: both elements' (4, 3) vertices
             lo, hi = self.elems[s].T
             verts = mesh.verts_phys(lo)

@@ -18,6 +18,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
+from . import vtkio
 from .assembly import StabConfig, assemble_system
 from .levelset import BENCHMARKS, make_benchmark, shifted_plane, ZeroBenchmark
 from .mapping import build_theta
@@ -198,8 +199,6 @@ def _level_pipeline(cfg: StudyConfig, problem, n: int, export_tag=None):
     stab = StabConfig(cfg.stab, cfg.rho)
     system = _stage("assemble", assemble_system, mesh, dls, mapping, problem, stab)
     if cfg.export_vtk and export_tag is not None:
-        from . import vtkio
-
         os.makedirs(cfg.out, exist_ok=True)
         vtkio.export_level(cfg.out, export_tag, mapping)
     if cfg.export_matrix and export_tag is not None:

@@ -11,8 +11,12 @@ from .assembly import SurfaceData
 
 def _write_points(fh, points):
     fh.write(f"POINTS {len(points)} double\n")
-    for p in points:
-        fh.write(f"{p[0]:.16g} {p[1]:.16g} {p[2]:.16g}\n")
+    np.savetxt(fh, points, fmt="%.16g")
+
+
+def _write_cells(fh, cells):
+    """One row per cell: its vertex count, then its vertex indices."""
+    np.savetxt(fh, np.column_stack([np.full(len(cells), cells.shape[1]), cells]), fmt="%d")
 
 
 def write_unstructured_tets(path, points, tets):
@@ -22,8 +26,7 @@ def write_unstructured_tets(path, points, tets):
         fh.write("DATASET UNSTRUCTURED_GRID\n")
         _write_points(fh, points)
         fh.write(f"CELLS {len(tets)} {5 * len(tets)}\n")
-        for t in tets:
-            fh.write(f"4 {t[0]} {t[1]} {t[2]} {t[3]}\n")
+        _write_cells(fh, tets)
         fh.write(f"CELL_TYPES {len(tets)}\n")
         fh.write("\n".join(["10"] * len(tets)) + "\n")
 
@@ -35,8 +38,7 @@ def write_triangles(path, points, tris):
         fh.write("DATASET POLYDATA\n")
         _write_points(fh, points)
         fh.write(f"POLYGONS {len(tris)} {4 * len(tris)}\n")
-        for t in tris:
-            fh.write(f"3 {t[0]} {t[1]} {t[2]}\n")
+        _write_cells(fh, tris)
 
 
 def write_point_cloud(path, points):
@@ -45,8 +47,7 @@ def write_point_cloud(path, points):
         fh.write("DATASET POLYDATA\n")
         _write_points(fh, points)
         fh.write(f"VERTICES {len(points)} {2 * len(points)}\n")
-        for i in range(len(points)):
-            fh.write(f"1 {i}\n")
+        _write_cells(fh, np.arange(len(points))[:, None])
 
 
 def _mesh_vertex_arrays(mesh, deformed=None):

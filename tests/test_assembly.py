@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 
 from tracefem import assembly, backends
-from tracefem import mapping as mapping_module
+from tracefem import mesh as mesh_module
 from tracefem.assembly import (
     VARIANTS,
     Pattern,
@@ -340,12 +340,12 @@ class TestGeometryData:
         lam, wq = triangle_rule(4)
         q = len(wq)
         NB = mesh.ref.ndofs
-        monkeypatch.setattr(mapping_module, "CHUNK_VALUES", (5 * q + q - 1) * NB)
+        monkeypatch.setattr(mesh_module, "CHUNK_VALUES", (5 * q + q - 1) * NB)
         rule = SurfaceData.build(mapping, 4)
         surf = lifted_arrays(rule)
         tri_elem, tri_bary, tri_area = extract_cuts(mesh.vertex_phi, mesh.verts_phys(slice(None)))
-        assert len(mapping_module.element_chunks(len(tri_elem), q * NB)) > 1
-        assert len(mapping_module.element_chunks(mesh.nelems, 2 * 3 * 4)) > 1
+        assert len(mesh_module.element_chunks(len(tri_elem), q * NB)) > 1
+        assert len(mesh_module.element_chunks(mesh.nelems, 2 * 3 * 4)) > 1
         np.testing.assert_array_equal(rule.tri_bary, tri_bary)
         np.testing.assert_array_equal(rule.tri_area, tri_area)
         lift = mapping.lift(tri_elem, np.einsum("qc,tcm->tqm", lam, tri_bary))
@@ -386,7 +386,7 @@ class TestGeometryData:
         _, mesh, dls, mapping = torus_case(16, 2)
         lam, wq = tet_rule(4)
         q = len(wq)
-        monkeypatch.setattr(mapping_module, "CHUNK_VALUES", (5 * q + q - 1) * mesh.ref.ndofs)
+        monkeypatch.setattr(mesh_module, "CHUNK_VALUES", (5 * q + q - 1) * mesh.ref.ndofs)
         rule = VolumeData.build(mapping, 4)
         vol = lifted_arrays(rule)
         lift = mapping.lift(np.arange(mesh.nelems), lam)  # gradients from the basis at every element
@@ -423,7 +423,7 @@ class TestGeometryData:
             return sys, np.array([err.e_dist, err.e_l2, err.e_h1t, err.e_h1n])
 
         ref, ref_err = run()
-        monkeypatch.setattr(mapping_module, "CHUNK_VALUES", 64 * mesh.ref.ndofs)
+        monkeypatch.setattr(mesh_module, "CHUNK_VALUES", 64 * mesh.ref.ndofs)
         small, small_err = run()
         assert abs(small.S - ref.S).max() <= 1e-13 * abs(ref.S).max()
         for name in ("c", "f"):
@@ -489,8 +489,8 @@ class TestGeometryData:
         _, mesh, dls, mapping = torus_case(12, 2)
         surf = SurfaceData.build(mapping)
         NB = mesh.ref.ndofs
-        monkeypatch.setattr(mapping_module, "CHUNK_VALUES", 50 * surf.q * NB)
-        chunks = len(mapping_module.element_chunks(len(surf.cells), surf.q * NB))
+        monkeypatch.setattr(mesh_module, "CHUNK_VALUES", 50 * surf.q * NB)
+        chunks = len(mesh_module.element_chunks(len(surf.cells), surf.q * NB))
         original, calls = backends.accumulate_sym, []
         monkeypatch.setattr(backends, "accumulate_sym", lambda v, w: calls.append(1) or original(v, w))
         assemble_system(mesh, dls, mapping, torus_benchmark(), StabConfig("full_gradient_surface"))
@@ -578,7 +578,7 @@ class TestPattern:
             blocks["facets"] = _ghost_patches(mesh)[0]
         assert mesh.ndofs**2 < 2**31
         for d in blocks.values():
-            assert len(mapping_module.element_chunks(len(d), d.shape[1] ** 2)) > 1
+            assert len(mesh_module.element_chunks(len(d), d.shape[1] ** 2)) > 1
         self.assert_matches_unique_keys(mesh.ndofs, blocks)
 
     def test_int64_keys_past_two_to_the_31(self, rng, monkeypatch):
@@ -589,6 +589,6 @@ class TestPattern:
             "facets": np.array([rng.choice(n, 5, replace=False) for _ in range(30)]),
         }
         assert n * n >= 2**31
-        monkeypatch.setattr(mapping_module, "CHUNK_VALUES", 7 * 16 + 15)
-        assert len(mapping_module.element_chunks(40, 16)) == 6
+        monkeypatch.setattr(mesh_module, "CHUNK_VALUES", 7 * 16 + 15)
+        assert len(mesh_module.element_chunks(40, 16)) == 6
         self.assert_matches_unique_keys(n, blocks)

@@ -10,7 +10,6 @@ from tracefem.assembly import VolumeData
 from tracefem.cutquad import (
     MAX_SURFACE_DEGREE,
     MAX_VOLUME_DEGREE,
-    CutInterface,
     extract_cuts,
     tet_rule,
     triangle_rule,
@@ -132,10 +131,9 @@ class TestExtractCuts:
         vphi = np.array([[-1.0, -1.0, 1.0, 1.0]])
         elem, bary, area = extract_cuts(vphi, UNIT_TET[None])
         assert elem.tolist() == [0, 0]
-        cut = CutInterface(vphi[0], UNIT_TET)
-        assert cut.total_area == pytest.approx(area.sum())
         # all four distinct corners lie on one plane through the zero level
-        corners = np.unique(np.round(cut.points.reshape(-1, 3), 12), axis=0)
+        points = np.einsum("tcm,mi->tci", bary, UNIT_TET)
+        corners = np.unique(np.round(points.reshape(-1, 3), 12), axis=0)
         assert len(corners) == 4
         g = affine_gradient(vphi[0], UNIT_TET)
         span = corners[1:] - corners[0]
@@ -149,9 +147,9 @@ class TestExtractCuts:
             if vphi.min() >= 0 or vphi.max() <= 0 or np.any(vphi == 0):
                 continue
             verts = UNIT_TET + 0.2 * rng.standard_normal((4, 3))
-            cut = CutInterface(vphi, verts)
+            _, _, area = extract_cuts(vphi[None], verts[None])
             poly = clip_polygon_oracle(vphi, verts)
-            assert cut.total_area == pytest.approx(polygon_area(poly), abs=1e-10)
+            assert area.sum() == pytest.approx(polygon_area(poly), abs=1e-10)
             count += 1
 
     def test_exact_zero_rejected(self):
@@ -202,24 +200,24 @@ class TestCompositeRules:
         vphi = rng.standard_normal(4)
         vphi[0] = -abs(vphi[0]) - 0.1
         vphi[1:] = np.abs(vphi[1:]) + 0.1
-        cut = CutInterface(vphi, UNIT_TET)
+        _, bary, area = extract_cuts(vphi[None], UNIT_TET[None])
         lam, w = triangle_rule(4)
-        pts = np.einsum("qc,tcm->tqm", lam, cut.bary)
-        assert (cut.area[:, None] * w).sum() == pytest.approx(cut.total_area, rel=1e-13)
+        pts = np.einsum("qc,tcm->tqm", lam, bary)
+        assert (area[:, None] * w).sum() == pytest.approx(area.sum(), rel=1e-13)
         assert pts.shape[-1] == 4
         np.testing.assert_allclose(pts.sum(axis=-1), 1.0, atol=1e-13)
 
     def test_surface_rule_integrates_linear_fields_exactly(self):
         """Integral of an affine function over the flat interface polygon."""
         vphi = np.array([-0.7, 0.4, 0.9, 0.3])
-        cut = CutInterface(vphi, UNIT_TET)
+        _, bary, area = extract_cuts(vphi[None], UNIT_TET[None])
         coef = np.array([0.3, -1.1, 0.7])
         lam, w = triangle_rule(2)
-        x = np.einsum("qc,tcm,mi->tqi", lam, cut.bary, UNIT_TET)
-        got = np.sum(cut.area[:, None] * w * (x @ coef + 0.25))
+        x = np.einsum("qc,tcm,mi->tqi", lam, bary, UNIT_TET)
+        got = np.sum(area[:, None] * w * (x @ coef + 0.25))
         exact = sum(
-            area * ((tri @ UNIT_TET).mean(axis=0) @ coef + 0.25)
-            for tri, area in zip(cut.bary, cut.area)
+            a * ((tri @ UNIT_TET).mean(axis=0) @ coef + 0.25)
+            for tri, a in zip(bary, area)
         )  # affine: centroid value times area
         assert got == pytest.approx(exact, rel=1e-12)
 

@@ -25,6 +25,11 @@ SPHERE = Sphere()
 BENCH = TorusBenchmark()
 
 
+def pt(*xyz):
+    """One point as a batch of one, (1, 3)."""
+    return np.array([xyz], dtype=np.float64)
+
+
 def random_tube_points(rng, levelset, band, count):
     """Rejection-sample points of the box with |phi| below the band."""
     out = []
@@ -37,59 +42,56 @@ def random_tube_points(rng, levelset, band, count):
 
 class TestTorusValues:
     def test_phi_axis_point(self):
-        assert TORUS.phi((0.0, 0.0, 0.0)) == pytest.approx(0.4, abs=1e-15)
+        assert TORUS.phi(pt(0.0, 0.0, 0.0)) == pytest.approx(0.4, abs=1e-15)
 
     def test_phi_outer_equator(self):
-        assert TORUS.phi((1.6, 0.0, 0.0)) == pytest.approx(0.0, abs=1e-15)
+        assert TORUS.phi(pt(1.6, 0.0, 0.0)) == pytest.approx(0.0, abs=1e-15)
 
     def test_phi_tube_top(self):
-        assert TORUS.phi((1.0, 0.0, 0.6)) == pytest.approx(0.0, abs=1e-15)
+        assert TORUS.phi(pt(1.0, 0.0, 0.6)) == pytest.approx(0.0, abs=1e-15)
 
     def test_grad_outer_equator(self):
-        np.testing.assert_allclose(TORUS.grad_phi((1.6, 0.0, 0.0)), [1.0, 0.0, 0.0], atol=1e-14)
+        np.testing.assert_allclose(TORUS.grad_phi(pt(1.6, 0.0, 0.0)), [[1.0, 0.0, 0.0]], atol=1e-14)
 
     def test_grad_singular_on_axis(self):
         with pytest.raises(SingularPointError):
-            TORUS.grad_phi((0.0, 0.0, 0.0))
+            TORUS.grad_phi(pt(0.0, 0.0, 0.0))
 
     def test_grad_singular_on_core_circle(self):
         with pytest.raises(SingularPointError):
-            TORUS.grad_phi((1.0, 0.0, 0.0))
+            TORUS.grad_phi(pt(1.0, 0.0, 0.0))
 
     def test_closest_point_radial(self):
-        np.testing.assert_allclose(TORUS.closest_point((2.0, 0.0, 0.0)), [1.6, 0.0, 0.0], atol=1e-14)
+        np.testing.assert_allclose(TORUS.closest_point(pt(2.0, 0.0, 0.0)), [[1.6, 0.0, 0.0]], atol=1e-14)
 
     def test_closest_point_vertical(self):
-        np.testing.assert_allclose(TORUS.closest_point((1.0, 0.0, 1.0)), [1.0, 0.0, 0.6], atol=1e-14)
+        np.testing.assert_allclose(TORUS.closest_point(pt(1.0, 0.0, 1.0)), [[1.0, 0.0, 0.6]], atol=1e-14)
 
     def test_invalid_radii(self):
         with pytest.raises(ValueError):
             Torus(R=0.5, r=0.6)
 
-    def test_area_closed_form(self):
-        assert TORUS.area() == pytest.approx(4.0 * np.pi**2 * 1.0 * 0.6, rel=1e-14)
-
 
 class TestSphereValues:
     def test_phi(self):
-        assert SPHERE.phi((0.0, 0.0, 2.0)) == pytest.approx(1.0, abs=1e-15)
+        assert SPHERE.phi(pt(0.0, 0.0, 2.0)) == pytest.approx(1.0, abs=1e-15)
 
     def test_grad_radial(self):
-        np.testing.assert_allclose(SPHERE.grad_phi((0.0, 0.0, 2.0)), [0.0, 0.0, 1.0], atol=1e-15)
+        np.testing.assert_allclose(SPHERE.grad_phi(pt(0.0, 0.0, 2.0)), [[0.0, 0.0, 1.0]], atol=1e-15)
 
     def test_closest_point(self):
-        np.testing.assert_allclose(SPHERE.closest_point((0.0, 0.0, 0.5)), [0.0, 0.0, 1.0], atol=1e-15)
+        np.testing.assert_allclose(SPHERE.closest_point(pt(0.0, 0.0, 0.5)), [[0.0, 0.0, 1.0]], atol=1e-15)
 
     def test_center_singular(self):
         with pytest.raises(SingularPointError):
-            SPHERE.grad_phi((0.0, 0.0, 0.0))
+            SPHERE.grad_phi(pt(0.0, 0.0, 0.0))
 
 
 class TestPlane:
     def test_normal_is_normalized(self):
         p = Plane((0.0, 0.0, 2.0), 1.0)
-        assert p.phi((0.0, 0.0, 3.0)) == pytest.approx(2.0, abs=1e-15)
-        np.testing.assert_allclose(p.grad_phi((0.3, -0.4, 0.9)), [0.0, 0.0, 1.0], atol=1e-15)
+        assert p.phi(pt(0.0, 0.0, 3.0)) == pytest.approx(2.0, abs=1e-15)
+        np.testing.assert_allclose(p.grad_phi(pt(0.3, -0.4, 0.9)), [[0.0, 0.0, 1.0]], atol=1e-15)
 
     def test_zero_normal_rejected(self):
         with pytest.raises(ValueError):
@@ -97,14 +99,14 @@ class TestPlane:
 
     def test_closest_point_projection(self):
         p = Plane((0.0, 0.0, 1.0), 0.25)
-        np.testing.assert_allclose(p.closest_point((1.0, 2.0, 3.0)), [1.0, 2.0, 0.25], atol=1e-14)
+        np.testing.assert_allclose(p.closest_point(pt(1.0, 2.0, 3.0)), [[1.0, 2.0, 0.25]], atol=1e-14)
 
     def test_shifted_plane_sits_between_lattice_planes(self):
         n, eps = 8, 0.25
         p = shifted_plane(eps, n)
         h = 4.0 / n
         base = -2.0 + (n // 2) * h
-        assert p.phi((0.7, -1.1, base + eps * h)) == pytest.approx(0.0, abs=1e-14)
+        assert p.phi(pt(0.7, -1.1, base + eps * h)) == pytest.approx(0.0, abs=1e-14)
 
     def test_shifted_plane_validates_fraction(self):
         for eps in (0.0, 1.0, -0.1, 2.0):
@@ -136,10 +138,10 @@ class TestSignedDistanceProperties:
 
 class TestTorusBenchmark:
     def test_solution_at_reference_angles(self):
-        assert BENCH.exact_solution((1.6, 0.0, 0.0)) == pytest.approx(0.0, abs=1e-14)
+        assert BENCH.exact_solution(pt(1.6, 0.0, 0.0)) == pytest.approx(0.0, abs=1e-14)
         x = torus_point(np.pi / 6.0, 0.0)
-        assert BENCH.exact_solution(x) == pytest.approx(np.cos(np.pi / 6.0), rel=1e-13)
-        assert BENCH.exact_solution((1.0, 0.0, 0.6)) == pytest.approx(0.0, abs=1e-13)
+        assert BENCH.exact_solution(x[None]) == pytest.approx(np.cos(np.pi / 6.0), rel=1e-13)
+        assert BENCH.exact_solution(pt(1.0, 0.0, 0.6)) == pytest.approx(0.0, abs=1e-13)
 
     def test_rhs_matches_finite_difference_laplacian(self, rng):
         phi_ang = rng.uniform(0.0, 2.0 * np.pi, 1_000)
@@ -191,7 +193,7 @@ class TestTorusBenchmark:
 
     def test_singular_axis_rejected(self):
         with pytest.raises(SingularPointError):
-            BENCH.exact_solution_gradient((0.0, 0.0, 0.3))
+            BENCH.exact_solution_gradient(pt(0.0, 0.0, 0.3))
 
 
 class TestSphereBenchmark:

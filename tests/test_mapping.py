@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from tracefem import mapping as mapping_module
+from tracefem import mesh as mesh_module
 from tracefem.assembly import SurfaceData, VolumeData
 from tracefem.levelset import Plane, Torus
 from tracefem.mapping import (
@@ -14,14 +15,14 @@ from tracefem.mapping import (
     Lift,
     MappingError,
     MappingInvertibilityError,
-    SearchContext,
+    _solve_points,
     build_theta,
     facet_jump_psi,
-    normal_deviation,
     project_average,
     psi_h,
 )
 from tracefem.mesh import ActiveMesh, MeshParams
+from tracefem.metrics import normal_deviation
 from tracefem.reference import interpolate
 
 from helpers import plane_case, smallest_root_bisection, torus_case, torus_mesh
@@ -50,12 +51,11 @@ class TestRootSolve:
         delta = DELTA_FRACTION * mesh.h
         build_theta(dls)  # every node is solvable
         for elem in rng.integers(0, mesh.nelems, size=12):
-            ctx = SearchContext(dls, elem)
             x = mesh.dof_points[mesh.elem_dofs[elem]]
             lam = mesh.bary_of_points(np.full(len(x), elem), x)
             phihat = np.einsum("pm,m->p", lam, mesh.vertex_phi[elem])
             G = q.grad_phi(x)  # dls is exact, so grad(phi_h) = grad(phi)
-            d = ctx.solve_dh(x)
+            d, _ = _solve_points(dls, np.full(len(x), elem), x)
             for p in range(len(x)):
                 g = lambda t: q.phi(x[p] + t * G[p])[0] - phihat[p]
                 if abs(g(0.0)) <= 1e-12 * max(1.0, abs(phihat[p])):
@@ -109,7 +109,7 @@ class TestStreamedBuild:
         ls, mesh = torus_mesh(16, 3)
         dls = interpolate(ls, mesh)
         NB = mesh.ref.ndofs
-        monkeypatch.setattr(mapping_module, "CHUNK_VALUES", 4 * NB * (64 * NB + NB - 1))  # 4 NB^2 values per element
+        monkeypatch.setattr(mesh_module, "CHUNK_VALUES", 4 * NB * (64 * NB + NB - 1))  # 4 NB^2 values per element
         disp = build_theta(dls).displacement
         E = mesh.nelems
         x = mesh.dof_points[mesh.elem_dofs].reshape(E * NB, 3)

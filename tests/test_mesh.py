@@ -157,8 +157,6 @@ class TestMeshParams:
     def test_cell_size(self):
         p = MeshParams(8)
         assert p.h == pytest.approx(0.5)
-        assert p.refined().n == 16
-        assert p.refined().h == pytest.approx(0.25)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError, match="positive integer"):

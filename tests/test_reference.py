@@ -68,10 +68,10 @@ class TestBasis:
             fd = (ref.eval(lp)[0] - ref.eval(lm)[0]) / (2 * step)
             np.testing.assert_allclose(dlam[:, :, m], fd, atol=1e-8)
 
-    def test_single_point_squeeze(self):
+    def test_single_point_is_a_batch_of_one(self):
         ref = ReferenceElement(2)
-        v, d = ref.eval(np.array([0.25, 0.25, 0.25, 0.25]))
-        assert v.shape == (ref.ndofs,) and d.shape == (ref.ndofs, 4)
+        v, d = ref.eval(np.array([[0.25, 0.25, 0.25, 0.25]]))
+        assert v.shape == (1, ref.ndofs) and d.shape == (1, ref.ndofs, 4)
 
     def test_degree_bounds(self):
         with pytest.raises(ValueError, match="degree"):

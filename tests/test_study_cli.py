@@ -218,6 +218,26 @@ class TestConvergenceStudy:
         vtkio.write_triangles(tmp_path / "oracle.vtk", pts, np.arange(len(pts)).reshape(-1, 3))
         assert (out / "interface_lin_l0.vtk").read_bytes() == (tmp_path / "oracle.vtk").read_bytes()
 
+    def test_vtk_text_matches_a_row_by_row_writer(self, tmp_path):
+        """The VTK writers give the text of formatting one row at a time, signed zeros, extremes and wide indices included."""
+        rng = np.random.default_rng(5)
+        pts = rng.standard_normal((50, 3))
+        pts[0] = [-0.0, 1e-300, -1e300]
+        tets = rng.integers(0, 2**40, (20, 4))
+        vtkio.write_unstructured_tets(tmp_path / "t.vtk", pts, tets)
+        vtkio.write_triangles(tmp_path / "s.vtk", pts, tets[:, :3])
+        vtkio.write_point_cloud(tmp_path / "p.vtk", pts)
+        points = "POINTS 50 double\n" + "".join(f"{x:.16g} {y:.16g} {z:.16g}\n" for x, y, z in pts)
+
+        def cells(c):
+            return "".join(" ".join(str(v) for v in [len(row), *row]) + "\n" for row in c.tolist())
+
+        assert (tmp_path / "t.vtk").read_text().endswith(
+            points + "CELLS 20 100\n" + cells(tets) + "CELL_TYPES 20\n" + "10\n" * 20
+        )
+        assert (tmp_path / "s.vtk").read_text().endswith(points + "POLYGONS 20 80\n" + cells(tets[:, :3]))
+        assert (tmp_path / "p.vtk").read_text().endswith(points + "VERTICES 50 100\n" + cells(np.arange(50)[:, None]))
+
     def test_markdown_table_shape(self):
         result, _ = run_convergence(small_config(levels=1))
         md = result.markdown_text()
