@@ -5,28 +5,100 @@ The piecewise-linear interface inside a cut tetrahedron is a triangle
 extracted marching-tetrahedra style from the vertex values of the
 linear interpolant.  Quadrature on triangles and tetrahedra uses
 conical-product Gauss-Jacobi rules: a single positive-weight
-construction exact at any requested degree.
+construction, exact here to degree MAX_SURFACE_DEGREE and
+MAX_VOLUME_DEGREE.  Its 1-D rules are tabulated, bit for bit, from
+scipy.special's Gauss-Legendre and Gauss-Jacobi roots, so building a
+rule imports nothing beyond numpy.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
 
 MAX_SURFACE_DEGREE = 10
 MAX_VOLUME_DEGREE = 10
 
 _RULE_CACHE: dict = {}
 
-
-def _gauss01(n):
-    x, w = roots_legendre(n)
-    return 0.5 * (x + 1.0), 0.5 * w
-
-
-def _jacobi01(n, alpha):
-    x, w = roots_jacobi(n, alpha, 0.0)
-    return 0.5 * (x + 1.0), w / 2.0 ** (alpha + 1)
+# (alpha, n) -> (nodes, weights) on [0, 1] of the n-point Gauss rule for
+# the weight (1 - x)^alpha, exact to degree 2n - 1: the roots x of
+# scipy.special.roots_legendre(n) (alpha = 0) or roots_jacobi(n, alpha, 0)
+# mapped to 0.5 * (x + 1), their weights divided by 2^(alpha + 1).  n = 1..6
+# covers degree 10; tests/test_cutquad.py checks every rule against scipy.
+_GAUSS_JACOBI01 = {
+    (0, 1): (
+        (0.5,),
+        (1.0,),
+    ),
+    (0, 2): (
+        (0.21132486540518713, 0.7886751345948129),
+        (0.5, 0.5),
+    ),
+    (0, 3): (
+        (0.1127016653792583, 0.5, 0.8872983346207417),
+        (0.2777777777777779, 0.44444444444444414, 0.2777777777777779),
+    ),
+    (0, 4): (
+        (0.06943184420297371, 0.33000947820757187, 0.6699905217924281, 0.9305681557970262),
+        (0.1739274225687269, 0.3260725774312731, 0.3260725774312731, 0.1739274225687269),
+    ),
+    (0, 5): (
+        (0.04691007703066802, 0.23076534494715845, 0.5, 0.7692346550528415, 0.9530899229693319),
+        (0.11846344252809449, 0.23931433524968326, 0.2844444444444445, 0.23931433524968326, 0.11846344252809449),
+    ),
+    (0, 6): (
+        (0.033765242898423975, 0.16939530676686776, 0.3806904069584015, 0.6193095930415985, 0.8306046932331322, 0.966234757101576),
+        (0.08566224618958508, 0.18038078652406928, 0.2339569672863456, 0.2339569672863456, 0.18038078652406928, 0.08566224618958508),
+    ),
+    (1, 1): (
+        (0.33333333333333337,),
+        (0.5,),
+    ),
+    (1, 2): (
+        (0.15505102572168217, 0.6449489742783179),
+        (0.31804138174397717, 0.18195861825602283),
+    ),
+    (1, 3): (
+        (0.08858795951270393, 0.40946686444073477, 0.787659461760847),
+        (0.2009319137389596, 0.2292411063595862, 0.06982697990145417),
+    ),
+    (1, 4): (
+        (0.057104196114517725, 0.2768430136381238, 0.5835904323689168, 0.8602401356562195),
+        (0.13550691343148852, 0.2034645680102711, 0.12984754760823233, 0.031180970950008085),
+    ),
+    (1, 5): (
+        (0.03980985705146872, 0.1980134178736082, 0.43797481024738616, 0.6954642733536361, 0.9014649142011736),
+        (0.09678159022665148, 0.1671746380943697, 0.14638698708466985, 0.07390887007261668, 0.0157479145216923),
+    ),
+    (1, 6): (
+        (0.02931642715978494, 0.1480785996684843, 0.3369846902811543, 0.5586715187715502, 0.7692338620300545, 0.926945671319741),
+        (0.0723103307255089, 0.13554249723151868, 0.14079255378819883, 0.0986611508906552, 0.04395516555050896, 0.008738301813609529),
+    ),
+    (2, 1): (
+        (0.25,),
+        (0.3333333333333333,),
+    ),
+    (2, 2): (
+        (0.1225148226554415, 0.5441518440112253),
+        (0.232547451253508, 0.10078588207982532),
+    ),
+    (2, 3): (
+        (0.0729940240731497, 0.3470037660383518, 0.7050022098884984),
+        (0.15713636106488646, 0.1462462692598661, 0.029950703008580715),
+    ),
+    (2, 4): (
+        (0.048500549446997276, 0.23860073755186234, 0.5170472951043674, 0.7958514178967728),
+        (0.11088841561127774, 0.14345878979921445, 0.0686338871729231, 0.010352240749918081),
+    ),
+    (2, 5): (
+        (0.03457893991821509, 0.17348032077169567, 0.3898863870655193, 0.6343334726308868, 0.8510542129470164),
+        (0.08176478428577101, 0.12619896189991137, 0.08920016122159007, 0.032055600722961895, 0.0041138252030990035),
+    ),
+    (2, 6): (
+        (0.025904555093667347, 0.13156394165798502, 0.30243691802289124, 0.509036413164752, 0.7156811273117138, 0.8868056161775619),
+        (0.06253870272658223, 0.1073764997367799, 0.09457718674854086, 0.05128957112961604, 0.01572029718494501, 0.0018310758068692911),
+    ),
+}
 
 
 def _points_needed(degree):
@@ -40,8 +112,8 @@ def triangle_rule(degree: int):
     key = ("tri", degree)
     if key not in _RULE_CACHE:
         n = _points_needed(degree)
-        xi, wx = _gauss01(n)
-        eta, we = _jacobi01(n, 1.0)
+        xi, wx = map(np.array, _GAUSS_JACOBI01[0, n])
+        eta, we = map(np.array, _GAUSS_JACOBI01[1, n])
         X = np.outer(xi, 1.0 - eta).ravel()
         Y = np.tile(eta, n)
         W = np.outer(wx, we).ravel()
@@ -57,9 +129,9 @@ def tet_rule(degree: int):
     key = ("tet", degree)
     if key not in _RULE_CACHE:
         n = _points_needed(degree)
-        xi, wx = _gauss01(n)
-        eta, we = _jacobi01(n, 1.0)
-        zeta, wz = _jacobi01(n, 2.0)
+        xi, wx = map(np.array, _GAUSS_JACOBI01[0, n])
+        eta, we = map(np.array, _GAUSS_JACOBI01[1, n])
+        zeta, wz = map(np.array, _GAUSS_JACOBI01[2, n])
         XI, ETA, ZETA = np.meshgrid(xi, eta, zeta, indexing="ij")
         X = (XI * (1.0 - ETA) * (1.0 - ZETA)).ravel()
         Y = (ETA * (1.0 - ZETA)).ravel()

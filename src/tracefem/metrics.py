@@ -12,7 +12,9 @@ Errors are integrated with rules one exactness step above assembly
 Condition numbers are those of S restricted to the constraint hyperplane
 c.u = 0: the extreme eigenvalues of S on c-perp.  Small systems take them
 exactly, from one Householder reflection, one tridiagonal reduction and
-two bisected ends; large ones from LOBPCG.
+two bisected ends; large ones from LOBPCG.  Only these estimates import
+scipy.linalg (the dense one) and scipy.sparse.linalg (LOBPCG), when they
+are called, so a convergence run loads neither.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import blas, lapack
 
 from .assembly import SurfaceData
 
@@ -125,6 +126,8 @@ def _dense_ends(chat, S):
     update in place (upper triangle only, the one LAPACK reads) and is
     reduced to tridiagonal form once; bisection then finds its two ends.
     """
+    from scipy.linalg import blas, lapack
+
     j = int(np.argmax(np.abs(chat)))
     v = chat.copy()
     v[j] += 1.0 if chat[j] >= 0.0 else -1.0

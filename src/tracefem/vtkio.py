@@ -7,6 +7,7 @@ import os
 import numpy as np
 
 from .assembly import SurfaceData
+from .mesh import element_chunks
 
 
 def _write_points(fh, points):
@@ -74,10 +75,14 @@ def export_level(outdir, tag, mapping):
     write_triangles(os.path.join(outdir, f"interface_lin_{tag}.vtk"), pts, tris)
 
     if mesh.k > 1:
-        # deformed vertices coincide with the originals; export nodal images instead
-        corners = mesh.bary_of_points(np.repeat(np.arange(mesh.nelems), 4), verts.reshape(-1, 3))
-        y, _ = mapping.eval(np.repeat(np.arange(mesh.nelems), 4), corners)
-        pos_d, cells_d = _mesh_vertex_arrays(mesh, deformed=y.reshape(mesh.nelems, 4, 3))
+        # deformed vertices coincide with the originals; export nodal images
+        # instead, lifted one chunk of elements (4 corners, NB values each) at a time
+        deformed = np.empty_like(verts)
+        for s in element_chunks(mesh.nelems, 4 * mesh.ref.ndofs):
+            elems = np.repeat(np.arange(s.start, s.stop), 4)
+            corners = mesh.bary_of_points(elems, verts[s].reshape(-1, 3))
+            deformed[s] = mapping.eval(elems, corners)[0].reshape(-1, 4, 3)
+        pos_d, cells_d = _mesh_vertex_arrays(mesh, deformed=deformed)
         write_unstructured_tets(
             os.path.join(outdir, f"deformed_mesh_{tag}.vtk"), pos_d, cells_d
         )

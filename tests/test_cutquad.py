@@ -5,7 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import roots_jacobi, roots_legendre
 
+from tracefem import cutquad
 from tracefem.assembly import VolumeData
 from tracefem.cutquad import (
     MAX_SURFACE_DEGREE,
@@ -87,6 +89,15 @@ class TestSimplexRules:
     def test_rules_are_cached(self):
         assert triangle_rule(4) is triangle_rule(4)
         assert tet_rule(4) is tet_rule(4)
+
+    @pytest.mark.parametrize("alpha", [0, 1, 2])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_tabulated_rules_are_scipys_bit_for_bit(self, alpha, n):
+        """The 1-D rules on [0, 1] behind every simplex rule up to degree 10 are scipy's Gauss-Jacobi roots, mapped."""
+        x, w = roots_legendre(n) if alpha == 0 else roots_jacobi(n, float(alpha), 0.0)
+        nodes, weights = (np.array(v) for v in cutquad._GAUSS_JACOBI01[alpha, n])
+        assert nodes.tobytes() == (0.5 * (x + 1.0)).tobytes()
+        assert weights.tobytes() == (w / 2.0 ** (alpha + 1)).tobytes()
 
 
 class TestExtractCuts:

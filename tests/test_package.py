@@ -1,6 +1,10 @@
-"""The package's public names and how its modules import each other."""
+"""The package's public names, how its modules import each other, and which scipy modules a run loads."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import tracefem
@@ -29,3 +33,35 @@ def test_no_module_imports_another_inside_a_function():
                     if isinstance(node, ast.ImportFrom) and node.level > 0
                 ]
     assert late == []
+
+
+LAZY_SCIPY = ("scipy.special", "scipy.linalg", "scipy.sparse.linalg", "scipy.io")
+
+RUNS = f"""
+import json, sys
+import tracefem
+from tracefem.study import StudyConfig, run_study
+
+def loaded():
+    return [m for m in {LAZY_SCIPY!r} if m in sys.modules]
+
+seen = [loaded()]
+run_study(StudyConfig(benchmark="torus", k=1, levels=1, base_n=8, out=sys.argv[1] + "/conv"))
+seen.append(loaded())
+run_study(StudyConfig(conditioning=True, k=2, base_n=4, shifts=[0.5], out=sys.argv[1] + "/cond"))
+seen.append(loaded())
+print(json.dumps(seen))
+"""
+
+
+def test_a_run_loads_only_the_scipy_modules_it_calls(tmp_path):
+    """Import and convergence run take numpy and scipy.sparse alone; the dense condition estimate adds scipy.linalg."""
+    path = os.pathsep.join(filter(None, [str(Path(tracefem.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", RUNS, str(tmp_path)], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    after_import, after_convergence, after_sweep = json.loads(proc.stdout.splitlines()[-1])
+    assert after_import == after_convergence == []
+    assert after_sweep == ["scipy.linalg"]

@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 from tracefem import assembly, cutquad, study, vtkio
+from tracefem import mesh as mesh_module
 from tracefem.cli import build_parser, main
 from tracefem.levelset import Sphere
+from tracefem.mapping import IsoMapping
 from tracefem.mesh import ActiveMesh, MeshParams
 from tracefem.study import (
     StageError,
@@ -217,6 +219,25 @@ class TestConvergenceStudy:
         pts = np.einsum("tcm,tmi->tci", tri_bary, mesh.verts_phys(tri_elem)).reshape(-1, 3)
         vtkio.write_triangles(tmp_path / "oracle.vtk", pts, np.arange(len(pts)).reshape(-1, 3))
         assert (out / "interface_lin_l0.vtk").read_bytes() == (tmp_path / "oracle.vtk").read_bytes()
+
+    def test_vtk_export_streams_the_deformed_corners(self, monkeypatch, tmp_path):
+        """With chunks of 50 elements the export lifts at most 200 corners per call, and writes the default run's bytes."""
+        cfg = dict(benchmark="sphere", k=2, levels=1, base_n=8, export_vtk=True)
+        run_study(StudyConfig(**cfg, out=str(tmp_path / "default")))
+        batches, original = [], IsoMapping.eval
+
+        def eval_(self, elems, lam):
+            batches.append(len(elems))
+            return original(self, elems, lam)
+
+        monkeypatch.setattr(mesh_module, "CHUNK_VALUES", 4 * 10 * 50 + 7)  # NB = 10 at k = 2
+        monkeypatch.setattr(IsoMapping, "eval", eval_)
+        run_study(StudyConfig(**cfg, out=str(tmp_path / "small")))
+        assert len(batches) > 1 and max(batches) == 200
+        names = sorted(p.name for p in (tmp_path / "default").glob("*.vtk"))
+        assert "deformed_mesh_l0.vtk" in names
+        for name in names:
+            assert (tmp_path / "small" / name).read_bytes() == (tmp_path / "default" / name).read_bytes(), name
 
     def test_vtk_text_matches_a_row_by_row_writer(self, tmp_path):
         """The VTK writers give the text of formatting one row at a time, signed zeros, extremes and wide indices included."""
