@@ -220,58 +220,67 @@ SORTED_SEARCH_DOFS = 10
 class Pattern:
     """CSR matrix on the union of dense dof blocks, into whose data local matrices are added.
 
-    Each keyword names a family of blocks, dof rows (B, nb); slots[name]
-    (B, nb, nb) is the place in matrix.data of every local entry, int32
-    while the matrix has fewer than 2^31 nonzeros.  Column indices are
-    sorted.  An entry's key is row * n + column, int32 while n^2 < 2^31.
-    All keys are sorted once; the slots are searched chunk by chunk of
-    blocks, so no key array but the sorted one is ever whole.  Blocks of
-    more than SORTED_SEARCH_DOFS dofs are searched with each block's dofs
-    sorted, so that its keys ascend and each search starts near the last,
-    and every slot is taken back through the dofs' ranks.
+    Each keyword names a family of blocks, dof rows (B, nb), which the
+    pattern keeps by reference.  The CSR pattern is that of B^T B for the
+    (blocks x n) incidence B of every family, with sorted column indices.
+    offsets[name] (B, nb, nb) is the place of every local entry within its
+    row, found chunk by chunk of blocks in the nnz sorted keys
+    row * n + column, in the smallest unsigned type that holds the longest
+    row: uint8 up to 256 entries.  slots() adds the rows' starts.  No key
+    array of all local entries is ever made.  Blocks of more than
+    SORTED_SEARCH_DOFS dofs are searched with each block's dofs sorted, so
+    that its keys ascend and each search starts near the last, and every
+    offset is taken back through the dofs' ranks.
     """
 
     def __init__(self, n, **blocks):
-        key = np.int32 if n * n < 2**31 else np.int64
-
-        def keys(d):
-            d = d.astype(key)
-            return d[:, :, None] * n + d[:, None, :]
-
-        chunks = [(name, s) for name, d in blocks.items() for s in element_chunks(len(d), d.shape[1] ** 2)]
-        uniq = np.empty(sum(d.size * d.shape[1] for d in blocks.values()), dtype=key)
-        at = 0
-        for name, s in chunks:
-            k = keys(blocks[name][s]).ravel()
-            uniq[at : at + k.size] = k
-            at += k.size
-        # sorted, not np.unique: for integer keys numpy's unique takes a hash path many times slower
-        uniq.sort()
-        first = np.ones(len(uniq), dtype=bool)
-        np.not_equal(uniq[1:], uniq[:-1], out=first[1:])
-        uniq = uniq[first]
-        index = np.int32 if len(uniq) < 2**31 else np.int64
-        self.slots = {name: np.empty((len(d), d.shape[1], d.shape[1]), dtype=index) for name, d in blocks.items()}
-        for name, s in chunks:
-            d = blocks[name][s]
+        self.dofs = blocks
+        fams = list(blocks.values())
+        widths = np.repeat(np.array([d.shape[1] for d in fams], dtype=np.int64), [len(d) for d in fams])
+        # bool entries: scipy sums them as a logical or, so no count can wrap to an explicit zero and be dropped
+        incidence = sp.csr_matrix(
+            (
+                np.ones(widths.sum(), dtype=bool),
+                np.concatenate([np.zeros(0, dtype=np.int32)] + [d.astype(np.int32).ravel() for d in fams]),
+                np.concatenate([[0], np.cumsum(widths)]),
+            ),
+            shape=(len(widths), n),
+        )
+        product = incidence.T.tocsr() @ incidence
+        del incidence
+        product.sort_indices()
+        indptr, indices = product.indptr, product.indices
+        del product
+        key = np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(indptr))
+        key += indices
+        offset = np.min_scalar_type(np.diff(indptr).max(initial=1) - 1)
+        self.offsets = {}
+        for name, d in blocks.items():
             B, nb = d.shape
-            if nb <= SORTED_SEARCH_DOFS:
-                self.slots[name][s] = np.searchsorted(uniq, keys(d))
-                continue
-            order = np.argsort(d, axis=1)
-            rank = np.empty_like(order)
-            np.put_along_axis(rank, order, np.arange(nb), axis=1)
-            found = np.searchsorted(uniq, keys(np.take_along_axis(d, order, axis=1)))
-            # entry (a, c) of a block is entry (rank a, rank c) of its sorted block
-            at = (np.arange(B) * nb * nb)[:, None, None] + rank[:, :, None] * nb + rank[:, None, :]
-            self.slots[name][s] = found.ravel().take(at)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(uniq // n, minlength=n), out=indptr[1:])
-        self.matrix = sp.csr_matrix((np.zeros(len(uniq)), uniq % n, indptr), shape=(n, n))
+            self.offsets[name] = off = np.empty((B, nb, nb), dtype=offset)
+            for s in element_chunks(B, nb * nb):
+                c = d[s].astype(np.int64)
+                if nb <= SORTED_SEARCH_DOFS:
+                    off[s] = np.searchsorted(key, c[:, :, None] * n + c[:, None, :]) - indptr[c][:, :, None]
+                    continue
+                order = np.argsort(c, axis=1)
+                rank = np.empty_like(order)
+                np.put_along_axis(rank, order, np.arange(nb), axis=1)
+                c = np.take_along_axis(c, order, axis=1)
+                found = np.searchsorted(key, c[:, :, None] * n + c[:, None, :]) - indptr[c][:, :, None]
+                # entry (a, b) of a block is entry (rank a, rank b) of its sorted block
+                at = (np.arange(len(c)) * nb * nb)[:, None, None] + rank[:, :, None] * nb + rank[:, None, :]
+                off[s] = found.ravel().take(at)
+        del key
+        self.matrix = sp.csr_matrix((np.zeros(len(indices)), indices, indptr), shape=(n, n))
+
+    def slots(self, name, rows):
+        """(B', nb, nb) places in matrix.data of the local entries of the blocks rows of family name."""
+        return self.matrix.indptr[self.dofs[name][rows]][..., None] + self.offsets[name][rows]
 
     def add(self, name, rows, local):
         """Add local matrices (B', nb, nb) on the blocks rows of family name; a repeated row sums."""
-        np.add.at(self.matrix.data, self.slots[name][rows], local)
+        np.add.at(self.matrix.data, self.slots(name, rows), local)
 
 
 def _surface_pass(surf, problem, out, root_rho):
@@ -333,7 +342,7 @@ def _ghost_patches(mesh):
     if mesh.k != 1:
         raise ValueError("ghost_penalty is unsupported for k > 1 (no higher-order theory)")
     fs = mesh.facets
-    dofs = np.empty((len(fs), 5), dtype=np.int64)
+    dofs = np.empty((len(fs), 5), dtype=np.int32)
     jump = np.empty((len(fs), 5))
     for s in element_chunks(len(fs), 2 * 4 * 3):  # per facet: both elements' (4, 3) barycentric gradients
         elems = fs.elems[s].T
@@ -371,8 +380,7 @@ def assemble_system(mesh, dls, mapping, problem, stab: StabConfig) -> AssembledS
     blocks, jump = {"elements": mesh.elem_dofs}, None
     if stab.variant == "ghost_penalty":
         blocks["facets"], jump = _ghost_patches(mesh)
-    out = Pattern(mesh.ndofs, **blocks)
-    del blocks  # the facet patches' dofs: out's slots stand for them now
+    out = Pattern(mesh.ndofs, **blocks)  # keeps the facet patches' dofs for its slots
     # the surface rule is built after the pattern, so a mesh's first rule and
     # its cut are not alive at the pattern's peak; a later assembly of the
     # mesh builds its pattern with the cached cut alive

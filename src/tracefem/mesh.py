@@ -21,11 +21,12 @@ from .reference import ReferenceElement
 ZERO_SHIFT = 1e-14  # exact-zero vertex values are moved to +ZERO_SHIFT*h
 
 # Theta's build, every use of a lifted rule (the assembly, the errors, the
-# normal deviation, the VTK export) and the slot search of assembly.Pattern
-# stream in chunks of cells, and nothing a chunk makes outlives it, so their
-# memory does not grow with the mesh.  A chunk holds at most CHUNK_VALUES
-# values per (points, NB) array: q * NB per cell of a lifted rule, nb^2 per
-# block of Pattern, 4 NB^2 per element of Theta (see build_theta).  The
+# normal deviation, the VTK export) and the offset search of
+# assembly.Pattern stream in chunks of cells, and nothing a chunk makes
+# outlives it, so their memory does not grow with the mesh.  A chunk holds
+# at most CHUNK_VALUES values per (points, NB) array: q * NB per cell of a
+# lifted rule, nb^2 per block of Pattern, 4 NB^2 per element of Theta (see
+# build_theta).  The
 # bound is on values, not points, because every per-point array of a chunk
 # has NB (or 3 NB) entries per point: a fixed 16,384 points made them
 # 2.6-7.5 MiB at k = 3 and 21 MiB at k = 5, each mapped afresh and faulted

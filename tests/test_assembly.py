@@ -560,29 +560,28 @@ class TestPattern:
         np.testing.assert_allclose(S.data, oracle.data, rtol=1e-15, atol=1e-15 * abs(oracle.data).max())
 
     @staticmethod
-    def assert_matches_unique_keys(n, blocks):
+    def assert_matches_unique_keys(n, blocks, offset=np.uint8):
         pattern = Pattern(n, **blocks)
         slots, indices, indptr = pattern_unique_keys(n, **blocks)
-        for name in blocks:
-            np.testing.assert_array_equal(pattern.slots[name], slots[name])
-            assert pattern.slots[name].dtype == np.int32
+        for name, dofs in blocks.items():
+            assert pattern.offsets[name].dtype == offset
+            np.testing.assert_array_equal(pattern.matrix.indptr[dofs][..., None] + pattern.offsets[name], slots[name])
         np.testing.assert_array_equal(pattern.matrix.indices, indices)
         np.testing.assert_array_equal(pattern.matrix.indptr, indptr)
 
     @pytest.mark.parametrize("n, k", [(32, 1), (12, 3)])
     def test_chunked_search_matches_one_search_of_int64_keys(self, n, k):
-        """The assembly's blocks (and ghost_penalty's facet patches at k=1), searched chunk by chunk with int32 keys."""
+        """The assembly's blocks (and ghost_penalty's facet patches at k=1), searched chunk by chunk."""
         _, mesh, _, _ = torus_case(n, k)
         blocks = {"elements": mesh.elem_dofs}
         if k == 1:
             blocks["facets"] = _ghost_patches(mesh)[0]
-        assert mesh.ndofs**2 < 2**31
         for d in blocks.values():
             assert len(mesh_module.element_chunks(len(d), d.shape[1] ** 2)) > 1
         self.assert_matches_unique_keys(mesh.ndofs, blocks)
 
     def test_int64_keys_past_two_to_the_31(self, rng, monkeypatch):
-        """Dof ids up to n = 50,000 make n^2 > 2^31, so the keys are int64; ragged chunks of 7 blocks of 4."""
+        """Dof ids up to n = 50,000 make n^2 > 2^31; ragged chunks of 7 blocks of 4."""
         n = 50_000
         blocks = {
             "elements": np.array([rng.choice(n, 4, replace=False) for _ in range(40)]),
@@ -592,3 +591,15 @@ class TestPattern:
         monkeypatch.setattr(mesh_module, "CHUNK_VALUES", 7 * 16 + 15)
         assert len(mesh_module.element_chunks(40, 16)) == 6
         self.assert_matches_unique_keys(n, blocks)
+
+    def test_rows_longer_than_256_take_uint16_offsets(self, rng):
+        """Dofs 0 and 1 share 256 blocks, so their rows hold more than 256 entries (and a count of 256 wraps a byte to 0)."""
+        n = 5_000
+        others = np.arange(2, n)
+        blocks = {
+            "elements": np.array([np.concatenate([[0, 1], rng.choice(others, 10, replace=False)]) for _ in range(256)]),
+            "facets": np.array([np.concatenate([rng.choice(others, 4, replace=False), [0]]) for _ in range(30)]),
+        }
+        assert blocks["elements"].shape[1] > assembly.SORTED_SEARCH_DOFS
+        assert np.diff(pattern_unique_keys(n, **blocks)[2]).max() > 256
+        self.assert_matches_unique_keys(n, blocks, offset=np.uint16)
