@@ -228,10 +228,13 @@ CONV_COLUMNS = [
 
 
 def _convergence_level(cfg: StudyConfig, problem, level: int) -> dict:
-    """Solve and measure one level; its mesh, mapping and system are freed on return, before the next level is built."""
+    """Solve and measure one level; its system is freed before the errors stage, its mesh and mapping on return, before the next level is built."""
     n = cfg.base_n * 2**level
     mapping, system = _level_pipeline(cfg, problem, n, export_tag=f"l{level}")
     rep = _stage("solve", solve_constrained, system.S, system.c, system.f, tol=cfg.tol)
+    # alive, S, c and f would be the errors stage's peak: torus k=3 n=20
+    # peaks there at 25.7 MiB traced with them, 14.4 MiB without
+    del system
     err = _stage("errors", compute_errors, mapping, rep.u, problem)
     return dict(
         level=level,

@@ -146,6 +146,29 @@ class TestConvergenceStudy:
             gc.enable()
         assert alive == ([[], [False], [False, False]] if k == 1 else [[], [False]])
 
+    def test_system_is_freed_before_the_errors(self, monkeypatch):
+        """No level's S, c and f are alive while its errors are measured; the collector is off, as above."""
+        systems, alive = [], []
+        assemble, errors = study.assemble_system, study.compute_errors
+
+        def assembled(*args):
+            system = assemble(*args)
+            systems.append(weakref.ref(system))
+            return system
+
+        def measured(*args):
+            alive.append([ref() is not None for ref in systems])
+            return errors(*args)
+
+        monkeypatch.setattr(study, "assemble_system", assembled)
+        monkeypatch.setattr(study, "compute_errors", measured)
+        gc.disable()
+        try:
+            run_convergence(small_config())
+        finally:
+            gc.enable()
+        assert alive == [[False], [False, False]]
+
     def test_each_level_is_cut_once(self, monkeypatch, tmp_path):
         """The assembly, the errors and the VTK export share one cut of each level's interface."""
         cut, meshes = count_cuts(monkeypatch)
