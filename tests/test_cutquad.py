@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from scipy.special import roots_jacobi, roots_legendre
 
-from tracefem import cutquad
-from tracefem.assembly import VolumeData
+from tracefem import assembly, cutquad
+from tracefem.assembly import SurfaceData, VolumeData
 from tracefem.cutquad import (
     MAX_SURFACE_DEGREE,
     MAX_VOLUME_DEGREE,
@@ -137,6 +137,30 @@ class TestExtractCuts:
         for t, e in enumerate(elem):
             g = affine_gradient(vphi[e], verts[e])
             assert np.dot(nvec[t], g) > 0
+
+    def test_lin_gradient_matches_one_solve_per_tet(self, rng):
+        """The cofactor gradient agrees with a LAPACK solve of the edge system to rounding."""
+        vphi = rng.standard_normal((200, 4))
+        verts = UNIT_TET + 0.2 * rng.standard_normal((200, 4, 3))
+        e = verts[:, 1:] - verts[:, :1]
+        solved = np.linalg.solve(e, (vphi[:, 1:] - vphi[:, :1])[:, :, None])[:, :, 0]
+        g = cutquad._lin_gradient(vphi, verts)
+        np.testing.assert_allclose(g, solved, rtol=1e-12, atol=1e-12 * abs(solved).max())
+
+    def test_surface_rule_triangles_are_those_a_solve_orients(self, monkeypatch):
+        """SurfaceData.build's triangles are byte-identical to those oriented by a LAPACK solve per tet."""
+        _, mesh = torus_mesh(16, 2)
+        mapping = IsoMapping(mesh, np.zeros((mesh.ndofs, 3)))
+        surf = SurfaceData.build(mapping)
+        assembly._CUTS.clear()
+        monkeypatch.setattr(
+            cutquad,
+            "_lin_gradient",
+            lambda vphi, verts: np.linalg.solve(verts[:, 1:] - verts[:, :1], (vphi[:, 1:] - vphi[:, :1])[:, :, None])[:, :, 0],
+        )
+        solved = SurfaceData.build(mapping)
+        for a, b in ((surf.cells, solved.cells), (surf.tri_bary, solved.tri_bary), (surf.tri_area, solved.tri_area)):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
     def test_quad_case_yields_two_coplanar_triangles(self):
         vphi = np.array([[-1.0, -1.0, 1.0, 1.0]])
