@@ -34,6 +34,11 @@ UNIT_TET = np.array(
 )
 
 
+def solved_gradient(vphi, verts):
+    """Gradient of the linear interpolant on each tet (B, 4) x (B, 4, 3) by a LAPACK solve of the edge system."""
+    return np.linalg.solve(verts[:, 1:] - verts[:, :1], (vphi[:, 1:] - vphi[:, :1])[:, :, None])[:, :, 0]
+
+
 def affine_gradient(vphi, verts):
     """Least-squares affine fit through the four vertex samples."""
     A = np.hstack([verts, np.ones((4, 1))])
@@ -142,8 +147,7 @@ class TestExtractCuts:
         """The cofactor gradient agrees with a LAPACK solve of the edge system to rounding."""
         vphi = rng.standard_normal((200, 4))
         verts = UNIT_TET + 0.2 * rng.standard_normal((200, 4, 3))
-        e = verts[:, 1:] - verts[:, :1]
-        solved = np.linalg.solve(e, (vphi[:, 1:] - vphi[:, :1])[:, :, None])[:, :, 0]
+        solved = solved_gradient(vphi, verts)
         g = cutquad._lin_gradient(vphi, verts)
         np.testing.assert_allclose(g, solved, rtol=1e-12, atol=1e-12 * abs(solved).max())
 
@@ -153,11 +157,7 @@ class TestExtractCuts:
         mapping = IsoMapping(mesh, np.zeros((mesh.ndofs, 3)))
         surf = SurfaceData.build(mapping)
         assembly._CUTS.clear()
-        monkeypatch.setattr(
-            cutquad,
-            "_lin_gradient",
-            lambda vphi, verts: np.linalg.solve(verts[:, 1:] - verts[:, :1], (vphi[:, 1:] - vphi[:, :1])[:, :, None])[:, :, 0],
-        )
+        monkeypatch.setattr(cutquad, "_lin_gradient", solved_gradient)
         solved = SurfaceData.build(mapping)
         for a, b in ((surf.cells, solved.cells), (surf.tri_bary, solved.tri_bary), (surf.tri_area, solved.tri_area)):
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()

@@ -4,8 +4,9 @@ Each case is a one-level study (or the conditioning sweep) run through
 study.run_study in a fresh process with one BLAS thread.  Every array the
 study makes is hashed with SHA-256 over its dtype, shape and bytes, and a
 norm is kept next to each digest, so a failure names the array that
-moved and by how much.  A change that moves a digest on purpose
-regenerates the table with
+moved and by how much.  The digests hold for one numpy, scipy and
+OpenBLAS build; another may round differently.  A change that moves a
+digest on purpose, or a new build, regenerates the table with
 
     PYTHONPATH=src python tests/test_golden.py
 
