@@ -86,6 +86,10 @@ class StabConfig:
         return float(pre) * h ** float(expo)
 
 
+# What one chunk of a lifted rule may allocate, in doubles: 4 MiB (see LiftedRule).
+CHUNK_DOUBLES = 2**19
+
+
 class LiftedRule:
     """Quadrature points of the active elements, pushed through Theta chunk by chunk where they are used.
 
@@ -99,11 +103,25 @@ class LiftedRule:
     per chunk.  An element with two cells gets two local matrices, which
     Pattern.add sums.
 
-    A chunk holds at most mesh.CHUNK_VALUES basis values, q * NB per
-    cell, because the lift's (points, NB, 3) arrays, eval_basis's factors
-    and the integrand grow with NB as well as with the points; bounded by
-    points alone they were faulted in again for every chunk from k = 2 on
-    (measured in the comment on mesh.CHUNK_VALUES).
+    A chunk holds at most CHUNK_DOUBLES doubles of what its points
+    allocate, a * NB + b per point with (a, b) = POINT_DOUBLES: the lift,
+    eval_basis's factors and the integrand all grow with NB.  Each chunk's
+    peak above what was live when it started, in doubles per point
+    (tracemalloc, tests/helpers.py chunk_peaks and chunk_footprints, one
+    BLAS thread; torus k=1 n=32 ghost penalty, torus k=2 and 3 n=12 and
+    sphere k=4 and 5 n=8 normal volume):
+
+        k (NB)            1 (4)  2 (10)  3 (20)  4 (35)  5 (56)
+        surface pass         97     203     383     655    1041
+        compute_errors       67     154     305     530     845
+        volume pass           -      89     162     270     422
+
+    The surface rule evaluates the basis in its lift and counts
+    19 NB + 20; the volume rule reads gradients from a table and counts
+    8 NB + 8.  So every chunk of the surface and volume passes peaks at
+    3.5-4.03 MiB, and one of compute_errors, which lifts the surface rule,
+    at 2.8-3.0 MiB.  Counted as q * NB basis values, surface chunks
+    peaked at 9.1-10.2 MiB.
     """
 
     def __init__(self, mapping, cells, q):
@@ -114,11 +132,25 @@ class LiftedRule:
         """(P,) the element of every point."""
         return np.repeat(self.cells, self.q)
 
+    @property
+    def cell_doubles(self):
+        """Doubles that one cell's q points allocate in a chunk, q * (a * NB + b)."""
+        a, b = self.POINT_DOUBLES
+        return self.q * (a * self.mesh.ref.ndofs + b)
+
+    def slices(self):
+        """Slices of consecutive cells, one per chunk, each at most CHUNK_DOUBLES doubles."""
+        return element_chunks(len(self.cells), self.cell_doubles, CHUNK_DOUBLES)
+
     def chunks(self):
-        """Yield (cells (Ec,), Lift, lifted weights (Ec, q)) for consecutive cells, at most CHUNK_VALUES basis values each."""
-        for s in element_chunks(len(self.cells), self.q * self.mesh.ref.ndofs):
-            lift, w = self._lift(s)
-            yield self.cells[s], lift, w
+        """Yield (cells (Ec,), Lift, lifted weights (Ec, q)) for the cells of every slice.
+
+        The generator keeps no reference to a chunk it has yielded; a caller
+        that drops its own before asking for the next chunk has one chunk
+        alive at a time.
+        """
+        for s in self.slices():
+            yield (self.cells[s], *self._lift(s))
 
     def accumulate(self, integrand, out, each=None):
         """Add w * v.v' local matrices into out, a Pattern with element blocks, v = integrand(lift) (Ec, q, NB, M).
@@ -130,6 +162,7 @@ class LiftedRule:
             out.add("elements", cells, backends.accumulate_sym(integrand(lift), w))
             if each is not None:
                 each(cells, lift, w)
+            del lift, w  # freed before the next chunk's lift
 
 
 # The interface triangles of every mesh: the zero level of the linear
@@ -149,6 +182,8 @@ class SurfaceData(LiftedRule):
     chunk's Lift carries basis values and lifted points too, for the
     constraint, the load and the errors.
     """
+
+    POINT_DOUBLES = (19, 20)
 
     def __init__(self, mapping, tri_elem, tri_bary, tri_area, degree):
         """tri_elem (T,): the triangles' elements; tri_bary (T, 3, 4) their corners; tri_area (T,) their areas."""
@@ -190,6 +225,8 @@ class VolumeData(LiftedRule):
     reference weights (q,) and a weight scale (the stabilization's rho):
     a chunk's weights are (wref * det DTheta) * scale.
     """
+
+    POINT_DOUBLES = (8, 8)
 
     def __init__(self, mapping, table, wref, scale=1.0):
         super().__init__(mapping, np.arange(mapping.mesh.nelems, dtype=np.int64), len(wref))

@@ -23,24 +23,26 @@ ZERO_SHIFT = 1e-14  # exact-zero vertex values are moved to +ZERO_SHIFT*h
 # Theta's build, every use of a lifted rule (the assembly, the errors, the
 # normal deviation, the VTK export) and the offset search of
 # assembly.Pattern stream in chunks of cells, and nothing a chunk makes
-# outlives it, so their memory does not grow with the mesh.  A chunk holds
-# at most CHUNK_VALUES values per (points, NB) array: q * NB per cell of a
-# lifted rule, nb^2 per block of Pattern, 4 NB^2 per element of Theta (see
-# build_theta).  The
-# bound is on values, not points, because every per-point array of a chunk
-# has NB (or 3 NB) entries per point: a fixed 16,384 points made them
-# 2.6-7.5 MiB at k = 3 and 21 MiB at k = 5, each mapped afresh and faulted
-# in again per chunk.  Medians of three fresh processes, torus k=3 n=20
-# (k=5 n=16): build_theta 428 -> 177 ms (1,708 -> 797 ms) with 126,162 ->
-# 478 minor page faults (212,566 -> 1,739), assemble_system 603 -> 532 ms
-# (3,194 -> 2,823 ms), compute_errors 247 -> 194 ms (817 -> 529 ms).
-# For k = 1 (NB = 4) a lifted rule's chunk keeps 16,384 points.
+# outlives it, so their memory does not grow with the mesh.  A chunk of
+# Theta's build, of Pattern's search, of the interface cut, of the facets
+# or of the VTK corners holds at most CHUNK_VALUES values per (points, NB)
+# array: 4 NB^2 per element of Theta (see build_theta), nb^2 per block of
+# Pattern.  The bound is on values, not points, because every per-point
+# array of a chunk has NB (or 3 NB) entries per point: a fixed 16,384
+# points made them 2.6-7.5 MiB at k = 3 and 21 MiB at k = 5, each mapped
+# afresh and faulted in again per chunk.  Medians of three fresh
+# processes, torus k=3 n=20 (k=5 n=16): build_theta 428 -> 177 ms (1,708
+# -> 797 ms) with 126,162 -> 478 minor page faults (212,566 -> 1,739).
+# Smaller chunks only cost time there: CHUNK_VALUES = 2**14 takes
+# build_theta at torus k=3 n=20 from 0.125 to 0.198 s (fastest of three).
+# A lifted rule's chunk counts the doubles its points allocate instead,
+# against its own budget, assembly.CHUNK_DOUBLES (see LiftedRule).
 CHUNK_VALUES = 2**16
 
 
-def element_chunks(ncells: int, per_cell: int):
-    """Slices of consecutive cells with at most CHUNK_VALUES values, per_cell per cell (at least one cell)."""
-    step = max(1, CHUNK_VALUES // per_cell)
+def element_chunks(ncells: int, per_cell: int, budget: int | None = None):
+    """Slices of consecutive cells with at most budget values (CHUNK_VALUES by default), per_cell per cell (at least one cell)."""
+    step = max(1, (CHUNK_VALUES if budget is None else budget) // per_cell)
     return [slice(s, min(s + step, ncells)) for s in range(0, ncells, step)]
 
 

@@ -49,7 +49,8 @@ def compute_errors(mapping, u, problem, degree=None) -> ErrorReport:
 
     The four integrals are reduced chunk by chunk of the lifted surface
     rule, a running max and three running sums, so nothing that grows with
-    the number of points is kept.
+    the number of points is kept, and nothing of a chunk is alive when the
+    next one is lifted.
     """
     mesh = mapping.mesh
     u = np.asarray(u, dtype=np.float64)
@@ -57,24 +58,32 @@ def compute_errors(mapping, u, problem, degree=None) -> ErrorReport:
         raise ValueError("coefficient vector does not match the dof count")
     if degree is None:
         degree = 2 * mesh.k
-    e_dist, sq = 0.0, np.zeros(3)  # squares of e_L2, e_H1t, e_H1n
-    for cells, lift, w in SurfaceData.build(mapping, degree).chunks():
+
+    def chunk_sums(cells, lift, w):
+        """max |phi| and the three weighted sums of squares over one chunk."""
         y, w = lift.y.reshape(-1, 3), w.ravel()
         nh, invJ = lift.nh.reshape(-1, 3), lift.invJ.reshape(-1, 3, 3)
         uc = np.repeat(u[mesh.elem_dofs[cells]], lift.vals.shape[1], axis=0)  # (points, NB)
-        e_dist = np.maximum(e_dist, np.abs(problem.levelset.phi(y)).max(initial=0.0))  # keeps a nan
+        dist = np.abs(problem.levelset.phi(y)).max(initial=0.0)
 
         uh = np.einsum("pb,pb->p", lift.vals.reshape(len(y), -1), uc)
-        sq[0] += np.sum(w * (problem.exact_solution(y) - uh) ** 2)
+        l2 = np.sum(w * (problem.exact_solution(y) - uh) ** 2)
 
         gh = (np.einsum("pbi,pb->pi", lift.gref.reshape(len(y), -1, 3), uc)[:, None] @ invJ)[:, 0]
         diff = problem.exact_solution_gradient(y) - gh
         tang = diff - np.einsum("pi,pi->p", diff, nh)[:, None] * nh
-        sq[1] += np.sum(w * np.einsum("pi,pi->p", tang, tang))
+        h1t = np.sum(w * np.einsum("pi,pi->p", tang, tang))
 
         n_exact = problem.levelset.grad_phi(y)
         n_exact = n_exact / np.linalg.norm(n_exact, axis=-1, keepdims=True)
-        sq[2] += np.sum(w * np.einsum("pi,pi->p", n_exact, gh) ** 2)
+        return dist, (l2, h1t, np.sum(w * np.einsum("pi,pi->p", n_exact, gh) ** 2))
+
+    e_dist, sq = 0.0, np.zeros(3)  # squares of e_L2, e_H1t, e_H1n
+    for cells, lift, w in SurfaceData.build(mapping, degree).chunks():
+        dist, parts = chunk_sums(cells, lift, w)
+        del lift, w  # freed before the next chunk's lift
+        e_dist = np.maximum(e_dist, dist)  # keeps a nan
+        sq += parts
 
     e_l2, e_h1t, e_h1n = (float(v) for v in np.sqrt(sq))
     return ErrorReport(float(e_dist), e_l2, e_h1t, e_h1n, mesh.ndofs, mesh.h)

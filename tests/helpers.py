@@ -8,11 +8,13 @@ checked against code that shares none of the library's shortcuts.
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 
 import numpy as np
 from scipy.optimize import brentq
 
-from tracefem.levelset import Torus, TorusBenchmark
+from tracefem.assembly import LiftedRule
+from tracefem.levelset import Sphere, Torus, TorusBenchmark
 from tracefem.mapping import build_theta
 from tracefem.mesh import ActiveMesh, MeshParams
 from tracefem.reference import interpolate
@@ -37,6 +39,17 @@ def torus_case(n: int, k: int):
         dls = interpolate(ls, mesh)
         mapping = build_theta(dls)
         _CASE_CACHE[key] = (ls, mesh, dls, mapping)
+    return _CASE_CACHE[key]
+
+
+def sphere_case(n: int, k: int):
+    """Cached (levelset, mesh, dls, mapping) for the unit sphere."""
+    key = ("sphere", n, k)
+    if key not in _CASE_CACHE:
+        ls = Sphere()
+        mesh = ActiveMesh.build(MeshParams(n), ls, k)
+        dls = interpolate(ls, mesh)
+        _CASE_CACHE[key] = (ls, mesh, dls, build_theta(dls))
     return _CASE_CACHE[key]
 
 
@@ -362,3 +375,48 @@ def pattern_unique_keys(n, **blocks):
     slots = {name: np.searchsorted(uniq, k) for name, k in keys.items()}
     indptr = np.concatenate([[0], np.cumsum(np.bincount(uniq // n, minlength=n))])
     return slots, uniq % n, indptr
+
+
+def chunk_peaks(run):
+    """Run run() under tracemalloc: (rule class name, points, peak bytes) of every lifted chunk that it uses.
+
+    A chunk's peak is the most that tracemalloc saw above what was live
+    when the chunk's lift started, until its caller asked for the next
+    chunk (or the rule ran out).  The footprint table in LiftedRule's
+    docstring is chunk_footprints of these records.
+    """
+    records, original = [], LiftedRule.chunks
+
+    def measured(rule):
+        chunks = original(rule)
+        while True:
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            try:
+                item = next(chunks)
+            except StopIteration:
+                return
+            points = len(item[0]) * rule.q
+            yield item
+            del item
+            records.append((type(rule).__name__, points, tracemalloc.get_traced_memory()[1] - start))
+
+    LiftedRule.chunks = measured
+    tracemalloc.start()
+    try:
+        run()
+    finally:
+        tracemalloc.stop()
+        LiftedRule.chunks = original
+    return records
+
+
+def chunk_footprints(records):
+    """{rule class name: (largest chunk peak in MiB, doubles per point of the rule's fullest chunks)} of chunk_peaks records."""
+    out = {}
+    for name in dict.fromkeys(r[0] for r in records):
+        mine = [r for r in records if r[0] == name]
+        most = max(points for _, points, _ in mine)
+        per_point = max(peak / 8 / points for _, points, peak in mine if points == most)
+        out[name] = (max(peak for _, _, peak in mine) / 2**20, per_point)
+    return out

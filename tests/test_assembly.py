@@ -18,16 +18,19 @@ from tracefem.assembly import (
     assemble_system,
 )
 from tracefem.cutquad import extract_cuts, tet_rule, triangle_rule
-from tracefem.levelset import Plane, shifted_plane
+from tracefem.levelset import Plane, make_benchmark, shifted_plane
 from tracefem.mapping import IsoMapping
 from tracefem.metrics import compute_errors
 from tracefem.reference import interpolate
 
 from helpers import (
     benchmark_interpolant,
+    chunk_footprints,
+    chunk_peaks,
     pattern_unique_keys,
     plane_box_section_area,
     plane_case,
+    sphere_case,
     stabilization_matrix,
     torus_benchmark,
     torus_case,
@@ -342,9 +345,10 @@ class TestGeometryData:
         NB = mesh.ref.ndofs
         monkeypatch.setattr(mesh_module, "CHUNK_VALUES", (5 * q + q - 1) * NB)
         rule = SurfaceData.build(mapping, 4)
+        monkeypatch.setattr(assembly, "CHUNK_DOUBLES", 6 * rule.cell_doubles - 1)
         surf = lifted_arrays(rule)
         tri_elem, tri_bary, tri_area = extract_cuts(mesh.vertex_phi, mesh.verts_phys(slice(None)))
-        assert len(mesh_module.element_chunks(len(tri_elem), q * NB)) > 1
+        assert len(rule.slices()) > 1 and {s.stop - s.start for s in rule.slices()[:-1]} == {5}
         assert len(mesh_module.element_chunks(mesh.nelems, 2 * 3 * 4)) > 1
         np.testing.assert_array_equal(rule.tri_bary, tri_bary)
         np.testing.assert_array_equal(rule.tri_area, tri_area)
@@ -386,8 +390,9 @@ class TestGeometryData:
         _, mesh, dls, mapping = torus_case(16, 2)
         lam, wq = tet_rule(4)
         q = len(wq)
-        monkeypatch.setattr(mesh_module, "CHUNK_VALUES", (5 * q + q - 1) * mesh.ref.ndofs)
         rule = VolumeData.build(mapping, 4)
+        monkeypatch.setattr(assembly, "CHUNK_DOUBLES", 6 * rule.cell_doubles - 1)
+        assert len(rule.slices()) > 1 and {s.stop - s.start for s in rule.slices()[:-1]} == {5}
         vol = lifted_arrays(rule)
         lift = mapping.lift(np.arange(mesh.nelems), lam)  # gradients from the basis at every element
         np.testing.assert_allclose(vol["w"], (wq * mesh.elem_volume * lift.det).ravel(), rtol=1e-14)
@@ -408,7 +413,7 @@ class TestGeometryData:
 
     @pytest.mark.parametrize("variant", ["normal_volume", "full_gradient_surface"])
     def test_small_chunks_give_the_default_system_and_errors(self, variant, monkeypatch):
-        """Chunks of at most 64 points (64 * NB values) give S, c, f and the four errors of the default chunking.
+        """Lifted chunks 64 times smaller, and cut and Pattern chunks of 64 * NB values, give S, c, f and the four errors of the default chunking.
 
         Each run cuts the interface afresh, at its own chunk size.
         """
@@ -424,6 +429,7 @@ class TestGeometryData:
 
         ref, ref_err = run()
         monkeypatch.setattr(mesh_module, "CHUNK_VALUES", 64 * mesh.ref.ndofs)
+        monkeypatch.setattr(assembly, "CHUNK_DOUBLES", assembly.CHUNK_DOUBLES // 64)
         small, small_err = run()
         assert abs(small.S - ref.S).max() <= 1e-13 * abs(ref.S).max()
         for name in ("c", "f"):
@@ -445,13 +451,45 @@ class TestGeometryData:
         assert peak <= 128 * 2**20, f"{peak / 2**20:.1f} MiB"
 
     @pytest.mark.parametrize(
-        "k, n, variant, limit_mib", [(3, 16, "normal_volume", 40), (1, 32, "ghost_penalty", 32), (1, 64, "ghost_penalty", 35)]
+        "case, n, k, variant",
+        [
+            ("torus", 32, 1, "ghost_penalty"),
+            ("torus", 12, 2, "normal_volume"),
+            ("torus", 12, 3, "normal_volume"),
+            ("sphere", 8, 4, "normal_volume"),
+            ("sphere", 8, 5, "normal_volume"),
+        ],
+    )
+    def test_every_lifted_chunk_allocates_at_most_4_5_mib(self, case, n, k, variant):
+        """Each chunk of the surface pass, the volume pass and compute_errors peaks at most 4.5 MiB above what was live when it started.
+
+        Bounded by q * NB basis values, surface chunks peaked at 9.1-10.2
+        MiB, compute_errors chunks at 6.9-8.1 and volume chunks at 3.5-4.4.
+        """
+        _, mesh, dls, mapping = {"torus": torus_case, "sphere": sphere_case}[case](n, k)
+        problem = make_benchmark(case)
+        mesh.facets  # built once per mesh, outside the assembly
+        u = benchmark_interpolant(mesh, problem)
+        passes = {
+            "assembly": chunk_peaks(lambda: assemble_system(mesh, dls, mapping, problem, StabConfig(variant))),
+            "errors": chunk_peaks(lambda: compute_errors(mapping, u, problem)),
+        }
+        rules = {"assembly": ["SurfaceData", "VolumeData"] if k > 1 else ["SurfaceData"], "errors": ["SurfaceData"]}
+        for name, records in passes.items():
+            footprints = chunk_footprints(records)
+            assert list(footprints) == rules[name]
+            for rule, (mib, per_point) in footprints.items():
+                assert mib <= 4.5, f"{name} {rule}: {mib:.2f} MiB, {per_point:.0f} doubles per point"
+
+    @pytest.mark.parametrize(
+        "k, n, variant, limit_mib", [(3, 16, "normal_volume", 15), (1, 32, "ghost_penalty", 9), (1, 64, "ghost_penalty", 23.5)]
     )
     def test_assembled_system_memory_is_one_pattern_and_one_chunk(self, k, n, variant, limit_mib):
         """A and the stabilization are added into the data of one CSR pattern, so the peak is that pattern and one chunk.
 
-        At torus k=1 n=64 the ghost penalty peaks at 32.3 MiB: one (E, 4, 3)
-        or (F, 4, 3) float64 array more, 3.8 or 6.2 MiB, fails the bound.
+        The peaks are 12.9, 7.7 and 20.5 MiB.  At torus k=1 n=64 one
+        (E, 4, 3) or (F, 4, 3) float64 array more, 3.8 or 6.2 MiB, fails the
+        bound.
         """
         _, mesh, dls, mapping = torus_case(n, k)
         mesh.facets  # built once per mesh, outside the assembly
@@ -488,9 +526,8 @@ class TestGeometryData:
         """A and the full-gradient surface term are one integrand: one accumulate_sym call per chunk."""
         _, mesh, dls, mapping = torus_case(12, 2)
         surf = SurfaceData.build(mapping)
-        NB = mesh.ref.ndofs
-        monkeypatch.setattr(mesh_module, "CHUNK_VALUES", 50 * surf.q * NB)
-        chunks = len(mesh_module.element_chunks(len(surf.cells), surf.q * NB))
+        monkeypatch.setattr(assembly, "CHUNK_DOUBLES", 50 * surf.cell_doubles)
+        chunks = len(surf.slices())
         original, calls = backends.accumulate_sym, []
         monkeypatch.setattr(backends, "accumulate_sym", lambda v, w: calls.append(1) or original(v, w))
         assemble_system(mesh, dls, mapping, torus_benchmark(), StabConfig("full_gradient_surface"))
