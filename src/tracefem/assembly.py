@@ -195,18 +195,25 @@ class SurfaceData(LiftedRule):
     def build(cls, mapping: IsoMapping, degree=None):
         """Rule exact to `degree` on each triangle of mapping's mesh; by default 2k - 2, the assembly degree.
 
-        The first rule of a mesh cuts its elements chunk by chunk, at most
-        two triangles of (3, 4) corners each; the triangles stay sorted by
+        The first rule of a mesh cuts its elements chunk by chunk.  The
+        vertex signs count the triangles beforehand, two for a two-two
+        split and one otherwise, so the (T,), (T, 3, 4) and (T,) arrays are
+        allocated once and every chunk's cut is written into its slice:
+        nothing of a chunk outlives it.  The triangles stay sorted by
         element, and later rules of the mesh reuse them (read-only).
         """
         mesh = mapping.mesh
         if degree is None:
             degree = max(0, 2 * mesh.k - 2)
         if mesh not in _CUTS:
-            chunks = element_chunks(mesh.nelems, 2 * 3 * 4)
-            cuts = [extract_cuts(mesh.vertex_phi[s], mesh.verts_phys(s)) for s in chunks]
-            tri_elem = np.concatenate([elem + s.start for s, (elem, _, _) in zip(chunks, cuts)])
-            tri = (tri_elem, *(np.concatenate([cut[i] for cut in cuts]) for i in (1, 2)))
+            ntri = mesh.nelems + np.count_nonzero(np.count_nonzero(mesh.vertex_phi < 0.0, axis=1) == 2)
+            tri = (np.empty(ntri, dtype=np.int64), np.empty((ntri, 3, 4)), np.empty(ntri))
+            t = 0
+            for s in element_chunks(mesh.nelems, 2 * 3 * 4):
+                elem, bary, area = extract_cuts(mesh.vertex_phi[s], mesh.verts_phys(s))
+                at = slice(t, t + len(elem))
+                tri[0][at], tri[1][at], tri[2][at] = elem + s.start, bary, area
+                t = at.stop
             for a in tri:
                 a.setflags(write=False)
             _CUTS[mesh] = tri
@@ -317,7 +324,8 @@ class Pattern:
 
     def add(self, name, rows, local):
         """Add local matrices (B', nb, nb) on the blocks rows of family name; a repeated row sums."""
-        np.add.at(self.matrix.data, self.slots(name, rows), local)
+        # flat indices and values: np.add.at's fast path, in the same order
+        np.add.at(self.matrix.data, self.slots(name, rows).ravel(), np.ravel(local))
 
 
 def _surface_pass(surf, problem, out, root_rho):
@@ -347,52 +355,62 @@ def _surface_pass(surf, problem, out, root_rho):
     return c, f
 
 
-def assemble_s(mapping, stab: StabConfig, out: Pattern, jump):
+def assemble_s(mapping, stab: StabConfig, out: Pattern):
     """Add the facet or volume stabilization of stab on mapping's mesh into out.
 
-    jump is the normal-derivative jumps (F, 5) of _ghost_patches for
-    ghost_penalty, whose dofs are out's 'facets' blocks; their local
-    matrices are added chunk by chunk.  'none' adds nothing, and neither
-    does full_gradient_surface: its term is part of the surface integrand.
+    For ghost_penalty, out's 'facets' blocks are the patch dofs of
+    _ghost_dofs; each chunk of facets forms its normal-derivative jumps
+    with _ghost_patches where its local matrices are added, so no jump
+    array of every facet is made.  'none' adds nothing, and neither does
+    full_gradient_surface: its term is part of the surface integrand.
     """
     mesh = mapping.mesh
     rho = stab.resolve_rho(mesh.h, mesh.k)
     if stab.variant == "ghost_penalty":
         area = mesh.facets.area
-        for s in element_chunks(len(jump), 5 * 5):
-            out.add("facets", s, rho * area[s, None, None] * jump[s, :, None] * jump[s, None, :])
+        for s in _facet_chunks(mesh):
+            jump = _ghost_patches(mesh, s)[1]
+            out.add("facets", s, rho * area[s, None, None] * jump[:, :, None] * jump[:, None, :])
     elif stab.variant in ("full_gradient_volume", "normal_volume"):
         full = stab.variant == "full_gradient_volume"
         vol = VolumeData.build(mapping, 2 * mesh.k, scale=rho)
         vol.accumulate(lambda lift: lift.grads if full else lift.normal_derivatives()[..., None], out)
 
 
-def _ghost_patches(mesh):
-    """Dofs (F, 5) and normal-derivative jumps (F, 5) of the facet patches of the gradient-jump penalty.
+def _facet_chunks(mesh):
+    """Slices of mesh's interior facets, one per chunk of the gradient-jump penalty: both elements' (4, 3) barycentric gradients per facet."""
+    return element_chunks(len(mesh.facets), 2 * 4 * 3)
+
+
+def _ghost_patches(mesh, s):
+    """Dofs (F', 5) and normal-derivative jumps (F', 5) of the patches of the facets s (a chunk) of the gradient-jump penalty.
 
     Gradients of P1 elements are constant, so each interior facet F
     contributes rho * area(F) * [grad b_i . n_F][grad b_j . n_F] on its
     patch: the lower element's four dofs and the upper element's vertex
     opposite F.  A dof on F takes the lower minus the upper element's value.
-    Both are formed chunk by chunk of facets.
     """
+    fs = mesh.facets
+    elems = fs.elems[s].T
+    lo, hi = (mesh.elem_dofs[e] for e in elems)
+    shared = hi[:, :, None] == lo[:, None, :]  # (F', 4, 4)
+    at = (np.arange(len(lo))[:, None], np.where(shared.any(axis=2), shared.argmax(axis=2), 4))  # upper dofs
+    dofs = np.concatenate([lo, lo[:, :1]], axis=1)
+    dofs[at] = hi
+    gn_lo, gn_hi = (np.einsum("fmi,fi->fm", mesh.bary_grad(e), fs.normal[s]) for e in elems)
+    jump = np.concatenate([gn_lo, np.zeros((len(lo), 1))], axis=1)
+    jump[at] -= gn_hi
+    return dofs, jump
+
+
+def _ghost_dofs(mesh):
+    """(F, 5) int32 dofs of every facet patch of the gradient-jump penalty, the 'facets' blocks of its Pattern, filled chunk by chunk."""
     if mesh.k != 1:
         raise ValueError("ghost_penalty is unsupported for k > 1 (no higher-order theory)")
-    fs = mesh.facets
-    dofs = np.empty((len(fs), 5), dtype=np.int32)
-    jump = np.empty((len(fs), 5))
-    for s in element_chunks(len(fs), 2 * 4 * 3):  # per facet: both elements' (4, 3) barycentric gradients
-        elems = fs.elems[s].T
-        lo, hi = (mesh.elem_dofs[e] for e in elems)
-        shared = hi[:, :, None] == lo[:, None, :]  # (F', 4, 4)
-        at = (np.arange(len(lo))[:, None], np.where(shared.any(axis=2), shared.argmax(axis=2), 4))  # upper dofs
-        d = np.concatenate([lo, lo[:, :1]], axis=1)
-        d[at] = hi
-        gn_lo, gn_hi = (np.einsum("fmi,fi->fm", mesh.bary_grad(e), fs.normal[s]) for e in elems)
-        j = np.concatenate([gn_lo, np.zeros((len(lo), 1))], axis=1)
-        j[at] -= gn_hi
-        dofs[s], jump[s] = d, j
-    return dofs, jump
+    dofs = np.empty((len(mesh.facets), 5), dtype=np.int32)
+    for s in _facet_chunks(mesh):
+        dofs[s] = _ghost_patches(mesh, s)[0]
+    return dofs
 
 
 @dataclass
@@ -414,9 +432,9 @@ def assemble_system(mesh, dls, mapping, problem, stab: StabConfig) -> AssembledS
     """
     if not (dls.mesh is mesh is mapping.mesh):
         raise ValueError("mesh, level set and mapping are not one level")
-    blocks, jump = {"elements": mesh.elem_dofs}, None
+    blocks = {"elements": mesh.elem_dofs}
     if stab.variant == "ghost_penalty":
-        blocks["facets"], jump = _ghost_patches(mesh)
+        blocks["facets"] = _ghost_dofs(mesh)  # the jumps are formed where assemble_s adds them
     out = Pattern(mesh.ndofs, **blocks)  # keeps the facet patches' dofs for its slots
     # the surface rule is built after the pattern, so a mesh's first rule and
     # its cut are not alive at the pattern's peak; a later assembly of the
@@ -424,6 +442,6 @@ def assemble_system(mesh, dls, mapping, problem, stab: StabConfig) -> AssembledS
     surf = SurfaceData.build(mapping)
     root_rho = math.sqrt(stab.resolve_rho(mesh.h, mesh.k)) if stab.variant == "full_gradient_surface" else 0.0
     c, f = _surface_pass(surf, problem, out, root_rho)
-    assemble_s(mapping, stab, out, jump)
+    assemble_s(mapping, stab, out)
     f -= f.sum() / c.sum() * c  # pairwise sums: independent of the BLAS thread count
     return AssembledSystem(S=out.matrix, c=c, f=f)

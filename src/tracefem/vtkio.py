@@ -87,5 +87,11 @@ def export_level(outdir, tag, mapping):
             os.path.join(outdir, f"deformed_mesh_{tag}.vtk"), pos_d, cells_d
         )
 
-    y = [lift.y.reshape(-1, 3) for _, lift, _ in surf.chunks()]
-    write_point_cloud(os.path.join(outdir, f"interface_lifted_{tag}.vtk"), np.concatenate(y or [np.empty((0, 3))]))
+    # the lifted points, written chunk by chunk into one array; nothing else
+    # of a chunk is alive when the next one is lifted
+    y, at = np.empty((len(surf.cells) * surf.q, 3)), 0
+    for _, lift, w in surf.chunks():
+        y[at:at + w.size] = lift.y.reshape(-1, 3)
+        at += w.size
+        del lift, w
+    write_point_cloud(os.path.join(outdir, f"interface_lifted_{tag}.vtk"), y)

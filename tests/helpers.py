@@ -322,16 +322,16 @@ def errors_oracle(mesh, mapping, u, problem, degree=None):
 
 def stabilization_matrix(mapping, stab):
     """The facet or volume stabilization of stab alone: assemble_s added into a Pattern of the blocks it adds to."""
-    from tracefem.assembly import Pattern, _ghost_patches, assemble_s
+    from tracefem.assembly import Pattern, _ghost_dofs, assemble_s
 
     mesh = mapping.mesh
-    blocks, jump = {}, None
+    blocks = {}
     if stab.variant == "ghost_penalty":
-        blocks["facets"], jump = _ghost_patches(mesh)
+        blocks["facets"] = _ghost_dofs(mesh)
     elif stab.variant in ("full_gradient_volume", "normal_volume"):
         blocks["elements"] = mesh.elem_dofs
     out = Pattern(mesh.ndofs, **blocks)
-    assemble_s(mapping, stab, out, jump)
+    assemble_s(mapping, stab, out)
     return out.matrix
 
 
@@ -378,17 +378,20 @@ def pattern_unique_keys(n, **blocks):
 
 
 def chunk_peaks(run):
-    """Run run() under tracemalloc: (rule class name, points, peak bytes) of every lifted chunk that it uses.
+    """Run run() under tracemalloc: (rule class name, points, peak bytes, loop peak bytes) of every lifted chunk that it uses.
 
     A chunk's peak is the most that tracemalloc saw above what was live
     when the chunk's lift started, until its caller asked for the next
-    chunk (or the rule ran out).  The footprint table in LiftedRule's
-    docstring is chunk_footprints of these records.
+    chunk (or the rule ran out); its loop peak is the same most above what
+    was live when the first chunk of its loop started.  A loop that keeps
+    a chunk while it lifts the next has loop peaks above its chunk peaks.
+    The footprint table in LiftedRule's docstring is chunk_footprints of
+    these records.
     """
     records, original = [], LiftedRule.chunks
 
     def measured(rule):
-        chunks = original(rule)
+        chunks, loop_start = original(rule), tracemalloc.get_traced_memory()[0]
         while True:
             start = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
@@ -399,7 +402,8 @@ def chunk_peaks(run):
             points = len(item[0]) * rule.q
             yield item
             del item
-            records.append((type(rule).__name__, points, tracemalloc.get_traced_memory()[1] - start))
+            peak = tracemalloc.get_traced_memory()[1]
+            records.append((type(rule).__name__, points, peak - start, peak - loop_start))
 
     LiftedRule.chunks = measured
     tracemalloc.start()
@@ -416,7 +420,7 @@ def chunk_footprints(records):
     out = {}
     for name in dict.fromkeys(r[0] for r in records):
         mine = [r for r in records if r[0] == name]
-        most = max(points for _, points, _ in mine)
-        per_point = max(peak / 8 / points for _, points, peak in mine if points == most)
-        out[name] = (max(peak for _, _, peak in mine) / 2**20, per_point)
+        most = max(r[1] for r in mine)
+        per_point = max(peak / 8 / points for _, points, peak, _ in mine if points == most)
+        out[name] = (max(r[2] for r in mine) / 2**20, per_point)
     return out

@@ -14,7 +14,8 @@ from tracefem.assembly import (
     StabConfig,
     SurfaceData,
     VolumeData,
-    _ghost_patches,
+    _facet_chunks,
+    _ghost_dofs,
     assemble_system,
 )
 from tracefem.cutquad import extract_cuts, tet_rule, triangle_rule
@@ -234,6 +235,20 @@ class TestStabilizations:
         assert S.nnz == oracle.nnz
         assert abs(S - oracle).max() <= 1e-15 * abs(S).max()
 
+    def test_ghost_penalty_in_facet_chunks_is_the_whole_mesh_penalty_to_the_bit(self, monkeypatch):
+        """Ragged chunks of 7 facets give the data, indices and indptr of S byte for byte as one chunk of every facet's patches."""
+        _, mesh, dls, mapping = torus_case(16, 1)
+        stab = StabConfig("ghost_penalty")
+        monkeypatch.setattr(mesh_module, "CHUNK_VALUES", 2**40)
+        assert len(_facet_chunks(mesh)) == 1
+        whole = stabilization_matrix(mapping, stab)
+        monkeypatch.setattr(mesh_module, "CHUNK_VALUES", 7 * 2 * 4 * 3 + 23)
+        assert len(_facet_chunks(mesh)) > 1 and len(mesh.facets) % 7
+        chunked = stabilization_matrix(mapping, stab)
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(chunked, name), getattr(whole, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
     def test_none_variant_is_the_zero_matrix(self):
         _, mesh, dls, mapping = torus_case(8, 1)
         S = stabilization_matrix(mapping, StabConfig("none"))
@@ -359,8 +374,33 @@ class TestGeometryData:
             a = getattr(lift, name)
             np.testing.assert_array_equal(surf[name], a.reshape(-1, *a.shape[2:]))
 
+    def test_cut_written_in_place_is_one_cut_of_every_element(self, monkeypatch):
+        """Ragged chunks of 7 elements write, byte for byte, the three arrays of one extract_cuts over every element."""
+        _, mesh, dls, mapping = torus_case(16, 1)
+        monkeypatch.setattr(mesh_module, "CHUNK_VALUES", 7 * 2 * 3 * 4 + 23)
+        assert len(mesh_module.element_chunks(mesh.nelems, 2 * 3 * 4)) > 1 and mesh.nelems % 7
+        rule = SurfaceData.build(mapping)
+        oracle = extract_cuts(mesh.vertex_phi, mesh.verts_phys(slice(None)))
+        assert mesh.nelems < len(oracle[0]) < 2 * mesh.nelems  # both one- and two-triangle cuts
+        for got, want in zip((rule.cells, rule.tri_bary, rule.tri_area), oracle):
+            assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert not got.flags.writeable
+
+    def test_first_cut_peaks_at_its_triangles_and_one_chunk(self):
+        """At torus k=1 n=64 the cut allocates its triangles, 5.8 MiB, and one chunk of elements' cuts, 3.4 MiB, not a second copy of the triangles."""
+        _, mesh, dls, mapping = torus_case(64, 1)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            rule = SurfaceData.build(mapping)
+            kept, peak = (m - before for m in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert kept >= rule.tri_bary.nbytes + rule.tri_area.nbytes + rule.cells.nbytes
+        assert peak - kept <= 4 * 2**20, f"{(peak - kept) / 2**20:.1f} MiB above the triangles"
+
     def test_surface_rule_memory_does_not_grow_with_the_mesh(self):
-        """At torus k=1 n=64 the degree-2 rule of the errors allocates at most 100 MiB at its peak, lifted chunk by chunk."""
+        """At torus k=1 n=64 the degree-2 rule of the errors, its cut included, allocates at most 14 MiB at its peak (9.9 measured), lifted chunk by chunk."""
         _, mesh, dls, mapping = torus_case(64, 1)
         tracemalloc.start()
         try:
@@ -370,7 +410,7 @@ class TestGeometryData:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert peak <= 100 * 2**20, f"{peak / 2**20:.1f} MiB"
+        assert peak <= 14 * 2**20, f"{peak / 2**20:.1f} MiB"
 
     def test_surface_rule_keeps_triangles_not_points(self):
         """The degree-6 rule (16 points) keeps 112 bytes per triangle: its element, corners (3, 4) and area; points (T, 16, 4) would add 512."""
@@ -437,9 +477,9 @@ class TestGeometryData:
             assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max(), name
         np.testing.assert_allclose(small_err, ref_err, rtol=1e-13, atol=0.0)
 
-    @pytest.mark.parametrize("variant", ["normal_volume", "full_gradient_volume"])
-    def test_volume_stabilization_memory_does_not_grow_with_the_mesh(self, variant):
-        """At torus k=3 n=16 the volume stabilization allocates at most 128 MiB at its peak."""
+    @pytest.mark.parametrize("variant, limit_mib", [("normal_volume", 18), ("full_gradient_volume", 23.5)])
+    def test_volume_stabilization_memory_does_not_grow_with_the_mesh(self, variant, limit_mib):
+        """At torus k=3 n=16 the volume stabilization allocates its pattern and one chunk: 12.3 and 16.0 MiB at its peak."""
         _, mesh, dls, mapping = torus_case(16, 3)
         tracemalloc.start()
         try:
@@ -448,7 +488,7 @@ class TestGeometryData:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert peak <= 128 * 2**20, f"{peak / 2**20:.1f} MiB"
+        assert peak <= limit_mib * 2**20, f"{peak / 2**20:.1f} MiB"
 
     @pytest.mark.parametrize(
         "case, n, k, variant",
@@ -482,14 +522,15 @@ class TestGeometryData:
                 assert mib <= 4.5, f"{name} {rule}: {mib:.2f} MiB, {per_point:.0f} doubles per point"
 
     @pytest.mark.parametrize(
-        "k, n, variant, limit_mib", [(3, 16, "normal_volume", 15), (1, 32, "ghost_penalty", 9), (1, 64, "ghost_penalty", 23.5)]
+        "k, n, variant, limit_mib", [(3, 16, "normal_volume", 15), (1, 32, "ghost_penalty", 9), (1, 64, "ghost_penalty", 17.5)]
     )
     def test_assembled_system_memory_is_one_pattern_and_one_chunk(self, k, n, variant, limit_mib):
-        """A and the stabilization are added into the data of one CSR pattern, so the peak is that pattern and one chunk.
+        """A and the stabilization are added into the data of one CSR pattern, so the peak is that pattern, the cut and one chunk.
 
-        The peaks are 12.9, 7.7 and 20.5 MiB.  At torus k=1 n=64 one
-        (E, 4, 3) or (F, 4, 3) float64 array more, 3.8 or 6.2 MiB, fails the
-        bound.
+        The peaks are 12.9, 7.0 and 16.3 MiB.  At torus k=1 n=64 the cut
+        is written in place and the ghost-penalty jumps are formed per facet
+        chunk; a (F, 5) jump array alive through the surface pass and the
+        cut's concatenated copy made it 20.5 MiB.
         """
         _, mesh, dls, mapping = torus_case(n, k)
         mesh.facets  # built once per mesh, outside the assembly
@@ -503,11 +544,22 @@ class TestGeometryData:
         assert peak <= limit_mib * 2**20, f"{peak / 2**20:.1f} MiB"
 
     def test_ghost_patches_are_built_once_per_assembly(self, monkeypatch):
+        """The patch dofs of every facet are filled once, for the pattern; the jumps are formed per facet chunk where they are added.
+
+        Each chunk's patches are formed twice, in facet order: once for the
+        dofs, once for the jumps.
+        """
         _, mesh, dls, mapping = torus_case(8, 1)
-        original, calls = assembly._ghost_patches, []
-        monkeypatch.setattr(assembly, "_ghost_patches", lambda m: calls.append(1) or original(m))
+        monkeypatch.setattr(mesh_module, "CHUNK_VALUES", 2 * 4 * 3 * 100)
+        chunks = _facet_chunks(mesh)
+        filled, formed = [], []
+        original_dofs, original_patches = assembly._ghost_dofs, assembly._ghost_patches
+        monkeypatch.setattr(assembly, "_ghost_dofs", lambda m: filled.append(1) or original_dofs(m))
+        monkeypatch.setattr(assembly, "_ghost_patches", lambda m, s: formed.append(s) or original_patches(m, s))
         assemble_system(mesh, dls, mapping, torus_benchmark(), StabConfig("ghost_penalty"))
-        assert len(calls) == 1
+        assert len(chunks) > 1
+        assert len(filled) == 1
+        assert formed == chunks + chunks
 
     def test_surface_stabilization_shares_the_surface_lift(self, monkeypatch):
         """full_gradient_surface lifts each surface point once."""
@@ -612,7 +664,7 @@ class TestPattern:
         _, mesh, _, _ = torus_case(n, k)
         blocks = {"elements": mesh.elem_dofs}
         if k == 1:
-            blocks["facets"] = _ghost_patches(mesh)[0]
+            blocks["facets"] = _ghost_dofs(mesh)
         for d in blocks.values():
             assert len(mesh_module.element_chunks(len(d), d.shape[1] ** 2)) > 1
         self.assert_matches_unique_keys(mesh.ndofs, blocks)
