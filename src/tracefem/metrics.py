@@ -11,8 +11,9 @@ Errors are integrated with rules one exactness step above assembly
 
 Condition numbers are those of S restricted to the constraint hyperplane
 c.u = 0: the extreme eigenvalues of S on c-perp.  Small systems take them
-exactly, from one Householder reflection, one tridiagonal reduction and
-two bisected ends; large ones from LOBPCG.  Only these estimates import
+to rounding, after one Householder reflection: lambda_max from Lanczos,
+lambda_min from one factorization and shift-invert Lanczos; large ones
+from LOBPCG.  Only these estimates import
 scipy.linalg (the dense one) and scipy.sparse.linalg (LOBPCG), when they
 are called, so a convergence run loads neither.
 """
@@ -26,8 +27,8 @@ import numpy as np
 
 from .assembly import SurfaceData
 
-# the dense estimate's n^3 cost meets LOBPCG's between 1,323 and 1,587 dofs (plane k=2, the four sweep variants)
-DENSE_EIG_LIMIT = 1500
+# the dense estimate's n^3 cost meets LOBPCG's between 2,523 and 3,267 dofs (plane k=2, the four sweep variants at shifts 0.5 and 1e-3)
+DENSE_EIG_LIMIT = 3000
 # residual tolerance of LOBPCG, relative to the Gershgorin bound of S, and
 # its iteration cap (plane k=2 n=48, 28k dofs, takes up to ~2900)
 LOBPCG_RTOL = 1e-7
@@ -131,36 +132,96 @@ class SingularEstimateError(EigenEstimateError):
         self.lmax, self.lmin = lmax, lmin
 
 
+def _lanczos(apply, v, magnitude=False, stop=None, stride=1):
+    """The largest eigenvalue of a symmetric operator, or with magnitude the one of largest magnitude.
+
+    Three-term Lanczos from the unit vector v, without reorthogonalization:
+    in floating point the extreme Ritz values still converge to eigenvalues,
+    only copies of them appear (Paige, 1980).  The end Ritz values of the
+    tridiagonal T_m never move inward as m grows (T_m is a leading block of
+    T_m+1), so every stride steps the end one, theta, is bisected and
+    returned once it moved by at most eps |T_m| since the last check, once
+    stop(theta) holds, or once the Krylov space is exhausted.  Raises
+    LinAlgError if the operator gives a value that is not finite, and
+    EigenEstimateError if 2 n + 50 steps do not converge.
+    """
+    from scipy.linalg import lapack
+
+    n, eps = len(v), np.finfo(float).eps
+    alpha, beta = [], []
+    v_prev, b, last = np.zeros(n), 0.0, np.nan
+    for m in range(1, 2 * n + 51):
+        w = apply(v)
+        a = float(w @ v)
+        w -= a * v
+        w -= b * v_prev
+        b = float(np.sqrt(w @ w))
+        if not np.isfinite(a + b):
+            raise np.linalg.LinAlgError("Lanczos met a value that is not finite: S is not finite")
+        alpha.append(a)
+        if m % stride == 0 or b == 0.0:
+            d, e = np.array(alpha), np.array(beta)
+            low, high = (a, a) if m == 1 else (lapack.dstebz(d, e, 2, 0.0, 0.0, i, i, 0.0, "E")[1][0] for i in (1, m))
+            theta = low if magnitude and abs(low) > abs(high) else high
+            if abs(theta - last) <= eps * max(abs(low), abs(high)) or b == 0.0 or (stop is not None and stop(theta)):
+                return theta
+            last = theta
+        beta.append(b)
+        v_prev, v = v, w / b
+    raise EigenEstimateError(f"Lanczos did not converge in {m} steps")
+
+
 def _dense_ends(chat, S):
     """The extreme eigenvalues (lambda_max, lambda_min) of S on the hyperplane of the unit vector chat.
 
     The Householder reflector H = I - 2 v v' with v along chat + sign(chat_j) e_j,
     j = argmax |chat_j| (so |chat + sign(chat_j) e_j|^2 >= 2), maps chat onto
     the axis e_j; its other columns are an orthonormal basis of chat-perp.
-    H S H = S - v w' - w v' with w = 2 (S v - (v' S v) v), so S without row
-    and column j, densified once in Fortran order, takes that rank-two
-    update in place (upper triangle only, the one LAPACK reads) and is
-    reduced to tridiagonal form once; bisection then finds its two ends.
+    H S H = S - v w' - w v' with w = 2 (S v - (v' S v) v), so A, S without
+    row and column j less that rank-two term, is S on chat-perp.
+    lambda_max comes from Lanczos on A applied through the sparse rest of S.
+    lambda_min comes from one factorization of B = A + tau I, tau =
+    n eps |lambda_max| (the sweep's singular threshold): A, densified once
+    in Fortran order, takes the rank-two update and the shift in place
+    (upper triangle only, the one LAPACK reads) and is factored in place
+    by Bunch-Kaufman; Lanczos on B^-1, one solve per step, gives its Ritz
+    value theta of largest magnitude and lambda_min = 1 / theta - tau
+    (Ericsson and Ruhe, 1980).  It stops as soon as that proves lambda_min
+    <= tau.  If B has a non-positive or a 2 x 2 pivot, S is indefinite on
+    chat-perp and lambda_min comes from Lanczos on -A instead.
     """
     from scipy.linalg import blas, lapack
 
+    n = len(chat)
     j = int(np.argmax(np.abs(chat)))
     v = chat.copy()
     v[j] += 1.0 if chat[j] >= 0.0 else -1.0
     v /= np.linalg.norm(v)
     Sv = S @ v
     w = 2.0 * (Sv - (v @ Sv) * v)
-    keep = np.delete(np.arange(len(v)), j)
-    A = blas.dsyr2(-1.0, v[keep], w[keep], a=S[keep][:, keep].toarray(order="F"), overwrite_a=True)
-    m = len(keep)
-    # the blocked reduction needs the queried workspace; the wrapper's default lwork = m runs the unblocked one
-    _, d, e, _, _ = lapack.dsytrd(A, lwork=int(lapack.dsytrd_lwork(m)[0]), overwrite_a=True)
-    if m == 1:
-        return float(d[0]), float(d[0])
-    ends = [lapack.dstebz(d, e, 2, 0.0, 0.0, i, i, 0.0, "E") for i in (m, 1)]
-    if any(found != 1 or info for found, *_, info in ends):
-        raise np.linalg.LinAlgError("bisection found no eigenvalue: S is not finite")
-    return tuple(float(lam[0]) for _, lam, *_ in ends)
+    keep = np.delete(np.arange(n), j)
+    rest, v, w = S[keep][:, keep], v[keep], w[keep]
+
+    def apply_a(x):
+        return rest @ x - (w @ x) * v - (v @ x) * w
+
+    start = np.random.default_rng(1234).standard_normal(n - 1)
+    start /= np.linalg.norm(start)
+    lmax = _lanczos(apply_a, start, stride=8)
+    if n == 2:  # chat-perp is a line
+        return lmax, lmax
+    tau = n * np.finfo(float).eps * abs(lmax)
+    A = blas.dsyr2(-1.0, v, w, a=rest.toarray(order="F"), overwrite_a=True)
+    np.fill_diagonal(A, A.diagonal() + tau)
+    # the wrapper's default lwork = n - 1 runs the unblocked code, 3.6x slower; blocks of 32 columns
+    # factor as fast as the queried 64 (11 against 12 ms at 866 unknowns) in half the workspace
+    lu, ipiv, info = lapack.dsytrf(A, lwork=32 * (n - 1), overwrite_a=True)
+    if info == 0 and (ipiv > 0).all() and (lu.diagonal() > 0.0).all():
+        theta = _lanczos(
+            lambda x: lapack.dsytrs(lu, ipiv, x)[0], start, magnitude=True, stop=lambda t: 1.0 / t - tau <= tau
+        )
+        return lmax, 1.0 / theta - tau
+    return lmax, -_lanczos(lambda x: -apply_a(x), start, stride=8)
 
 
 def estimate_condition(S, c, method: str = "auto"):
@@ -168,8 +229,11 @@ def estimate_condition(S, c, method: str = "auto"):
 
     Returns (lambda_max, lambda_min).  'dense' reflects S with one
     Householder reflector that maps c onto a coordinate axis and drops
-    that row and column: one reduction of the dense (n-1, n-1) rest to
-    tridiagonal form, two bisected ends.  S need not be definite.
+    that row and column, then runs Lanczos on the sparse rest for
+    lambda_max, and for lambda_min factors the dense (n-1, n-1) rest
+    shifted by tau = n eps |lambda_max| once and runs Lanczos on its
+    inverse; on a singular row it stops once lambda_min <= tau is proven.
+    S need not be definite.
     'iterative' runs LOBPCG on S restricted to c-perp twice, from seeded
     start vectors: for lambda_max without a preconditioner, for
     lambda_min with Jacobi.  It raises EigenEstimateError if a run ends

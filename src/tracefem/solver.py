@@ -35,14 +35,14 @@ class SolverDivergenceError(RuntimeError):
         self.report = report
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    """Inner product by numpy's pairwise sum.
+def _dot(a: np.ndarray, b: np.ndarray, out=None) -> float:
+    """Inner product by numpy's pairwise sum, of the products written to out if given.
 
     ``a @ b`` goes through BLAS, and OpenBLAS splits long dot products
     across threads, so its rounding (and with it the PCG iteration count)
     depends on the thread count.  The pairwise sum does not.
     """
-    return float((a * b).sum())
+    return float(np.multiply(a, b, out=out).sum())
 
 
 def augment_gamma(S, c: np.ndarray) -> float:
@@ -64,6 +64,9 @@ def pcg(apply_A, b, diag, tol=1e-9, maxiter=None, true_check=None):
     tol relative to its initial value; when ``true_check`` is given it
     must also report True for the current plain residual (used to pin
     the unpreconditioned residual of the physical operator).
+    The loop updates x, r, z and p in place through one scratch vector,
+    with the textbook loop's operations in its order, so its iterates
+    are that loop's to the bit.
     Returns (x, iterations, converged, relres).
     """
     b = np.asarray(b, dtype=np.float64)
@@ -74,7 +77,8 @@ def pcg(apply_A, b, diag, tol=1e-9, maxiter=None, true_check=None):
     x = np.zeros(n)
     r = b.copy()
     z = invd * r
-    rz = _dot(r, z)
+    tmp = np.empty(n)
+    rz = _dot(r, z, tmp)
     rz0 = rz
     if rz0 == 0.0:
         return x, 0, True, 0.0
@@ -82,17 +86,18 @@ def pcg(apply_A, b, diag, tol=1e-9, maxiter=None, true_check=None):
     relres = 1.0
     for it in range(1, maxiter + 1):
         Ap = apply_A(p)
-        alpha = rz / _dot(p, Ap)
-        x += alpha * p
-        r -= alpha * Ap
-        z = invd * r
-        rz_new = _dot(r, z)
+        alpha = rz / _dot(p, Ap, tmp)
+        x += np.multiply(alpha, p, out=tmp)
+        r -= np.multiply(alpha, Ap, out=tmp)
+        np.multiply(invd, r, out=z)
+        rz_new = _dot(r, z, tmp)
         relres = np.sqrt(max(rz_new, 0.0) / rz0)
         if relres <= tol and (true_check is None or true_check(r)):
             return x, it, True, relres
         beta = rz_new / rz
         rz = rz_new
-        p = z + beta * p
+        p *= beta
+        p += z
     return x, maxiter, False, relres
 
 
@@ -112,8 +117,12 @@ def solve_constrained(S, c, f, tol=1e-9, maxiter=None, gamma=None, raise_on_fail
     if np.any(diag <= 0.0):
         raise ValueError("augmented diagonal must be positive")
 
+    tmp = np.empty(len(c))
+
     def apply_A(v):
-        return S @ v + gamma * _dot(c, v) * c
+        Sv = S @ v
+        Sv += np.multiply(gamma * _dot(c, v, tmp), c, out=tmp)
+        return Sv
 
     nf = np.sqrt(_dot(f, f))
     slack = 1.05 * tol * nf

@@ -276,6 +276,22 @@ def _conditioning_variants(k: int):
     return variants
 
 
+def _condition(S, c):
+    """(lambda_max, lambda_min, singular) of S on c-perp; a failed estimate gives nan, a singular one cond inf.
+
+    lambda_min at or below n eps lambda_max (numpy's matrix_rank
+    tolerance), or LOBPCG's below its own residual, is singular on
+    c-perp, where PCG can only run to its cap.
+    """
+    try:
+        lmax, lmin = estimate_condition(S, c)
+    except SingularEstimateError as err:
+        return err.lmax, err.lmin, True
+    except EigenEstimateError:
+        return float("nan"), float("nan"), False
+    return lmax, lmin, lmin <= len(c) * np.finfo(float).eps * lmax
+
+
 def _conditioning_shift(cfg: StudyConfig, eps: float, rng) -> list:
     """Estimate and solve every variant at one shift; its mesh, mapping and systems are freed on return, before the next shift is built."""
     ls = _stage("mesh", shifted_plane, eps, cfg.base_n)
@@ -286,22 +302,13 @@ def _conditioning_shift(cfg: StudyConfig, eps: float, rng) -> list:
     for variant in _conditioning_variants(cfg.k):
         stab = StabConfig(variant, cfg.rho if variant == cfg.stab else None)
         system = _stage("assemble", assemble_system, mesh, dls, mapping, problem, stab)
-        # lambda_min at or below numpy's matrix_rank tolerance, or LOBPCG's
-        # below its own residual, is singular on c-perp, where PCG can only
-        # run to its cap, so it is not solved; a failed estimate gives
-        # cond nan and is still solved
-        try:
-            lmax, lmin = estimate_condition(system.S, system.c)
-            singular = lmin <= len(system.c) * np.finfo(float).eps * lmax
-        except SingularEstimateError as err:
-            lmax, lmin, singular = err.lmax, err.lmin, True
-        except EigenEstimateError:
-            lmax, lmin, singular = float("nan"), float("nan"), False
+        lmax, lmin, singular = _stage("condition", _condition, system.S, system.c)
         cond = float("inf") if singular else lmax / lmin
         n_its = -1
+        # a singular row is not solved; a failed estimate gives cond nan and is still solved
         if not singular:
             f = synth - synth.sum() / system.c.sum() * system.c
-            rep = solve_constrained(system.S, system.c, f, tol=cfg.tol, raise_on_fail=False)
+            rep = _stage("solve", solve_constrained, system.S, system.c, f, tol=cfg.tol, raise_on_fail=False)
             n_its = rep.iterations if rep.converged else -1
         reports.append(dict(eps=eps, variant=variant, lambda_max=lmax, lambda_min=lmin, cond=cond, n_its=n_its))
     return reports

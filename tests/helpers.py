@@ -424,3 +424,55 @@ def chunk_footprints(records):
         per_point = max(peak / 8 / points for _, points, peak, _ in mine if points == most)
         out[name] = (max(r[2] for r in mine) / 2**20, per_point)
     return out
+
+
+def pcg_textbook(apply_A, b, diag, tol=1e-9, maxiter=None, true_check=None):
+    """Jacobi PCG from a zero start as the textbook writes it: fresh vectors every step, pairwise-sum inner products.
+
+    The oracle of solver.pcg, which must give its iterates to the bit.
+    Returns (x, iterations, converged, relres).
+    """
+    def dot(a, b):
+        return float((a * b).sum())
+
+    b = np.asarray(b, dtype=np.float64)
+    if maxiter is None:
+        maxiter = int(50 * np.sqrt(len(b)) + 1000)
+    invd = 1.0 / np.asarray(diag, dtype=np.float64)
+    x = np.zeros(len(b))
+    r = b.copy()
+    z = invd * r
+    rz = rz0 = dot(r, z)
+    if rz0 == 0.0:
+        return x, 0, True, 0.0
+    p = z.copy()
+    relres = 1.0
+    for it in range(1, maxiter + 1):
+        Ap = apply_A(p)
+        alpha = rz / dot(p, Ap)
+        x = x + alpha * p
+        r = r - alpha * Ap
+        z = invd * r
+        rz_new = dot(r, z)
+        relres = np.sqrt(max(rz_new, 0.0) / rz0)
+        if relres <= tol and (true_check is None or true_check(r)):
+            return x, it, True, relres
+        beta = rz_new / rz
+        rz = rz_new
+        p = z + beta * p
+    return x, maxiter, False, relres
+
+
+def solve_constrained_textbook(S, c, f, tol=1e-9, maxiter=None):
+    """solver.solve_constrained's u, iteration count and convergence flag, through pcg_textbook and a fresh-vector operator."""
+    gamma = float(S.diagonal().sum()) / float((c * c).sum())
+    nf = np.sqrt(float((f * f).sum()))
+
+    def apply_A(v):
+        return S @ v + gamma * float((c * v).sum()) * c
+
+    def true_check(r):
+        return np.sqrt(float((r * r).sum())) <= 1.05 * tol * nf if nf > 0.0 else True
+
+    u, its, ok, _ = pcg_textbook(apply_A, f, S.diagonal() + gamma * c * c, tol, maxiter, true_check)
+    return u, its, ok

@@ -286,7 +286,7 @@ class TestConditionEstimates:
                 estimate_condition(S, c, method=method)
 
     def test_indefinite_matrix_matches_the_null_space_basis(self, rng):
-        """The one-triangle update and the bisection assume no definiteness: a random symmetric S, mixed-sign c."""
+        """The one-triangle update assumes no definiteness; an indefinite S takes lambda_min from Lanczos on -S: a random symmetric S, mixed-sign c."""
         n = 40
         M = rng.standard_normal((n, n))
         S = sp.csr_matrix(M + M.T)
@@ -300,7 +300,7 @@ class TestConditionEstimates:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_matrix_raises(self, bad):
-        """Bisection finds no eigenvalue of a non-finite S; that is an error, not a value."""
+        """Lanczos meets a value that is not finite; that is an error, not a value."""
         M = np.diag(np.arange(1.0, 9.0))
         M[2, 3] = M[3, 2] = bad
         with warnings.catch_warnings():
@@ -324,8 +324,8 @@ class TestConditionEstimates:
     def test_dense_estimate_memory_is_one_dense_copy(self, plane_k2_systems):
         """At plane k=2 n=8 (867 dofs) the dense estimate peaks at most 1.25 dense n x n arrays.
 
-        The reduced matrix is densified once; the reflection and the
-        tridiagonal reduction work in it in place.
+        The reduced matrix is densified once; the reflection, the shift and
+        the factorization work in it in place.
         """
         sys = plane_k2_systems[0.5, "normal_volume"]
         tracemalloc.start()
@@ -336,6 +336,99 @@ class TestConditionEstimates:
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * len(sys.c) ** 2 * 8, f"{peak / 2**20:.1f} MiB"
+
+    def test_singular_rows_print_round_off(self, plane_k2_systems):
+        """Singular rows give |lambda_min| <= n eps lambda_max, the sweep's threshold.
+
+        lambda_min is 1 / theta - tau with theta the Ritz value of B^-1 of
+        largest magnitude (TestLanczos checks that mode).
+        """
+        for (eps, variant), sys in plane_k2_systems.items():
+            if variant in ("none", "full_gradient_surface"):
+                lmax, lmin = estimate_condition(sys.S, sys.c, method="dense")
+                assert abs(lmin) <= len(sys.c) * np.finfo(float).eps * lmax, (eps, variant, lmin)
+
+    def test_singular_rows_stop_after_a_few_solves(self, plane_k2_systems, monkeypatch):
+        """A singular row stops as soon as a Ritz value proves lambda_min <= tau.
+
+        Without that exit the none rows, whose 162-fold cluster of B^-1
+        sits at 1 / tau, took 31 (shift 0.5) and 122 (shift 1e-3) solves; a
+        non-singular row converges in under twenty.
+        """
+        from scipy.linalg import lapack
+
+        solves, original = [], lapack.dsytrs
+
+        def counting(*args, **kwargs):
+            solves[-1] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(lapack, "dsytrs", counting)
+        for (eps, variant), sys in plane_k2_systems.items():
+            solves.append(0)
+            estimate_condition(sys.S, sys.c, method="dense")
+            bound = 4 if variant in ("none", "full_gradient_surface") else 40
+            assert 0 < solves[-1] <= bound, (eps, variant, solves[-1])
+
+    def test_runs_without_the_tridiagonal_reduction(self, plane_k2_systems, monkeypatch):
+        """No dsytrd: lambda_max from Lanczos, lambda_min from one factorization and shift-invert Lanczos."""
+        from scipy.linalg import lapack
+
+        def refused(*args, **kwargs):
+            raise AssertionError("dsytrd called")
+
+        sys = plane_k2_systems[0.5, "normal_volume"]
+        monkeypatch.setattr(lapack, "dsytrd", refused)
+        lmax, lmin = estimate_condition(sys.S, sys.c, method="dense")
+        rmax, rmin = null_space_bounds(sys.S, sys.c)
+        assert abs(lmax - rmax) <= 1e-13 * rmax and abs(lmin - rmin) <= 1e-13 * rmax
+
+    def test_two_calls_return_identical_bits(self, plane_k2_systems):
+        for key in ((0.5, "normal_volume"), (0.5, "none"), (1e-5, "full_gradient_surface")):
+            sys = plane_k2_systems[key]
+            first = estimate_condition(sys.S, sys.c, method="dense")
+            second = estimate_condition(sys.S, sys.c, method="dense")
+            assert [x.hex() for x in first] == [x.hex() for x in second], key
+
+
+class TestLanczos:
+    """metrics._lanczos against numpy.linalg.eigvalsh on small dense matrices."""
+
+    @staticmethod
+    def matrix(kind, rng, n=30):
+        M = rng.standard_normal((n, n))
+        if kind == "spd":
+            return M @ M.T + 0.1 * np.eye(n)
+        if kind == "indefinite":
+            return M + M.T
+        return M + M.T - 4.0 * np.sqrt(n) * np.eye(n)  # negative definite: the two modes pick opposite ends
+
+    @pytest.mark.parametrize("kind", ["spd", "indefinite", "negative"])
+    @pytest.mark.parametrize("magnitude", [False, True])
+    def test_extreme_eigenvalue_matches_eigvalsh(self, kind, magnitude, rng):
+        A = self.matrix(kind, rng)
+        w = np.linalg.eigvalsh(A)
+        want = w[np.argmax(np.abs(w))] if magnitude else w[-1]
+        start = rng.standard_normal(len(A))
+        theta = metrics._lanczos(lambda x: A @ x, start / np.linalg.norm(start), magnitude=magnitude)
+        assert abs(theta - want) <= 1e-13 * np.abs(w).max(), (theta, want)
+
+    @pytest.mark.parametrize("stride", [1, 5])
+    def test_stop_ends_at_the_first_check(self, stride, rng):
+        A = self.matrix("spd", rng)
+        calls = []
+
+        def apply(x):
+            calls.append(1)
+            return A @ x
+
+        start = rng.standard_normal(len(A))
+        metrics._lanczos(apply, start / np.linalg.norm(start), stop=lambda theta: True, stride=stride)
+        assert len(calls) == stride
+
+    def test_non_finite_operator_raises(self):
+        with pytest.raises(np.linalg.LinAlgError, match="not finite"):
+            metrics._lanczos(lambda x: np.full_like(x, np.nan), np.ones(4) / 2.0)
 
 
 class TestLobpcgEstimate:

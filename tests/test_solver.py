@@ -19,7 +19,7 @@ from tracefem.solver import (
     solve_constrained,
 )
 
-from helpers import torus_benchmark, torus_case
+from helpers import pcg_textbook, solve_constrained_textbook, torus_benchmark, torus_case
 
 
 def torus_system(n=8, k=1, stab="normal_volume"):
@@ -141,6 +141,28 @@ class TestConstrainedSolve:
         S = sp.diags([1.0, -2.0, 1.0]).tocsr()
         with pytest.raises(ValueError, match="diagonal"):
             solve_constrained(S, np.zeros(3) + 1e-30, np.ones(3), gamma=1.0)
+
+
+class TestInPlacePcg:
+    """pcg updates its vectors in place; its iterates are the textbook loop's to the bit."""
+
+    @pytest.mark.parametrize("maxiter", [None, 7])
+    def test_random_spd_system_matches_the_textbook_loop(self, rng, maxiter):
+        M = rng.standard_normal((60, 60))
+        A = M @ M.T + 0.1 * np.eye(60)
+        b = rng.standard_normal(60)
+        got = pcg(lambda v: A @ v, b, np.diag(A), tol=1e-12, maxiter=maxiter)
+        want = pcg_textbook(lambda v: A @ v, b, np.diag(A), tol=1e-12, maxiter=maxiter)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1:] == want[1:]
+
+    @pytest.mark.parametrize("n, k", [(8, 1), (12, 2)])
+    def test_constrained_solve_matches_the_textbook_loop(self, n, k):
+        sys_ = torus_system(n, k)
+        rep = solve_constrained(sys_.S, sys_.c, sys_.f, tol=1e-9)
+        u, its, ok = solve_constrained_textbook(sys_.S, sys_.c, sys_.f, tol=1e-9)
+        assert rep.u.tobytes() == u.tobytes()
+        assert (rep.iterations, rep.converged) == (its, ok)
 
 
 # Solves a 20,000-unknown shifted tridiagonal system and prints the

@@ -401,6 +401,28 @@ class TestConditioningStudy:
         nv = [r for r in reports if r["variant"] == "normal_volume"]
         assert nv and all(r["n_its"] >= 0 for r in nv)
 
+    def test_estimate_errors_carry_the_condition_tag(self, monkeypatch, tmp_path, capsys):
+        """A LinAlgError of the estimate, as a non-finite S raises, ends the sweep in StageError [condition]; the CLI exits 2."""
+
+        def failing(S, c):
+            raise np.linalg.LinAlgError("S is not finite")
+
+        monkeypatch.setattr(study, "estimate_condition", failing)
+        with pytest.raises(StageError, match=r"\[condition\] S is not finite") as caught:
+            run_conditioning(StudyConfig(k=1, base_n=4, conditioning=True, shifts=(0.5,)))
+        assert caught.value.stage == "condition"
+        code = main(["--k", "1", "--base-n", "4", "--conditioning", "--shifts", "0.5", "--out", str(tmp_path / "c")])
+        assert code == 2 and "error: [condition]" in capsys.readouterr().err
+
+    def test_solve_errors_carry_the_solve_tag(self, monkeypatch):
+        def failing(*args, **kwargs):
+            raise ValueError("augmented diagonal must be positive")
+
+        monkeypatch.setattr(study, "solve_constrained", failing)
+        with pytest.raises(StageError, match=r"\[solve\] augmented diagonal") as caught:
+            run_conditioning(StudyConfig(k=1, base_n=4, conditioning=True, shifts=(0.5,)))
+        assert caught.value.stage == "solve"
+
     def test_unstabilized_conditioning_degrades(self):
         cfg = StudyConfig(benchmark="plane", k=1, base_n=8, conditioning=True, shifts=(0.5, 1e-4))
         _, reports = run_conditioning(cfg)
