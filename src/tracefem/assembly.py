@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import backends
-from .cutquad import extract_cuts, tet_rule, triangle_rule
+from .cutquad import corners, extract_cuts, tet_rule, triangle_rule
 from .mapping import IsoMapping
 from .mesh import SHAPE_BARY_A, element_chunks
 from .reference import physical_gradients
@@ -175,21 +175,23 @@ _CUTS = weakref.WeakKeyDictionary()
 class SurfaceData(LiftedRule):
     """The lifted interface rule: its cells are the interface triangles.
 
-    It keeps the triangles' elements, their barycentric corners (T, 3, 4)
-    and flat areas (T,), shared with every other surface rule of the mesh,
-    and the triangle rule, points lam (q, 3) and weights w (q,); a chunk
-    forms its barycentric points (Ec, q, 4) and flat weights from them.  A
-    chunk's Lift carries basis values and lifted points too, for the
-    constraint, the load and the errors.
+    It keeps the cut of extract_cuts, shared with every other surface rule
+    of the mesh: the triangles' elements (T,) int32, their corners as edge
+    codes (T, 3) uint8 and edge fractions (T, 3), and their flat areas
+    (T,), 39 bytes a triangle; and the triangle rule, points lam (q, 3) and
+    weights w (q,).  A chunk rebuilds its barycentric corners (Ec, 3, 4)
+    with cutquad.corners and forms its points (Ec, q, 4) and flat weights
+    from them.  A chunk's Lift carries basis values and lifted points too,
+    for the constraint, the load and the errors.
     """
 
     POINT_DOUBLES = (19, 20)
 
-    def __init__(self, mapping, tri_elem, tri_bary, tri_area, degree):
-        """tri_elem (T,): the triangles' elements; tri_bary (T, 3, 4) their corners; tri_area (T,) their areas."""
+    def __init__(self, mapping, tri_elem, tri_edges, tri_fracs, tri_area, degree):
+        """tri_elem (T,): the triangles' elements; tri_edges and tri_fracs (T, 3) their corners; tri_area (T,) their areas."""
         self.lam, self.w = triangle_rule(degree)
         super().__init__(mapping, tri_elem, len(self.w))
-        self.tri_bary, self.tri_area = tri_bary, tri_area
+        self.tri_edges, self.tri_fracs, self.tri_area = tri_edges, tri_fracs, tri_area
 
     @classmethod
     def build(cls, mapping: IsoMapping, degree=None):
@@ -197,22 +199,23 @@ class SurfaceData(LiftedRule):
 
         The first rule of a mesh cuts its elements chunk by chunk.  The
         vertex signs count the triangles beforehand, two for a two-two
-        split and one otherwise, so the (T,), (T, 3, 4) and (T,) arrays are
-        allocated once and every chunk's cut is written into its slice:
-        nothing of a chunk outlives it.  The triangles stay sorted by
-        element, and later rules of the mesh reuse them (read-only).
+        split and one otherwise, so the cut's four arrays are allocated
+        once and every chunk's cut is written into its slice: nothing of a
+        chunk outlives it.  The triangles stay sorted by element, and
+        later rules of the mesh reuse them (read-only).
         """
         mesh = mapping.mesh
         if degree is None:
             degree = max(0, 2 * mesh.k - 2)
         if mesh not in _CUTS:
             ntri = mesh.nelems + np.count_nonzero(np.count_nonzero(mesh.vertex_phi < 0.0, axis=1) == 2)
-            tri = (np.empty(ntri, dtype=np.int64), np.empty((ntri, 3, 4)), np.empty(ntri))
+            tri = (np.empty(ntri, dtype=np.int32), np.empty((ntri, 3), dtype=np.uint8), np.empty((ntri, 3)), np.empty(ntri))
             t = 0
             for s in element_chunks(mesh.nelems, 2 * 3 * 4):
-                elem, bary, area = extract_cuts(mesh.vertex_phi[s], mesh.verts_phys(s))
+                elem, *rest = extract_cuts(mesh.vertex_phi[s], mesh.verts_phys(s))
                 at = slice(t, t + len(elem))
-                tri[0][at], tri[1][at], tri[2][at] = elem + s.start, bary, area
+                for a, b in zip(tri, (elem + s.start, *rest)):
+                    a[at] = b
                 t = at.stop
             for a in tri:
                 a.setflags(write=False)
@@ -220,7 +223,7 @@ class SurfaceData(LiftedRule):
         return cls(mapping, *_CUTS[mesh], degree)
 
     def _lift(self, s):
-        lift = self.mapping.lift(self.cells[s], np.einsum("qc,tcm->tqm", self.lam, self.tri_bary[s]))
+        lift = self.mapping.lift(self.cells[s], np.einsum("qc,tcm->tqm", self.lam, corners(self.tri_edges[s], self.tri_fracs[s])))
         return lift, self.tri_area[s][:, None] * self.w * lift.det * lift.nn
 
 
@@ -359,18 +362,19 @@ def assemble_s(mapping, stab: StabConfig, out: Pattern):
     """Add the facet or volume stabilization of stab on mapping's mesh into out.
 
     For ghost_penalty, out's 'facets' blocks are the patch dofs of
-    _ghost_dofs; each chunk of facets forms its normal-derivative jumps
-    with _ghost_patches where its local matrices are added, so no jump
-    array of every facet is made.  'none' adds nothing, and neither does
-    full_gradient_surface: its term is part of the surface integrand.
+    _ghost_dofs; each chunk of facets forms its areas and normals
+    (FacetSet.geometry) and its normal-derivative jumps (_ghost_jumps)
+    once, where its local matrices are added, so no array of every
+    facet's geometry or jumps is made.  'none' adds nothing, and neither
+    does full_gradient_surface: its term is part of the surface integrand.
     """
     mesh = mapping.mesh
     rho = stab.resolve_rho(mesh.h, mesh.k)
     if stab.variant == "ghost_penalty":
-        area = mesh.facets.area
         for s in _facet_chunks(mesh):
-            jump = _ghost_patches(mesh, s)[1]
-            out.add("facets", s, rho * area[s, None, None] * jump[:, :, None] * jump[:, None, :])
+            area, normal = mesh.facets.geometry(s)
+            jump = _ghost_jumps(mesh, s, normal)
+            out.add("facets", s, rho * area[:, None, None] * jump[:, :, None] * jump[:, None, :])
     elif stab.variant in ("full_gradient_volume", "normal_volume"):
         full = stab.variant == "full_gradient_volume"
         vol = VolumeData.build(mapping, 2 * mesh.k, scale=rho)
@@ -383,24 +387,28 @@ def _facet_chunks(mesh):
 
 
 def _ghost_patches(mesh, s):
-    """Dofs (F', 5) and normal-derivative jumps (F', 5) of the patches of the facets s (a chunk) of the gradient-jump penalty.
+    """The patches of the facets s (a chunk) of the gradient-jump penalty: lower and upper dofs (F', 4) and the patch column of each upper dof.
 
     Gradients of P1 elements are constant, so each interior facet F
     contributes rho * area(F) * [grad b_i . n_F][grad b_j . n_F] on its
-    patch: the lower element's four dofs and the upper element's vertex
-    opposite F.  A dof on F takes the lower minus the upper element's value.
+    patch of five dofs: the lower element's four, then the upper element's
+    vertex opposite F.  The columns are an index pair into (F', 5): an
+    upper dof on F takes the column of the same lower dof, the other one
+    column 4.  _ghost_dofs forms the patches' dofs from them and
+    _ghost_jumps their jumps.
     """
-    fs = mesh.facets
-    elems = fs.elems[s].T
-    lo, hi = (mesh.elem_dofs[e] for e in elems)
+    lo, hi = (mesh.elem_dofs[e] for e in mesh.facets.elems[s].T)
     shared = hi[:, :, None] == lo[:, None, :]  # (F', 4, 4)
-    at = (np.arange(len(lo))[:, None], np.where(shared.any(axis=2), shared.argmax(axis=2), 4))  # upper dofs
-    dofs = np.concatenate([lo, lo[:, :1]], axis=1)
-    dofs[at] = hi
-    gn_lo, gn_hi = (np.einsum("fmi,fi->fm", mesh.bary_grad(e), fs.normal[s]) for e in elems)
-    jump = np.concatenate([gn_lo, np.zeros((len(lo), 1))], axis=1)
+    return lo, hi, (np.arange(len(lo))[:, None], np.where(shared.any(axis=2), shared.argmax(axis=2), 4))
+
+
+def _ghost_jumps(mesh, s, normal):
+    """(F', 5) jumps [grad b . n] across the facets s (a chunk), of unit normals normal (F', 3), on their patches: the lower minus the upper element's value."""
+    at = _ghost_patches(mesh, s)[2]
+    gn_lo, gn_hi = (np.einsum("fmi,fi->fm", mesh.bary_grad(e), normal) for e in mesh.facets.elems[s].T)
+    jump = np.concatenate([gn_lo, np.zeros((len(gn_lo), 1))], axis=1)
     jump[at] -= gn_hi
-    return dofs, jump
+    return jump
 
 
 def _ghost_dofs(mesh):
@@ -409,7 +417,10 @@ def _ghost_dofs(mesh):
         raise ValueError("ghost_penalty is unsupported for k > 1 (no higher-order theory)")
     dofs = np.empty((len(mesh.facets), 5), dtype=np.int32)
     for s in _facet_chunks(mesh):
-        dofs[s] = _ghost_patches(mesh, s)[0]
+        lo, hi, at = _ghost_patches(mesh, s)
+        patch = dofs[s]
+        patch[:, :4], patch[:, 4] = lo, lo[:, 0]
+        patch[at] = hi
     return dofs
 
 

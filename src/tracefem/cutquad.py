@@ -143,17 +143,21 @@ def tet_rule(degree: int):
 
 
 def extract_cuts(vertex_phi: np.ndarray, verts_phys: np.ndarray):
-    """Interface triangles of a batch of cut tetrahedra.
+    """Interface triangles of a batch of cut tetrahedra, as edge fractions.
 
     vertex_phi: (E, 4) signed vertex values, no exact zeros; verts_phys:
-    (E, 4, 3).  Returns (tri_elem (T,), tri_bary (T, 3, 4), tri_area (T,))
-    sorted by element, triangles oriented so their physical normal points
-    with the gradient of the linear interpolant (negative to positive).
-    Elements with a two-two sign split yield a planar quadrilateral that
-    is split along its shorter diagonal.
+    (E, 4, 3).  Returns (tri_elem (T,), tri_edges (T, 3) uint8,
+    tri_fracs (T, 3), tri_area (T,)) sorted by element: corner c of
+    triangle t lies on the edge from vertex m to vertex o, tri_edges[t, c]
+    = m * 4 + o, at the fraction tri_fracs[t, c] from m, and corners()
+    rebuilds its barycentric coordinates (1 - t) e_m + t e_o.  m and o are
+    kept, not read off the nonzero coordinates: a fraction can round to
+    1.0.  Triangles are oriented so their physical normal points with the
+    gradient of the linear interpolant (negative to positive).  Elements
+    with a two-two sign split yield a planar quadrilateral that is split
+    along its shorter diagonal.
     """
     vphi = np.asarray(vertex_phi, dtype=np.float64)
-    E = vphi.shape[0]
     if np.any(vphi == 0.0):
         raise ValueError("vertex values must be nonzero (perturb exact zeros)")
     neg = vphi < 0.0
@@ -162,7 +166,7 @@ def extract_cuts(vertex_phi: np.ndarray, verts_phys: np.ndarray):
         raise ValueError("an element without a sign change has no interface")
 
     order = np.argsort(np.where(neg, 0, 1), axis=1, kind="stable")
-    tri_elem, tri_bary = [], []
+    tri_elem, tri_edges, tri_fracs = [], [], []
 
     lone = nneg != 2
     if np.any(lone):
@@ -176,14 +180,9 @@ def extract_cuts(vertex_phi: np.ndarray, verts_phys: np.ndarray):
         others = np.sort(others, axis=1)
         va = vphi[idx, m]
         vb = np.take_along_axis(vphi[idx], others, axis=1)
-        t = va[:, None] / (va[:, None] - vb)  # (L, 3) edge fractions
-        bary = np.zeros((len(idx), 3, 4))
-        rows = np.arange(len(idx))[:, None]
-        cols = np.arange(3)[None, :]
-        bary[rows, cols, m[:, None]] = 1.0 - t
-        bary[rows, cols, others] = t
         tri_elem.append(idx)
-        tri_bary.append(bary)
+        tri_edges.append(m[:, None] * 4 + others)
+        tri_fracs.append(va[:, None] / (va[:, None] - vb))
 
     quad = nneg == 2
     if np.any(quad):
@@ -197,38 +196,47 @@ def extract_cuts(vertex_phi: np.ndarray, verts_phys: np.ndarray):
         pairs_p = np.stack([pp[:, 0], pp[:, 1], pp[:, 1], pp[:, 0]], axis=1)
         va = np.take_along_axis(vphi[idx], pairs_m, axis=1)
         vb = np.take_along_axis(vphi[idx], pairs_p, axis=1)
-        t = va / (va - vb)  # (Q, 4)
-        qbary = np.zeros((len(idx), 4, 4))
-        rows = np.arange(len(idx))[:, None]
-        cols = np.arange(4)[None, :]
-        qbary[rows, cols, pairs_m] = 1.0 - t
-        qbary[rows, cols, pairs_p] += t
-        qpts = np.einsum("qcm,qmi->qci", qbary, verts_phys[idx])
+        edges, t = pairs_m * 4 + pairs_p, va / (va - vb)  # (Q, 4)
+        qpts = np.einsum("qcm,qmi->qci", corners(edges, t), verts_phys[idx])
         d1 = np.linalg.norm(qpts[:, 2] - qpts[:, 0], axis=-1)
         d2 = np.linalg.norm(qpts[:, 3] - qpts[:, 1], axis=-1)
-        short1 = d1 <= d2
-        tris = np.where(
-            short1[:, None, None, None],
-            np.stack([qbary[:, [0, 1, 2]], qbary[:, [0, 2, 3]]], axis=1),
-            np.stack([qbary[:, [1, 2, 3]], qbary[:, [1, 3, 0]]], axis=1),
-        )  # (Q, 2, 3, 4)
+        del qpts
+        # corners of the two triangles, (Q, 2, 3), on either diagonal
+        pick = np.where((d1 <= d2)[:, None, None], np.array([[0, 1, 2], [0, 2, 3]]), np.array([[1, 2, 3], [1, 3, 0]]))
+        pick = pick.reshape(len(idx), 6)
         tri_elem.append(np.repeat(idx, 2))
-        tri_bary.append(tris.reshape(-1, 3, 4))
+        tri_edges.append(np.take_along_axis(edges, pick, axis=1).reshape(-1, 3))
+        tri_fracs.append(np.take_along_axis(t, pick, axis=1).reshape(-1, 3))
 
     tri_elem = np.concatenate(tri_elem)
-    tri_bary = np.concatenate(tri_bary)
     srt = np.argsort(tri_elem, kind="stable")
     tri_elem = tri_elem[srt]
-    tri_bary = tri_bary[srt]
+    tri_edges = np.concatenate(tri_edges).astype(np.uint8)[srt]
+    tri_fracs = np.concatenate(tri_fracs)[srt]
 
-    pts = np.einsum("tcm,tmi->tci", tri_bary, verts_phys[tri_elem])
+    pts = np.einsum("tcm,tmi->tci", corners(tri_edges, tri_fracs), verts_phys[tri_elem])
     nvec = np.cross(pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 0])
+    del pts
     tri_area = 0.5 * np.linalg.norm(nvec, axis=-1)
     # orient along grad of the linear interpolant (from negative to positive)
     gphi = _lin_gradient(vphi[tri_elem], verts_phys[tri_elem])
     flip = np.einsum("ti,ti->t", nvec, gphi) < 0.0
-    tri_bary[flip] = tri_bary[flip][:, [0, 2, 1]]
-    return tri_elem, tri_bary, tri_area
+    for a in (tri_edges, tri_fracs):
+        a[flip] = a[flip][:, [0, 2, 1]]
+    return tri_elem, tri_edges, tri_fracs, tri_area
+
+
+def corners(edges, fracs):
+    """Barycentric points (..., 4) of edge codes m * 4 + o (...) and fractions t (...): (1 - t) e_m + t e_o.
+
+    The coordinates extract_cuts forms for its corners, bit for bit.
+    """
+    bary = np.zeros((*np.shape(fracs), 4))
+    flat, edges, fracs = bary.reshape(-1, 4), np.ravel(edges), np.ravel(fracs)
+    rows = np.arange(len(flat))
+    flat[rows, edges >> 2] = 1.0 - fracs
+    flat[rows, edges & 3] = fracs
+    return bary
 
 
 def adjugate_and_det(J):

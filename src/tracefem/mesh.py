@@ -277,12 +277,13 @@ _FACE_LOCAL = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])  # row m: t
 class FacetSet:
     """Interior facets of the active mesh (triangles shared by two elements).
 
-    It keeps the two elements of every facet, elems (F, 2), lower first,
-    and the facet's area (F,) and unit normal (F, 3), which points from the
-    lower element into the upper one; triangles() gives the face's
-    vertices on demand.  It holds its mesh by a weak reference: the mesh
-    caches its FacetSet, and a strong one back would make a cycle that
-    only the garbage collector frees.
+    It keeps the two elements of every facet, elems (F, 2) int32, lower
+    first, and face (F,) uint8, the lower element's local vertex opposite
+    the facet: 9 bytes a facet.  geometry() forms the areas and unit
+    normals of some facets and triangles() their vertices, on demand.  It
+    holds its mesh by a weak reference: the mesh caches its FacetSet, and
+    a strong one back would make a cycle that only the garbage collector
+    frees.
     """
 
     def __init__(self, mesh: ActiveMesh):
@@ -299,32 +300,28 @@ class FacetSet:
         pairs = starts[counts == 2]
         first = order[pairs]  # the shared face of the lower element
         self._mesh = weakref.ref(mesh)
-        self.elems = np.stack([first // 4, order[pairs + 1] // 4], axis=-1)
+        self.elems = np.stack([first // 4, order[pairs + 1] // 4], axis=-1).astype(np.int32)
+        self.face = (first % 4).astype(np.uint8)
         self.nfacets = len(self.elems)
-        self.area = np.empty(self.nfacets)
-        self.normal = np.empty((self.nfacets, 3))
-        for s in element_chunks(self.nfacets, 2 * 4 * 3):  # per facet: both elements' (4, 3) vertices
-            lo, hi = self.elems[s].T
-            verts = mesh.verts_phys(lo)
-            p = verts[np.arange(len(lo))[:, None], _FACE_LOCAL[first[s] % 4]]
-            nvec = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
-            nn = np.linalg.norm(nvec, axis=-1)
-            self.area[s] = 0.5 * nn
-            normal = nvec / nn[:, None]
-            d = mesh.verts_phys(hi).mean(axis=1) - verts.mean(axis=1)
-            flip = np.einsum("fi,fi->f", normal, d) < 0.0
-            normal[flip] *= -1.0
-            self.normal[s] = normal
 
     def __len__(self) -> int:
         return self.nfacets
 
-    def triangles(self, facets=slice(None)) -> np.ndarray:
-        """(F', 3, 3) physical vertices of the given facets, in the lower element's local order."""
+    def geometry(self, facets=slice(None)):
+        """Areas (F',) and unit normals (F', 3) of the given facets, each normal pointing from the lower element into the upper one."""
         mesh = self._mesh()
         lo, hi = self.elems[facets].T
-        ids_lo, ids_hi = mesh.vertex_ids(lo), mesh.vertex_ids(hi)
-        # the shared face is opposite the lower element's vertex that the upper one lacks
-        alone = (ids_lo[:, :, None] != ids_hi[:, None, :]).all(axis=2)
-        face = _FACE_LOCAL[alone.argmax(axis=1)]
-        return mesh.verts_phys(lo)[np.arange(len(lo))[:, None], face]
+        verts = mesh.verts_phys(lo)
+        p = verts[np.arange(len(lo))[:, None], _FACE_LOCAL[self.face[facets]]]
+        nvec = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+        nn = np.linalg.norm(nvec, axis=-1)
+        normal = nvec / nn[:, None]
+        d = mesh.verts_phys(hi).mean(axis=1) - verts.mean(axis=1)
+        flip = np.einsum("fi,fi->f", normal, d) < 0.0
+        normal[flip] *= -1.0
+        return 0.5 * nn, normal
+
+    def triangles(self, facets=slice(None)) -> np.ndarray:
+        """(F', 3, 3) physical vertices of the given facets, in the lower element's local order."""
+        lo = self.elems[facets, 0]
+        return self._mesh().verts_phys(lo)[np.arange(len(lo))[:, None], _FACE_LOCAL[self.face[facets]]]

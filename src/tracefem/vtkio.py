@@ -7,6 +7,7 @@ import os
 import numpy as np
 
 from .assembly import SurfaceData
+from .cutquad import corners
 from .mesh import element_chunks
 
 
@@ -67,21 +68,25 @@ def export_level(outdir, tag, mapping):
     pos, cells = _mesh_vertex_arrays(mesh)
     write_unstructured_tets(os.path.join(outdir, f"active_mesh_{tag}.vtk"), pos, cells)
 
-    # the interface triangles of the mesh's own cut, which the assembly has already made
+    # the interface triangles of the mesh's own cut, which the assembly has
+    # already made, their corners rebuilt one chunk of triangles at a time
     surf = SurfaceData.build(mapping)
-    verts = mesh.verts_phys(slice(None))
-    pts = np.einsum("tcm,tmi->tci", surf.tri_bary, verts[surf.cells]).reshape(-1, 3)
+    pts = np.empty((len(surf.cells), 3, 3))
+    for s in element_chunks(len(surf.cells), 3 * 4):
+        pts[s] = np.einsum("tcm,tmi->tci", corners(surf.tri_edges[s], surf.tri_fracs[s]), mesh.verts_phys(surf.cells[s]))
+    pts = pts.reshape(-1, 3)
     tris = np.arange(len(pts)).reshape(-1, 3)
     write_triangles(os.path.join(outdir, f"interface_lin_{tag}.vtk"), pts, tris)
 
     if mesh.k > 1:
         # deformed vertices coincide with the originals; export nodal images
         # instead, lifted one chunk of elements (4 corners, NB values each) at a time
+        verts = mesh.verts_phys(slice(None))
         deformed = np.empty_like(verts)
         for s in element_chunks(mesh.nelems, 4 * mesh.ref.ndofs):
             elems = np.repeat(np.arange(s.start, s.stop), 4)
-            corners = mesh.bary_of_points(elems, verts[s].reshape(-1, 3))
-            deformed[s] = mapping.eval(elems, corners)[0].reshape(-1, 4, 3)
+            lam = mesh.bary_of_points(elems, verts[s].reshape(-1, 3))
+            deformed[s] = mapping.eval(elems, lam)[0].reshape(-1, 4, 3)
         pos_d, cells_d = _mesh_vertex_arrays(mesh, deformed=deformed)
         write_unstructured_tets(
             os.path.join(outdir, f"deformed_mesh_{tag}.vtk"), pos_d, cells_d

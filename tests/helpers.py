@@ -14,9 +14,10 @@ import numpy as np
 from scipy.optimize import brentq
 
 from tracefem.assembly import LiftedRule
+from tracefem.cutquad import _lin_gradient
 from tracefem.levelset import Sphere, Torus, TorusBenchmark
 from tracefem.mapping import build_theta
-from tracefem.mesh import ActiveMesh, MeshParams
+from tracefem.mesh import _FACE_LOCAL, ActiveMesh, MeshParams, element_chunks
 from tracefem.reference import interpolate
 
 _CASE_CACHE: dict = {}
@@ -295,11 +296,11 @@ def errors_oracle(mesh, mapping, u, problem, degree=None):
     The error formulas on arrays of every point at once, as compute_errors
     applied them before it reduced chunk by chunk.
     """
-    from tracefem.cutquad import extract_cuts, triangle_rule
+    from tracefem.cutquad import triangle_rule
 
     if degree is None:
         degree = 2 * mesh.k
-    tri_elem, tri_bary, tri_area = extract_cuts(mesh.vertex_phi, mesh.verts_phys(slice(None)))
+    tri_elem, tri_bary, tri_area = cut_corners_oracle(mesh.vertex_phi, mesh.verts_phys(slice(None)))
     lam, wq = triangle_rule(degree)
     lift = mapping.lift(tri_elem, np.einsum("qc,tcm->tqm", lam, tri_bary))
     P = lift.det.size
@@ -476,3 +477,97 @@ def solve_constrained_textbook(S, c, f, tol=1e-9, maxiter=None):
 
     u, its, ok, _ = pcg_textbook(apply_A, f, S.diagonal() + gamma * c * c, tol, maxiter, true_check)
     return u, its, ok
+
+
+def cut_corners_oracle(vertex_phi, verts_phys):
+    """The interface triangles of cut tetrahedra as (tri_elem (T,), tri_bary (T, 3, 4), tri_area (T,)), sorted by element.
+
+    extract_cuts as it formed and returned the (T, 3, 4) barycentric
+    corners before it kept edge codes and fractions: each corner written
+    into a zero array, 1 - t at the edge's first vertex and t at its
+    second, the quadrilateral's corners (Q, 4, 4) split along the shorter
+    diagonal, the corners' columns 1 and 2 swapped where the normal points
+    against the gradient of the linear interpolant.
+    """
+    vphi = np.asarray(vertex_phi, dtype=np.float64)
+    neg = vphi < 0.0
+    nneg = neg.sum(axis=1)
+    order = np.argsort(np.where(neg, 0, 1), axis=1, kind="stable")
+    tri_elem, tri_bary = [], []
+
+    lone = nneg != 2
+    if np.any(lone):
+        idx = np.flatnonzero(lone)
+        lone_is_neg = nneg[idx] == 1
+        m = np.where(lone_is_neg, order[idx, 0], order[idx, 3])
+        others = np.sort(np.where(lone_is_neg[:, None], order[idx, 1:], order[idx, :3]), axis=1)
+        va = vphi[idx, m]
+        vb = np.take_along_axis(vphi[idx], others, axis=1)
+        t = va[:, None] / (va[:, None] - vb)
+        bary = np.zeros((len(idx), 3, 4))
+        rows = np.arange(len(idx))[:, None]
+        cols = np.arange(3)[None, :]
+        bary[rows, cols, m[:, None]] = 1.0 - t
+        bary[rows, cols, others] = t
+        tri_elem.append(idx)
+        tri_bary.append(bary)
+
+    quad = nneg == 2
+    if np.any(quad):
+        idx = np.flatnonzero(quad)
+        mm = np.sort(order[idx, :2], axis=1)
+        pp = np.sort(order[idx, 2:], axis=1)
+        pairs_m = np.stack([mm[:, 0], mm[:, 0], mm[:, 1], mm[:, 1]], axis=1)
+        pairs_p = np.stack([pp[:, 0], pp[:, 1], pp[:, 1], pp[:, 0]], axis=1)
+        va = np.take_along_axis(vphi[idx], pairs_m, axis=1)
+        vb = np.take_along_axis(vphi[idx], pairs_p, axis=1)
+        t = va / (va - vb)
+        qbary = np.zeros((len(idx), 4, 4))
+        rows = np.arange(len(idx))[:, None]
+        cols = np.arange(4)[None, :]
+        qbary[rows, cols, pairs_m] = 1.0 - t
+        qbary[rows, cols, pairs_p] += t
+        qpts = np.einsum("qcm,qmi->qci", qbary, verts_phys[idx])
+        short1 = np.linalg.norm(qpts[:, 2] - qpts[:, 0], axis=-1) <= np.linalg.norm(qpts[:, 3] - qpts[:, 1], axis=-1)
+        tris = np.where(
+            short1[:, None, None, None],
+            np.stack([qbary[:, [0, 1, 2]], qbary[:, [0, 2, 3]]], axis=1),
+            np.stack([qbary[:, [1, 2, 3]], qbary[:, [1, 3, 0]]], axis=1),
+        )
+        tri_elem.append(np.repeat(idx, 2))
+        tri_bary.append(tris.reshape(-1, 3, 4))
+
+    tri_elem = np.concatenate(tri_elem)
+    srt = np.argsort(tri_elem, kind="stable")
+    tri_elem = tri_elem[srt]
+    tri_bary = np.concatenate(tri_bary)[srt]
+    pts = np.einsum("tcm,tmi->tci", tri_bary, verts_phys[tri_elem])
+    nvec = np.cross(pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 0])
+    tri_area = 0.5 * np.linalg.norm(nvec, axis=-1)
+    flip = np.einsum("ti,ti->t", nvec, _lin_gradient(vphi[tri_elem], verts_phys[tri_elem])) < 0.0
+    tri_bary[flip] = tri_bary[flip][:, [0, 2, 1]]
+    return tri_elem, tri_bary, tri_area
+
+
+def facet_geometry_oracle(mesh):
+    """Areas (F,) and unit normals (F, 3) of every interior facet, formed chunk by chunk as FacetSet stored them.
+
+    The cross product of two face edges, its norm, the flip of normals
+    that point against the lower-to-upper centroid difference.  The face
+    is the lower element's, opposite its vertex that the upper one lacks.
+    """
+    fs = mesh.facets
+    area, normal = np.empty(len(fs)), np.empty((len(fs), 3))
+    for s in element_chunks(len(fs), 2 * 4 * 3):
+        lo, hi = fs.elems[s].T.astype(np.int64)
+        alone = (mesh.vertex_ids(lo)[:, :, None] != mesh.vertex_ids(hi)[:, None, :]).all(axis=2)
+        verts = mesh.verts_phys(lo)
+        p = verts[np.arange(len(lo))[:, None], _FACE_LOCAL[alone.argmax(axis=1)]]
+        nvec = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+        nn = np.linalg.norm(nvec, axis=-1)
+        area[s] = 0.5 * nn
+        n = nvec / nn[:, None]
+        d = mesh.verts_phys(hi).mean(axis=1) - verts.mean(axis=1)
+        n[np.einsum("fi,fi->f", n, d) < 0.0] *= -1.0
+        normal[s] = n
+    return area, normal

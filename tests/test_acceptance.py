@@ -177,7 +177,7 @@ def test_criterion_7_oracle_equivalences():
         if vphi.min() >= 0 or vphi.max() <= 0:
             continue
         verts = UNIT_TET + 0.2 * rng.standard_normal((4, 3))
-        _, _, area = extract_cuts(vphi[None], verts[None])
+        area = extract_cuts(vphi[None], verts[None])[-1]
         oracle = polygon_area(clip_polygon_oracle(vphi, verts))
         assert area.sum() == pytest.approx(oracle, abs=1e-10)
         count += 1

@@ -18,9 +18,10 @@ from tracefem.assembly import (
     _ghost_dofs,
     assemble_system,
 )
-from tracefem.cutquad import extract_cuts, tet_rule, triangle_rule
+from tracefem.cutquad import corners, extract_cuts, tet_rule, triangle_rule
 from tracefem.levelset import Plane, make_benchmark, shifted_plane
 from tracefem.mapping import IsoMapping
+from tracefem.mesh import FacetSet
 from tracefem.metrics import compute_errors
 from tracefem.reference import interpolate
 
@@ -28,6 +29,7 @@ from helpers import (
     benchmark_interpolant,
     chunk_footprints,
     chunk_peaks,
+    cut_corners_oracle,
     pattern_unique_keys,
     plane_box_section_area,
     plane_case,
@@ -226,10 +228,11 @@ class TestStabilizations:
         _, mesh, dls, mapping = torus_case(16, 1)
         S = stabilization_matrix(mapping, StabConfig("ghost_penalty"))
         fs = mesh.facets
-        gn = [np.einsum("fmi,fi->fm", mesh.bary_grad(e), fs.normal) for e in fs.elems.T]
+        area, normal = fs.geometry()
+        gn = [np.einsum("fmi,fi->fm", mesh.bary_grad(e), normal) for e in fs.elems.T]
         J = np.concatenate([gn[0], -gn[1]], axis=1)  # (F, 8)
         dofs = np.concatenate([mesh.elem_dofs[e] for e in fs.elems.T], axis=1)
-        local = fs.area[:, None, None] * J[:, :, None] * J[:, None, :]
+        local = area[:, None, None] * J[:, :, None] * J[:, None, :]
         rows, cols = np.repeat(dofs, 8, axis=1).ravel(), np.tile(dofs, (1, 8)).ravel()
         oracle = sp.coo_matrix((local.ravel(), (rows, cols)), shape=S.shape).tocsr()
         assert S.nnz == oracle.nnz
@@ -276,7 +279,7 @@ class TestConstraintAndLoad:
     def test_flat_constraint_matches_triangle_areas(self):
         _, mesh, dls, mapping = torus_case(8, 1)
         c = none_system(mesh, dls, mapping).c
-        _, _, area = extract_cuts(mesh.vertex_phi, mesh.verts_phys(slice(None)))
+        area = extract_cuts(mesh.vertex_phi, mesh.verts_phys(slice(None)))[-1]
         assert c.sum() == pytest.approx(area.sum(), rel=1e-13)
 
     def test_constant_load_is_projected_away(self):
@@ -318,7 +321,7 @@ class TestGeometryData:
     def test_lifted_weights_reduce_to_flat_areas_for_identity(self):
         _, mesh, dls, mapping = torus_case(8, 1)
         surf = lifted_arrays(SurfaceData.build(mapping, degree=2))
-        _, _, area = extract_cuts(mesh.vertex_phi, mesh.verts_phys(slice(None)))
+        area = extract_cuts(mesh.vertex_phi, mesh.verts_phys(slice(None)))[-1]
         assert surf["w"].sum() == pytest.approx(area.sum(), rel=1e-13)
         np.testing.assert_allclose(
             np.linalg.norm(surf["nh"], axis=1), 1.0, atol=1e-13
@@ -362,10 +365,10 @@ class TestGeometryData:
         rule = SurfaceData.build(mapping, 4)
         monkeypatch.setattr(assembly, "CHUNK_DOUBLES", 6 * rule.cell_doubles - 1)
         surf = lifted_arrays(rule)
-        tri_elem, tri_bary, tri_area = extract_cuts(mesh.vertex_phi, mesh.verts_phys(slice(None)))
+        tri_elem, tri_bary, tri_area = cut_corners_oracle(mesh.vertex_phi, mesh.verts_phys(slice(None)))
         assert len(rule.slices()) > 1 and {s.stop - s.start for s in rule.slices()[:-1]} == {5}
         assert len(mesh_module.element_chunks(mesh.nelems, 2 * 3 * 4)) > 1
-        np.testing.assert_array_equal(rule.tri_bary, tri_bary)
+        np.testing.assert_array_equal(corners(rule.tri_edges, rule.tri_fracs), tri_bary)
         np.testing.assert_array_equal(rule.tri_area, tri_area)
         lift = mapping.lift(tri_elem, np.einsum("qc,tcm->tqm", lam, tri_bary))
         np.testing.assert_array_equal(rule.elems, np.repeat(tri_elem, q))
@@ -375,19 +378,34 @@ class TestGeometryData:
             np.testing.assert_array_equal(surf[name], a.reshape(-1, *a.shape[2:]))
 
     def test_cut_written_in_place_is_one_cut_of_every_element(self, monkeypatch):
-        """Ragged chunks of 7 elements write, byte for byte, the three arrays of one extract_cuts over every element."""
+        """Ragged chunks of 7 elements write, byte for byte, the four arrays of one extract_cuts over every element.
+
+        Their corners rebuilt, the triangles' corners (T, 3, 4), areas and
+        orientation are the bytes of the oracle's, which forms the corners
+        whole; the elements are its values in int32.
+        """
         _, mesh, dls, mapping = torus_case(16, 1)
+        assembly._CUTS.pop(mesh, None)
         monkeypatch.setattr(mesh_module, "CHUNK_VALUES", 7 * 2 * 3 * 4 + 23)
         assert len(mesh_module.element_chunks(mesh.nelems, 2 * 3 * 4)) > 1 and mesh.nelems % 7
         rule = SurfaceData.build(mapping)
-        oracle = extract_cuts(mesh.vertex_phi, mesh.verts_phys(slice(None)))
-        assert mesh.nelems < len(oracle[0]) < 2 * mesh.nelems  # both one- and two-triangle cuts
-        for got, want in zip((rule.cells, rule.tri_bary, rule.tri_area), oracle):
-            assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+        whole = extract_cuts(mesh.vertex_phi, mesh.verts_phys(slice(None)))
+        kept = (rule.cells, rule.tri_edges, rule.tri_fracs, rule.tri_area)
+        for got, want, dtype in zip(kept, whole, (np.int32, np.uint8, np.float64, np.float64)):
+            assert got.dtype == dtype and got.shape == want.shape and got.tobytes() == want.astype(dtype).tobytes()
             assert not got.flags.writeable
+        tri_elem, tri_bary, tri_area = cut_corners_oracle(mesh.vertex_phi, mesh.verts_phys(slice(None)))
+        assert mesh.nelems < len(tri_elem) < 2 * mesh.nelems  # both one- and two-triangle cuts
+        np.testing.assert_array_equal(rule.cells, tri_elem)
+        assert corners(rule.tri_edges, rule.tri_fracs).tobytes() == tri_bary.tobytes()
+        assert rule.tri_area.tobytes() == tri_area.tobytes()
 
     def test_first_cut_peaks_at_its_triangles_and_one_chunk(self):
-        """At torus k=1 n=64 the cut allocates its triangles, 5.8 MiB, and one chunk of elements' cuts, 3.4 MiB, not a second copy of the triangles."""
+        """At torus k=1 n=64 the cut allocates its triangles, 2.0 MiB, and one chunk of elements' cuts, 2.2 MiB, not a second copy of the triangles.
+
+        The cut kept (T, 3, 4) corners before, 5.8 MiB, and its chunk
+        peaked 3.4 MiB above them.
+        """
         _, mesh, dls, mapping = torus_case(64, 1)
         tracemalloc.start()
         try:
@@ -396,8 +414,8 @@ class TestGeometryData:
             kept, peak = (m - before for m in tracemalloc.get_traced_memory())
         finally:
             tracemalloc.stop()
-        assert kept >= rule.tri_bary.nbytes + rule.tri_area.nbytes + rule.cells.nbytes
-        assert peak - kept <= 4 * 2**20, f"{(peak - kept) / 2**20:.1f} MiB above the triangles"
+        assert kept >= sum(a.nbytes for a in (rule.cells, rule.tri_edges, rule.tri_fracs, rule.tri_area))
+        assert peak - kept <= 3 * 2**20, f"{(peak - kept) / 2**20:.1f} MiB above the triangles"
 
     def test_surface_rule_memory_does_not_grow_with_the_mesh(self):
         """At torus k=1 n=64 the degree-2 rule of the errors, its cut included, allocates at most 14 MiB at its peak (9.9 measured), lifted chunk by chunk."""
@@ -413,8 +431,12 @@ class TestGeometryData:
         assert peak <= 14 * 2**20, f"{peak / 2**20:.1f} MiB"
 
     def test_surface_rule_keeps_triangles_not_points(self):
-        """The degree-6 rule (16 points) keeps 112 bytes per triangle: its element, corners (3, 4) and area; points (T, 16, 4) would add 512."""
+        """The degree-6 rule (16 points) keeps 39 bytes per triangle: its int32 element, three uint8 edge codes, three edge fractions and its area.
+
+        Corners (T, 3, 4) would add 72 bytes, points (T, 16, 4) 512.
+        """
         _, mesh, dls, mapping = torus_case(16, 2)
+        assembly._CUTS.pop(mesh, None)  # measured with its cut
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -423,7 +445,7 @@ class TestGeometryData:
         finally:
             tracemalloc.stop()
         assert rule.q == 16
-        assert kept <= 128 * len(rule.cells), f"{kept / len(rule.cells):.1f} B per triangle"
+        assert kept <= 48 * len(rule.cells), f"{kept / len(rule.cells):.1f} B per triangle"
 
     def test_chunked_volume_rule_matches_one_unchunked_lift(self, monkeypatch):
         """Ragged chunks of 5 elements and the Kuhn-shape table give the per-point data of one lift of all points."""
@@ -522,15 +544,16 @@ class TestGeometryData:
                 assert mib <= 4.5, f"{name} {rule}: {mib:.2f} MiB, {per_point:.0f} doubles per point"
 
     @pytest.mark.parametrize(
-        "k, n, variant, limit_mib", [(3, 16, "normal_volume", 15), (1, 32, "ghost_penalty", 9), (1, 64, "ghost_penalty", 17.5)]
+        "k, n, variant, limit_mib", [(3, 16, "normal_volume", 15), (1, 32, "ghost_penalty", 9), (1, 64, "ghost_penalty", 13.5)]
     )
     def test_assembled_system_memory_is_one_pattern_and_one_chunk(self, k, n, variant, limit_mib):
         """A and the stabilization are added into the data of one CSR pattern, so the peak is that pattern, the cut and one chunk.
 
-        The peaks are 12.9, 7.0 and 16.3 MiB.  At torus k=1 n=64 the cut
-        is written in place and the ghost-penalty jumps are formed per facet
-        chunk; a (F, 5) jump array alive through the surface pass and the
-        cut's concatenated copy made it 20.5 MiB.
+        The peaks are 12.7, 6.1 and 12.6 MiB.  At torus k=1 n=64 the cut
+        is written in place as edge codes and fractions, 2.0 MiB, and the
+        ghost-penalty jumps are formed per facet chunk; the cut's (T, 3, 4)
+        corners made it 16.3 MiB, and before that a (F, 5) jump array alive
+        through the surface pass and the cut's concatenated copy 20.5 MiB.
         """
         _, mesh, dls, mapping = torus_case(n, k)
         mesh.facets  # built once per mesh, outside the assembly
@@ -544,22 +567,31 @@ class TestGeometryData:
         assert peak <= limit_mib * 2**20, f"{peak / 2**20:.1f} MiB"
 
     def test_ghost_patches_are_built_once_per_assembly(self, monkeypatch):
-        """The patch dofs of every facet are filled once, for the pattern; the jumps are formed per facet chunk where they are added.
+        """The patch dofs of every facet are filled once, for the pattern, with no geometry or jump; each facet chunk's geometry and jumps are formed once, where they are added.
 
-        Each chunk's patches are formed twice, in facet order: once for the
-        dofs, once for the jumps.
+        The dof pass finds every chunk's patch columns and forms its dofs;
+        the jump pass forms every chunk's areas and normals and its jumps,
+        in facet order.
         """
         _, mesh, dls, mapping = torus_case(8, 1)
         monkeypatch.setattr(mesh_module, "CHUNK_VALUES", 2 * 4 * 3 * 100)
         chunks = _facet_chunks(mesh)
-        filled, formed = [], []
-        original_dofs, original_patches = assembly._ghost_dofs, assembly._ghost_patches
-        monkeypatch.setattr(assembly, "_ghost_dofs", lambda m: filled.append(1) or original_dofs(m))
-        monkeypatch.setattr(assembly, "_ghost_patches", lambda m, s: formed.append(s) or original_patches(m, s))
+        events = []
+
+        def counted(name, original):
+            def call(*args):
+                events.append((name, args[1] if len(args) > 1 else None))  # the chunk, after the mesh or FacetSet
+                return original(*args)
+            return call
+
+        monkeypatch.setattr(FacetSet, "geometry", counted("geometry", FacetSet.geometry))
+        for name in ("dofs", "patches", "jumps"):
+            monkeypatch.setattr(assembly, "_ghost_" + name, counted(name, getattr(assembly, "_ghost_" + name)))
         assemble_system(mesh, dls, mapping, torus_benchmark(), StabConfig("ghost_penalty"))
         assert len(chunks) > 1
-        assert len(filled) == 1
-        assert formed == chunks + chunks
+        dof_pass = [("dofs", None)] + [("patches", s) for s in chunks]
+        jump_pass = [e for s in chunks for e in (("geometry", s), ("jumps", s), ("patches", s))]
+        assert events == dof_pass + jump_pass
 
     def test_surface_stabilization_shares_the_surface_lift(self, monkeypatch):
         """full_gradient_surface lifts each surface point once."""
@@ -592,7 +624,7 @@ class TestGeometryData:
         _, mesh, dls, mapping = torus_case(n, k)
         rho = 5.0
         lam, wq = triangle_rule(2 * k - 2)
-        tri_elem, tri_bary, tri_area = extract_cuts(mesh.vertex_phi, mesh.verts_phys(slice(None)))
+        tri_elem, tri_bary, tri_area = cut_corners_oracle(mesh.vertex_phi, mesh.verts_phys(slice(None)))
         lift = mapping.lift(tri_elem, np.einsum("qc,tcm->tqm", lam, tri_bary))
         w = tri_area[:, None] * wq * lift.det * lift.nn
         g, nh = lift.grads, lift.nh

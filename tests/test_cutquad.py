@@ -22,6 +22,7 @@ from tracefem.mesh import ActiveMesh, MeshParams
 
 from helpers import (
     clip_polygon_oracle,
+    cut_corners_oracle,
     plane_box_section_area,
     polygon_area,
     tet_monomial_integral,
@@ -105,10 +106,16 @@ class TestSimplexRules:
         assert weights.tobytes() == (w / 2.0 ** (alpha + 1)).tobytes()
 
 
+def cut(vphi, verts):
+    """extract_cuts with its corners rebuilt: (tri_elem, tri_bary (T, 3, 4), tri_area)."""
+    elem, edges, fracs, area = extract_cuts(vphi, verts)
+    return elem, cutquad.corners(edges, fracs), area
+
+
 class TestExtractCuts:
     def test_single_negative_vertex_gives_midpoint_triangle(self):
         vphi = np.array([[-1.0, 1.0, 1.0, 1.0]])
-        elem, bary, area = extract_cuts(vphi, UNIT_TET[None])
+        elem, bary, area = cut(vphi, UNIT_TET[None])
         assert elem.tolist() == [0]
         assert bary.shape == (1, 3, 4)
         pts = np.einsum("tcm,mi->tci", bary, UNIT_TET)[0]
@@ -123,7 +130,7 @@ class TestExtractCuts:
         verts = np.tile(UNIT_TET, (len(vphi), 1, 1)) + 0.1 * rng.standard_normal(
             (len(vphi), 4, 3)
         )
-        elem, bary, area = extract_cuts(vphi, verts)
+        elem, bary, area = cut(vphi, verts)
         np.testing.assert_allclose(abs(bary.sum(axis=2) - 1.0).max(), 0.0, atol=1e-13)
         phi_at = np.einsum("tcm,tm->tc", bary, vphi[elem])
         np.testing.assert_allclose(phi_at, 0.0, atol=1e-13)
@@ -136,7 +143,7 @@ class TestExtractCuts:
         verts = np.tile(UNIT_TET, (len(vphi), 1, 1)) + 0.1 * rng.standard_normal(
             (len(vphi), 4, 3)
         )
-        elem, bary, _ = extract_cuts(vphi, verts)
+        elem, bary, _ = cut(vphi, verts)
         pts = np.einsum("tcm,tmi->tci", bary, verts[elem])
         nvec = np.cross(pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 0])
         for t, e in enumerate(elem):
@@ -159,12 +166,13 @@ class TestExtractCuts:
         assembly._CUTS.clear()
         monkeypatch.setattr(cutquad, "_lin_gradient", solved_gradient)
         solved = SurfaceData.build(mapping)
-        for a, b in ((surf.cells, solved.cells), (surf.tri_bary, solved.tri_bary), (surf.tri_area, solved.tri_area)):
+        for name in ("cells", "tri_edges", "tri_fracs", "tri_area"):
+            a, b = getattr(surf, name), getattr(solved, name)
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
     def test_quad_case_yields_two_coplanar_triangles(self):
         vphi = np.array([[-1.0, -1.0, 1.0, 1.0]])
-        elem, bary, area = extract_cuts(vphi, UNIT_TET[None])
+        elem, bary, area = cut(vphi, UNIT_TET[None])
         assert elem.tolist() == [0, 0]
         # all four distinct corners lie on one plane through the zero level
         points = np.einsum("tcm,mi->tci", bary, UNIT_TET)
@@ -174,6 +182,36 @@ class TestExtractCuts:
         span = corners[1:] - corners[0]
         np.testing.assert_allclose(span @ g, 0.0, atol=1e-12)
 
+    def test_a_fraction_that_rounds_to_one_keeps_its_edge(self):
+        """|phi_b / phi_a| < 2^-54 rounds t to 1.0, so a corner's coordinates show only o; its edge code still names m and o.
+
+        One- and two-triangle cuts, rebuilt byte for byte as the (T, 3, 4) corners of the oracle.
+        """
+        tiny = 2.0**-60
+        vphi = np.array([[-1.0, tiny, 1.0, 2.0], [-1.0, -3.0, tiny, 1.0]])
+        verts = np.stack([UNIT_TET, UNIT_TET + 0.1])
+        elem, edges, fracs, area = extract_cuts(vphi, verts)
+        assert elem.tolist() == [0, 1, 1] and edges.dtype == np.uint8
+        one = fracs == 1.0
+        # the corners on edge 0-1 of the first element and on edges 0-2 and 1-2 of the second
+        assert set(edges[one].tolist()) == {0 * 4 + 1, 0 * 4 + 2, 1 * 4 + 2}
+        bary = cutquad.corners(edges, fracs)
+        np.testing.assert_array_equal(np.count_nonzero(bary[one], axis=-1), 1)
+        oracle = cut_corners_oracle(vphi, verts)
+        for got, want in zip((elem, bary, area), oracle):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_corners_are_the_oracles_on_random_tets(self, rng):
+        """Rebuilt corners, areas and orientation of 500 random cut tets, byte for byte, with one- and two-triangle cuts."""
+        vphi = rng.standard_normal((800, 4))
+        vphi = vphi[(vphi.min(axis=1) < 0) & (vphi.max(axis=1) > 0)][:500]
+        verts = UNIT_TET + 0.2 * rng.standard_normal((len(vphi), 4, 3))
+        got = cut(vphi, verts)
+        oracle = cut_corners_oracle(vphi, verts)
+        assert len(vphi) < len(got[0]) < 2 * len(vphi)
+        for a, b in zip(got, oracle):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
     def test_area_matches_polygon_clipping_oracle(self, rng):
         """1000 random cut tets agree with an independent edge-clipping area."""
         count = 0
@@ -182,7 +220,7 @@ class TestExtractCuts:
             if vphi.min() >= 0 or vphi.max() <= 0 or np.any(vphi == 0):
                 continue
             verts = UNIT_TET + 0.2 * rng.standard_normal((4, 3))
-            _, _, area = extract_cuts(vphi[None], verts[None])
+            area = extract_cuts(vphi[None], verts[None])[-1]
             poly = clip_polygon_oracle(vphi, verts)
             assert area.sum() == pytest.approx(polygon_area(poly), abs=1e-10)
             count += 1
@@ -199,8 +237,7 @@ class TestExtractCuts:
 def mesh_section_area(levelset, n):
     """Total piecewise-linear interface area over the active mesh."""
     mesh = ActiveMesh.build(MeshParams(n), levelset, 1)
-    _, _, area = extract_cuts(mesh.vertex_phi, mesh.verts_phys(slice(None)))
-    return area.sum()
+    return extract_cuts(mesh.vertex_phi, mesh.verts_phys(slice(None)))[-1].sum()
 
 
 class TestMeshSections:
@@ -235,7 +272,7 @@ class TestCompositeRules:
         vphi = rng.standard_normal(4)
         vphi[0] = -abs(vphi[0]) - 0.1
         vphi[1:] = np.abs(vphi[1:]) + 0.1
-        _, bary, area = extract_cuts(vphi[None], UNIT_TET[None])
+        _, bary, area = cut(vphi[None], UNIT_TET[None])
         lam, w = triangle_rule(4)
         pts = np.einsum("qc,tcm->tqm", lam, bary)
         assert (area[:, None] * w).sum() == pytest.approx(area.sum(), rel=1e-13)
@@ -245,7 +282,7 @@ class TestCompositeRules:
     def test_surface_rule_integrates_linear_fields_exactly(self):
         """Integral of an affine function over the flat interface polygon."""
         vphi = np.array([-0.7, 0.4, 0.9, 0.3])
-        _, bary, area = extract_cuts(vphi[None], UNIT_TET[None])
+        _, bary, area = cut(vphi[None], UNIT_TET[None])
         coef = np.array([0.3, -1.1, 0.7])
         lam, w = triangle_rule(2)
         x = np.einsum("qc,tcm,mi->tqi", lam, bary, UNIT_TET)

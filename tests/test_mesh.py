@@ -17,6 +17,7 @@ from tracefem.mesh import (
 
 from helpers import (
     brute_force_active,
+    facet_geometry_oracle,
     facet_pairs_unique_rows,
     geometry_oracle,
     kuhn_tets_of_cube,
@@ -376,19 +377,35 @@ class TestFacets:
     def test_normals_are_unit_and_orthogonal_to_the_face(self):
         _, mesh = torus_mesh(5, 1)
         fs = mesh.facets
-        np.testing.assert_allclose(np.linalg.norm(fs.normal, axis=1), 1.0, atol=1e-13)
+        normal = fs.geometry()[1]
+        np.testing.assert_allclose(np.linalg.norm(normal, axis=1), 1.0, atol=1e-13)
         p = fs.triangles()
         e1 = p[:, 1] - p[:, 0]
         e2 = p[:, 2] - p[:, 0]
-        np.testing.assert_allclose(np.einsum("fi,fi->f", fs.normal, e1), 0.0, atol=1e-13)
-        np.testing.assert_allclose(np.einsum("fi,fi->f", fs.normal, e2), 0.0, atol=1e-13)
+        np.testing.assert_allclose(np.einsum("fi,fi->f", normal, e1), 0.0, atol=1e-13)
+        np.testing.assert_allclose(np.einsum("fi,fi->f", normal, e2), 0.0, atol=1e-13)
 
     def test_normals_point_from_low_to_high_element(self):
         _, mesh = torus_mesh(5, 1)
         fs = mesh.facets
         cent = mesh.verts_phys(slice(None)).mean(axis=1)
         d = cent[fs.elems[:, 1]] - cent[fs.elems[:, 0]]
-        assert np.all(np.einsum("fi,fi->f", fs.normal, d) > 0)
+        assert np.all(np.einsum("fi,fi->f", fs.geometry()[1], d) > 0)
+
+    @pytest.mark.parametrize("surface", ["torus", "plane"])
+    def test_geometry_of_any_facets_is_the_stored_geometry_to_the_bit(self, surface, rng):
+        """Areas and normals of every facet, of ragged chunks and of random subsets are the bytes FacetSet stored, chunk by chunk."""
+        if surface == "torus":
+            _, mesh = torus_mesh(24, 1)
+        else:
+            mesh = ActiveMesh.build(MeshParams(12), Plane((0.3, -0.2, 0.9), 0.17), 1)
+        fs = mesh.facets
+        area, normal = facet_geometry_oracle(mesh)
+        picks = [slice(None), slice(7, 7 + 7 * 31), rng.integers(0, len(fs), size=300), rng.permutation(len(fs))[:777]]
+        for pick in picks:
+            got = fs.geometry(pick)
+            for a, b in zip(got, (area[pick], normal[pick])):
+                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
     def test_areas_match_herons_formula(self):
         _, mesh = torus_mesh(5, 1)
@@ -399,10 +416,14 @@ class TestFacets:
         c = np.linalg.norm(p[:, 0] - p[:, 2], axis=1)
         s = 0.5 * (a + b + c)
         heron = np.sqrt(s * (s - a) * (s - b) * (s - c))
-        np.testing.assert_allclose(fs.area, heron, rtol=1e-10)
+        np.testing.assert_allclose(fs.geometry()[0], heron, rtol=1e-10)
 
-    def test_facets_keep_their_elements_area_and_normal_only(self):
-        """At torus k=1 n=64 a FacetSet keeps 48 bytes per facet; a stored (F, 3, 3) float64 array would add 72."""
+    def test_facets_keep_their_elements_and_face_only(self):
+        """At torus k=1 n=64 a FacetSet keeps 9 bytes per facet: its two int32 elements and a uint8 face.
+
+        Stored areas and normals would add 32, int64 elements 8, a (F, 3, 3)
+        float64 array of triangles 72.
+        """
         _, mesh = torus_mesh(64, 1)
         tracemalloc.start()
         try:
@@ -411,7 +432,7 @@ class TestFacets:
             kept = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert kept <= 64 * len(fs), f"{kept / len(fs):.1f} B per facet"
+        assert kept <= 12 * len(fs), f"{kept / len(fs):.1f} B per facet"
 
     def test_face_vertices_belong_to_both_elements(self):
         _, mesh = torus_mesh(5, 1)

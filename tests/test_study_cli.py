@@ -23,6 +23,8 @@ from tracefem.study import (
     run_study,
 )
 
+from helpers import cut_corners_oracle
+
 
 def small_config(**kw):
     base = dict(benchmark="torus", k=1, levels=2, base_n=8, stab="nv", tol=1e-9)
@@ -31,8 +33,8 @@ def small_config(**kw):
 
 
 def whole_cut(mesh):
-    """The interface triangles of a mesh, cut in one call."""
-    return cutquad.extract_cuts(mesh.vertex_phi, mesh.verts_phys(slice(None)))
+    """The interface triangles of a mesh, cut in one call: (tri_elem, tri_bary (T, 3, 4), tri_area)."""
+    return cut_corners_oracle(mesh.vertex_phi, mesh.verts_phys(slice(None)))
 
 
 def count_cuts(monkeypatch):
