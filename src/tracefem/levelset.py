@@ -165,11 +165,6 @@ class TorusBenchmark:
         lap = u_pp / rt**2 + u_tt / ls.r**2 - np.sin(th) * u_t / (ls.r * rt)
         return -lap
 
-    def solution_l2_norm(self) -> float:
-        """||u||_{L2} over the exact surface, closed form."""
-        ls = self.levelset
-        return float(np.sqrt(np.pi**2 * ls.R * ls.r))
-
 
 class SphereBenchmark:
     """Cubic harmonic benchmark on the unit-radius sphere: u = x1 x2 x3."""

@@ -176,9 +176,6 @@ class IsoMapping:
         nn = np.linalg.norm(N, axis=-1)
         return Lift(vals, gref, invJ, y, det, N / nn[..., None], nn)
 
-    def max_displacement(self) -> float:
-        return float(np.linalg.norm(self.displacement, axis=-1).max(initial=0.0))
-
 
 def build_theta(dls: DiscreteLevelSet) -> IsoMapping:
     """Assemble the nodal deformation field of dls's mesh by patch-averaging element images.

@@ -178,18 +178,6 @@ class ActiveMesh:
 
         return cls(params, k, *_cut_elements(plane(kz) for kz in range(n + 1)))
 
-    @classmethod
-    def from_vertex_values(cls, params: MeshParams, vertex_values: np.ndarray, k: int) -> "ActiveMesh":
-        """Enumerate cut elements from a full (n+1)^3 vertex-value grid."""
-        n = params.n
-        v = np.array(vertex_values, dtype=np.float64)
-        if v.shape != (n + 1, n + 1, n + 1):
-            raise ValueError("vertex value grid must have shape (n+1,)*3")
-        if not np.all(np.isfinite(v)):
-            raise MeshError("vertex values must be finite")
-        v[v == 0.0] = ZERO_SHIFT * params.h
-        return cls(params, k, *_cut_elements(v[:, :, kz] for kz in range(n + 1)))
-
     def _build_dofs(self):
         k, n = self.k, self.params.n
         alpha = self.ref.multi_indices  # (NB, 4)
@@ -240,25 +228,6 @@ class ActiveMesh:
     def bary_of_points(self, elems, x) -> np.ndarray:
         """Barycentric coordinates of physical points wrt the given elements."""
         return np.einsum("pmi,pi->pm", self.bary_grad(elems), x) + self.bary_off(elems)
-
-    def points_of_bary(self, elems, lam) -> np.ndarray:
-        return np.einsum("pm,pmi->pi", lam, self.verts_phys(elems))
-
-    def dof_index_of(self, lattice) -> np.ndarray:
-        lattice = np.asarray(lattice, dtype=np.int64)
-        m = self.k * self.params.n + 1
-        keys = (lattice[:, 0] * m + lattice[:, 1]) * m + lattice[:, 2]
-        idx = np.searchsorted(self.dof_keys, keys)
-        bad = (idx >= self.ndofs) | (self.dof_keys[np.minimum(idx, self.ndofs - 1)] != keys)
-        if np.any(bad):
-            raise KeyError(f"lattice point {lattice[np.argmax(bad)]} is not an active dof")
-        return idx
-
-    def node_patch(self, dof: int) -> np.ndarray:
-        """Active elements whose closure contains the dof node."""
-        if not 0 <= dof < self.ndofs:
-            raise KeyError(f"unknown dof index {dof}")
-        return np.flatnonzero((self.elem_dofs == dof).any(axis=1))
 
     def patch_counts(self) -> np.ndarray:
         """(ndofs,) the number of active elements around every dof node."""

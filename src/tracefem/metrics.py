@@ -10,30 +10,21 @@ Errors are integrated with rules one exactness step above assembly
     e_H1n  = |n . grad u_h| with the exact unit normal.
 
 Condition numbers are those of S restricted to the constraint hyperplane
-c.u = 0: the extreme eigenvalues of S on c-perp.  Small systems take them
-to rounding, after one Householder reflection: lambda_max from Lanczos,
-lambda_min from one factorization and shift-invert Lanczos; large ones
-from LOBPCG.  Only these estimates import
-scipy.linalg (the dense one) and scipy.sparse.linalg (LOBPCG), when they
-are called, so a convergence run loads neither.
+c.u = 0: the extreme eigenvalues of S on c-perp, to rounding at every
+size: lambda_max from Lanczos on the projected S, lambda_min from one
+sparse factorization of S bordered by c and shift-invert Lanczos.  Only
+the estimate imports scipy.sparse.linalg (and with it scipy.linalg), when
+it is called, so a convergence run loads neither.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .assembly import SurfaceData
-
-# the dense estimate's n^3 cost meets LOBPCG's between 2,523 and 3,267 dofs (plane k=2, the four sweep variants at shifts 0.5 and 1e-3)
-DENSE_EIG_LIMIT = 3000
-# residual tolerance of LOBPCG, relative to the Gershgorin bound of S, and
-# its iteration cap (plane k=2 n=48, 28k dofs, takes up to ~2900)
-LOBPCG_RTOL = 1e-7
-LOBPCG_MAXITER = 5000
-
 
 @dataclass
 class ErrorReport:
@@ -124,14 +115,6 @@ class EigenEstimateError(RuntimeError):
     pass
 
 
-class SingularEstimateError(EigenEstimateError):
-    """A converged LOBPCG lambda_min not above its own residual: S is singular on c-perp as far as it can tell."""
-
-    def __init__(self, lmax, lmin, res):
-        super().__init__(f"lambda_min {lmin:.3e} is not above its residual {res:.3e}")
-        self.lmax, self.lmin = lmax, lmin
-
-
 def _lanczos(apply, v, magnitude=False, stop=None, stride=1):
     """The largest eigenvalue of a symmetric operator, or with magnitude the one of largest magnitude.
 
@@ -171,120 +154,73 @@ def _lanczos(apply, v, magnitude=False, stop=None, stride=1):
     raise EigenEstimateError(f"Lanczos did not converge in {m} steps")
 
 
-def _dense_ends(chat, S):
-    """The extreme eigenvalues (lambda_max, lambda_min) of S on the hyperplane of the unit vector chat.
+def estimate_condition(S, c):
+    """Spectral bounds (lambda_max, lambda_min) of S restricted to the hyperplane c.u = 0.
 
-    The Householder reflector H = I - 2 v v' with v along chat + sign(chat_j) e_j,
-    j = argmax |chat_j| (so |chat + sign(chat_j) e_j|^2 >= 2), maps chat onto
-    the axis e_j; its other columns are an orthonormal basis of chat-perp.
-    H S H = S - v w' - w v' with w = 2 (S v - (v' S v) v), so A, S without
-    row and column j less that rank-two term, is S on chat-perp.
-    lambda_max comes from Lanczos on A applied through the sparse rest of S.
-    lambda_min comes from one factorization of B = A + tau I, tau =
-    n eps |lambda_max| (the sweep's singular threshold): A, densified once
-    in Fortran order, takes the rank-two update and the shift in place
-    (upper triangle only, the one LAPACK reads) and is factored in place
-    by Bunch-Kaufman; Lanczos on B^-1, one solve per step, gives its Ritz
-    value theta of largest magnitude and lambda_min = 1 / theta - tau
-    (Ericsson and Ruhe, 1980).  It stops as soon as that proves lambda_min
-    <= tau.  If B has a non-positive or a 2 x 2 pivot, S is indefinite on
-    chat-perp and lambda_min comes from Lanczos on -A instead.
+    With chat = c / |c| and P = I - chat chat', lambda_max comes from
+    Lanczos on P S P from a seeded start in c-perp.  lambda_min comes from
+    one sparse LU of the bordered matrix K = [[S + tau I, chat], [chat', 0]],
+    tau = n eps |lambda_max| (the sweep's singular threshold), ordered
+    symmetrically (minimum degree on K' + K) and factored without pivoting
+    where the diagonal allows: for r in c-perp the first n entries of
+    K^-1 [r; 0] are (P (S + tau I) P)^-1 r, so Lanczos on that map, each
+    solve refined once, gives its Ritz value theta of largest magnitude
+    and lambda_min = 1 / theta - tau (Ericsson and Ruhe, 1980).  It stops
+    as soon as that proves lambda_min <= tau.  If the factorization kept
+    the diagonal pivots, U's diagonal is the D of K = L D L' and one
+    negative entry proves S + tau I definite on c-perp (Sylvester); else
+    S may be indefinite there, the Ritz value of K^-1 is only the
+    eigenvalue nearest -tau, and lambda_min is the lesser of it and of
+    Lanczos on -(P S P + lambda_max chat chat'), whose largest eigenvalue
+    is -lambda_min (the chat term moves P S P's zero along chat out of
+    the way).
+
+    A zero or non-finite c, or a single unknown (c-perp is empty), raises
+    ValueError; a non-finite S LinAlgError; an exactly singular K
+    EigenEstimateError.
     """
-    from scipy.linalg import blas, lapack
+    from scipy.sparse.linalg import splu
 
-    n = len(chat)
-    j = int(np.argmax(np.abs(chat)))
-    v = chat.copy()
-    v[j] += 1.0 if chat[j] >= 0.0 else -1.0
-    v /= np.linalg.norm(v)
-    Sv = S @ v
-    w = 2.0 * (Sv - (v @ Sv) * v)
-    keep = np.delete(np.arange(n), j)
-    rest, v, w = S[keep][:, keep], v[keep], w[keep]
-
-    def apply_a(x):
-        return rest @ x - (w @ x) * v - (v @ x) * w
-
-    start = np.random.default_rng(1234).standard_normal(n - 1)
-    start /= np.linalg.norm(start)
-    lmax = _lanczos(apply_a, start, stride=8)
-    if n == 2:  # chat-perp is a line
-        return lmax, lmax
-    tau = n * np.finfo(float).eps * abs(lmax)
-    A = blas.dsyr2(-1.0, v, w, a=rest.toarray(order="F"), overwrite_a=True)
-    np.fill_diagonal(A, A.diagonal() + tau)
-    # the wrapper's default lwork = n - 1 runs the unblocked code, 3.6x slower; blocks of 32 columns
-    # factor as fast as the queried 64 (11 against 12 ms at 866 unknowns) in half the workspace
-    lu, ipiv, info = lapack.dsytrf(A, lwork=32 * (n - 1), overwrite_a=True)
-    if info == 0 and (ipiv > 0).all() and (lu.diagonal() > 0.0).all():
-        theta = _lanczos(
-            lambda x: lapack.dsytrs(lu, ipiv, x)[0], start, magnitude=True, stop=lambda t: 1.0 / t - tau <= tau
-        )
-        return lmax, 1.0 / theta - tau
-    return lmax, -_lanczos(lambda x: -apply_a(x), start, stride=8)
-
-
-def estimate_condition(S, c, method: str = "auto"):
-    """Spectral bounds of S restricted to the hyperplane c.u = 0.
-
-    Returns (lambda_max, lambda_min).  'dense' reflects S with one
-    Householder reflector that maps c onto a coordinate axis and drops
-    that row and column, then runs Lanczos on the sparse rest for
-    lambda_max, and for lambda_min factors the dense (n-1, n-1) rest
-    shifted by tau = n eps |lambda_max| once and runs Lanczos on its
-    inverse; on a singular row it stops once lambda_min <= tau is proven.
-    S need not be definite.
-    'iterative' runs LOBPCG on S restricted to c-perp twice, from seeded
-    start vectors: for lambda_max without a preconditioner, for
-    lambda_min with Jacobi.  It raises EigenEstimateError if a run ends
-    with its residual norm above LOBPCG_RTOL times the Gershgorin bound
-    of S, and SingularEstimateError, carrying both values, if lambda_min
-    is not above its own residual norm, since such a value cannot be told
-    from zero.  'auto' picks dense up to DENSE_EIG_LIMIT dofs, and
-    'iterative' takes the dense path too below six unknowns, where
-    LOBPCG's own dense fallback refuses the constraint.  A zero or
-    non-finite c, or a single unknown (c-perp is empty), raises ValueError.
-    """
     c = np.asarray(c, dtype=np.float64)
     n = len(c)
-    if method == "auto":
-        method = "dense" if n <= DENSE_EIG_LIMIT else "iterative"
-    if method not in ("dense", "iterative"):
-        raise ValueError(f"unknown method {method!r}")
     if n < 2:
         raise ValueError("c-perp is empty: the constraint leaves no unknowns")
     norm = np.linalg.norm(c)
     if not 0.0 < norm < np.inf:
         raise ValueError("constraint vector is zero or not finite")
     chat = c / norm
-    if method == "dense" or n < 6:
-        return _dense_ends(chat, S)
-    from scipy.sparse import diags
-    from scipy.sparse.linalg import lobpcg
+    if n == 2:  # c-perp is the line of (chat_1, -chat_0)
+        u = np.array([chat[1], -chat[0]])
+        lam = float(u @ (S @ u))
+        return lam, lam
 
-    def projected(X):
-        # LOBPCG keeps X in c-perp; dropping the c part of S X makes its
-        # residual that of S on c-perp, which can go to zero
-        SX = S @ X
-        return SX - np.outer(chat, chat @ SX)
+    def project(x):
+        return x - (chat @ x) * chat
 
-    tol = LOBPCG_RTOL * float(abs(S).sum(axis=1).max())
-    rng = np.random.default_rng(1234)
+    def apply_psp(x):
+        return project(S @ project(x))
 
-    def extreme(largest, precond):
-        with warnings.catch_warnings():
-            # non-convergence is reported below, as EigenEstimateError
-            warnings.simplefilter("ignore", UserWarning)
-            lam, _, res = lobpcg(
-                projected, rng.standard_normal((n, 1)), M=precond, Y=chat[:, None], tol=tol,
-                maxiter=LOBPCG_MAXITER, largest=largest, retResidualNormsHistory=True,
-            )
-        if not res[-1] <= tol:
-            raise EigenEstimateError(f"LOBPCG stopped at residual {res[-1]:.3e} above {tol:.3e}")
-        return float(lam[0]), float(res[-1])
+    start = project(np.random.default_rng(1234).standard_normal(n))
+    start /= np.linalg.norm(start)
+    lmax = _lanczos(apply_psp, start, stride=8)
+    tau = n * np.finfo(float).eps * abs(lmax)
+    K = sp.bmat([[S + tau * sp.identity(n), chat[:, None]], [chat[None, :], None]], format="csc")
+    try:
+        lu = splu(K, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
+    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+        raise EigenEstimateError(f"the bordered factorization failed: {exc}") from exc
+    definite = (lu.perm_r == lu.perm_c).all() and np.count_nonzero(lu.U.diagonal() < 0.0) == 1
 
-    lmax, _ = extreme(True, None)
-    lmin, res = extreme(False, diags(1.0 / np.maximum(S.diagonal(), 1e-300)))
-    if not lmin > res:
-        raise SingularEstimateError(lmax, lmin, res)
-    return lmax, lmin
+    def apply_inverse(r):
+        b = np.append(r, 0.0)
+        y = lu.solve(b)
+        y += lu.solve(b - K @ y)
+        return project(y[:n])
+
+    # a negative theta is no bound on lambda_min; only a positive one proves lambda_min <= tau
+    theta = _lanczos(apply_inverse, start, magnitude=True, stop=lambda t: t > 0.0 and 1.0 / t - tau <= tau)
+    lmin = 1.0 / theta - tau
+    if definite:
+        return lmax, lmin
+    nu = -_lanczos(lambda x: -apply_psp(x) - lmax * (chat @ x) * chat, start, stride=8)
+    return lmax, min(lmin, nu)

@@ -23,7 +23,7 @@ from .assembly import StabConfig, assemble_system
 from .levelset import BENCHMARKS, make_benchmark, shifted_plane, ZeroBenchmark
 from .mapping import build_theta
 from .mesh import ActiveMesh, MeshParams
-from .metrics import EigenEstimateError, SingularEstimateError, compute_errors, eoc, estimate_condition
+from .metrics import EigenEstimateError, compute_errors, eoc, estimate_condition
 from .reference import interpolate
 from .solver import solve_constrained
 
@@ -280,13 +280,10 @@ def _condition(S, c):
     """(lambda_max, lambda_min, singular) of S on c-perp; a failed estimate gives nan, a singular one cond inf.
 
     lambda_min at or below n eps lambda_max (numpy's matrix_rank
-    tolerance), or LOBPCG's below its own residual, is singular on
-    c-perp, where PCG can only run to its cap.
+    tolerance) is singular on c-perp, where PCG can only run to its cap.
     """
     try:
         lmax, lmin = estimate_condition(S, c)
-    except SingularEstimateError as err:
-        return err.lmax, err.lmin, True
     except EigenEstimateError:
         return float("nan"), float("nan"), False
     return lmax, lmin, lmin <= len(c) * np.finfo(float).eps * lmax

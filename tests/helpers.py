@@ -11,6 +11,7 @@ import itertools
 import tracemalloc
 
 import numpy as np
+import scipy.linalg
 from scipy.optimize import brentq
 
 from tracefem.assembly import LiftedRule
@@ -571,3 +572,58 @@ def facet_geometry_oracle(mesh):
         n[np.einsum("fi,fi->f", n, d) < 0.0] *= -1.0
         normal[s] = n
     return area, normal
+
+
+def null_space_bounds(S, c):
+    """Reference (lambda_max, lambda_min): S on an orthonormal basis of c-perp from scipy.linalg.null_space."""
+    Q = scipy.linalg.null_space(c[None, :])
+    w = scipy.linalg.eigvalsh(Q.T @ (S @ Q))
+    return w[-1], w[0]
+
+
+def mesh_from_vertex_values(params: MeshParams, vertex_values, k: int) -> ActiveMesh:
+    """ActiveMesh.build on a level set that reads its values off a full (n+1)^3 vertex grid."""
+    v = np.asarray(vertex_values, dtype=np.float64)
+    if v.shape != (params.n + 1,) * 3:
+        raise ValueError("vertex value grid must have shape (n+1,)*3")
+
+    class GridLevelSet:
+        def phi(self, x):
+            i = np.rint((np.atleast_2d(x) - params.lo) / params.h).astype(np.int64)
+            return v[i[:, 0], i[:, 1], i[:, 2]]
+
+    return ActiveMesh.build(params, GridLevelSet(), k)
+
+
+def points_of_bary(mesh: ActiveMesh, elems, lam) -> np.ndarray:
+    """Physical points of barycentric coordinates lam in the given elements."""
+    return np.einsum("pm,pmi->pi", lam, mesh.verts_phys(elems))
+
+
+def dof_index_of(mesh: ActiveMesh, lattice) -> np.ndarray:
+    """Dof indices of fine-lattice points; KeyError for a point that is not an active dof."""
+    lattice = np.asarray(lattice, dtype=np.int64)
+    m = mesh.k * mesh.params.n + 1
+    keys = (lattice[:, 0] * m + lattice[:, 1]) * m + lattice[:, 2]
+    idx = np.searchsorted(mesh.dof_keys, keys)
+    bad = (idx >= mesh.ndofs) | (mesh.dof_keys[np.minimum(idx, mesh.ndofs - 1)] != keys)
+    if np.any(bad):
+        raise KeyError(f"lattice point {lattice[np.argmax(bad)]} is not an active dof")
+    return idx
+
+
+def node_patch(mesh: ActiveMesh, dof: int) -> np.ndarray:
+    """Active elements whose closure contains the dof node."""
+    if not 0 <= dof < mesh.ndofs:
+        raise KeyError(f"unknown dof index {dof}")
+    return np.flatnonzero((mesh.elem_dofs == dof).any(axis=1))
+
+
+def max_displacement(mapping) -> float:
+    """Largest nodal displacement |Theta(x) - x| of a mapping."""
+    return float(np.linalg.norm(mapping.displacement, axis=-1).max(initial=0.0))
+
+
+def torus_solution_l2_norm(levelset: Torus) -> float:
+    """||u||_{L2} of the torus benchmark's exact solution over the exact surface, closed form."""
+    return float(np.sqrt(np.pi**2 * levelset.R * levelset.r))

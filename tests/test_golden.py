@@ -156,13 +156,13 @@ GOLDEN = {
         "S.indptr": ["4a3b6227d53800890eb612cc86158693bfeee950517991d0fc458f51f4cddb33", 898556.0526533667],
         "c": ["63d497e8c636c6fcbd6d81963cfa80aa2e05c52f086579ef6a17fa838fb6bc41", 3.131009045972409],
         "csv_rows": [
-            "5.00000e-01,none,5.53253e+00,-5.78715e-17,inf,-1",
+            "5.00000e-01,none,5.53253e+00,-6.78112e-17,inf,-1",
             "5.00000e-01,normal_volume,6.56727e+00,1.04580e-02,6.27965e+02,178",
-            "5.00000e-01,full_gradient_surface,6.82179e+00,-4.78641e-17,inf,-1",
+            "5.00000e-01,full_gradient_surface,6.82179e+00,-1.15392e-16,inf,-1",
             "5.00000e-01,full_gradient_volume,6.57676e+00,1.24982e-02,5.26215e+02,163",
-            "1.00000e-03,none,1.03449e+01,7.31229e-14,inf,-1",
+            "1.00000e-03,none,1.03449e+01,5.73141e-14,inf,-1",
             "1.00000e-03,normal_volume,1.08283e+01,9.82602e-03,1.10200e+03,213",
-            "1.00000e-03,full_gradient_surface,1.16639e+01,1.74987e-13,inf,-1",
+            "1.00000e-03,full_gradient_surface,1.16639e+01,1.57315e-12,inf,-1",
             "1.00000e-03,full_gradient_volume,1.11111e+01,1.14914e-02,9.66908e+02,161",
         ],
         "f": ["97a5b63d8b97627ab3c311977d6f507fdf3f7fe4602cba9e11577e4f37b5c41f", 0.0],

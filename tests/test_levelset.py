@@ -4,6 +4,7 @@ from helpers import (
     fd_laplace_beltrami_sphere,
     fd_laplace_beltrami_torus,
     torus_point,
+    torus_solution_l2_norm,
     torus_surface_integral,
     torus_u,
 )
@@ -188,8 +189,8 @@ class TestTorusBenchmark:
 
     def test_solution_l2_norm_closed_form(self):
         oracle = np.sqrt(torus_surface_integral(lambda p, t: torus_u(p, t) ** 2))
-        assert BENCH.solution_l2_norm() == pytest.approx(oracle, rel=1e-12)
-        assert BENCH.solution_l2_norm() == pytest.approx(np.sqrt(np.pi**2 * 1.0 * 0.6), rel=1e-14)
+        assert torus_solution_l2_norm(BENCH.levelset) == pytest.approx(oracle, rel=1e-12)
+        assert torus_solution_l2_norm(BENCH.levelset) == pytest.approx(np.sqrt(np.pi**2 * 1.0 * 0.6), rel=1e-14)
 
     def test_singular_axis_rejected(self):
         with pytest.raises(SingularPointError):

@@ -17,11 +17,15 @@ from tracefem.mesh import (
 
 from helpers import (
     brute_force_active,
+    dof_index_of,
     facet_geometry_oracle,
     facet_pairs_unique_rows,
     geometry_oracle,
     kuhn_tets_of_cube,
     mesh_active_sets,
+    mesh_from_vertex_values,
+    node_patch,
+    points_of_bary,
     torus_mesh,
 )
 
@@ -91,7 +95,7 @@ class TestActiveEnumeration:
         ls = Torus()
         grid = lattice_values(ls, params)
         a = ActiveMesh.build(params, ls, 1)
-        b = ActiveMesh.from_vertex_values(params, grid, 1)
+        b = mesh_from_vertex_values(params, grid, 1)
         assert np.array_equal(a.cube, b.cube)
         assert np.array_equal(a.tet, b.tet)
         np.testing.assert_array_equal(a.vertex_phi, b.vertex_phi)
@@ -107,7 +111,7 @@ class TestActiveEnumeration:
         params = MeshParams(2, ((0.0, 0.0, 0.0), (2.0, 2.0, 2.0)))
         z = np.arange(3, dtype=float) - 1.0
         grid = np.broadcast_to(z, (3, 3, 3)).copy()  # zero plane on the lattice
-        mesh = ActiveMesh.from_vertex_values(params, grid, 1)
+        mesh = mesh_from_vertex_values(params, grid, 1)
         expected = brute_force_active(params, grid)
         assert mesh_active_sets(mesh) == expected
         assert np.all(mesh.cube[:, 2] == 0)  # upper slab is uniformly nonnegative
@@ -123,11 +127,11 @@ class TestActiveEnumeration:
         grid = np.ones((3, 3, 3))
         grid[1, 1, 1] = np.nan
         with pytest.raises(MeshError, match="finite"):
-            ActiveMesh.from_vertex_values(params, grid, 1)
+            mesh_from_vertex_values(params, grid, 1)
 
     def test_wrong_grid_shape_rejected(self):
         with pytest.raises(ValueError, match="shape"):
-            ActiveMesh.from_vertex_values(MeshParams(4), np.ones((3, 3, 3)), 1)
+            mesh_from_vertex_values(MeshParams(4), np.ones((3, 3, 3)), 1)
 
     def test_build_is_deterministic(self):
         a = ActiveMesh.build(MeshParams(6), Torus(), 2)
@@ -200,7 +204,7 @@ class TestGeometry:
         _, mesh = torus_mesh(4, 2)
         lam = rng.dirichlet(np.ones(4), size=mesh.nelems)
         elems = np.arange(mesh.nelems)
-        x = mesh.points_of_bary(elems, lam)
+        x = points_of_bary(mesh, elems, lam)
         np.testing.assert_allclose(mesh.bary_of_points(elems, x), lam, atol=1e-12)
 
     def test_barycentric_gradient_is_exact(self):
@@ -210,7 +214,7 @@ class TestGeometry:
         for m in range(4):
             unit = np.zeros(4)
             unit[m] = 1.0
-            x0 = mesh.points_of_bary(e, np.tile(unit, (2, 1)))
+            x0 = points_of_bary(mesh, e, np.tile(unit, (2, 1)))
             lam0 = mesh.bary_of_points(e, x0)
             np.testing.assert_allclose(lam0, np.tile(unit, (2, 1)), atol=1e-12)
         # finite step along each axis reproduces the stored gradient
@@ -269,13 +273,13 @@ class TestDofNumbering:
 
     def test_dof_index_round_trip(self):
         _, mesh = torus_mesh(4, 2)
-        idx = mesh.dof_index_of(mesh.dof_lattice)
+        idx = dof_index_of(mesh, mesh.dof_lattice)
         assert np.array_equal(idx, np.arange(mesh.ndofs))
 
     def test_unknown_lattice_point_raises(self):
         _, mesh = torus_mesh(4, 2)
         with pytest.raises(KeyError, match="not an active dof"):
-            mesh.dof_index_of([(0, 0, 0)])  # box corner, far from the surface
+            dof_index_of(mesh, [(0, 0, 0)])  # box corner, far from the surface
 
     def test_dof_count_matches_simplex_dimension(self):
         for k in (1, 2, 3):
@@ -292,7 +296,7 @@ class TestNodePatches:
             for d in mesh.elem_dofs[e]:
                 member[d].add(e)
         for dof in range(mesh.ndofs):
-            assert set(mesh.node_patch(dof).tolist()) == member[dof]
+            assert set(node_patch(mesh, dof).tolist()) == member[dof]
         assert np.array_equal(
             mesh.patch_counts(), np.array([len(s) for s in member])
         )
@@ -307,22 +311,22 @@ class TestNodePatches:
                 for e in range(mesh.nelems)
                 if vert in {tuple(v) for v in mesh.verts_lattice([e])[0].tolist()}
             }
-            assert set(mesh.node_patch(dof).tolist()) == incident
+            assert set(node_patch(mesh, dof).tolist()) == incident
 
     def test_interior_node_patch_is_a_singleton(self):
         """The k=4 barycenter node belongs to exactly one element."""
         _, mesh = torus_mesh(4, 4)
         interior = mesh.verts_lattice(slice(None)).sum(axis=1)  # multi-index (1,1,1,1)
         for e in (0, mesh.nelems // 2):
-            dof = int(mesh.dof_index_of([interior[e]])[0])
-            assert mesh.node_patch(dof).tolist() == [e]
+            dof = int(dof_index_of(mesh, [interior[e]])[0])
+            assert node_patch(mesh, dof).tolist() == [e]
 
     def test_bad_dof_index_raises(self):
         _, mesh = torus_mesh(4, 1)
         with pytest.raises(KeyError):
-            mesh.node_patch(-1)
+            node_patch(mesh, -1)
         with pytest.raises(KeyError):
-            mesh.node_patch(mesh.ndofs)
+            node_patch(mesh, mesh.ndofs)
 
 
 def facet_oracle(mesh):

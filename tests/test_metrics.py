@@ -5,7 +5,6 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.linalg
 import scipy.sparse as sp
 from scipy.optimize import brentq
 
@@ -13,10 +12,8 @@ import tracefem.metrics as metrics
 from tracefem.assembly import StabConfig, SurfaceData, assemble_system
 from tracefem.levelset import Plane, ZeroBenchmark, shifted_plane
 from tracefem.metrics import (
-    DENSE_EIG_LIMIT,
     EigenEstimateError,
     ErrorReport,
-    SingularEstimateError,
     compute_errors,
     eoc,
     estimate_condition,
@@ -24,7 +21,16 @@ from tracefem.metrics import (
 )
 from tracefem.vtkio import export_level
 
-from helpers import benchmark_interpolant, chunk_peaks, errors_oracle, plane_case, torus_benchmark, torus_case
+from helpers import (
+    benchmark_interpolant,
+    chunk_peaks,
+    errors_oracle,
+    null_space_bounds,
+    plane_case,
+    torus_benchmark,
+    torus_case,
+    torus_solution_l2_norm,
+)
 
 
 class AffinePlaneProblem:
@@ -93,7 +99,7 @@ class TestErrorMeasures:
         bench = torus_benchmark()
         _, mesh, dls, mapping = torus_case(16, 2)
         rep = compute_errors(mapping, np.zeros(mesh.ndofs), bench)
-        assert rep.e_l2 == pytest.approx(bench.solution_l2_norm(), rel=5e-3)
+        assert rep.e_l2 == pytest.approx(torus_solution_l2_norm(bench.levelset), rel=5e-3)
 
     def test_distance_is_stable_under_quadrature_refinement(self):
         bench = torus_benchmark()
@@ -193,13 +199,6 @@ class TestEoc:
         assert eoc([1.0]) == []
 
 
-def null_space_bounds(S, c):
-    """Reference: S on an orthonormal basis of c-perp from scipy.linalg.null_space."""
-    Q = scipy.linalg.null_space(c[None, :])
-    w = scipy.linalg.eigvalsh(Q.T @ (S @ Q))
-    return w[-1], w[0]
-
-
 @pytest.fixture(scope="module")
 def plane_k2_systems():
     """The plane k=2 n=8 systems of the four k=2 sweep variants at shifts 0.5 and 1e-5."""
@@ -214,24 +213,15 @@ def plane_k2_systems():
 
 
 class TestConditionEstimates:
+    """The test names predate the single bordered-factorization path; each checks the one estimate there is."""
+
     def test_dense_recovers_restricted_diagonal_spectrum(self):
         """With c on a coordinate axis the hyperplane spectrum is explicit."""
         S = sp.diags([3.0, 1.0, 7.0, 5.0, 42.0]).tocsr()
         c = np.array([0.0, 0.0, 0.0, 0.0, 1.0])
-        lmax, lmin = estimate_condition(S, c, method="dense")
+        lmax, lmin = estimate_condition(S, c)
         assert lmax == pytest.approx(7.0, abs=1e-12)
         assert lmin == pytest.approx(1.0, abs=1e-12)
-
-    def test_iterative_agrees_with_dense(self):
-        n = 8
-        mesh, dls, mapping = plane_case(shifted_plane(0.5, n), n, 2)
-        sys = assemble_system(
-            mesh, dls, mapping, ZeroBenchmark(shifted_plane(0.5, n)), StabConfig("normal_volume")
-        )
-        dmax, dmin = estimate_condition(sys.S, sys.c, method="dense")
-        imax, imin = estimate_condition(sys.S, sys.c, method="iterative")
-        assert imax == pytest.approx(dmax, rel=0.05)
-        assert imin == pytest.approx(dmin, rel=0.05)
 
     def test_condition_number_grows_quadratically(self):
         """Stabilized systems scale like h^-2 between refinements."""
@@ -241,38 +231,27 @@ class TestConditionEstimates:
             sys = assemble_system(
                 mesh, dls, mapping, torus_benchmark(), StabConfig("normal_volume")
             )
-            lmax, lmin = estimate_condition(sys.S, sys.c, method="dense")
+            lmax, lmin = estimate_condition(sys.S, sys.c)
             assert lmin > 0
             conds.append(lmax / lmin)
         assert 2.0 < conds[1] / conds[0] < 8.0
 
-    def test_unknown_method_rejected(self):
-        S = sp.eye(3).tocsr()
-        with pytest.raises(ValueError, match="method"):
-            estimate_condition(S, np.array([1.0, 0.0, 0.0]), method="magic")
-
-    def test_auto_uses_dense_for_small_systems(self):
-        S = sp.diags([2.0, 3.0, 9.0, 4.0]).tocsr()
-        c = np.array([0.0, 0.0, 0.0, 1.0])
-        lmax, lmin = estimate_condition(S, c)  # auto; n << DENSE_EIG_LIMIT
-        assert (lmax, lmin) == (pytest.approx(9.0), pytest.approx(2.0))
-
     def test_reflected_projection_matches_the_null_space_basis(self, plane_k2_systems):
-        """One Householder reflection gives the spectral bounds of an orthonormal basis of c-perp."""
+        """The projected operator and the bordered factorization give the spectral bounds of an orthonormal basis of c-perp."""
         for key, sys in plane_k2_systems.items():
-            lmax, lmin = estimate_condition(sys.S, sys.c, method="dense")
+            lmax, lmin = estimate_condition(sys.S, sys.c)
             rmax, rmin = null_space_bounds(sys.S, sys.c)
             assert abs(lmax - rmax) <= 1e-13 * rmax, key
             assert abs(lmin - rmin) <= 1e-13 * rmax, key
 
     def test_reflector_sign_follows_the_largest_entry(self, rng):
-        """A mixed-sign c whose largest entry is negative, on a random SPD matrix."""
+        """A mixed-sign c whose largest entry is negative, on a dense random SPD matrix: SuperLU pivots off the border's zero diagonal, so lambda_min is the lesser of two Lanczos runs."""
         n = 40
         M = rng.standard_normal((n, n))
         S = sp.csr_matrix(M @ M.T + np.eye(n))
         c = rng.standard_normal(n)
         c[7] = -2.0 * np.abs(c).max()
-        lmax, lmin = estimate_condition(S, c, method="dense")
+        lmax, lmin = estimate_condition(S, c)
         rmax, rmin = null_space_bounds(S, c)
         assert abs(lmax - rmax) <= 1e-13 * rmax
         assert abs(lmin - rmin) <= 1e-13 * rmax
@@ -281,22 +260,34 @@ class TestConditionEstimates:
     def test_zero_or_non_finite_constraint_rejected(self, bad):
         S = sp.eye(4).tocsr()
         c = np.array([bad, 0.0, 0.0, 0.0])
-        for method in ("dense", "iterative"):
-            with pytest.raises(ValueError, match="constraint vector"):
-                estimate_condition(S, c, method=method)
+        with pytest.raises(ValueError, match="constraint vector"):
+            estimate_condition(S, c)
 
     def test_indefinite_matrix_matches_the_null_space_basis(self, rng):
-        """The one-triangle update assumes no definiteness; an indefinite S takes lambda_min from Lanczos on -S: a random symmetric S, mixed-sign c."""
+        """Nothing assumes definiteness: a random symmetric S, mixed-sign c, takes lambda_min from Lanczos on -(P S P + lambda_max chat chat')."""
         n = 40
         M = rng.standard_normal((n, n))
         S = sp.csr_matrix(M + M.T)
         c = rng.standard_normal(n)
-        lmax, lmin = estimate_condition(S, c, method="dense")
+        lmax, lmin = estimate_condition(S, c)
         rmax, rmin = null_space_bounds(S, c)
         assert rmin < 0.0 < rmax
         scale = max(abs(rmax), abs(rmin))
         assert abs(lmax - rmax) <= 1e-13 * scale
         assert abs(lmin - rmin) <= 1e-13 * scale
+
+    def test_negative_ritz_values_bound_nothing(self):
+        """S = +-1 alternating on c-perp: lambda_min is -1, though the first Ritz values of the inverse are negative and small.
+
+        Stopping on 1 / theta - tau <= tau for a negative theta printed
+        lambda_min between -26 and -2.6 for these sizes.
+        """
+        for m in range(3, 12):
+            d = np.array([(-1.0) ** i for i in range(2 * m)] + [5.0])
+            c = np.zeros(2 * m + 1)
+            c[-1] = 1.0
+            lmax, lmin = estimate_condition(sp.diags(d).tocsr(), c)
+            assert lmax == pytest.approx(1.0, abs=1e-13) and lmin == pytest.approx(-1.0, abs=1e-13), m
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_matrix_raises(self, bad):
@@ -306,90 +297,124 @@ class TestConditionEstimates:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             with pytest.raises(np.linalg.LinAlgError):
-                estimate_condition(sp.csr_matrix(M), np.ones(8), method="dense")
+                estimate_condition(sp.csr_matrix(M), np.ones(8))
 
     def test_one_unknown_rejected(self):
-        """With one unknown c-perp is empty; neither method has an estimate."""
-        for method in ("dense", "iterative"):
-            with pytest.raises(ValueError, match="c-perp is empty"):
-                estimate_condition(sp.csr_matrix([[2.0]]), np.array([1.0]), method=method)
+        """With one unknown c-perp is empty; there is no estimate."""
+        with pytest.raises(ValueError, match="c-perp is empty"):
+            estimate_condition(sp.csr_matrix([[2.0]]), np.array([1.0]))
 
     def test_two_unknowns_leave_one_value(self):
-        """With two unknowns the reduced matrix is 1 x 1: u = (1, -1) / sqrt(2) on c = (1, 1)."""
+        """With two unknowns c-perp is a line: u = (1, -1) / sqrt(2) on c = (1, 1)."""
         S = sp.csr_matrix([[2.0, 1.0], [1.0, 5.0]])
-        for method in ("dense", "iterative"):
-            lmax, lmin = estimate_condition(S, np.array([1.0, 1.0]), method=method)
-            assert lmax == lmin == pytest.approx(2.5, abs=1e-14)
+        lmax, lmin = estimate_condition(S, np.array([1.0, 1.0]))
+        assert lmax == lmin == pytest.approx(2.5, abs=1e-14)
 
-    def test_dense_estimate_memory_is_one_dense_copy(self, plane_k2_systems):
-        """At plane k=2 n=8 (867 dofs) the dense estimate peaks at most 1.25 dense n x n arrays.
+    def test_large_diagonal_system_within_closed_form_bounds(self, rng):
+        """Above 20,000 unknowns: D on c-perp, with two low and two high outliers of D.
 
-        The reduced matrix is densified once; the reflection, the shift and
-        the factorization work in it in place.
+        Cauchy interlacing gives d1 <= lambda_min <= d2 and d_{n-1} <= lambda_max <= d_n;
+        lambda_min and lambda_max are the extreme roots of sum_i c_i^2 / (d_i - mu) = 0.
         """
-        sys = plane_k2_systems[0.5, "normal_volume"]
+        n = 20_500
+        d = np.sort(np.concatenate([[0.1, 0.2, 10.0, 20.0], rng.uniform(1.0, 2.0, n - 4)]))
+        c = rng.standard_normal(n)
+        lmax, lmin = estimate_condition(sp.diags(d).tocsr(), c)
+        assert d[0] <= lmin <= d[1] and d[-2] <= lmax <= d[-1]
+
+        def secular(mu):
+            return np.sum(c**2 / (d - mu))
+
+        tiny = 1e-12
+        assert lmin == pytest.approx(brentq(secular, d[0] + tiny, d[1] - tiny, xtol=1e-14), rel=1e-8)
+        assert lmax == pytest.approx(brentq(secular, d[-2] + tiny, d[-1] - tiny, xtol=1e-14), rel=1e-8)
+
+    def test_estimate_memory_at_plane_k2_n16(self):
+        """At plane k=2 n=16 (3,267 dofs) one estimate allocates at most 8 MiB traced (5.9 measured).
+
+        tracemalloc sees the bordered matrix (1.0 MiB), the copy of U made
+        to read its diagonal and the Lanczos vectors, not SuperLU's own
+        factor storage.  A dense (n - 1)^2 copy of S on c-perp would be
+        81 MiB here.
+        """
+        plane = shifted_plane(0.5, 16)
+        mesh, dls, mapping = plane_case(plane, 16, 2)
+        sys = assemble_system(mesh, dls, mapping, ZeroBenchmark(plane), StabConfig("normal_volume"))
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            estimate_condition(sys.S, sys.c, method="dense")
+            estimate_condition(sys.S, sys.c)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert peak <= 1.25 * len(sys.c) ** 2 * 8, f"{peak / 2**20:.1f} MiB"
+        assert peak <= 8 * 2**20, f"{peak / 2**20:.2f} MiB"
+
+    def test_failed_factorization_raises(self, plane_k2_systems, monkeypatch):
+        """SuperLU's "exactly singular" is an EigenEstimateError, not a value."""
+        import scipy.sparse.linalg
+
+        def singular(*args, **kwargs):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
+        sys = plane_k2_systems[0.5, "normal_volume"]
+        with pytest.raises(EigenEstimateError, match="exactly singular"):
+            estimate_condition(sys.S, sys.c)
 
     def test_singular_rows_print_round_off(self, plane_k2_systems):
         """Singular rows give |lambda_min| <= n eps lambda_max, the sweep's threshold.
 
-        lambda_min is 1 / theta - tau with theta the Ritz value of B^-1 of
-        largest magnitude (TestLanczos checks that mode).
+        lambda_min is 1 / theta - tau with theta the Ritz value of the
+        bordered inverse of largest magnitude (TestLanczos checks that mode).
         """
         for (eps, variant), sys in plane_k2_systems.items():
             if variant in ("none", "full_gradient_surface"):
-                lmax, lmin = estimate_condition(sys.S, sys.c, method="dense")
+                lmax, lmin = estimate_condition(sys.S, sys.c)
                 assert abs(lmin) <= len(sys.c) * np.finfo(float).eps * lmax, (eps, variant, lmin)
 
     def test_singular_rows_stop_after_a_few_solves(self, plane_k2_systems, monkeypatch):
         """A singular row stops as soon as a Ritz value proves lambda_min <= tau.
 
-        Without that exit the none rows, whose 162-fold cluster of B^-1
-        sits at 1 / tau, took 31 (shift 0.5) and 122 (shift 1e-3) solves; a
-        non-singular row converges in under twenty.
+        Without that exit the none rows, whose 162-fold cluster of the
+        inverse sits at 1 / tau, took 31 (shift 0.5) and 122 (shift 1e-3)
+        Lanczos steps; a non-singular row converges in under twenty.  Each
+        step solves twice: once, and once more to refine.  The plane
+        systems keep SuperLU's diagonal pivots, so their definiteness is
+        read from U and no second Lanczos run follows.
         """
-        from scipy.linalg import lapack
+        import scipy.sparse.linalg
 
-        solves, original = [], lapack.dsytrs
+        solves, factors, original = [], [], scipy.sparse.linalg.splu
+
+        class Counting:
+            def __init__(self, lu):
+                self.lu = lu
+
+            def __getattr__(self, name):
+                return getattr(self.lu, name)
+
+            def solve(self, b):
+                solves[-1] += 1
+                return self.lu.solve(b)
 
         def counting(*args, **kwargs):
-            solves[-1] += 1
-            return original(*args, **kwargs)
+            factors.append(original(*args, **kwargs))
+            return Counting(factors[-1])
 
-        monkeypatch.setattr(lapack, "dsytrs", counting)
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", counting)
         for (eps, variant), sys in plane_k2_systems.items():
             solves.append(0)
-            estimate_condition(sys.S, sys.c, method="dense")
-            bound = 4 if variant in ("none", "full_gradient_surface") else 40
+            estimate_condition(sys.S, sys.c)
+            bound = 2 * (4 if variant in ("none", "full_gradient_surface") else 40)
             assert 0 < solves[-1] <= bound, (eps, variant, solves[-1])
-
-    def test_runs_without_the_tridiagonal_reduction(self, plane_k2_systems, monkeypatch):
-        """No dsytrd: lambda_max from Lanczos, lambda_min from one factorization and shift-invert Lanczos."""
-        from scipy.linalg import lapack
-
-        def refused(*args, **kwargs):
-            raise AssertionError("dsytrd called")
-
-        sys = plane_k2_systems[0.5, "normal_volume"]
-        monkeypatch.setattr(lapack, "dsytrd", refused)
-        lmax, lmin = estimate_condition(sys.S, sys.c, method="dense")
-        rmax, rmin = null_space_bounds(sys.S, sys.c)
-        assert abs(lmax - rmax) <= 1e-13 * rmax and abs(lmin - rmin) <= 1e-13 * rmax
+            assert (factors[-1].perm_r == factors[-1].perm_c).all(), (eps, variant)
 
     def test_two_calls_return_identical_bits(self, plane_k2_systems):
         for key in ((0.5, "normal_volume"), (0.5, "none"), (1e-5, "full_gradient_surface")):
             sys = plane_k2_systems[key]
-            first = estimate_condition(sys.S, sys.c, method="dense")
-            second = estimate_condition(sys.S, sys.c, method="dense")
+            first = estimate_condition(sys.S, sys.c)
+            second = estimate_condition(sys.S, sys.c)
             assert [x.hex() for x in first] == [x.hex() for x in second], key
-
 
 class TestLanczos:
     """metrics._lanczos against numpy.linalg.eigvalsh on small dense matrices."""
@@ -429,62 +454,3 @@ class TestLanczos:
     def test_non_finite_operator_raises(self):
         with pytest.raises(np.linalg.LinAlgError, match="not finite"):
             metrics._lanczos(lambda x: np.full_like(x, np.nan), np.ones(4) / 2.0)
-
-
-class TestLobpcgEstimate:
-    def test_matches_dense_on_the_plane_systems(self, plane_k2_systems):
-        """Non-singular systems agree with the dense oracle; singular ones are refused."""
-        for (eps, variant), sys in plane_k2_systems.items():
-            if variant in ("none", "full_gradient_surface"):
-                with pytest.raises(EigenEstimateError):
-                    estimate_condition(sys.S, sys.c, method="iterative")
-                continue
-            dmax, dmin = estimate_condition(sys.S, sys.c, method="dense")
-            imax, imin = estimate_condition(sys.S, sys.c, method="iterative")
-            assert imax == pytest.approx(dmax, rel=1e-4), (eps, variant)
-            assert imin == pytest.approx(dmin, rel=1e-3), (eps, variant)
-
-    def test_large_diagonal_system_within_closed_form_bounds(self, rng):
-        """Above 20,000 unknowns: D on c-perp, with two low and two high outliers of D.
-
-        Cauchy interlacing gives d1 <= lambda_min <= d2 and d_{n-1} <= lambda_max <= d_n;
-        lambda_min and lambda_max are the extreme roots of sum_i c_i^2 / (d_i - mu) = 0.
-        """
-        n = 20_500
-        d = np.sort(np.concatenate([[0.1, 0.2, 10.0, 20.0], rng.uniform(1.0, 2.0, n - 4)]))
-        c = rng.standard_normal(n)
-        lmax, lmin = estimate_condition(sp.diags(d).tocsr(), c, method="iterative")
-        assert d[0] <= lmin <= d[1] and d[-2] <= lmax <= d[-1]
-
-        def secular(mu):
-            return np.sum(c**2 / (d - mu))
-
-        tiny = 1e-12
-        assert lmin == pytest.approx(brentq(secular, d[0] + tiny, d[1] - tiny, xtol=1e-14), rel=1e-8)
-        assert lmax == pytest.approx(brentq(secular, d[-2] + tiny, d[-1] - tiny, xtol=1e-14), rel=1e-8)
-
-    def test_five_unknowns_take_the_dense_path(self):
-        """lobpcg's dense fallback refuses a constraint below six unknowns; the dense estimate answers instead."""
-        S = sp.diags([3.0, 1.0, 7.0, 5.0, 42.0]).tocsr()
-        c = np.array([0.0, 0.0, 0.0, 0.0, 1.0])
-        lmax, lmin = estimate_condition(S, c, method="iterative")
-        assert lmax == pytest.approx(7.0, abs=1e-12)
-        assert lmin == pytest.approx(1.0, abs=1e-12)
-
-    def test_singular_systems_carry_both_values(self, plane_k2_systems):
-        """A lambda_min not above its residual is reported as singular, with lambda_max as the dense path gives it."""
-        sys = plane_k2_systems[0.5, "none"]
-        with pytest.raises(SingularEstimateError) as caught:
-            estimate_condition(sys.S, sys.c, method="iterative")
-        dmax, _ = estimate_condition(sys.S, sys.c, method="dense")
-        assert caught.value.lmax == pytest.approx(dmax, rel=1e-4)
-        assert abs(caught.value.lmin) <= 1e-6 * dmax
-
-    def test_non_convergence_raises_without_a_warning(self, plane_k2_systems, monkeypatch):
-        sys = plane_k2_systems[0.5, "normal_volume"]
-        monkeypatch.setattr(metrics, "LOBPCG_MAXITER", 3)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            with pytest.raises(EigenEstimateError, match="residual"):
-                estimate_condition(sys.S, sys.c, method="iterative")
-        assert caught == []

@@ -55,7 +55,7 @@ print(json.dumps(seen))
 
 
 def test_a_run_loads_only_the_scipy_modules_it_calls(tmp_path):
-    """Import and convergence run take numpy and scipy.sparse alone; the dense condition estimate adds scipy.linalg."""
+    """Import and convergence run take numpy and scipy.sparse alone; the condition estimate adds scipy.sparse.linalg, which loads scipy.linalg."""
     path = os.pathsep.join(filter(None, [str(Path(tracefem.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", RUNS, str(tmp_path)], env=dict(os.environ, PYTHONPATH=path),
@@ -64,4 +64,4 @@ def test_a_run_loads_only_the_scipy_modules_it_calls(tmp_path):
     assert proc.returncode == 0, proc.stderr
     after_import, after_convergence, after_sweep = json.loads(proc.stdout.splitlines()[-1])
     assert after_import == after_convergence == []
-    assert after_sweep == ["scipy.linalg"]
+    assert after_sweep == ["scipy.linalg", "scipy.sparse.linalg"]

@@ -364,38 +364,27 @@ class TestConditioningStudy:
         assert all(r["n_its"] == -1 for r in singular)
         assert len(calls) == len(reports) - len(singular)
 
-    def test_singular_lobpcg_estimates_print_inf_and_are_not_solved(self, monkeypatch):
-        """Above DENSE_EIG_LIMIT a lambda_min below its own LOBPCG residual is singular: inf, -1 and no solve."""
-        import tracefem.metrics as metrics
-        import tracefem.study as study
+    def test_singular_row_past_three_thousand_dofs_prints_inf(self, monkeypatch):
+        """Plane k=2 n=24 (7,203 dofs), shift 0.5: full_gradient_surface is singular on c-perp, so inf and -1, not nan.
 
-        solved = []
-
-        def recording(*args, **kwargs):
-            solved.append(1)
-            return original(*args, **kwargs)
-
-        original = study.solve_constrained
-        monkeypatch.setattr(study, "solve_constrained", recording)
-        monkeypatch.setattr(metrics, "DENSE_EIG_LIMIT", 100)
-        cfg = StudyConfig(k=2, base_n=8, conditioning=True, shifts=(0.5,))
-        result, reports = run_conditioning(cfg)
-        by = {r["variant"]: r for r in reports}
-        assert by["none"]["cond"] == float("inf") and by["none"]["n_its"] == -1
-        assert by["none"]["lambda_max"] > 0.0
-        assert 1.0 < by["normal_volume"]["cond"] < np.inf and by["normal_volume"]["n_its"] > 0
-        rows = {row[1]: row for row in result.rows}
-        assert rows["none"][4:] == ["inf", "-1"]
-        assert len(solved) == sum(r["cond"] < np.inf for r in reports)
+        Past 3,000 dofs the estimate once ran LOBPCG, which took this row
+        to its 5,000-iteration cap and printed nan.
+        """
+        monkeypatch.setattr(study, "_conditioning_variants", lambda k: ["full_gradient_surface"])
+        result, reports = run_conditioning(StudyConfig(k=2, base_n=24, conditioning=True, shifts=(0.5,)))
+        (row,) = result.rows
+        assert row[1] == "full_gradient_surface" and row[4:] == ["inf", "-1"]
+        lmax, lmin = reports[0]["lambda_max"], reports[0]["lambda_min"]
+        assert lmax > 0.0 and abs(lmin) <= 7203 * np.finfo(float).eps * lmax
 
     def test_failed_estimates_print_nan_and_are_solved(self, monkeypatch):
-        """cond inf is kept for singular rows; a failed estimate is nan and its row still solved."""
-        import tracefem.study as study
+        """cond inf is kept for singular rows; a failed estimate, here SuperLU's "exactly singular", is nan and its row still solved."""
+        import scipy.sparse.linalg
 
-        def failing(S, c):
-            raise study.EigenEstimateError("no estimate")
+        def failing(*args, **kwargs):
+            raise RuntimeError("Factor is exactly singular")
 
-        monkeypatch.setattr(study, "estimate_condition", failing)
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", failing)
         cfg = StudyConfig(k=1, base_n=4, conditioning=True, shifts=(0.5,))
         result, reports = run_conditioning(cfg)
         assert all(np.isnan(r["cond"]) for r in reports)
