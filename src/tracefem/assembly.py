@@ -86,8 +86,8 @@ class StabConfig:
         return float(pre) * h ** float(expo)
 
 
-# What one chunk of a lifted rule may allocate, in doubles: 4 MiB (see LiftedRule).
-CHUNK_DOUBLES = 2**19
+# What one chunk of a lifted rule may allocate, in doubles: 2 MiB (see LiftedRule).
+CHUNK_DOUBLES = 2**18
 
 
 class LiftedRule:
@@ -104,28 +104,37 @@ class LiftedRule:
     Pattern.add sums.
 
     A chunk holds at most CHUNK_DOUBLES doubles of what its points
-    allocate, a * NB + b per point with (a, b) = POINT_DOUBLES: the lift,
-    eval_basis's factors and the integrand all grow with NB.  Each chunk's
-    peak above what was live when it started, in doubles per point
-    (tracemalloc, tests/helpers.py chunk_peaks and chunk_footprints, one
-    BLAS thread; torus k=1 n=32 ghost penalty, torus k=2 and 3 n=12 and
-    sphere k=4 and 5 n=8 normal volume):
+    allocate, a * NB + b per point with (a, b) = point_doubles: the lift,
+    eval_basis's factors, the integrand and accumulate_sym's copies of it
+    all grow with NB.  The surface rule is charged for its stiffness
+    integrand (SurfaceData.POINT_DOUBLES), under which compute_errors and
+    the other uses of its chunks stay; the volume rule for the width M of
+    its integrand (Ec, q, NB, M), VolumeData.POINT_DOUBLES[M].  Each
+    chunk's peak above what was live when it started, in doubles per point
+    (tracemalloc, the fullest chunks, one BLAS thread; torus k=1 n=32,
+    torus k=2 and 3 n=12, sphere k=4 and 5 n=8, printed by
+    PYTHONPATH=src python tests/test_assembly.py):
 
-        k (NB)            1 (4)  2 (10)  3 (20)  4 (35)  5 (56)
-        surface pass         97     203     383     655    1041
-        compute_errors       67     154     305     530     845
-        volume pass           -      89     162     270     422
+        k (NB)              1 (4)  2 (10)  3 (20)  4 (35)  5 (56)  charged
+        surface pass           53     102     185     309     483  9 NB + 18
+        compute_errors         51      94     169     285     453
+        normal derivative      39      58      98     158     243  4 NB + 24
+        full gradient          39      75     136     225     523  7 NB + 16
 
-    The surface rule evaluates the basis in its lift and counts
-    19 NB + 20; the volume rule reads gradients from a table and counts
-    8 NB + 8.  So every chunk of the surface and volume passes peaks at
-    3.5-4.03 MiB, and one of compute_errors, which lifts the surface rule,
-    at 2.8-3.0 MiB.  Counted as q * NB basis values, surface chunks
-    peaked at 9.1-10.2 MiB.
+    the last two in the volume pass.  At k=5 a full-gradient chunk holds
+    two elements and accumulate_sym's runs one each, so its copies are
+    half again the integrand's size; the chunk still peaks at 1.73 MiB.
+    Every chunk peaks at 1.6-2.0 MiB of the 2 MiB budget.  With 4 MiB
+    chunks the surface pass took 19 NB + 20 doubles a point and
+    compute_errors 15 NB, with all of eval_basis's factors and products
+    and three copies of the integrand alive beside the lift, and the
+    full-gradient volume chunks, charged 8 NB + 8 like the normal
+    derivative's, peaked at 7.5 MiB.
     """
 
-    def __init__(self, mapping, cells, q):
+    def __init__(self, mapping, cells, q, point_doubles):
         self.mesh, self.mapping, self.cells, self.q = mapping.mesh, mapping, cells, q
+        self.point_doubles = point_doubles
 
     @property
     def elems(self):
@@ -135,7 +144,7 @@ class LiftedRule:
     @property
     def cell_doubles(self):
         """Doubles that one cell's q points allocate in a chunk, q * (a * NB + b)."""
-        a, b = self.POINT_DOUBLES
+        a, b = self.point_doubles
         return self.q * (a * self.mesh.ref.ndofs + b)
 
     def slices(self):
@@ -155,14 +164,19 @@ class LiftedRule:
     def accumulate(self, integrand, out, each=None):
         """Add w * v.v' local matrices into out, a Pattern with element blocks, v = integrand(lift) (Ec, q, NB, M).
 
-        each(cells, lift, w), if given, is called on every chunk too, so
-        other integrals share the chunk's lift.
+        each(cells, lift, w), if given, is called on every chunk first, so
+        other integrals share the chunk's lift; the integrand then gets the
+        lift without vals and y.  The lift is freed before the local
+        matrices are formed.
         """
         for cells, lift, w in self.chunks():
-            out.add("elements", cells, backends.accumulate_sym(integrand(lift), w))
             if each is not None:
                 each(cells, lift, w)
-            del lift, w  # freed before the next chunk's lift
+                lift = lift._replace(vals=None, y=None)
+            vec = integrand(lift)
+            del lift
+            out.add("elements", cells, backends.accumulate_sym(vec, w))
+            del vec, w  # freed before the next chunk's lift
 
 
 # The interface triangles of every mesh: the zero level of the linear
@@ -185,12 +199,12 @@ class SurfaceData(LiftedRule):
     for the constraint, the load and the errors.
     """
 
-    POINT_DOUBLES = (19, 20)
+    POINT_DOUBLES = (9, 18)
 
     def __init__(self, mapping, tri_elem, tri_edges, tri_fracs, tri_area, degree):
         """tri_elem (T,): the triangles' elements; tri_edges and tri_fracs (T, 3) their corners; tri_area (T,) their areas."""
         self.lam, self.w = triangle_rule(degree)
-        super().__init__(mapping, tri_elem, len(self.w))
+        super().__init__(mapping, tri_elem, len(self.w), self.POINT_DOUBLES)
         self.tri_edges, self.tri_fracs, self.tri_area = tri_edges, tri_fracs, tri_area
 
     @classmethod
@@ -233,22 +247,24 @@ class VolumeData(LiftedRule):
     It keeps the physical gradients of the basis at the reference points,
     which take one value per Kuhn shape, as a (6, q, NB, 3) table, the
     reference weights (q,) and a weight scale (the stabilization's rho):
-    a chunk's weights are (wref * det DTheta) * scale.
+    a chunk's weights are (wref * det DTheta) * scale.  Its chunks are
+    charged for the width of the integrand they feed: 1 for the normal
+    derivative, 3 for the full gradient.
     """
 
-    POINT_DOUBLES = (8, 8)
+    POINT_DOUBLES = {1: (4, 24), 3: (7, 16)}
 
-    def __init__(self, mapping, table, wref, scale=1.0):
-        super().__init__(mapping, np.arange(mapping.mesh.nelems, dtype=np.int64), len(wref))
+    def __init__(self, mapping, table, wref, scale=1.0, width=1):
+        super().__init__(mapping, np.arange(mapping.mesh.nelems, dtype=np.int64), len(wref), self.POINT_DOUBLES[width])
         self.table, self.wref, self.scale = table, wref, scale
 
     @classmethod
-    def build(cls, mapping: IsoMapping, degree: int, scale=1.0):
+    def build(cls, mapping: IsoMapping, degree: int, scale=1.0, width=1):
         mesh = mapping.mesh
         lam, w = tet_rule(degree)
         _, dlam = mesh.ref.eval(lam)
         table = physical_gradients(dlam, SHAPE_BARY_A[:, None] / mesh.h)
-        return cls(mapping, table, w * mesh.elem_volume, scale)
+        return cls(mapping, table, w * mesh.elem_volume, scale, width)
 
     def _lift(self, s):
         lift = self.mapping.lift(self.cells[s], gref=self.table[self.mesh.tet[s]])
@@ -346,7 +362,11 @@ def _surface_pass(surf, problem, out, root_rho):
 
     def integrand(lift):
         g = lift.grads
-        return g - np.einsum("eqbi,eqi->eqb", g, lift.nh)[..., None] * ((1.0 - root_rho) * lift.nh)[..., None, :]
+        gn = np.einsum("eqbi,eqi->eqb", g, lift.nh)
+        n = (1.0 - root_rho) * lift.nh
+        for i in range(3):  # g - gn n, one component at a time
+            g[..., i] -= gn * n[..., i, None]
+        return g
 
     def each(cells, lift, w):
         dofs = np.broadcast_to(mesh.elem_dofs[cells][:, None], lift.vals.shape).ravel()
@@ -377,7 +397,7 @@ def assemble_s(mapping, stab: StabConfig, out: Pattern):
             out.add("facets", s, rho * area[:, None, None] * jump[:, :, None] * jump[:, None, :])
     elif stab.variant in ("full_gradient_volume", "normal_volume"):
         full = stab.variant == "full_gradient_volume"
-        vol = VolumeData.build(mapping, 2 * mesh.k, scale=rho)
+        vol = VolumeData.build(mapping, 2 * mesh.k, scale=rho, width=3 if full else 1)
         vol.accumulate(lambda lift: lift.grads if full else lift.normal_derivatives()[..., None], out)
 
 

@@ -194,11 +194,12 @@ def build_theta(dls: DiscreteLevelSet) -> IsoMapping:
     _, dlam = mesh.ref.eval(lam)
     table = dlam.transpose(1, 0, 2).reshape(NB, NB * 4)  # row b: gradients of basis b at the nodes
     sums = np.zeros((mesh.ndofs, 3))
-    # NB nodes of NB coefficients per element, counted four times: the root
-    # solve makes its (points, NB) arrays afresh at every Newton step, for a
-    # shrinking set of rows, and at NB^2 per element they were faulted in
+    # NB nodes of NB coefficients per element, counted four times: when the
+    # root solve made its (points, NB) arrays afresh at every Newton step,
+    # for a shrinking set of rows, at NB^2 per element they were faulted in
     # again at every step (torus k=3 n=20 from a fresh process: 100,136
-    # minor faults and 387 ms, against 477 and 195 ms at 4 NB^2)
+    # minor faults and 387 ms, against 477 and 195 ms at 4 NB^2).  It now
+    # writes them into buffers made once per call.
     for s in element_chunks(mesh.nelems, 4 * NB * NB):
         dofs = mesh.elem_dofs[s]
         coeffs = dls.values[dofs]
@@ -211,15 +212,20 @@ def build_theta(dls: DiscreteLevelSet) -> IsoMapping:
 
 
 def facet_jump_psi(dls: DiscreteLevelSet, degree: int = 4) -> float:
-    """Max two-sided mismatch of the element deformations across interior facets."""
-    fs = dls.mesh.facets
-    if len(fs) == 0:
-        return 0.0
+    """Max two-sided mismatch of the element deformations across interior facets.
+
+    The facets are streamed in chunks, as the elements of build_theta are:
+    a chunk's q quadrature points per facet are root-solved from both
+    sides, 4 q NB values per facet, and the result is the max of the
+    chunks' maxima.
+    """
+    mesh = dls.mesh
+    fs = mesh.facets
     lam, _ = triangle_rule(degree)
-    pts = np.einsum("qm,fmi->fqi", lam, fs.triangles()).reshape(-1, 3)
     q = len(lam)
-    sides = []
-    for s in range(2):
-        elems = np.repeat(fs.elems[:, s], q)
-        sides.append(psi_h(dls, elems, pts))
-    return float(np.linalg.norm(sides[0] - sides[1], axis=-1).max())
+    jump = 0.0
+    for s in element_chunks(len(fs), 4 * q * mesh.ref.ndofs):
+        pts = np.einsum("qm,fmi->fqi", lam, fs.triangles(s)).reshape(-1, 3)
+        lo, hi = (psi_h(dls, np.repeat(e, q), pts) for e in fs.elems[s].T)
+        jump = np.maximum(jump, np.linalg.norm(lo - hi, axis=-1).max())  # keeps a nan
+    return float(jump)

@@ -36,7 +36,9 @@ ZERO_SHIFT = 1e-14  # exact-zero vertex values are moved to +ZERO_SHIFT*h
 # Smaller chunks only cost time there: CHUNK_VALUES = 2**14 takes
 # build_theta at torus k=3 n=20 from 0.125 to 0.198 s (fastest of three).
 # A lifted rule's chunk counts the doubles its points allocate instead,
-# against its own budget, assembly.CHUNK_DOUBLES (see LiftedRule).
+# against its own budget, assembly.CHUNK_DOUBLES (2 MiB): a charge per
+# point for the rule and the integrand its chunks feed, measured (see
+# LiftedRule), so that budget bounds what every chunk allocates.
 CHUNK_VALUES = 2**16
 
 

@@ -51,29 +51,28 @@ def compute_errors(mapping, u, problem, degree=None) -> ErrorReport:
     if degree is None:
         degree = 2 * mesh.k
 
-    def chunk_sums(cells, lift, w):
-        """max |phi| and the three weighted sums of squares over one chunk."""
-        y, w = lift.y.reshape(-1, 3), w.ravel()
-        nh, invJ = lift.nh.reshape(-1, 3), lift.invJ.reshape(-1, 3, 3)
-        uc = np.repeat(u[mesh.elem_dofs[cells]], lift.vals.shape[1], axis=0)  # (points, NB)
+    def chunk_sums(y, nh, w, uh, gh):
+        """max |phi| and the three weighted sums of squares over one chunk's points."""
         dist = np.abs(problem.levelset.phi(y)).max(initial=0.0)
-
-        uh = np.einsum("pb,pb->p", lift.vals.reshape(len(y), -1), uc)
         l2 = np.sum(w * (problem.exact_solution(y) - uh) ** 2)
-
-        gh = (np.einsum("pbi,pb->pi", lift.gref.reshape(len(y), -1, 3), uc)[:, None] @ invJ)[:, 0]
         diff = problem.exact_solution_gradient(y) - gh
         tang = diff - np.einsum("pi,pi->p", diff, nh)[:, None] * nh
         h1t = np.sum(w * np.einsum("pi,pi->p", tang, tang))
-
         n_exact = problem.levelset.grad_phi(y)
         n_exact = n_exact / np.linalg.norm(n_exact, axis=-1, keepdims=True)
         return dist, (l2, h1t, np.sum(w * np.einsum("pi,pi->p", n_exact, gh) ** 2))
 
+    rule = SurfaceData.build(mapping, degree)
     e_dist, sq = 0.0, np.zeros(3)  # squares of e_L2, e_H1t, e_H1n
-    for cells, lift, w in SurfaceData.build(mapping, degree).chunks():
-        dist, parts = chunk_sums(cells, lift, w)
-        del lift, w  # freed before the next chunk's lift
+    for cells, lift, w in rule.chunks():
+        # u_h and its gradient first: the lift's (points, NB) arrays are freed before the exact data is evaluated
+        uc = np.repeat(u[mesh.elem_dofs[cells]], rule.q, axis=0)  # (points, NB)
+        uh = np.einsum("pb,pb->p", lift.vals.reshape(len(uc), -1), uc)
+        gh = (np.einsum("pbi,pb->pi", lift.gref.reshape(len(uc), -1, 3), uc)[:, None] @ lift.invJ.reshape(-1, 3, 3))[:, 0]
+        y, nh = lift.y.reshape(-1, 3), lift.nh.reshape(-1, 3)
+        del lift, uc
+        dist, parts = chunk_sums(y, nh, w.ravel(), uh, gh)
+        del y, nh, w, uh, gh  # freed before the next chunk's lift
         e_dist = np.maximum(e_dist, dist)  # keeps a nan
         sq += parts
 

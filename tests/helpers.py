@@ -398,12 +398,11 @@ def chunk_peaks(run):
             start = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             try:
-                item = next(chunks)
+                item = [next(chunks)]
             except StopIteration:
                 return
-            points = len(item[0]) * rule.q
-            yield item
-            del item
+            points = len(item[0][0]) * rule.q
+            yield item.pop()  # keeps no reference: the caller may free the chunk's parts while it runs
             peak = tracemalloc.get_traced_memory()[1]
             records.append((type(rule).__name__, points, peak - start, peak - loop_start))
 

@@ -8,6 +8,7 @@ import pytest
 from tracefem import mapping as mapping_module
 from tracefem import mesh as mesh_module
 from tracefem.assembly import SurfaceData, VolumeData
+from tracefem.cutquad import triangle_rule
 from tracefem.levelset import Plane, Torus
 from tracefem.mapping import (
     DELTA_FRACTION,
@@ -220,6 +221,30 @@ class TestMapping:
     def test_facet_jump_decays_superconvergently(self):
         jumps = [facet_jump_psi(torus_case(n, 2)[2]) for n in (16, 32)]
         assert np.log2(jumps[0] / jumps[1]) >= 2.6
+
+    def test_facet_jump_streams_its_facets(self):
+        """Chunks of facets give the jump of one solve over every facet's points, to the bit, in memory that does not grow with the mesh.
+
+        Forming every facet's points at once, the call peaked at 54.9 MiB
+        here (4,268 facets) and 213.5 MiB at torus k=2 n=32; in chunks it
+        peaks at 2.6 MiB at both.
+        """
+        _, mesh, dls, _ = torus_case(16, 2)
+        fs = mesh.facets
+        lam, _ = triangle_rule(4)
+        pts = np.einsum("qm,fmi->fqi", lam, fs.triangles()).reshape(-1, 3)
+        lo, hi = (psi_h(dls, np.repeat(e, len(lam)), pts) for e in fs.elems.T)
+        whole = np.linalg.norm(lo - hi, axis=-1).max()
+        assert len(mesh_module.element_chunks(len(fs), 4 * len(lam) * mesh.ref.ndofs)) > 1
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            jump = facet_jump_psi(dls)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert jump == whole
+        assert peak <= 4 * 2**20, f"{peak / 2**20:.1f} MiB"
 
     def test_normal_deviation_decays_quadratically(self):
         devs = [

@@ -147,7 +147,7 @@ class TestStreamedErrors:
         assert per_point <= 256, f"{per_point:.0f} bytes per point"
 
     def test_peak_is_one_chunk_at_k3(self):
-        """At torus k=3 n=16 the error stage, its cut included, allocates at most 5 MiB at its peak (3.4 measured): one chunk of points."""
+        """At torus k=3 n=16 the error stage, its cut included, allocates at most 5 MiB at its peak (2.0 measured): one chunk of points."""
         bench = torus_benchmark()
         _, mesh, dls, mapping = torus_case(16, 3)
         u = benchmark_interpolant(mesh, bench)

@@ -86,7 +86,61 @@ class TestBasis:
             assert ref.ndofs == (k + 1) * (k + 2) * (k + 3) // 6
 
 
+def factors_oracle(k, lam, glam=None):
+    """Lists c, dc of the four (P, NB) 1D factors of every basis function at lam (P, 4) and their derivatives (along glam if given), degree by degree.
+
+    They are the factors backends.eval_basis and backends.solve_dh multiply.
+    """
+    mi = backends.multi_indices(k)
+    L, dL = [np.ones_like(lam)], [np.zeros_like(lam)]
+    for a in range(1, k + 1):
+        fac = (k * lam - (a - 1)) / a
+        dL.append(dL[-1] * fac + L[-1] * (k / a))
+        L.append(L[-1] * fac)
+    if glam is not None:
+        dL = [t * glam for t in dL]
+    # (NB, P) rows transposed: the layout the kernels reduce over, which decides an einsum's rounding
+    c = [np.stack([L[a][:, m] for a in mi[:, m]]).T for m in range(4)]
+    dc = [np.stack([dL[a][:, m] for a in mi[:, m]]).T for m in range(4)]
+    return c, dc
+
+
 class TestPythonKernels:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_basis_is_the_product_of_its_factors_to_the_bit(self, k, rng):
+        """Values ((c0 c1) c2) c3 and each barycentric derivative the same product with one factor differentiated, in that order."""
+        lam = random_bary(rng, 300, spread=0.3)
+        c, dc = factors_oracle(k, lam)
+        vals, dlam = backends.eval_basis(k, lam)
+        np.testing.assert_array_equal(vals, c[0] * c[1] * c[2] * c[3])
+        for m in range(4):
+            f = [dc[j] if j == m else c[j] for j in range(4)]
+            np.testing.assert_array_equal(dlam[:, :, m], f[0] * f[1] * f[2] * f[3])
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_line_derivative_is_the_product_rule_to_the_bit(self, k, rng):
+        """phi_h and its line derivative from one workspace, on ever fewer points as the Newton steps use it, match the product rule written out."""
+        nb = len(backends.multi_indices(k))
+        work = backends._workspace(k, 200)
+        for P in (200, 57, 1):
+            lam, glam = random_bary(rng, P, spread=0.3), rng.standard_normal((P, 4))
+            coeffs = rng.standard_normal((P, nb))
+            c, dc = factors_oracle(k, lam, glam)
+            vals = c[0] * c[1] * c[2] * c[3]
+            dvals = (dc[0] * c[1] + c[0] * dc[1]) * (c[2] * c[3]) + (c[0] * c[1]) * (dc[2] * c[3] + c[2] * dc[3])
+            g, gp = backends._eval_phi_dphi(k, coeffs, lam, glam, work)
+            np.testing.assert_array_equal(g, np.einsum("pb,pb->p", vals, coeffs))
+            np.testing.assert_array_equal(gp, np.einsum("pb,pb->p", dvals, coeffs))
+
+    def test_accumulate_sym_is_one_einsum_to_the_bit(self, rng):
+        """Runs of elements give the local matrices of one einsum over all of them, for any count of elements, points and widths."""
+        for E in range(1, 10):
+            for Q, NB, M in ((1, 4, 3), (4, 10, 1), (9, 20, 3), (64, 20, 1)):
+                v = rng.standard_normal((E, Q, NB, M))
+                w = rng.uniform(0.5, 2.0, size=(E, Q))
+                expected = np.einsum("eqim,eqjm,eq->eij", v, v, w, optimize=True)
+                np.testing.assert_array_equal(backends.accumulate_sym(v, w), expected)
+
     def test_multi_indices_enumerate_the_simplex_lattice(self):
         for k in (1, 2, 3, 4, 5):
             mi = backends.multi_indices(k)
