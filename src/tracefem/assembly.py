@@ -86,10 +86,6 @@ class StabConfig:
         return float(pre) * h ** float(expo)
 
 
-# What one chunk of a lifted rule may allocate, in doubles: 2 MiB (see LiftedRule).
-CHUNK_DOUBLES = 2**18
-
-
 class LiftedRule:
     """Quadrature points of the active elements, pushed through Theta chunk by chunk where they are used.
 
@@ -103,14 +99,14 @@ class LiftedRule:
     per chunk.  An element with two cells gets two local matrices, which
     Pattern.add sums.
 
-    A chunk holds at most CHUNK_DOUBLES doubles of what its points
-    allocate, a * NB + b per point with (a, b) = point_doubles: the lift,
-    eval_basis's factors, the integrand and accumulate_sym's copies of it
-    all grow with NB.  The surface rule is charged for its stiffness
-    integrand (SurfaceData.POINT_DOUBLES), under which compute_errors and
-    the other uses of its chunks stay; the volume rule for the width M of
-    its integrand (Ec, q, NB, M), VolumeData.POINT_DOUBLES[M].  Each
-    chunk's peak above what was live when it started, in doubles per point
+    Its chunks keep to the one budget of every streamed loop,
+    mesh.CHUNK_DOUBLES, charged a * NB + b doubles per point with (a, b) =
+    point_doubles: the lift, eval_basis's factors, the integrand and
+    accumulate_sym's copies of it all grow with NB.  The surface rule is
+    charged for its stiffness integrand (SurfaceData.POINT_DOUBLES), under
+    which compute_errors and the other uses of its chunks stay; the volume
+    rule for the width M of its integrand (Ec, q, NB, M),
+    VolumeData.POINT_DOUBLES[M].  Each chunk's peak above what was live when it started, in doubles per point
     (tracemalloc, the fullest chunks, one BLAS thread; torus k=1 n=32,
     torus k=2 and 3 n=12, sphere k=4 and 5 n=8, printed by
     PYTHONPATH=src python tests/test_assembly.py):
@@ -148,8 +144,8 @@ class LiftedRule:
         return self.q * (a * self.mesh.ref.ndofs + b)
 
     def slices(self):
-        """Slices of consecutive cells, one per chunk, each at most CHUNK_DOUBLES doubles."""
-        return element_chunks(len(self.cells), self.cell_doubles, CHUNK_DOUBLES)
+        """Slices of consecutive cells, one per chunk, each at most mesh.CHUNK_DOUBLES doubles."""
+        return element_chunks(len(self.cells), self.cell_doubles)
 
     def chunks(self):
         """Yield (cells (Ec,), Lift, lifted weights (Ec, q)) for the cells of every slice.
@@ -225,7 +221,7 @@ class SurfaceData(LiftedRule):
             ntri = mesh.nelems + np.count_nonzero(np.count_nonzero(mesh.vertex_phi < 0.0, axis=1) == 2)
             tri = (np.empty(ntri, dtype=np.int32), np.empty((ntri, 3), dtype=np.uint8), np.empty((ntri, 3)), np.empty(ntri))
             t = 0
-            for s in element_chunks(mesh.nelems, 2 * 3 * 4):
+            for s in element_chunks(mesh.nelems, 4 * 2 * 3 * 4):
                 elem, *rest = extract_cuts(mesh.vertex_phi[s], mesh.verts_phys(s))
                 at = slice(t, t + len(elem))
                 for a, b in zip(tri, (elem + s.start, *rest)):
@@ -321,7 +317,7 @@ class Pattern:
         for name, d in blocks.items():
             B, nb = d.shape
             self.offsets[name] = off = np.empty((B, nb, nb), dtype=offset)
-            for s in element_chunks(B, nb * nb):
+            for s in element_chunks(B, 4 * nb * nb):
                 c = d[s].astype(np.int64)
                 if nb <= SORTED_SEARCH_DOFS:
                     off[s] = np.searchsorted(key, c[:, :, None] * n + c[:, None, :]) - indptr[c][:, :, None]
@@ -402,8 +398,8 @@ def assemble_s(mapping, stab: StabConfig, out: Pattern):
 
 
 def _facet_chunks(mesh):
-    """Slices of mesh's interior facets, one per chunk of the gradient-jump penalty: both elements' (4, 3) barycentric gradients per facet."""
-    return element_chunks(len(mesh.facets), 2 * 4 * 3)
+    """Slices of mesh's interior facets, one per chunk of the gradient-jump penalty: four doubles for each of both elements' (4, 3) barycentric gradients."""
+    return element_chunks(len(mesh.facets), 4 * 2 * 4 * 3)
 
 
 def _ghost_patches(mesh, s):

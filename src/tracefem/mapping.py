@@ -118,8 +118,10 @@ class IsoMapping:
         if self.displacement.shape != (mesh.ndofs, 3):
             raise ValueError("displacement must be (ndofs, 3)")
         self.nodes = mesh.dof_points + self.displacement  # (ndofs, 3) Theta's nodal values
-        g = np.einsum("emi,em->ei", mesh.bary_grad(slice(None)), mesh.vertex_phi)
-        self.n_lin = g / np.linalg.norm(g, axis=-1, keepdims=True)
+        self.n_lin = np.empty((mesh.nelems, 3))
+        for s in element_chunks(mesh.nelems, 4 * 4 * 3):  # the linear cut's normals, a chunk of (4, 3) gradients at a time
+            g = np.einsum("emi,em->ei", mesh.bary_grad(s), mesh.vertex_phi[s])
+            self.n_lin[s] = g / np.linalg.norm(g, axis=-1, keepdims=True)
 
     def _basis(self, elems, lam):
         """Basis values (E, q, NB) and physical gradients (E, q, NB, 3) before the lift.
@@ -194,13 +196,8 @@ def build_theta(dls: DiscreteLevelSet) -> IsoMapping:
     _, dlam = mesh.ref.eval(lam)
     table = dlam.transpose(1, 0, 2).reshape(NB, NB * 4)  # row b: gradients of basis b at the nodes
     sums = np.zeros((mesh.ndofs, 3))
-    # NB nodes of NB coefficients per element, counted four times: when the
-    # root solve made its (points, NB) arrays afresh at every Newton step,
-    # for a shrinking set of rows, at NB^2 per element they were faulted in
-    # again at every step (torus k=3 n=20 from a fresh process: 100,136
-    # minor faults and 387 ms, against 477 and 195 ms at 4 NB^2).  It now
-    # writes them into buffers made once per call.
-    for s in element_chunks(mesh.nelems, 4 * NB * NB):
+    # NB nodes of NB coefficients per element, charged 16 NB^2 doubles (see mesh.CHUNK_DOUBLES)
+    for s in element_chunks(mesh.nelems, 16 * NB * NB):
         dofs = mesh.elem_dofs[s]
         coeffs = dls.values[dofs]
         # search directions G = grad(phi_h) at the nodes, (E * NB, 3)
@@ -216,15 +213,15 @@ def facet_jump_psi(dls: DiscreteLevelSet, degree: int = 4) -> float:
 
     The facets are streamed in chunks, as the elements of build_theta are:
     a chunk's q quadrature points per facet are root-solved from both
-    sides, 4 q NB values per facet, and the result is the max of the
-    chunks' maxima.
+    sides, charged 16 q NB doubles per facet, and the result is the max of
+    the chunks' maxima.
     """
     mesh = dls.mesh
     fs = mesh.facets
     lam, _ = triangle_rule(degree)
     q = len(lam)
     jump = 0.0
-    for s in element_chunks(len(fs), 4 * q * mesh.ref.ndofs):
+    for s in element_chunks(len(fs), 16 * q * mesh.ref.ndofs):
         pts = np.einsum("qm,fmi->fqi", lam, fs.triangles(s)).reshape(-1, 3)
         lo, hi = (psi_h(dls, np.repeat(e, q), pts) for e in fs.elems[s].T)
         jump = np.maximum(jump, np.linalg.norm(lo - hi, axis=-1).max())  # keeps a nan

@@ -20,31 +20,34 @@ from .reference import ReferenceElement
 
 ZERO_SHIFT = 1e-14  # exact-zero vertex values are moved to +ZERO_SHIFT*h
 
-# Theta's build, every use of a lifted rule (the assembly, the errors, the
-# normal deviation, the VTK export) and the offset search of
-# assembly.Pattern stream in chunks of cells, and nothing a chunk makes
-# outlives it, so their memory does not grow with the mesh.  A chunk of
-# Theta's build, of Pattern's search, of the interface cut, of the facets
-# or of the VTK corners holds at most CHUNK_VALUES values per (points, NB)
-# array: 4 NB^2 per element of Theta (see build_theta), nb^2 per block of
-# Pattern.  The bound is on values, not points, because every per-point
-# array of a chunk has NB (or 3 NB) entries per point: a fixed 16,384
-# points made them 2.6-7.5 MiB at k = 3 and 21 MiB at k = 5, each mapped
-# afresh and faulted in again per chunk.  Medians of three fresh
-# processes, torus k=3 n=20 (k=5 n=16): build_theta 428 -> 177 ms (1,708
-# -> 797 ms) with 126,162 -> 478 minor page faults (212,566 -> 1,739).
-# Smaller chunks only cost time there: CHUNK_VALUES = 2**14 takes
-# build_theta at torus k=3 n=20 from 0.125 to 0.198 s (fastest of three).
-# A lifted rule's chunk counts the doubles its points allocate instead,
-# against its own budget, assembly.CHUNK_DOUBLES (2 MiB): a charge per
-# point for the rule and the integrand its chunks feed, measured (see
-# LiftedRule), so that budget bounds what every chunk allocates.
-CHUNK_VALUES = 2**16
+# One budget for every streamed loop.  Theta's build and facet_jump_psi,
+# the interface cut, Pattern's offset search, both passes of the ghost
+# penalty, every use of a lifted rule and the VTK corners run over chunks
+# of consecutive cells from element_chunks, and nothing a chunk makes
+# outlives it, so their memory does not grow with the mesh.  A chunk holds
+# at most CHUNK_DOUBLES doubles (2 MiB) of what its cells allocate, as its
+# loop charges them: 4 * 24 an element of the cut (two triangles' three
+# corners in four barycentrics) and a facet of the ghost penalty (both
+# elements' (4, 3) gradients), 4 nb^2 a block of Pattern, 16 NB^2 an
+# element of Theta (NB nodes of NB coefficients), 16 q NB a facet of
+# facet_jump_psi, 4 * 12 an element of Theta's linear-cut normals (its
+# (4, 3) gradients) and a triangle of the VTK corners (three corners in
+# four barycentrics), and a lifted rule the doubles a point that
+# its chunks were measured to allocate (see LiftedRule).  Outside the
+# lifted rules the fullest chunks peak at 0.2-1.07 times their charge,
+# 2.04 MiB at most (PYTHONPATH=src python tests/test_assembly.py prints
+# every loop's table).  Theta keeps 16 NB^2: chunks of NB^2 took torus
+# k=3 n=20 from 0.084 to 0.100 s (k=2 n=32 0.093 -> 0.126, k=4 n=16 0.160
+# -> 0.191; best of three, one BLAS thread) and changed Theta's bits at
+# sphere k=5 n=8.  A fixed 16,384 points a chunk, 2.6-21 MiB of (points,
+# NB) arrays at k = 3-5, took build_theta at torus k=3 n=20 to 428 ms and
+# 126,162 minor page faults, against 177 ms and 478 at this budget.
+CHUNK_DOUBLES = 2**18
 
 
-def element_chunks(ncells: int, per_cell: int, budget: int | None = None):
-    """Slices of consecutive cells with at most budget values (CHUNK_VALUES by default), per_cell per cell (at least one cell)."""
-    step = max(1, (CHUNK_VALUES if budget is None else budget) // per_cell)
+def element_chunks(ncells: int, per_cell: int):
+    """Slices of consecutive cells with at most CHUNK_DOUBLES doubles, per_cell per cell (at least one cell)."""
+    step = max(1, CHUNK_DOUBLES // per_cell)
     return [slice(s, min(s + step, ncells)) for s in range(0, ncells, step)]
 
 
@@ -194,7 +197,6 @@ class ActiveMesh:
         rest = self.dof_keys // m
         lat[:, 1] = rest % m
         lat[:, 0] = rest // m
-        self.dof_lattice = lat
         self.dof_points = self.params.lo + self.params.h * (lat / float(k))
 
     # -- lookups -----------------------------------------------------

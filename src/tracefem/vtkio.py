@@ -52,13 +52,11 @@ def write_point_cloud(path, points):
         _write_cells(fh, np.arange(len(points))[:, None])
 
 
-def _mesh_vertex_arrays(mesh, deformed=None):
+def _mesh_vertex_arrays(mesh):
     uniq, inv = np.unique(mesh.vertex_ids(slice(None)).ravel(), return_inverse=True)
     pos = np.empty((len(uniq), 3))
-    pts = mesh.verts_phys(slice(None)).reshape(-1, 3) if deformed is None else deformed.reshape(-1, 3)
-    pos[inv] = pts
-    cells = inv.reshape(-1, 4)
-    return pos, cells
+    pos[inv] = mesh.verts_phys(slice(None)).reshape(-1, 3)
+    return pos, inv.reshape(-1, 4)
 
 
 def export_level(outdir, tag, mapping):
@@ -72,25 +70,15 @@ def export_level(outdir, tag, mapping):
     # already made, their corners rebuilt one chunk of triangles at a time
     surf = SurfaceData.build(mapping)
     pts = np.empty((len(surf.cells), 3, 3))
-    for s in element_chunks(len(surf.cells), 3 * 4):
+    for s in element_chunks(len(surf.cells), 4 * 3 * 4):
         pts[s] = np.einsum("tcm,tmi->tci", corners(surf.tri_edges[s], surf.tri_fracs[s]), mesh.verts_phys(surf.cells[s]))
     pts = pts.reshape(-1, 3)
     tris = np.arange(len(pts)).reshape(-1, 3)
     write_triangles(os.path.join(outdir, f"interface_lin_{tag}.vtk"), pts, tris)
 
     if mesh.k > 1:
-        # deformed vertices coincide with the originals; export nodal images
-        # instead, lifted one chunk of elements (4 corners, NB values each) at a time
-        verts = mesh.verts_phys(slice(None))
-        deformed = np.empty_like(verts)
-        for s in element_chunks(mesh.nelems, 4 * mesh.ref.ndofs):
-            elems = np.repeat(np.arange(s.start, s.stop), 4)
-            lam = mesh.bary_of_points(elems, verts[s].reshape(-1, 3))
-            deformed[s] = mapping.eval(elems, lam)[0].reshape(-1, 4, 3)
-        pos_d, cells_d = _mesh_vertex_arrays(mesh, deformed=deformed)
-        write_unstructured_tets(
-            os.path.join(outdir, f"deformed_mesh_{tag}.vtk"), pos_d, cells_d
-        )
+        # Theta fixes the mesh vertices, so its nodal values show the deformation
+        write_point_cloud(os.path.join(outdir, f"deformed_nodes_{tag}.vtk"), mapping.nodes)
 
     # the lifted points, written chunk by chunk into one array; nothing else
     # of a chunk is alive when the next one is lifted

@@ -8,6 +8,7 @@ checked against code that shares none of the library's shortcuts.
 from __future__ import annotations
 
 import itertools
+import sys
 import tracemalloc
 
 import numpy as np
@@ -379,6 +380,47 @@ def pattern_unique_keys(n, **blocks):
     return slots, uniq % n, indptr
 
 
+def kept_and_peak(run):
+    """Run run() under tracemalloc: (bytes it keeps, with its result, and its peak bytes above those), counted from what was live before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = run()
+        kept, peak = (m - before for m in tracemalloc.get_traced_memory())
+        del result
+    finally:
+        tracemalloc.stop()
+    return kept, peak - kept
+
+
+def stream_peaks(run, module):
+    """Run run() under tracemalloc: (caller, cells, charge per cell, peak bytes) of every chunk that module's element_chunks hands out.
+
+    The caller is the qualified name of the function that asked for the
+    chunks.  A chunk's peak is the most that tracemalloc saw above what
+    was live when its loop asked for it, until the loop asked for the next
+    one (or ran out), as chunk_peaks measures a lifted chunk.
+    """
+    records, original = [], module.element_chunks
+
+    def measured(ncells, per_cell):
+        caller = sys._getframe(1).f_code.co_qualname
+        for s in original(ncells, per_cell):
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            yield s
+            records.append((caller, s.stop - s.start, per_cell, tracemalloc.get_traced_memory()[1] - start))
+
+    module.element_chunks = measured
+    tracemalloc.start()
+    try:
+        run()
+    finally:
+        tracemalloc.stop()
+        module.element_chunks = original
+    return records
+
+
 def chunk_peaks(run):
     """Run run() under tracemalloc: (rule class name, points, peak bytes, loop peak bytes) of every lifted chunk that it uses.
 
@@ -558,7 +600,7 @@ def facet_geometry_oracle(mesh):
     """
     fs = mesh.facets
     area, normal = np.empty(len(fs)), np.empty((len(fs), 3))
-    for s in element_chunks(len(fs), 2 * 4 * 3):
+    for s in element_chunks(len(fs), 4 * 2 * 4 * 3):
         lo, hi = fs.elems[s].T.astype(np.int64)
         alone = (mesh.vertex_ids(lo)[:, :, None] != mesh.vertex_ids(hi)[:, None, :]).all(axis=2)
         verts = mesh.verts_phys(lo)
@@ -597,6 +639,12 @@ def mesh_from_vertex_values(params: MeshParams, vertex_values, k: int) -> Active
 def points_of_bary(mesh: ActiveMesh, elems, lam) -> np.ndarray:
     """Physical points of barycentric coordinates lam in the given elements."""
     return np.einsum("pm,pmi->pi", lam, mesh.verts_phys(elems))
+
+
+def dof_lattice(mesh: ActiveMesh) -> np.ndarray:
+    """(ndofs, 3) fine-lattice points of the dofs, decoded from their keys (x * m + y) * m + z."""
+    m = mesh.k * mesh.params.n + 1
+    return np.stack(np.unravel_index(mesh.dof_keys, (m, m, m)), axis=1)
 
 
 def dof_index_of(mesh: ActiveMesh, lattice) -> np.ndarray:

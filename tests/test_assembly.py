@@ -7,6 +7,7 @@ import pytest
 import scipy.sparse as sp
 
 from tracefem import assembly, backends
+from tracefem import mapping as mapping_module
 from tracefem import mesh as mesh_module
 from tracefem.assembly import (
     VARIANTS,
@@ -16,11 +17,12 @@ from tracefem.assembly import (
     VolumeData,
     _facet_chunks,
     _ghost_dofs,
+    assemble_s,
     assemble_system,
 )
 from tracefem.cutquad import corners, extract_cuts, tet_rule, triangle_rule
 from tracefem.levelset import Plane, make_benchmark, shifted_plane
-from tracefem.mapping import IsoMapping
+from tracefem.mapping import IsoMapping, build_theta, facet_jump_psi
 from tracefem.mesh import FacetSet
 from tracefem.metrics import compute_errors
 from tracefem.reference import interpolate
@@ -30,11 +32,13 @@ from helpers import (
     chunk_footprints,
     chunk_peaks,
     cut_corners_oracle,
+    kept_and_peak,
     pattern_unique_keys,
     plane_box_section_area,
     plane_case,
     sphere_case,
     stabilization_matrix,
+    stream_peaks,
     torus_benchmark,
     torus_case,
     torus_mesh,
@@ -80,6 +84,32 @@ def chunk_footprint_table(case, n, k, variant):
         "assembly": chunk_footprints(chunk_peaks(lambda: assemble_system(mesh, dls, mapping, problem, StabConfig(variant)))),
         "errors": chunk_footprints(chunk_peaks(lambda: compute_errors(mapping, u, problem))),
     }
+
+
+# (case, n, k) of the streamed loops outside the lifted rules that this file prints as a script
+STREAM_CASES = [("torus", 64, 1), ("torus", 32, 2), ("torus", 20, 3), ("sphere", 8, 5)]
+
+
+def streamed_loops(case, n, k):
+    """{name: (module whose element_chunks it calls, run)} of the streamed loops outside the lifted rules on one level.
+
+    The interface cut, Pattern's offset search, Theta's build (with its
+    linear-cut normals) and, at k = 1, the ghost penalty's dof and jump
+    passes, else facet_jump_psi; each run's inputs are made beforehand.
+    """
+    _, mesh, dls, mapping = {"torus": torus_case, "sphere": sphere_case}[case](n, k)
+    loops = {
+        "cut": (assembly, lambda: (assembly._CUTS.pop(mesh, None), SurfaceData.build(mapping))),
+        "Pattern": (assembly, lambda: Pattern(mesh.ndofs, elements=mesh.elem_dofs)),
+        "Theta": (mapping_module, lambda: build_theta(dls)),
+    }
+    if k == 1:
+        out = Pattern(mesh.ndofs, elements=mesh.elem_dofs, facets=_ghost_dofs(mesh))
+        loops["ghost dofs"] = (assembly, lambda: _ghost_dofs(mesh))
+        loops["ghost jumps"] = (assembly, lambda: assemble_s(mapping, StabConfig("ghost_penalty"), out))
+    else:
+        loops["facet_jump_psi"] = (mapping_module, lambda: facet_jump_psi(dls))
+    return loops
 
 
 class TestStabConfig:
@@ -262,10 +292,10 @@ class TestStabilizations:
         """Ragged chunks of 7 facets give the data, indices and indptr of S byte for byte as one chunk of every facet's patches."""
         _, mesh, dls, mapping = torus_case(16, 1)
         stab = StabConfig("ghost_penalty")
-        monkeypatch.setattr(mesh_module, "CHUNK_VALUES", 2**40)
+        monkeypatch.setattr(mesh_module, "CHUNK_DOUBLES", 2**40)
         assert len(_facet_chunks(mesh)) == 1
         whole = stabilization_matrix(mapping, stab)
-        monkeypatch.setattr(mesh_module, "CHUNK_VALUES", 7 * 2 * 4 * 3 + 23)
+        monkeypatch.setattr(mesh_module, "CHUNK_DOUBLES", 7 * 4 * 2 * 4 * 3 + 23)
         assert len(_facet_chunks(mesh)) > 1 and len(mesh.facets) % 7
         chunked = stabilization_matrix(mapping, stab)
         for name in ("data", "indices", "indptr"):
@@ -381,13 +411,13 @@ class TestGeometryData:
         lam, wq = triangle_rule(4)
         q = len(wq)
         NB = mesh.ref.ndofs
-        monkeypatch.setattr(mesh_module, "CHUNK_VALUES", (5 * q + q - 1) * NB)
+        a, b = SurfaceData.POINT_DOUBLES
+        monkeypatch.setattr(mesh_module, "CHUNK_DOUBLES", 6 * q * (a * NB + b) - 1)
         rule = SurfaceData.build(mapping, 4)
-        monkeypatch.setattr(assembly, "CHUNK_DOUBLES", 6 * rule.cell_doubles - 1)
         surf = lifted_arrays(rule)
         tri_elem, tri_bary, tri_area = cut_corners_oracle(mesh.vertex_phi, mesh.verts_phys(slice(None)))
         assert len(rule.slices()) > 1 and {s.stop - s.start for s in rule.slices()[:-1]} == {5}
-        assert len(mesh_module.element_chunks(mesh.nelems, 2 * 3 * 4)) > 1
+        assert len(mesh_module.element_chunks(mesh.nelems, 4 * 2 * 3 * 4)) > 1
         np.testing.assert_array_equal(corners(rule.tri_edges, rule.tri_fracs), tri_bary)
         np.testing.assert_array_equal(rule.tri_area, tri_area)
         lift = mapping.lift(tri_elem, np.einsum("qc,tcm->tqm", lam, tri_bary))
@@ -406,8 +436,8 @@ class TestGeometryData:
         """
         _, mesh, dls, mapping = torus_case(16, 1)
         assembly._CUTS.pop(mesh, None)
-        monkeypatch.setattr(mesh_module, "CHUNK_VALUES", 7 * 2 * 3 * 4 + 23)
-        assert len(mesh_module.element_chunks(mesh.nelems, 2 * 3 * 4)) > 1 and mesh.nelems % 7
+        monkeypatch.setattr(mesh_module, "CHUNK_DOUBLES", 7 * 4 * 2 * 3 * 4 + 23)
+        assert len(mesh_module.element_chunks(mesh.nelems, 4 * 2 * 3 * 4)) > 1 and mesh.nelems % 7
         rule = SurfaceData.build(mapping)
         whole = extract_cuts(mesh.vertex_phi, mesh.verts_phys(slice(None)))
         kept = (rule.cells, rule.tri_edges, rule.tri_fracs, rule.tri_area)
@@ -423,19 +453,32 @@ class TestGeometryData:
     def test_first_cut_peaks_at_its_triangles_and_one_chunk(self):
         """At torus k=1 n=64 the cut allocates its triangles, 2.0 MiB, and one chunk of elements' cuts, 2.2 MiB, not a second copy of the triangles.
 
+        That is at most 1.125 CHUNK_DOUBLES doubles above what it keeps.
         The cut kept (T, 3, 4) corners before, 5.8 MiB, and its chunk
         peaked 3.4 MiB above them.
         """
         _, mesh, dls, mapping = torus_case(64, 1)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            rule = SurfaceData.build(mapping)
-            kept, peak = (m - before for m in tracemalloc.get_traced_memory())
-        finally:
-            tracemalloc.stop()
+        kept, above = kept_and_peak(lambda: SurfaceData.build(mapping))
+        rule = SurfaceData.build(mapping)
         assert kept >= sum(a.nbytes for a in (rule.cells, rule.tri_edges, rule.tri_fracs, rule.tri_area))
-        assert peak - kept <= 3 * 2**20, f"{(peak - kept) / 2**20:.1f} MiB above the triangles"
+        assert above <= 1.125 * mesh_module.CHUNK_DOUBLES * 8, f"{above / 2**20:.2f} MiB above the triangles"
+
+    @pytest.mark.parametrize("n, k", [(64, 1), (20, 3)])
+    def test_streamed_loops_peak_within_one_chunk_budget(self, n, k):
+        """Theta's build and the ghost penalty's dof and jump passes each peak at most 1.125 CHUNK_DOUBLES doubles above what they keep.
+
+        At torus k=1 n=64 Theta (the identity and its linear-cut normals)
+        peaks 0.75 MiB above what it keeps, the dof pass 0.68 and the jump
+        pass 1.40 MiB; at torus k=3 n=20 Theta peaks 1.03 MiB.  Formed for
+        every element at once, the normals alone took Theta at k=1 n=64 to
+        3.76 MiB.
+        """
+        limit = 1.125 * mesh_module.CHUNK_DOUBLES * 8
+        loops = streamed_loops("torus", n, k)
+        names = ["Theta", "ghost dofs", "ghost jumps"] if k == 1 else ["Theta"]
+        for name in names:
+            _, above = kept_and_peak(loops[name][1])
+            assert above <= limit, f"{name}: {above / 2**20:.2f} MiB above what it keeps"
 
     def test_surface_rule_memory_does_not_grow_with_the_mesh(self):
         """At torus k=1 n=64 the degree-2 rule of the errors, its cut included, allocates at most 14 MiB at its peak (5.2 measured), lifted chunk by chunk."""
@@ -473,7 +516,7 @@ class TestGeometryData:
         lam, wq = tet_rule(4)
         q = len(wq)
         rule = VolumeData.build(mapping, 4)
-        monkeypatch.setattr(assembly, "CHUNK_DOUBLES", 6 * rule.cell_doubles - 1)
+        monkeypatch.setattr(mesh_module, "CHUNK_DOUBLES", 6 * rule.cell_doubles - 1)
         assert len(rule.slices()) > 1 and {s.stop - s.start for s in rule.slices()[:-1]} == {5}
         vol = lifted_arrays(rule)
         lift = mapping.lift(np.arange(mesh.nelems), lam)  # gradients from the basis at every element
@@ -495,7 +538,7 @@ class TestGeometryData:
 
     @pytest.mark.parametrize("variant", ["normal_volume", "full_gradient_surface"])
     def test_small_chunks_give_the_default_system_and_errors(self, variant, monkeypatch):
-        """Lifted chunks 64 times smaller, and cut and Pattern chunks of 64 * NB values, give S, c, f and the four errors of the default chunking.
+        """Chunks 64 times smaller (lifted, cut and Pattern) give S, c, f and the four errors of the default chunking.
 
         Each run cuts the interface afresh, at its own chunk size.
         """
@@ -510,8 +553,7 @@ class TestGeometryData:
             return sys, np.array([err.e_dist, err.e_l2, err.e_h1t, err.e_h1n])
 
         ref, ref_err = run()
-        monkeypatch.setattr(mesh_module, "CHUNK_VALUES", 64 * mesh.ref.ndofs)
-        monkeypatch.setattr(assembly, "CHUNK_DOUBLES", assembly.CHUNK_DOUBLES // 64)
+        monkeypatch.setattr(mesh_module, "CHUNK_DOUBLES", mesh_module.CHUNK_DOUBLES // 64)
         small, small_err = run()
         assert abs(small.S - ref.S).max() <= 1e-13 * abs(ref.S).max()
         for name in ("c", "f"):
@@ -546,7 +588,7 @@ class TestGeometryData:
         at 7.65 and 7.54 MiB at torus k=2 and 3 n=12, against a 4 MiB
         budget.
         """
-        limit = 1.125 * assembly.CHUNK_DOUBLES * 8 / 2**20
+        limit = 1.125 * mesh_module.CHUNK_DOUBLES * 8 / 2**20
         rules = {"assembly": ["SurfaceData", "VolumeData"] if "volume" in variant else ["SurfaceData"], "errors": ["SurfaceData"]}
         for name, footprints in chunk_footprint_table(case, n, k, variant).items():
             assert list(footprints) == rules[name]
@@ -586,7 +628,7 @@ class TestGeometryData:
         in facet order.
         """
         _, mesh, dls, mapping = torus_case(8, 1)
-        monkeypatch.setattr(mesh_module, "CHUNK_VALUES", 2 * 4 * 3 * 100)
+        monkeypatch.setattr(mesh_module, "CHUNK_DOUBLES", 4 * 2 * 4 * 3 * 100)
         chunks = _facet_chunks(mesh)
         events = []
 
@@ -622,7 +664,7 @@ class TestGeometryData:
         """A and the full-gradient surface term are one integrand: one accumulate_sym call per chunk."""
         _, mesh, dls, mapping = torus_case(12, 2)
         surf = SurfaceData.build(mapping)
-        monkeypatch.setattr(assembly, "CHUNK_DOUBLES", 50 * surf.cell_doubles)
+        monkeypatch.setattr(mesh_module, "CHUNK_DOUBLES", 50 * surf.cell_doubles)
         chunks = len(surf.slices())
         original, calls = backends.accumulate_sym, []
         monkeypatch.setattr(backends, "accumulate_sym", lambda v, w: calls.append(1) or original(v, w))
@@ -710,7 +752,7 @@ class TestPattern:
         if k == 1:
             blocks["facets"] = _ghost_dofs(mesh)
         for d in blocks.values():
-            assert len(mesh_module.element_chunks(len(d), d.shape[1] ** 2)) > 1
+            assert len(mesh_module.element_chunks(len(d), 4 * d.shape[1] ** 2)) > 1
         self.assert_matches_unique_keys(mesh.ndofs, blocks)
 
     def test_int64_keys_past_two_to_the_31(self, rng, monkeypatch):
@@ -721,8 +763,8 @@ class TestPattern:
             "facets": np.array([rng.choice(n, 5, replace=False) for _ in range(30)]),
         }
         assert n * n >= 2**31
-        monkeypatch.setattr(mesh_module, "CHUNK_VALUES", 7 * 16 + 15)
-        assert len(mesh_module.element_chunks(40, 16)) == 6
+        monkeypatch.setattr(mesh_module, "CHUNK_DOUBLES", 7 * 4 * 16 + 15)
+        assert len(mesh_module.element_chunks(40, 4 * 16)) == 6
         self.assert_matches_unique_keys(n, blocks)
 
     def test_rows_longer_than_256_take_uint16_offsets(self, rng):
@@ -752,3 +794,18 @@ if __name__ == "__main__":
             for rule, (mib, per_point) in footprints.items():
                 label = "compute_errors" if name == "errors" else f"{rule} {variant}"
                 print(f"{k:>2} {nb:>3}  {label:<36}{mib:5.2f}  {per_point:4.0f} = {per_point / nb:4.1f} NB")
+    # The streamed loops outside the lifted rules: each loop's charge per
+    # cell and its fullest chunks' peak per cell, in doubles, and the whole
+    # run's peak above what it keeps.
+    print(f"\n{'level':<16}{'run':<16}{'loop':<22}{'charge':>7}{'cells':>6}{'peak':>9}{'MiB':>6}  MiB above kept")
+    for case, n, k in STREAM_CASES:
+        for name, (module, run) in streamed_loops(case, n, k).items():
+            above = kept_and_peak(run)[1] / 2**20
+            records = stream_peaks(run, module)
+            for caller in dict.fromkeys(r[0] for r in records):
+                mine = [r for r in records if r[0] == caller]
+                most = max(r[1] for r in mine)
+                per_cell = max(peak / 8 / cells for _, cells, _, peak in mine if cells == most)
+                mib = max(r[3] for r in mine) / 2**20
+                level = f"{case} k={k} n={n}"
+                print(f"{level:<16}{name:<16}{caller:<22}{mine[0][2]:>7}{most:>6}{per_cell:>9.1f}{mib:>6.2f}  {above:.2f}")

@@ -194,7 +194,7 @@ GOLDEN = {
         "f": ["5bcf2c56973e3940c52f1bcf9ce5684d37b6bae213c668dfe5d8273cc691e482", 14.628008599551993],
         "file:active_mesh_l0.vtk": ["f91e92d3740d27571fd9e4b8c44661a14aad7a274468e7edf93d44ac8413b1b7", 8602.992618850722],
         "file:constraint_l0.mtx": ["ada9145cd97e1c8ba1ff3483a1f2069a73a2516c320cc0170808f91ec3ace7b1", 18556.66255014624],
-        "file:deformed_mesh_l0.vtk": ["5b6cc04327f94fba6b0b3e2d41bc7cb11466b11417c7af9eaa2c5d5713500c13", 9054.784149829304],
+        "file:deformed_nodes_l0.vtk": ["d2a0367f6e91bff0a0e29c22c6fb5106931212a2df4146d5b5bb67a31f66040e", 30890.505175538972],
         "file:interface_lifted_l0.vtk": ["2520c226c719e2f2b5d0c00fff2a99a7d4c4e323cdc2819e0357c3de8ad55ac0", 44044.75321760811],
         "file:interface_lin_l0.vtk": ["dbbac3a1fa4056bede6ff72ac70011d8810dc1f421e01a937595c1ee4d95e395", 23745.134996457695],
         "file:system_l0.mtx": ["b72f208e2947675e57e76a3125b701a2e2a02101e084de3a28a7e0ade0cc7ebd", 139375.73135592867],

@@ -26,7 +26,7 @@ from tracefem.mesh import ActiveMesh, MeshParams
 from tracefem.metrics import normal_deviation
 from tracefem.reference import interpolate
 
-from helpers import max_displacement, plane_case, points_of_bary, smallest_root_bisection, torus_case, torus_mesh
+from helpers import dof_lattice, max_displacement, plane_case, points_of_bary, smallest_root_bisection, torus_case, torus_mesh
 
 
 class QuadraticLevelSet:
@@ -83,7 +83,7 @@ class TestRootSolve:
     def test_vertex_nodes_do_not_move(self):
         """At mesh vertices the two interpolants agree, so d = 0 exactly."""
         _, mesh, _, mapping = torus_case(16, 2)
-        on_lattice = np.all(mesh.dof_lattice % mesh.k == 0, axis=1)
+        on_lattice = np.all(dof_lattice(mesh) % mesh.k == 0, axis=1)
         assert on_lattice.any()
         disp = np.linalg.norm(mapping.displacement[on_lattice], axis=-1)
         assert disp.max() <= 1e-13 * mesh.h
@@ -110,7 +110,7 @@ class TestStreamedBuild:
         ls, mesh = torus_mesh(16, 3)
         dls = interpolate(ls, mesh)
         NB = mesh.ref.ndofs
-        monkeypatch.setattr(mesh_module, "CHUNK_VALUES", 4 * NB * (64 * NB + NB - 1))  # 4 NB^2 values per element
+        monkeypatch.setattr(mesh_module, "CHUNK_DOUBLES", 16 * NB * (64 * NB + NB - 1))  # 16 NB^2 doubles per element
         disp = build_theta(dls).displacement
         E = mesh.nelems
         x = mesh.dof_points[mesh.elem_dofs].reshape(E * NB, 3)
@@ -235,7 +235,7 @@ class TestMapping:
         pts = np.einsum("qm,fmi->fqi", lam, fs.triangles()).reshape(-1, 3)
         lo, hi = (psi_h(dls, np.repeat(e, len(lam)), pts) for e in fs.elems.T)
         whole = np.linalg.norm(lo - hi, axis=-1).max()
-        assert len(mesh_module.element_chunks(len(fs), 4 * len(lam) * mesh.ref.ndofs)) > 1
+        assert len(mesh_module.element_chunks(len(fs), 16 * len(lam) * mesh.ref.ndofs)) > 1
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]

@@ -18,6 +18,7 @@ from tracefem.mesh import (
 from helpers import (
     brute_force_active,
     dof_index_of,
+    dof_lattice,
     facet_geometry_oracle,
     facet_pairs_unique_rows,
     geometry_oracle,
@@ -257,7 +258,7 @@ class TestDofNumbering:
         nodes, elem_nodes = dof_oracle(mesh)
         assert mesh.ndofs == len(nodes)
         index = {node: i for i, node in enumerate(nodes)}
-        assert np.array_equal(mesh.dof_lattice, np.array(nodes))
+        assert np.array_equal(dof_lattice(mesh), np.array(nodes))
         for e, row in enumerate(elem_nodes):
             got = set(mesh.elem_dofs[e].tolist())
             assert got == {index[n] for n in row}
@@ -267,13 +268,13 @@ class TestDofNumbering:
         _, mesh = torus_mesh(4, 3)
         np.testing.assert_allclose(
             mesh.dof_points,
-            mesh.params.lo + mesh.h * mesh.dof_lattice / mesh.k,
+            mesh.params.lo + mesh.h * dof_lattice(mesh) / mesh.k,
             atol=0,
         )
 
     def test_dof_index_round_trip(self):
         _, mesh = torus_mesh(4, 2)
-        idx = dof_index_of(mesh, mesh.dof_lattice)
+        idx = dof_index_of(mesh, dof_lattice(mesh))
         assert np.array_equal(idx, np.arange(mesh.ndofs))
 
     def test_unknown_lattice_point_raises(self):
@@ -304,8 +305,9 @@ class TestNodePatches:
     def test_vertex_patch_matches_lattice_incidence(self):
         """For k=1 every dof is a grid vertex; its patch is the incident elements."""
         _, mesh = torus_mesh(4, 1)
+        lattice = dof_lattice(mesh)
         for dof in range(0, mesh.ndofs, 7):
-            vert = tuple(mesh.dof_lattice[dof])
+            vert = tuple(lattice[dof])
             incident = {
                 e
                 for e in range(mesh.nelems)

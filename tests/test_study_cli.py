@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 
 from tracefem import assembly, cutquad, study, vtkio
-from tracefem import mesh as mesh_module
 from tracefem.cli import build_parser, main
 from tracefem.levelset import Sphere
-from tracefem.mapping import IsoMapping
+from tracefem.mapping import build_theta
 from tracefem.mesh import ActiveMesh, MeshParams
+from tracefem.reference import interpolate
 from tracefem.study import (
     StageError,
     StudyConfig,
@@ -222,13 +222,14 @@ class TestConvergenceStudy:
 
     def test_vtk_and_matrix_exports_written(self, tmp_path):
         out = str(tmp_path / "exp")
-        cfg = small_config(levels=1, out=out, export_vtk=True, export_matrix=True)
+        cfg = StudyConfig(benchmark="sphere", k=2, levels=1, base_n=8, out=out, export_vtk=True, export_matrix=True)
         run_study(cfg)
         names = set(os.listdir(out))
         assert {
             "active_mesh_l0.vtk",
             "interface_lin_l0.vtk",
             "interface_lifted_l0.vtk",
+            "deformed_nodes_l0.vtk",
             "system_l0.mtx",
             "constraint_l0.mtx",
             "convergence.csv",
@@ -245,24 +246,23 @@ class TestConvergenceStudy:
         vtkio.write_triangles(tmp_path / "oracle.vtk", pts, np.arange(len(pts)).reshape(-1, 3))
         assert (out / "interface_lin_l0.vtk").read_bytes() == (tmp_path / "oracle.vtk").read_bytes()
 
-    def test_vtk_export_streams_the_deformed_corners(self, monkeypatch, tmp_path):
-        """With chunks of 50 elements the export lifts at most 200 corners per call, and writes the default run's bytes."""
-        cfg = dict(benchmark="sphere", k=2, levels=1, base_n=8, export_vtk=True)
-        run_study(StudyConfig(**cfg, out=str(tmp_path / "default")))
-        batches, original = [], IsoMapping.eval
+    def test_vtk_deformed_nodes_are_theta_at_the_dofs(self, tmp_path):
+        """The deformed file is Theta's nodal values, one point per dof, and they move off the dof points.
 
-        def eval_(self, elems, lam):
-            batches.append(len(elems))
-            return original(self, elems, lam)
-
-        monkeypatch.setattr(mesh_module, "CHUNK_VALUES", 4 * 10 * 50 + 7)  # NB = 10 at k = 2
-        monkeypatch.setattr(IsoMapping, "eval", eval_)
-        run_study(StudyConfig(**cfg, out=str(tmp_path / "small")))
-        assert len(batches) > 1 and max(batches) == 200
-        names = sorted(p.name for p in (tmp_path / "default").glob("*.vtk"))
-        assert "deformed_mesh_l0.vtk" in names
-        for name in names:
-            assert (tmp_path / "small" / name).read_bytes() == (tmp_path / "default" / name).read_bytes(), name
+        Theta fixes every mesh vertex, where phi_h and the linear
+        interpolant agree, so Theta at the vertices wrote the undeformed
+        mesh: at torus k=3 n=10 they moved by at most 8.7e-15.
+        """
+        out = tmp_path / "vtk"
+        run_study(StudyConfig(benchmark="sphere", k=2, levels=1, base_n=8, out=str(out), export_vtk=True))
+        mesh = ActiveMesh.build(MeshParams(8), Sphere(), 2)
+        mapping = build_theta(interpolate(Sphere(), mesh))
+        text = (out / "deformed_nodes_l0.vtk").read_text().splitlines()
+        assert text[4] == f"POINTS {mesh.ndofs} double"
+        np.testing.assert_allclose(np.loadtxt(text[5:5 + mesh.ndofs]), mapping.nodes, rtol=1e-15, atol=0.0)
+        assert np.abs(mapping.displacement).max() > 0.01 * mesh.h
+        vtkio.write_point_cloud(tmp_path / "oracle.vtk", mapping.nodes)
+        assert (out / "deformed_nodes_l0.vtk").read_bytes() == (tmp_path / "oracle.vtk").read_bytes()
 
     def test_vtk_text_matches_a_row_by_row_writer(self, tmp_path):
         """The VTK writers give the text of formatting one row at a time, signed zeros, extremes and wide indices included."""
