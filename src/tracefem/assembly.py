@@ -374,22 +374,23 @@ def _surface_pass(surf, problem, out, root_rho):
     return c, f
 
 
-def assemble_s(mapping, stab: StabConfig, out: Pattern):
+def assemble_s(mapping, stab: StabConfig, out: Pattern, columns=None):
     """Add the facet or volume stabilization of stab on mapping's mesh into out.
 
-    For ghost_penalty, out's 'facets' blocks are the patch dofs of
-    _ghost_dofs; each chunk of facets forms its areas and normals
-    (FacetSet.geometry) and its normal-derivative jumps (_ghost_jumps)
-    once, where its local matrices are added, so no array of every
-    facet's geometry or jumps is made.  'none' adds nothing, and neither
-    does full_gradient_surface: its term is part of the surface integrand.
+    For ghost_penalty, out's 'facets' blocks are the patch dofs and
+    columns the patch columns that _ghost_dofs returns; each chunk of
+    facets forms its areas and normals (FacetSet.geometry) and its
+    normal-derivative jumps (_ghost_jumps) once, where its local matrices
+    are added, so no array of every facet's geometry or jumps is made.
+    'none' adds nothing, and neither does full_gradient_surface: its term
+    is part of the surface integrand.
     """
     mesh = mapping.mesh
     rho = stab.resolve_rho(mesh.h, mesh.k)
     if stab.variant == "ghost_penalty":
         for s in _facet_chunks(mesh):
             area, normal = mesh.facets.geometry(s)
-            jump = _ghost_jumps(mesh, s, normal)
+            jump = _ghost_jumps(mesh, s, normal, columns[s])
             out.add("facets", s, rho * area[:, None, None] * jump[:, :, None] * jump[:, None, :])
     elif stab.variant in ("full_gradient_volume", "normal_volume"):
         full = stab.variant == "full_gradient_volume"
@@ -402,42 +403,40 @@ def _facet_chunks(mesh):
     return element_chunks(len(mesh.facets), 4 * 2 * 4 * 3)
 
 
-def _ghost_patches(mesh, s):
-    """The patches of the facets s (a chunk) of the gradient-jump penalty: lower and upper dofs (F', 4) and the patch column of each upper dof.
+def _ghost_jumps(mesh, s, normal, columns):
+    """(F', 5) jumps [grad b . n] across the facets s (a chunk), of unit normals normal (F', 3), on their patches: the lower minus the upper element's value.
 
-    Gradients of P1 elements are constant, so each interior facet F
-    contributes rho * area(F) * [grad b_i . n_F][grad b_j . n_F] on its
-    patch of five dofs: the lower element's four, then the upper element's
-    vertex opposite F.  The columns are an index pair into (F', 5): an
-    upper dof on F takes the column of the same lower dof, the other one
-    column 4.  _ghost_dofs forms the patches' dofs from them and
-    _ghost_jumps their jumps.
+    columns (F', 4) are the patch columns of the upper element's dofs (see _ghost_dofs).
     """
-    lo, hi = (mesh.elem_dofs[e] for e in mesh.facets.elems[s].T)
-    shared = hi[:, :, None] == lo[:, None, :]  # (F', 4, 4)
-    return lo, hi, (np.arange(len(lo))[:, None], np.where(shared.any(axis=2), shared.argmax(axis=2), 4))
-
-
-def _ghost_jumps(mesh, s, normal):
-    """(F', 5) jumps [grad b . n] across the facets s (a chunk), of unit normals normal (F', 3), on their patches: the lower minus the upper element's value."""
-    at = _ghost_patches(mesh, s)[2]
     gn_lo, gn_hi = (np.einsum("fmi,fi->fm", mesh.bary_grad(e), normal) for e in mesh.facets.elems[s].T)
     jump = np.concatenate([gn_lo, np.zeros((len(gn_lo), 1))], axis=1)
-    jump[at] -= gn_hi
+    jump[np.arange(len(jump))[:, None], columns] -= gn_hi
     return jump
 
 
 def _ghost_dofs(mesh):
-    """(F, 5) int32 dofs of every facet patch of the gradient-jump penalty, the 'facets' blocks of its Pattern, filled chunk by chunk."""
+    """The patches of every interior facet of the gradient-jump penalty: their dofs (F, 5) int32, the 'facets' blocks of its Pattern, and the patch columns (F, 4) int8 of the upper element's dofs, filled chunk by chunk.
+
+    Gradients of P1 elements are constant, so each interior facet F
+    contributes rho * area(F) * [grad b_i . n_F][grad b_j . n_F] on its
+    patch of five dofs: the lower element's four, then the upper element's
+    vertex opposite F.  An upper dof on F takes the column of the same
+    lower dof, the other one column 4.  The columns are found once here,
+    where the dofs are, and kept for _ghost_jumps: 4 bytes a facet.
+    """
     if mesh.k != 1:
         raise ValueError("ghost_penalty is unsupported for k > 1 (no higher-order theory)")
     dofs = np.empty((len(mesh.facets), 5), dtype=np.int32)
+    columns = np.empty((len(mesh.facets), 4), dtype=np.int8)
     for s in _facet_chunks(mesh):
-        lo, hi, at = _ghost_patches(mesh, s)
+        lo, hi = (mesh.elem_dofs[e] for e in mesh.facets.elems[s].T)
+        shared = hi[:, :, None] == lo[:, None, :]  # (F', 4, 4)
+        at = columns[s]
+        at[:] = np.where(shared.any(axis=2), shared.argmax(axis=2), 4)
         patch = dofs[s]
         patch[:, :4], patch[:, 4] = lo, lo[:, 0]
-        patch[at] = hi
-    return dofs
+        patch[np.arange(len(lo))[:, None], at] = hi
+    return dofs, columns
 
 
 @dataclass
@@ -459,9 +458,9 @@ def assemble_system(mesh, dls, mapping, problem, stab: StabConfig) -> AssembledS
     """
     if not (dls.mesh is mesh is mapping.mesh):
         raise ValueError("mesh, level set and mapping are not one level")
-    blocks = {"elements": mesh.elem_dofs}
+    blocks, columns = {"elements": mesh.elem_dofs}, None
     if stab.variant == "ghost_penalty":
-        blocks["facets"] = _ghost_dofs(mesh)  # the jumps are formed where assemble_s adds them
+        blocks["facets"], columns = _ghost_dofs(mesh)  # the jumps are formed where assemble_s adds them
     out = Pattern(mesh.ndofs, **blocks)  # keeps the facet patches' dofs for its slots
     # the surface rule is built after the pattern, so a mesh's first rule and
     # its cut are not alive at the pattern's peak; a later assembly of the
@@ -469,6 +468,6 @@ def assemble_system(mesh, dls, mapping, problem, stab: StabConfig) -> AssembledS
     surf = SurfaceData.build(mapping)
     root_rho = math.sqrt(stab.resolve_rho(mesh.h, mesh.k)) if stab.variant == "full_gradient_surface" else 0.0
     c, f = _surface_pass(surf, problem, out, root_rho)
-    assemble_s(mapping, stab, out)
+    assemble_s(mapping, stab, out, columns)
     f -= f.sum() / c.sum() * c  # pairwise sums: independent of the BLAS thread count
     return AssembledSystem(S=out.matrix, c=c, f=f)

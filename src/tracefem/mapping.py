@@ -147,12 +147,6 @@ class IsoMapping:
         y = None if vals is None else np.einsum("eqb,ebi->eqi", vals, Tc)
         return y, Tc.transpose(0, 2, 1)[:, None] @ gref
 
-    def eval(self, elems, lam):
-        """Deformed points and Jacobians at barycentric points lam (P, 4) of elements (P,)."""
-        elems = np.asarray(elems, dtype=np.int64)
-        y, J = self._map(elems, *self._basis(elems, np.asarray(lam)[:, None]))
-        return y[:, 0], J[:, 0]
-
     def lift(self, elems, lam=None, gref=None) -> Lift:
         """Push points of elements (E,) through Theta; every returned array is (E, q, ...).
 

@@ -4,7 +4,13 @@ The stiffness-plus-stabilization operator S is symmetric positive
 semidefinite with the constants in its kernel; the load is constructed
 orthogonal to them.  Adding gamma * c c' (applied matrix-free) makes the
 operator definite without touching the solution, which automatically
-satisfies the mean-value constraint c.u = 0.
+satisfies the mean-value constraint c.u = 0.  Any gamma > 0 does that;
+only its scale matters for the conditioning.  gamma = mean(diag S) / |c|^2
+puts the augmented direction's eigenvalue near S's mean diagonal, inside
+the Jacobi-scaled bulk of the spectrum, and adds a small fraction to the
+diagonal the preconditioner divides by (see augment_gamma).  The
+iterate meets the constraint only to about the tolerance over gamma, so
+solve_constrained shifts it by the constant that puts it on c.u = 0.
 """
 
 from __future__ import annotations
@@ -46,11 +52,20 @@ def _dot(a: np.ndarray, b: np.ndarray, out=None) -> float:
 
 
 def augment_gamma(S, c: np.ndarray) -> float:
-    """Scale for the rank-one augmentation: trace(S) / |c|^2."""
+    """Scale for the rank-one augmentation: the mean diagonal of S over |c|^2, trace(S) / (n |c|^2).
+
+    gamma c c' then has the eigenvalue mean(diag S) along c, which for
+    the Jacobi-scaled operator lies inside the bulk of the spectrum;
+    trace(S) / |c|^2 put it n times higher.  gamma c_i^2 also stays a
+    small fraction of S_ii, the diagonal the preconditioner divides by: a
+    median 7e-6 to 5e-4 on the torus at k = 1 to 3, n = 16 to 32
+    (normal_volume), against 0.17 to 0.59 with trace(S) / |c|^2.  The
+    torus at k=3 n=10 takes 312 PCG iterations against 504.
+    """
     cc = _dot(c, c)
     if cc == 0.0:
         raise ValueError("constraint vector is zero")
-    return float(S.diagonal().sum()) / cc
+    return float(S.diagonal().sum()) / (len(c) * cc)
 
 
 def default_maxiter(n: int) -> int:
@@ -133,6 +148,10 @@ def solve_constrained(S, c, f, tol=1e-9, maxiter=None, gamma=None, raise_on_fail
         return np.sqrt(_dot(r, r)) <= slack if nf > 0.0 else True
 
     u, its, ok, relres = pcg(apply_A, f, diag, tol=tol, maxiter=maxiter, true_check=true_check)
+    # S 1 = 0 and 1'f = 0 give 1'r = -gamma (1'c) (c.u) for the residual r
+    # at exit, so the stop leaves c.u at about |r| / (gamma 1'c), larger
+    # the smaller gamma is; the constant that moves u onto c.u = 0 leaves S u as it is
+    u -= _dot(c, u, tmp) / float(c.sum())
     res = S @ u - f
     res_true = np.sqrt(_dot(res, res)) / nf if nf > 0.0 else 0.0
     report = SolveReport(

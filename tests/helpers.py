@@ -328,13 +328,13 @@ def stabilization_matrix(mapping, stab):
     from tracefem.assembly import Pattern, _ghost_dofs, assemble_s
 
     mesh = mapping.mesh
-    blocks = {}
+    blocks, columns = {}, None
     if stab.variant == "ghost_penalty":
-        blocks["facets"] = _ghost_dofs(mesh)
+        blocks["facets"], columns = _ghost_dofs(mesh)
     elif stab.variant in ("full_gradient_volume", "normal_volume"):
         blocks["elements"] = mesh.elem_dofs
     out = Pattern(mesh.ndofs, **blocks)
-    assemble_s(mapping, stab, out)
+    assemble_s(mapping, stab, out, columns)
     return out.matrix
 
 
@@ -507,8 +507,8 @@ def pcg_textbook(apply_A, b, diag, tol=1e-9, maxiter=None, true_check=None):
 
 
 def solve_constrained_textbook(S, c, f, tol=1e-9, maxiter=None):
-    """solver.solve_constrained's u, iteration count and convergence flag, through pcg_textbook and a fresh-vector operator."""
-    gamma = float(S.diagonal().sum()) / float((c * c).sum())
+    """solver.solve_constrained's u, iteration count and convergence flag, through pcg_textbook and a fresh-vector operator, u then shifted by the constant that puts it on c.u = 0."""
+    gamma = float(S.diagonal().sum()) / (len(c) * float((c * c).sum()))
     nf = np.sqrt(float((f * f).sum()))
 
     def apply_A(v):
@@ -518,7 +518,7 @@ def solve_constrained_textbook(S, c, f, tol=1e-9, maxiter=None):
         return np.sqrt(float((r * r).sum())) <= 1.05 * tol * nf if nf > 0.0 else True
 
     u, its, ok, _ = pcg_textbook(apply_A, f, S.diagonal() + gamma * c * c, tol, maxiter, true_check)
-    return u, its, ok
+    return u - float((c * u).sum()) / float(c.sum()), its, ok
 
 
 def cut_corners_oracle(vertex_phi, verts_phys):
@@ -639,6 +639,16 @@ def mesh_from_vertex_values(params: MeshParams, vertex_values, k: int) -> Active
 def points_of_bary(mesh: ActiveMesh, elems, lam) -> np.ndarray:
     """Physical points of barycentric coordinates lam in the given elements."""
     return np.einsum("pm,pmi->pi", lam, mesh.verts_phys(elems))
+
+
+def mapping_eval(mapping, elems, lam):
+    """Deformed points (P, 3) and Jacobians DTheta (P, 3, 3) of mapping at barycentric points lam (P, 4) of elements (P,), from Theta's nodal values."""
+    mesh = mapping.mesh
+    elems = np.asarray(elems, dtype=np.int64)
+    vals, dlam = mesh.ref.eval(np.asarray(lam, dtype=np.float64))
+    gref = np.einsum("pbm,pmi->pbi", dlam, mesh.bary_grad(elems))
+    nodes = mapping.nodes[mesh.elem_dofs[elems]]  # (P, NB, 3)
+    return np.einsum("pb,pbi->pi", vals, nodes), np.einsum("pbi,pbj->pij", nodes, gref)
 
 
 def dof_lattice(mesh: ActiveMesh) -> np.ndarray:

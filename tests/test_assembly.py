@@ -104,9 +104,10 @@ def streamed_loops(case, n, k):
         "Theta": (mapping_module, lambda: build_theta(dls)),
     }
     if k == 1:
-        out = Pattern(mesh.ndofs, elements=mesh.elem_dofs, facets=_ghost_dofs(mesh))
+        facets, columns = _ghost_dofs(mesh)
+        out = Pattern(mesh.ndofs, elements=mesh.elem_dofs, facets=facets)
         loops["ghost dofs"] = (assembly, lambda: _ghost_dofs(mesh))
-        loops["ghost jumps"] = (assembly, lambda: assemble_s(mapping, StabConfig("ghost_penalty"), out))
+        loops["ghost jumps"] = (assembly, lambda: assemble_s(mapping, StabConfig("ghost_penalty"), out, columns))
     else:
         loops["facet_jump_psi"] = (mapping_module, lambda: facet_jump_psi(dls))
     return loops
@@ -621,11 +622,11 @@ class TestGeometryData:
         assert peak <= limit_mib * 2**20, f"{peak / 2**20:.1f} MiB"
 
     def test_ghost_patches_are_built_once_per_assembly(self, monkeypatch):
-        """The patch dofs of every facet are filled once, for the pattern, with no geometry or jump; each facet chunk's geometry and jumps are formed once, where they are added.
+        """The patch dofs and columns of every facet are filled once, for the pattern, with no geometry or jump; each facet chunk's geometry and jumps are formed once, where they are added.
 
         The dof pass finds every chunk's patch columns and forms its dofs;
-        the jump pass forms every chunk's areas and normals and its jumps,
-        in facet order.
+        the jump pass forms every chunk's areas and normals and its jumps
+        from the columns the dof pass kept, in facet order.
         """
         _, mesh, dls, mapping = torus_case(8, 1)
         monkeypatch.setattr(mesh_module, "CHUNK_DOUBLES", 4 * 2 * 4 * 3 * 100)
@@ -639,13 +640,12 @@ class TestGeometryData:
             return call
 
         monkeypatch.setattr(FacetSet, "geometry", counted("geometry", FacetSet.geometry))
-        for name in ("dofs", "patches", "jumps"):
+        for name in ("dofs", "jumps"):
             monkeypatch.setattr(assembly, "_ghost_" + name, counted(name, getattr(assembly, "_ghost_" + name)))
         assemble_system(mesh, dls, mapping, torus_benchmark(), StabConfig("ghost_penalty"))
         assert len(chunks) > 1
-        dof_pass = [("dofs", None)] + [("patches", s) for s in chunks]
-        jump_pass = [e for s in chunks for e in (("geometry", s), ("jumps", s), ("patches", s))]
-        assert events == dof_pass + jump_pass
+        jump_pass = [e for s in chunks for e in (("geometry", s), ("jumps", s))]
+        assert events == [("dofs", None)] + jump_pass
 
     def test_surface_stabilization_shares_the_surface_lift(self, monkeypatch):
         """full_gradient_surface lifts each surface point once."""
@@ -750,7 +750,7 @@ class TestPattern:
         _, mesh, _, _ = torus_case(n, k)
         blocks = {"elements": mesh.elem_dofs}
         if k == 1:
-            blocks["facets"] = _ghost_dofs(mesh)
+            blocks["facets"] = _ghost_dofs(mesh)[0]
         for d in blocks.values():
             assert len(mesh_module.element_chunks(len(d), 4 * d.shape[1] ** 2)) > 1
         self.assert_matches_unique_keys(mesh.ndofs, blocks)

@@ -117,12 +117,12 @@ GOLDEN = {
         "S.indptr": ["ddefe0614232d547490437c054f376394adc49c7784d9b21134b09c1e35d39a0", 177833.9035757805],
         "c": ["fda3109050db8a9359d09598f48ca7611d3aa947ba414f341eb60be9277c92f6", 1.021556210431239],
         "csv_rows": [
-            "0,8,5.00000e-01,570,5.74492e-03,,1.00616e-02,,1.16748e-01,,6.55244e-02,,232",
+            "0,8,5.00000e-01,570,5.74492e-03,,1.00616e-02,,1.16748e-01,,6.55244e-02,,171",
         ],
         "f": ["6cc811148f82fe10d14e648aca004d6663c4f94bace1e1a4310989a6e4f1dabc", 0.9921820473576519],
-        "iterations": [232],
+        "iterations": [171],
         "theta": ["35ba69fa06b4131577e93adb52403d83f651036e2782f00a736764e7cdad2398", 0.9603003373001365],
-        "u": ["91520e790ef27c1931f9fe78211a7138ecc01f027b4b2a5ae83bd45af43d29c2", 874957124970.6545],
+        "u": ["dda38c797a4c758630d7500d1b231d7e10996ea9dc6f9906ee11777ca00143bd", 874953152303.2701],
     },
     "sphere-k4-fgv": {
         "S.data": ["43bd89c2829bb79f630fb9d264c7088d75d08c85cb59856678cbdf27e5e05dbd", 258.69951093829343],
@@ -130,12 +130,12 @@ GOLDEN = {
         "S.indptr": ["cae639a3ddc3c67dfe1104eefe3ea3b55af7534169b613ff0177a32e0c0336f2", 8489881.978751237],
         "c": ["cde797116cf5c13cb12b2346e9b6dd5528fc7c12bc6b08478c0f6358b861cee1", 0.6043389569676176],
         "csv_rows": [
-            "0,8,5.00000e-01,3730,6.24998e-04,,6.03804e-02,,2.08468e-01,,1.71316e-01,,283",
+            "0,8,5.00000e-01,3730,6.24998e-04,,6.03804e-02,,2.08468e-01,,1.71316e-01,,208",
         ],
         "f": ["e803ea4f760969157f07805483883a02f482e72eed0e6effc80ef60956a177d6", 0.6867103872593432],
-        "iterations": [283],
+        "iterations": [208],
         "theta": ["0d9257c24ee82415ce2d7cf2faca9fcb7c2093721d3046df497ec642db15ff65", 2.7431411013690905],
-        "u": ["1e041a9af0bc92b6cdee3ca28a6b75e732e606f8501c9e166b18e5e6eeff48ca", 4.583615546606812],
+        "u": ["a619ef18578da668d4ff466be9e928e6f287cad647b0f107df94b8c877bf87d0", 4.583615546681636],
     },
     "sphere-k5-none": {
         "S.data": ["843004b1a1f4ecec74dc0500b0ccc427f38b8c5e6f4e1578795d8a8cdb1be70c", 422.49692427740723],
@@ -143,12 +143,12 @@ GOLDEN = {
         "S.indptr": ["15a12f8373c3806365c56cf0a288094f464b64c748550a00a82e0e4ede62d995", 32426889.431869503],
         "c": ["9d25ee34a9560b0562570fb4e21f16709a1dd0d4d27cf81f7d24ec850a8f492e", 0.5357210898400787],
         "csv_rows": [
-            "0,8,5.00000e-01,6972,1.59613e-04,,3.95239e-05,,9.17770e-04,,3.49176e+00,,521",
+            "0,8,5.00000e-01,6972,1.59613e-04,,3.95239e-05,,9.17770e-04,,3.24596e+00,,405",
         ],
         "f": ["46908442b9b3efbc1ccced609cc081a8adbef0f58d9bebee3508ac9832f38706", 0.601300246811228],
-        "iterations": [521],
+        "iterations": [405],
         "theta": ["8b6c5ce4522a41c3ce23462229a18ec9b9bf7a07510dce3fbeb87a5ecdc3a019", 3.8023374256046063],
-        "u": ["6e981dc2ea2e07c2771b942e918586fd48e5f33837898c760397978e90cbc52d", 1.714730039445988e+29],
+        "u": ["ecdac01b780527ea4a846b3a726ad5f5f317833eba7164a40307e8ec4fa621c9", 4.079346073454647e+27],
     },
     "sweep-k2": {
         "S.data": ["26c13281c35f2b76908e200ddf4aa2577de4403c663e91bf6149a2487884b78a", 258.3137116469975],
@@ -157,18 +157,18 @@ GOLDEN = {
         "c": ["63d497e8c636c6fcbd6d81963cfa80aa2e05c52f086579ef6a17fa838fb6bc41", 3.131009045972409],
         "csv_rows": [
             "5.00000e-01,none,5.53253e+00,-6.78112e-17,inf,-1",
-            "5.00000e-01,normal_volume,6.56727e+00,1.04580e-02,6.27965e+02,178",
+            "5.00000e-01,normal_volume,6.56727e+00,1.04580e-02,6.27965e+02,126",
             "5.00000e-01,full_gradient_surface,6.82179e+00,-1.15392e-16,inf,-1",
-            "5.00000e-01,full_gradient_volume,6.57676e+00,1.24982e-02,5.26215e+02,163",
+            "5.00000e-01,full_gradient_volume,6.57676e+00,1.24982e-02,5.26215e+02,113",
             "1.00000e-03,none,1.03449e+01,5.73141e-14,inf,-1",
-            "1.00000e-03,normal_volume,1.08283e+01,9.82602e-03,1.10200e+03,213",
+            "1.00000e-03,normal_volume,1.08283e+01,9.82602e-03,1.10200e+03,130",
             "1.00000e-03,full_gradient_surface,1.16639e+01,1.57315e-12,inf,-1",
-            "1.00000e-03,full_gradient_volume,1.11111e+01,1.14914e-02,9.66908e+02,161",
+            "1.00000e-03,full_gradient_volume,1.11111e+01,1.14914e-02,9.66908e+02,102",
         ],
         "f": ["97a5b63d8b97627ab3c311977d6f507fdf3f7fe4602cba9e11577e4f37b5c41f", 0.0],
-        "iterations": [178, 163, 213, 161],
+        "iterations": [126, 113, 130, 102],
         "theta": ["94098715a300230d6874696beed8cc23b5f419ea50f62e237b1fc2adfbf31010", 0.0],
-        "u": ["435f0785d0822bb851adcff674115e813c43998de1a05092d4c890df9eb81348", 346.0820687767041],
+        "u": ["2862c6876a0328bd593f9b37b2abe4627f1aefec445c01f05b86d5a12cca7bbb", 346.0820687887522],
     },
     "torus-k1-ghost": {
         "S.data": ["d8e5cf6fa940088d2fa261403eded3ce1ca76acf86b7dc0ae5b73919008485fb", 651.2233753871614],
@@ -176,12 +176,12 @@ GOLDEN = {
         "S.indptr": ["e0aaf71440f05c26edf328235654c0f77de31929cf6307d87527d1b9791d71cd", 96804.41916565587],
         "c": ["43525a6b5e2ea21deb77a85c855d6e8e58a302b0651c4b79cdcac89a5bce364d", 1.3365638991142],
         "csv_rows": [
-            "0,12,3.33333e-01,459,6.08990e-02,,2.02384e+00,,1.27684e+01,,1.46162e+00,,327",
+            "0,12,3.33333e-01,459,6.08990e-02,,2.02384e+00,,1.27684e+01,,1.46162e+00,,248",
         ],
         "f": ["4d4ca65466b6b2e32fff87a899ae226598284b9c6e96611e72c9d48abe11e3fd", 16.134750919324706],
-        "iterations": [327],
+        "iterations": [248],
         "theta": ["da1582d2116a5e538134b44b6b54e3a13ab3e471785d289b786f9884901c2f56", 0.0],
-        "u": ["57eca18d712552122dfb9fbed748ef44f973300a48849f1040657e9bb2320139", 3.4178167299115114],
+        "u": ["d050cbe671d8edcfd7f48b1a55b21348a4b98349ad45e49396215d8653ed5e51", 3.417816729810695],
     },
     "torus-k3-nv-export": {
         "S.data": ["fb1823c267f3f7060326e4dc615bfcaf54bfbef6d0a947b6817c8fb5241b65c3", 269.92732659755416],
@@ -189,7 +189,7 @@ GOLDEN = {
         "S.indptr": ["77a18ec5de65588dd557379e8cddb10d45ad25789260a7d5d34cdea3bf21619a", 10818487.117291447],
         "c": ["65e3289435525ce9f5caa50e26716e9110572ade9ff7dfdefdfc3b816421749e", 0.778922757993015],
         "csv_rows": [
-            "0,10,4.00000e-01,5961,2.29769e-02,,1.01946e-01,,1.54656e+00,,1.53097e+00,,504",
+            "0,10,4.00000e-01,5961,2.29769e-02,,1.01946e-01,,1.54656e+00,,1.53097e+00,,312",
         ],
         "f": ["5bcf2c56973e3940c52f1bcf9ce5684d37b6bae213c668dfe5d8273cc691e482", 14.628008599551993],
         "file:active_mesh_l0.vtk": ["f91e92d3740d27571fd9e4b8c44661a14aad7a274468e7edf93d44ac8413b1b7", 8602.992618850722],
@@ -198,9 +198,9 @@ GOLDEN = {
         "file:interface_lifted_l0.vtk": ["2520c226c719e2f2b5d0c00fff2a99a7d4c4e323cdc2819e0357c3de8ad55ac0", 44044.75321760811],
         "file:interface_lin_l0.vtk": ["dbbac3a1fa4056bede6ff72ac70011d8810dc1f421e01a937595c1ee4d95e395", 23745.134996457695],
         "file:system_l0.mtx": ["b72f208e2947675e57e76a3125b701a2e2a02101e084de3a28a7e0ade0cc7ebd", 139375.73135592867],
-        "iterations": [504],
+        "iterations": [312],
         "theta": ["579400a0b5c4f61777f05a63357ca66f3d898463713dda225004a836e40bb8f4", 2.17913385870973],
-        "u": ["d68043c680422dbdb13870a0e8b3ae0f8083ce03299e313f021ea984ecb730c6", 38.052845684861474],
+        "u": ["079471dfafb83d55fbdb9ddb1fb63909ccd0b7d7ab61589d3d9e412c57942f69", 38.052845684802755],
     },
 }
 

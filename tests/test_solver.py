@@ -28,10 +28,10 @@ def torus_system(n=8, k=1, stab="normal_volume"):
 
 
 class TestAugmentation:
-    def test_gamma_is_trace_over_constraint_norm(self):
+    def test_gamma_is_mean_diagonal_over_constraint_norm(self):
         S = sp.diags([1.0, 2.0, 3.0]).tocsr()
         c = np.array([0.0, 2.0, 0.0])
-        assert augment_gamma(S, c) == pytest.approx(6.0 / 4.0)
+        assert augment_gamma(S, c) == pytest.approx(6.0 / (4.0 * 3.0))
 
     def test_gamma_is_scale_homogeneous(self):
         """Scaling S and c together leaves the augmented system consistent."""
@@ -50,6 +50,42 @@ class TestAugmentation:
         gamma = augment_gamma(sys.S, sys.c)
         dense = sys.S.toarray() + gamma * np.outer(sys.c, sys.c)
         np.linalg.cholesky(dense + 1e-14 * np.eye(len(sys.c)) * dense.diagonal().max())
+
+
+class TestAugmentationScale:
+    """The mean-diagonal scale against trace(S) / |c|^2 on the torus, k=2 n=16, normal_volume."""
+
+    @pytest.fixture(scope="class")
+    def system(self):
+        return torus_system(16, 2)
+
+    def test_takes_fewer_iterations_than_the_trace_scale(self, system):
+        """Measured 236 against 379 iterations."""
+        S, c, f = system.S, system.c, system.f
+        mean = solve_constrained(S, c, f)
+        trace = solve_constrained(S, c, f, gamma=float(S.diagonal().sum()) / float(c @ c))
+        assert mean.converged and trace.converged
+        assert 1.4 * mean.iterations <= trace.iterations, (mean.iterations, trace.iterations)
+
+    def test_solution_and_residual_hold_at_the_tolerance(self, system):
+        S, c, f = system.S, system.c, system.f
+        tol = 1e-9
+        rep = solve_constrained(S, c, f, tol=tol)
+        tight = solve_constrained(S, c, f, tol=1e-13)
+        assert rep.relres_true <= tol
+        assert np.linalg.norm(rep.u - tight.u) <= 5e-9 * np.linalg.norm(tight.u)
+
+    def test_solution_lies_on_the_constraint_to_round_off(self, system):
+        """The PCG iterate leaves |c.u| at 4.7e-13 of |c| |u| here; the constant shift takes it to 5e-18."""
+        S, c, f = system.S, system.c, system.f
+        rep = solve_constrained(S, c, f)
+        assert abs(c @ rep.u) <= 1e-14 * np.linalg.norm(c) * np.linalg.norm(rep.u)
+
+    def test_augmentation_is_a_small_part_of_the_diagonal(self, system):
+        """The median of gamma c_i^2 / S_ii is 6.1e-5 here; trace(S) / |c|^2 made it 0.32."""
+        S, c = system.S, system.c
+        share = augment_gamma(S, c) * c * c / S.diagonal()
+        assert np.median(share) <= 1e-3
 
 
 class TestPcg:
