@@ -3,9 +3,9 @@
 from . import backends
 from .assembly import AssembledSystem, StabConfig, assemble_s, assemble_system
 from .levelset import Plane, Sphere, SphereBenchmark, Torus, TorusBenchmark, ZeroBenchmark, make_benchmark, shifted_plane
-from .mapping import IsoMapping, build_theta, facet_jump_psi, project_average, psi_h
+from .mapping import IsoMapping, build_theta
 from .mesh import ActiveMesh, MeshParams
-from .metrics import ErrorReport, compute_errors, eoc, estimate_condition, normal_deviation
+from .metrics import ErrorReport, compute_errors, eoc, estimate_condition
 from .reference import DiscreteLevelSet, ReferenceElement, interpolate
 from .solver import SolveReport, SolverDivergenceError, augment_gamma, pcg, solve_constrained
 
@@ -34,13 +34,9 @@ __all__ = [
     "compute_errors",
     "eoc",
     "estimate_condition",
-    "facet_jump_psi",
     "interpolate",
     "make_benchmark",
-    "normal_deviation",
     "pcg",
-    "project_average",
-    "psi_h",
     "shifted_plane",
     "solve_constrained",
     "SolverDivergenceError",

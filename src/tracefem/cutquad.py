@@ -5,18 +5,18 @@ The piecewise-linear interface inside a cut tetrahedron is a triangle
 extracted marching-tetrahedra style from the vertex values of the
 linear interpolant.  Quadrature on triangles and tetrahedra uses
 conical-product Gauss-Jacobi rules: a single positive-weight
-construction, exact here to degree MAX_SURFACE_DEGREE and
-MAX_VOLUME_DEGREE.  Its 1-D rules are tabulated, bit for bit, from
-scipy.special's Gauss-Legendre and Gauss-Jacobi roots, so building a
-rule imports nothing beyond numpy.
+construction, exact here to degree MAX_RULE_DEGREE.  Its 1-D rules are
+tabulated, bit for bit, from scipy.special's Gauss-Legendre and
+Gauss-Jacobi roots, so building a rule imports nothing beyond numpy.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-MAX_SURFACE_DEGREE = 10
-MAX_VOLUME_DEGREE = 10
+MAX_RULE_DEGREE = 10
 
 _RULE_CACHE: dict = {}
 
@@ -105,41 +105,40 @@ def _points_needed(degree):
     return max(1, (int(degree) + 2) // 2)
 
 
-def triangle_rule(degree: int):
-    """Barycentric points and weights (summing to 1) exact to total degree."""
-    if degree < 0 or degree > MAX_SURFACE_DEGREE:
-        raise ValueError(f"unsupported degree {degree} for triangle rules")
-    key = ("tri", degree)
+def _conical_rule(dim: int, degree: int):
+    """Barycentric points (q, dim + 1) and weights (summing to 1) on the dim-simplex, exact to total degree.
+
+    The Duffy map of the tensor product of the 1-D rules for the weights
+    (1 - x)^a, a = 0..dim - 1: coordinate i is x_i (1 - x_i+1) ... (1 - x_dim-1).
+    """
+    if degree < 0 or degree > MAX_RULE_DEGREE:
+        raise ValueError(f"unsupported degree {degree} for {dim}-simplex rules")
+    key = (dim, degree)
     if key not in _RULE_CACHE:
         n = _points_needed(degree)
-        xi, wx = map(np.array, _GAUSS_JACOBI01[0, n])
-        eta, we = map(np.array, _GAUSS_JACOBI01[1, n])
-        X = np.outer(xi, 1.0 - eta).ravel()
-        Y = np.tile(eta, n)
-        W = np.outer(wx, we).ravel()
-        lam = np.stack([1.0 - X - Y, X, Y], axis=-1)
-        _RULE_CACHE[key] = (lam, W / 0.5)
+        nodes, weights = zip(*(map(np.array, _GAUSS_JACOBI01[a, n]) for a in range(dim)))
+        grid = np.meshgrid(*nodes, indexing="ij")
+        lam, W = [1.0], 1.0
+        for i in range(dim):
+            c = grid[i]
+            for g in grid[i + 1:]:
+                c = c * (1.0 - g)
+            lam.append(c.ravel())
+            lam[0] = lam[0] - lam[-1]
+        for w in np.meshgrid(*weights, indexing="ij"):
+            W = W * w
+        _RULE_CACHE[key] = (np.stack(lam, axis=-1), W.ravel() / (1.0 / math.factorial(dim)))
     return _RULE_CACHE[key]
+
+
+def triangle_rule(degree: int):
+    """Barycentric points (q, 3) and weights (summing to 1) exact to total degree."""
+    return _conical_rule(2, degree)
 
 
 def tet_rule(degree: int):
-    """Barycentric points and weights (summing to 1) exact to total degree."""
-    if degree < 0 or degree > MAX_VOLUME_DEGREE:
-        raise ValueError(f"unsupported degree {degree} for tetrahedron rules")
-    key = ("tet", degree)
-    if key not in _RULE_CACHE:
-        n = _points_needed(degree)
-        xi, wx = map(np.array, _GAUSS_JACOBI01[0, n])
-        eta, we = map(np.array, _GAUSS_JACOBI01[1, n])
-        zeta, wz = map(np.array, _GAUSS_JACOBI01[2, n])
-        XI, ETA, ZETA = np.meshgrid(xi, eta, zeta, indexing="ij")
-        X = (XI * (1.0 - ETA) * (1.0 - ZETA)).ravel()
-        Y = (ETA * (1.0 - ZETA)).ravel()
-        Z = ZETA.ravel()
-        W = (wx[:, None, None] * we[None, :, None] * wz[None, None, :]).ravel()
-        lam = np.stack([1.0 - X - Y - Z, X, Y, Z], axis=-1)
-        _RULE_CACHE[key] = (lam, W / (1.0 / 6.0))
-    return _RULE_CACHE[key]
+    """Barycentric points (q, 4) and weights (summing to 1) exact to total degree."""
+    return _conical_rule(3, degree)
 
 
 def extract_cuts(vertex_phi: np.ndarray, verts_phys: np.ndarray):

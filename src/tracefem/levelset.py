@@ -23,8 +23,8 @@ class Torus:
     """Signed distance to a torus of major radius R, minor radius r.
 
     phi(x) = sqrt(x3^2 + (sqrt(x1^2 + x2^2) - R)^2) - r.  The gradient
-    and closest point are singular on the x3-axis and on the core circle
-    of the tube; both sit far from the zero set for r < R.
+    is singular on the x3-axis and on the core circle of the tube; both
+    sit far from the zero set for r < R.
     """
 
     def __init__(self, R: float = 1.0, r: float = 0.6):
@@ -49,15 +49,6 @@ class Torus:
         s = (rho - self.R) / (q * rho)
         return np.stack([s * x[:, 0], s * x[:, 1], x[:, 2] / q], axis=-1)
 
-    def closest_point(self, x):
-        rho, q = self._rho_q(x)
-        if np.any(rho <= 1e-12) or np.any(q <= 1e-12):
-            raise SingularPointError("closest point undefined on the torus axis or core circle")
-        cx = self.R * x[:, 0] / rho
-        cy = self.R * x[:, 1] / rho
-        t = self.r / q
-        return np.stack([cx + t * (x[:, 0] - cx), cy + t * (x[:, 1] - cy), t * x[:, 2]], axis=-1)
-
 
 class Sphere:
     """Signed distance to the origin-centered sphere of given radius."""
@@ -76,12 +67,6 @@ class Sphere:
             raise SingularPointError("gradient undefined at the sphere center")
         return x / n[:, None]
 
-    def closest_point(self, x):
-        n = np.linalg.norm(x, axis=-1)
-        if np.any(n <= 1e-12):
-            raise SingularPointError("closest point undefined at the sphere center")
-        return self.radius * x / n[:, None]
-
 
 class Plane:
     """Signed distance to the plane normal.x = offset, with unit normal."""
@@ -99,10 +84,6 @@ class Plane:
 
     def grad_phi(self, x):
         return np.broadcast_to(self.normal, x.shape).copy()
-
-    def closest_point(self, x):
-        d = x @ self.normal - self.offset
-        return x - d[:, None] * self.normal
 
 
 class TorusBenchmark:

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import backends
-from .cutquad import adjugate_and_det, triangle_rule
+from .cutquad import adjugate_and_det
 from .mesh import ActiveMesh, element_chunks
 from .reference import DiscreteLevelSet, physical_gradients
 
@@ -68,30 +68,6 @@ def _search(mesh: ActiveMesh, elems, coeffs, lam_x, G):
         bad = int(elems[np.argmin(ok)])
         raise MappingError(f"mapping construction failed (mesh too coarse): element {bad}")
     return d
-
-
-def _solve_points(dls: DiscreteLevelSet, elems, x):
-    """Deformation distances (P,) and search directions (P, 3) at physical points x (P, 3) of the elements elems (P,), one per point."""
-    mesh = dls.mesh
-    elems = np.asarray(elems, dtype=np.int64)
-    lam_x = mesh.bary_of_points(elems, np.asarray(x, dtype=np.float64))
-    _, G = dls.eval(elems, lam_x, grad=True)
-    return _search(mesh, elems, dls.values[mesh.elem_dofs[elems]], lam_x, G), G
-
-
-def psi_h(dls: DiscreteLevelSet, elems, x):
-    """Per-element deformation images of physical points (batch form; build_theta's oracle)."""
-    d, G = _solve_points(dls, elems, x)
-    return np.asarray(x, dtype=np.float64) + d[:, None] * G
-
-
-def project_average(mesh: ActiveMesh, values: np.ndarray) -> np.ndarray:
-    """Unweighted nodal patch average of per-element nodal vectors (E, NB, 3)."""
-    values = np.asarray(values, dtype=np.float64)
-    m = values.shape[-1]
-    sums = np.zeros((mesh.ndofs, m))
-    np.add.at(sums.reshape(-1), _flat_rows(mesh.elem_dofs, m), values.ravel())
-    return sums / mesh.patch_counts()[:, None]
 
 
 def _flat_rows(rows, m):
@@ -201,22 +177,3 @@ def build_theta(dls: DiscreteLevelSet) -> IsoMapping:
         np.add.at(sums.reshape(-1), _flat_rows(dofs, 3), (mesh.dof_points[dofs].reshape(-1, 3) + d[:, None] * G).ravel())
     return IsoMapping(mesh, sums / mesh.patch_counts()[:, None] - mesh.dof_points)
 
-
-def facet_jump_psi(dls: DiscreteLevelSet, degree: int = 4) -> float:
-    """Max two-sided mismatch of the element deformations across interior facets.
-
-    The facets are streamed in chunks, as the elements of build_theta are:
-    a chunk's q quadrature points per facet are root-solved from both
-    sides, charged 16 q NB doubles per facet, and the result is the max of
-    the chunks' maxima.
-    """
-    mesh = dls.mesh
-    fs = mesh.facets
-    lam, _ = triangle_rule(degree)
-    q = len(lam)
-    jump = 0.0
-    for s in element_chunks(len(fs), 16 * q * mesh.ref.ndofs):
-        pts = np.einsum("qm,fmi->fqi", lam, fs.triangles(s)).reshape(-1, 3)
-        lo, hi = (psi_h(dls, np.repeat(e, q), pts) for e in fs.elems[s].T)
-        jump = np.maximum(jump, np.linalg.norm(lo - hi, axis=-1).max())  # keeps a nan
-    return float(jump)

@@ -20,20 +20,20 @@ from .reference import ReferenceElement
 
 ZERO_SHIFT = 1e-14  # exact-zero vertex values are moved to +ZERO_SHIFT*h
 
-# One budget for every streamed loop.  Theta's build and facet_jump_psi,
-# the interface cut, Pattern's offset search, both passes of the ghost
-# penalty, every use of a lifted rule and the VTK corners run over chunks
-# of consecutive cells from element_chunks, and nothing a chunk makes
-# outlives it, so their memory does not grow with the mesh.  A chunk holds
-# at most CHUNK_DOUBLES doubles (2 MiB) of what its cells allocate, as its
-# loop charges them: 4 * 24 an element of the cut (two triangles' three
+# One budget for every streamed loop.  Theta's build, the interface cut,
+# Pattern's offset search, both passes of the ghost penalty, every use of
+# a lifted rule and the VTK corners run over chunks of consecutive cells
+# from element_chunks, and nothing a chunk makes outlives it, so their
+# memory does not grow with the mesh.  A chunk holds at most
+# CHUNK_DOUBLES doubles (2 MiB) of what its cells allocate, as its loop
+# charges them: 4 * 24 an element of the cut (two triangles' three
 # corners in four barycentrics) and a facet of the ghost penalty (both
 # elements' (4, 3) gradients), 4 nb^2 a block of Pattern, 16 NB^2 an
-# element of Theta (NB nodes of NB coefficients), 16 q NB a facet of
-# facet_jump_psi, 4 * 12 an element of Theta's linear-cut normals (its
-# (4, 3) gradients) and a triangle of the VTK corners (three corners in
-# four barycentrics), and a lifted rule the doubles a point that
-# its chunks were measured to allocate (see LiftedRule).  Outside the
+# element of Theta (NB nodes of NB coefficients), 4 * 12 an element of
+# Theta's linear-cut normals (its (4, 3) gradients) and a triangle of the
+# VTK corners (three corners in four barycentrics), and a lifted rule the
+# doubles a point that its chunks were measured to allocate (see
+# LiftedRule).  Outside the
 # lifted rules the fullest chunks peak at 0.2-1.07 times their charge,
 # 2.04 MiB at most (PYTHONPATH=src python tests/test_assembly.py prints
 # every loop's table).  Theta keeps 16 NB^2: chunks of NB^2 took torus
@@ -223,16 +223,6 @@ class ActiveMesh:
         """(E', 4, 3) constant gradients of the barycentric coordinates of the given elements, one per Kuhn shape."""
         return (SHAPE_BARY_A / self.params.h)[self.tet[elems]]
 
-    def bary_off(self, elems) -> np.ndarray:
-        """(E', 4) barycentric coordinates of the origin: lam = bary_grad . x + bary_off."""
-        h, tet = self.params.h, self.tet[elems]
-        origin = self.params.lo + h * self.cube[elems]
-        return SHAPE_BARY_B[tet] - np.einsum("emi,ei->em", SHAPE_BARY_A[tet], origin) / h
-
-    def bary_of_points(self, elems, x) -> np.ndarray:
-        """Barycentric coordinates of physical points wrt the given elements."""
-        return np.einsum("pmi,pi->pm", self.bary_grad(elems), x) + self.bary_off(elems)
-
     def patch_counts(self) -> np.ndarray:
         """(ndofs,) the number of active elements around every dof node."""
         return np.bincount(self.elem_dofs.ravel(), minlength=self.ndofs)
@@ -253,10 +243,9 @@ class FacetSet:
     It keeps the two elements of every facet, elems (F, 2) int32, lower
     first, and face (F,) uint8, the lower element's local vertex opposite
     the facet: 9 bytes a facet.  geometry() forms the areas and unit
-    normals of some facets and triangles() their vertices, on demand.  It
-    holds its mesh by a weak reference: the mesh caches its FacetSet, and
-    a strong one back would make a cycle that only the garbage collector
-    frees.
+    normals of some facets on demand.  It holds its mesh by a weak
+    reference: the mesh caches its FacetSet, and a strong one back would
+    make a cycle that only the garbage collector frees.
     """
 
     def __init__(self, mesh: ActiveMesh):
@@ -293,8 +282,3 @@ class FacetSet:
         flip = np.einsum("fi,fi->f", normal, d) < 0.0
         normal[flip] *= -1.0
         return 0.5 * nn, normal
-
-    def triangles(self, facets=slice(None)) -> np.ndarray:
-        """(F', 3, 3) physical vertices of the given facets, in the lower element's local order."""
-        lo = self.elems[facets, 0]
-        return self._mesh().verts_phys(lo)[np.arange(len(lo))[:, None], _FACE_LOCAL[self.face[facets]]]

@@ -80,24 +80,6 @@ def compute_errors(mapping, u, problem, degree=None) -> ErrorReport:
     return ErrorReport(float(e_dist), e_l2, e_h1t, e_h1n, mesh.ndofs, mesh.h)
 
 
-def normal_deviation(mapping, levelset, degree=None) -> float:
-    """Max deviation of the discrete unit normal from the exact surface normal, reduced chunk by chunk.
-
-    Nothing of a chunk is alive when the next one is lifted.
-    """
-
-    def chunk_max(lift):
-        n_exact = levelset.grad_phi(lift.y.reshape(-1, 3))
-        n_exact = n_exact / np.linalg.norm(n_exact, axis=-1, keepdims=True)
-        return np.linalg.norm(lift.nh.reshape(-1, 3) - n_exact, axis=-1).max(initial=0.0)
-
-    dev = 0.0
-    for _, lift, w in SurfaceData.build(mapping, degree if degree is not None else 2 * mapping.mesh.k).chunks():
-        dev = np.maximum(dev, chunk_max(lift))
-        del lift, w  # freed before the next chunk's lift
-    return float(dev)
-
-
 def eoc(errors) -> list:
     """Estimated orders log2(e_{l-1}/e_l) between successive halvings."""
     errors = np.asarray(errors, dtype=np.float64)

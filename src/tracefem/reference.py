@@ -60,20 +60,6 @@ class DiscreteLevelSet:
         self.mesh = mesh
         self.values = values
 
-    @property
-    def k(self) -> int:
-        return self.mesh.k
-
-    def eval(self, elems, lam, grad: bool = False):
-        """Evaluate phi_h (and its physical gradient) on elements at barycentric points."""
-        mesh = self.mesh
-        c = self.values[mesh.elem_dofs[elems]]
-        vals, dlam = mesh.ref.eval(lam)
-        phi = np.einsum("pb,pb->p", vals, c)
-        if not grad:
-            return phi
-        return phi, np.einsum("pbm,pb,pmi->pi", dlam, c, mesh.bary_grad(elems))
-
 
 def interpolate(levelset, mesh) -> DiscreteLevelSet:
     """Nodal interpolation of phi at every P^k node of the active elements."""

@@ -90,6 +90,8 @@ class StudyConfig:
         if not isinstance(self.out, (str, os.PathLike)) or not os.fspath(self.out):
             raise ValueError(f"out must be a directory path, got {self.out!r}")
         self.out = os.fspath(self.out)
+        if os.path.exists(self.out) and not os.path.isdir(self.out):
+            raise ValueError(f"out must be a directory path, {self.out!r} exists and is not a directory")
         self.tol = float(self.tol)
         if not 0.0 < self.tol < 1.0:  # also rejects nan
             raise ValueError(f"tol must lie strictly inside (0, 1), got {self.tol}")
@@ -194,19 +196,24 @@ def _level(levelset, n: int, k: int):
     return mesh, dls, _stage("mapping", build_theta, dls)
 
 
-def _level_pipeline(cfg: StudyConfig, problem, n: int, export_tag=None):
-    mesh, dls, mapping = _level(problem.levelset, n, cfg.k)
-    stab = StabConfig(cfg.stab, cfg.rho)
-    system = _stage("assemble", assemble_system, mesh, dls, mapping, problem, stab)
-    if cfg.export_vtk and export_tag is not None:
+def _export(cfg: StudyConfig, tag: str, mapping, system):
+    """Write the level's VTK and Matrix Market files that cfg asks for."""
+    if cfg.export_vtk:
         os.makedirs(cfg.out, exist_ok=True)
-        vtkio.export_level(cfg.out, export_tag, mapping)
-    if cfg.export_matrix and export_tag is not None:
+        vtkio.export_level(cfg.out, tag, mapping)
+    if cfg.export_matrix:
         from scipy.io import mmwrite
 
         os.makedirs(cfg.out, exist_ok=True)
-        mmwrite(os.path.join(cfg.out, f"system_{export_tag}.mtx"), system.S)
-        mmwrite(os.path.join(cfg.out, f"constraint_{export_tag}.mtx"), system.c[:, None])
+        mmwrite(os.path.join(cfg.out, f"system_{tag}.mtx"), system.S)
+        mmwrite(os.path.join(cfg.out, f"constraint_{tag}.mtx"), system.c[:, None])
+
+
+def _level_pipeline(cfg: StudyConfig, problem, n: int, tag: str):
+    mesh, dls, mapping = _level(problem.levelset, n, cfg.k)
+    stab = StabConfig(cfg.stab, cfg.rho)
+    system = _stage("assemble", assemble_system, mesh, dls, mapping, problem, stab)
+    _stage("export", _export, cfg, tag, mapping, system)
     return mapping, system
 
 
@@ -230,7 +237,7 @@ CONV_COLUMNS = [
 def _convergence_level(cfg: StudyConfig, problem, level: int) -> dict:
     """Solve and measure one level; its system is freed before the errors stage, its mesh and mapping on return, before the next level is built."""
     n = cfg.base_n * 2**level
-    mapping, system = _level_pipeline(cfg, problem, n, export_tag=f"l{level}")
+    mapping, system = _level_pipeline(cfg, problem, n, f"l{level}")
     rep = _stage("solve", solve_constrained, system.S, system.c, system.f, tol=cfg.tol)
     # alive, S, c and f would be the errors stage's peak: torus k=3 n=20
     # peaks there at 25.7 MiB traced with them, 14.4 MiB without
@@ -329,5 +336,5 @@ def run_study(cfg: StudyConfig):
         result, reports = run_conditioning(cfg)
     else:
         result, reports = run_convergence(cfg)
-    paths = result.write(cfg.out)
+    paths = _stage("write", result.write, cfg.out)
     return result, reports, paths, time.time() - start

@@ -15,11 +15,11 @@ import numpy as np
 import scipy.linalg
 from scipy.optimize import brentq
 
-from tracefem.assembly import LiftedRule
-from tracefem.cutquad import _lin_gradient
-from tracefem.levelset import Sphere, Torus, TorusBenchmark
-from tracefem.mapping import build_theta
-from tracefem.mesh import _FACE_LOCAL, ActiveMesh, MeshParams, element_chunks
+from tracefem.assembly import LiftedRule, SurfaceData
+from tracefem.cutquad import _lin_gradient, triangle_rule
+from tracefem.levelset import SingularPointError, Sphere, Torus, TorusBenchmark
+from tracefem.mapping import _flat_rows, _search, build_theta
+from tracefem.mesh import _FACE_LOCAL, KUHN_VERTS, SHAPE_BARY_A, SHAPE_BARY_B, ActiveMesh, MeshParams, element_chunks
 from tracefem.reference import interpolate
 
 _CASE_CACHE: dict = {}
@@ -298,8 +298,6 @@ def errors_oracle(mesh, mapping, u, problem, degree=None):
     The error formulas on arrays of every point at once, as compute_errors
     applied them before it reduced chunk by chunk.
     """
-    from tracefem.cutquad import triangle_rule
-
     if degree is None:
         degree = 2 * mesh.k
     tri_elem, tri_bary, tri_area = cut_corners_oracle(mesh.vertex_phi, mesh.verts_phys(slice(None)))
@@ -357,17 +355,12 @@ def facet_pairs_unique_rows(mesh):
 
 
 def geometry_oracle(mesh):
-    """Per-element geometry of every element at once, as ActiveMesh stored it: verts_phys, bary_grad (E, 4, 3) and bary_off (E, 4)."""
-    from tracefem.mesh import KUHN_VERTS, SHAPE_BARY_A, SHAPE_BARY_B
-
+    """Per-element geometry of every element at once, as ActiveMesh stored it: verts_phys and bary_grad (E, 4, 3)."""
     h = mesh.params.h
     verts_lattice = mesh.cube[:, None, :] + KUHN_VERTS[mesh.tet]
-    origin = mesh.params.lo + h * mesh.cube
-    A = SHAPE_BARY_A[mesh.tet]
     return {
         "verts_phys": mesh.params.lo + h * verts_lattice,
-        "bary_grad": A / h,
-        "bary_off": SHAPE_BARY_B[mesh.tet] - np.einsum("emi,ei->em", A, origin) / h,
+        "bary_grad": SHAPE_BARY_A[mesh.tet] / h,
     }
 
 
@@ -684,3 +677,109 @@ def max_displacement(mapping) -> float:
 def torus_solution_l2_norm(levelset: Torus) -> float:
     """||u||_{L2} of the torus benchmark's exact solution over the exact surface, closed form."""
     return float(np.sqrt(np.pi**2 * levelset.R * levelset.r))
+
+
+def closest_point(levelset, x):
+    """Closest points (P, 3) on the zero set of a Torus, Sphere or Plane to points x (P, 3), in closed form."""
+    if isinstance(levelset, Torus):
+        rho, q = levelset._rho_q(x)
+        if np.any(rho <= 1e-12) or np.any(q <= 1e-12):
+            raise SingularPointError("closest point undefined on the torus axis or core circle")
+        cx = levelset.R * x[:, 0] / rho
+        cy = levelset.R * x[:, 1] / rho
+        t = levelset.r / q
+        return np.stack([cx + t * (x[:, 0] - cx), cy + t * (x[:, 1] - cy), t * x[:, 2]], axis=-1)
+    if isinstance(levelset, Sphere):
+        n = np.linalg.norm(x, axis=-1)
+        if np.any(n <= 1e-12):
+            raise SingularPointError("closest point undefined at the sphere center")
+        return levelset.radius * x / n[:, None]
+    d = x @ levelset.normal - levelset.offset
+    return x - d[:, None] * levelset.normal
+
+
+def bary_of_points(mesh: ActiveMesh, elems, x) -> np.ndarray:
+    """Barycentric coordinates (P, 4) of physical points x (P, 3) wrt the elements elems (P,): lam = bary_grad . x + lam(origin)."""
+    h, tet = mesh.params.h, mesh.tet[elems]
+    origin = mesh.params.lo + h * mesh.cube[elems]
+    off = SHAPE_BARY_B[tet] - np.einsum("emi,ei->em", SHAPE_BARY_A[tet], origin) / h
+    return np.einsum("pmi,pi->pm", mesh.bary_grad(elems), x) + off
+
+
+def facet_triangles(fs, facets=slice(None)) -> np.ndarray:
+    """(F', 3, 3) physical vertices of the given facets of a FacetSet, in the lower element's local order."""
+    lo = fs.elems[facets, 0]
+    return fs._mesh().verts_phys(lo)[np.arange(len(lo))[:, None], _FACE_LOCAL[fs.face[facets]]]
+
+
+def dls_eval(dls, elems, lam, grad: bool = False):
+    """phi_h (P,), and with grad its physical gradient (P, 3), on the elements elems (P,) at barycentric points lam (P, 4)."""
+    mesh = dls.mesh
+    c = dls.values[mesh.elem_dofs[elems]]
+    vals, dlam = mesh.ref.eval(lam)
+    phi = np.einsum("pb,pb->p", vals, c)
+    if not grad:
+        return phi
+    return phi, np.einsum("pbm,pb,pmi->pi", dlam, c, mesh.bary_grad(elems))
+
+
+def solve_points(dls, elems, x):
+    """Deformation distances (P,) and search directions (P, 3) at physical points x (P, 3) of the elements elems (P,), one per point."""
+    mesh = dls.mesh
+    elems = np.asarray(elems, dtype=np.int64)
+    lam_x = bary_of_points(mesh, elems, np.asarray(x, dtype=np.float64))
+    _, G = dls_eval(dls, elems, lam_x, grad=True)
+    return _search(mesh, elems, dls.values[mesh.elem_dofs[elems]], lam_x, G), G
+
+
+def psi_h(dls, elems, x):
+    """Per-element deformation images of physical points (batch form; build_theta's oracle)."""
+    d, G = solve_points(dls, elems, x)
+    return np.asarray(x, dtype=np.float64) + d[:, None] * G
+
+
+def project_average(mesh: ActiveMesh, values: np.ndarray) -> np.ndarray:
+    """Unweighted nodal patch average of per-element nodal vectors (E, NB, 3)."""
+    values = np.asarray(values, dtype=np.float64)
+    m = values.shape[-1]
+    sums = np.zeros((mesh.ndofs, m))
+    np.add.at(sums.reshape(-1), _flat_rows(mesh.elem_dofs, m), values.ravel())
+    return sums / mesh.patch_counts()[:, None]
+
+
+def facet_jump_psi(dls, degree: int = 4) -> float:
+    """Max two-sided mismatch of the element deformations across interior facets.
+
+    The facets are streamed in chunks of element_chunks, as the elements
+    of build_theta are: a chunk's q quadrature points per facet are
+    root-solved from both sides, charged 16 q NB doubles per facet, and
+    the result is the max of the chunks' maxima.
+    """
+    mesh = dls.mesh
+    fs = mesh.facets
+    lam, _ = triangle_rule(degree)
+    q = len(lam)
+    jump = 0.0
+    for s in element_chunks(len(fs), 16 * q * mesh.ref.ndofs):
+        pts = np.einsum("qm,fmi->fqi", lam, facet_triangles(fs, s)).reshape(-1, 3)
+        lo, hi = (psi_h(dls, np.repeat(e, q), pts) for e in fs.elems[s].T)
+        jump = np.maximum(jump, np.linalg.norm(lo - hi, axis=-1).max())  # keeps a nan
+    return float(jump)
+
+
+def normal_deviation(mapping, levelset, degree=None) -> float:
+    """Max deviation of the discrete unit normal from the exact surface normal, reduced chunk by chunk.
+
+    Nothing of a chunk is alive when the next one is lifted.
+    """
+
+    def chunk_max(lift):
+        n_exact = levelset.grad_phi(lift.y.reshape(-1, 3))
+        n_exact = n_exact / np.linalg.norm(n_exact, axis=-1, keepdims=True)
+        return np.linalg.norm(lift.nh.reshape(-1, 3) - n_exact, axis=-1).max(initial=0.0)
+
+    dev = 0.0
+    for _, lift, w in SurfaceData.build(mapping, degree if degree is not None else 2 * mapping.mesh.k).chunks():
+        dev = np.maximum(dev, chunk_max(lift))
+        del lift, w  # freed before the next chunk's lift
+    return float(dev)

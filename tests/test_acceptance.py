@@ -19,20 +19,24 @@ import pytest
 from tracefem.assembly import StabConfig, assemble_system
 from tracefem.cutquad import extract_cuts, tet_rule, triangle_rule
 from tracefem.levelset import Plane, ZeroBenchmark, shifted_plane
-from tracefem.mapping import DELTA_FRACTION, _solve_points, build_theta, facet_jump_psi
+from tracefem.mapping import DELTA_FRACTION, build_theta
 from tracefem.mesh import ActiveMesh, MeshParams
-from tracefem.metrics import estimate_condition, normal_deviation
+from tracefem.metrics import estimate_condition
 from tracefem.reference import interpolate
 from tracefem.solver import pcg, solve_constrained
 from tracefem.study import StudyConfig, run_conditioning, run_convergence
 
 from helpers import (
+    bary_of_points,
     clip_polygon_oracle,
+    facet_jump_psi,
     max_displacement,
+    normal_deviation,
     null_space_bounds,
     plane_case,
     polygon_area,
     smallest_root_bisection,
+    solve_points,
     torus_benchmark,
     torus_case,
 )
@@ -214,10 +218,10 @@ def test_criterion_7_oracle_equivalences():
     build_theta(dls)  # every node is solvable
     for elem in rng.integers(0, mesh.nelems, size=8):
         x = mesh.dof_points[mesh.elem_dofs[elem]]
-        lam = mesh.bary_of_points(np.full(len(x), elem), x)
+        lam = bary_of_points(mesh, np.full(len(x), elem), x)
         phihat = np.einsum("pm,m->p", lam, mesh.vertex_phi[elem])
         G = q.grad_phi(x)
-        d, _ = _solve_points(dls, np.full(len(x), elem), x)
+        d, _ = solve_points(dls, np.full(len(x), elem), x)
         for p in range(len(x)):
             def g(t, p=p):
                 return q.phi(x[p] + t * G[p])[0] - phihat[p]

@@ -22,7 +22,7 @@ from tracefem.assembly import (
 )
 from tracefem.cutquad import corners, extract_cuts, tet_rule, triangle_rule
 from tracefem.levelset import Plane, make_benchmark, shifted_plane
-from tracefem.mapping import IsoMapping, build_theta, facet_jump_psi
+from tracefem.mapping import IsoMapping, build_theta
 from tracefem.mesh import FacetSet
 from tracefem.metrics import compute_errors
 from tracefem.reference import interpolate
@@ -95,7 +95,7 @@ def streamed_loops(case, n, k):
 
     The interface cut, Pattern's offset search, Theta's build (with its
     linear-cut normals) and, at k = 1, the ghost penalty's dof and jump
-    passes, else facet_jump_psi; each run's inputs are made beforehand.
+    passes; each run's inputs are made beforehand.
     """
     _, mesh, dls, mapping = {"torus": torus_case, "sphere": sphere_case}[case](n, k)
     loops = {
@@ -108,8 +108,6 @@ def streamed_loops(case, n, k):
         out = Pattern(mesh.ndofs, elements=mesh.elem_dofs, facets=facets)
         loops["ghost dofs"] = (assembly, lambda: _ghost_dofs(mesh))
         loops["ghost jumps"] = (assembly, lambda: assemble_s(mapping, StabConfig("ghost_penalty"), out, columns))
-    else:
-        loops["facet_jump_psi"] = (mapping_module, lambda: facet_jump_psi(dls))
     return loops
 
 

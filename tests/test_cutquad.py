@@ -10,8 +10,7 @@ from scipy.special import roots_jacobi, roots_legendre
 from tracefem import assembly, cutquad
 from tracefem.assembly import SurfaceData, VolumeData
 from tracefem.cutquad import (
-    MAX_SURFACE_DEGREE,
-    MAX_VOLUME_DEGREE,
+    MAX_RULE_DEGREE,
     extract_cuts,
     tet_rule,
     triangle_rule,
@@ -48,7 +47,7 @@ def affine_gradient(vphi, verts):
 
 
 class TestSimplexRules:
-    @pytest.mark.parametrize("degree", range(0, MAX_SURFACE_DEGREE + 1))
+    @pytest.mark.parametrize("degree", range(0, MAX_RULE_DEGREE + 1))
     def test_triangle_rule_integrates_monomials_exactly(self, degree):
         lam, w = triangle_rule(degree)
         assert np.all(w > 0)
@@ -66,7 +65,7 @@ class TestSimplexRules:
             )
             assert got == pytest.approx(exact, rel=1e-12)
 
-    @pytest.mark.parametrize("degree", range(0, MAX_VOLUME_DEGREE + 1))
+    @pytest.mark.parametrize("degree", range(0, MAX_RULE_DEGREE + 1))
     def test_tet_rule_integrates_monomials_exactly(self, degree):
         lam, w = tet_rule(degree)
         assert np.all(w > 0)
@@ -86,9 +85,9 @@ class TestSimplexRules:
 
     def test_degree_out_of_range(self):
         with pytest.raises(ValueError, match="degree"):
-            triangle_rule(MAX_SURFACE_DEGREE + 1)
+            triangle_rule(MAX_RULE_DEGREE + 1)
         with pytest.raises(ValueError, match="degree"):
-            tet_rule(MAX_VOLUME_DEGREE + 1)
+            tet_rule(MAX_RULE_DEGREE + 1)
         with pytest.raises(ValueError, match="degree"):
             triangle_rule(-1)
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from helpers import (
+    closest_point,
     fd_laplace_beltrami_sphere,
     fd_laplace_beltrami_torus,
     torus_point,
@@ -63,10 +64,10 @@ class TestTorusValues:
             TORUS.grad_phi(pt(1.0, 0.0, 0.0))
 
     def test_closest_point_radial(self):
-        np.testing.assert_allclose(TORUS.closest_point(pt(2.0, 0.0, 0.0)), [[1.6, 0.0, 0.0]], atol=1e-14)
+        np.testing.assert_allclose(closest_point(TORUS, pt(2.0, 0.0, 0.0)), [[1.6, 0.0, 0.0]], atol=1e-14)
 
     def test_closest_point_vertical(self):
-        np.testing.assert_allclose(TORUS.closest_point(pt(1.0, 0.0, 1.0)), [[1.0, 0.0, 0.6]], atol=1e-14)
+        np.testing.assert_allclose(closest_point(TORUS, pt(1.0, 0.0, 1.0)), [[1.0, 0.0, 0.6]], atol=1e-14)
 
     def test_invalid_radii(self):
         with pytest.raises(ValueError):
@@ -81,7 +82,7 @@ class TestSphereValues:
         np.testing.assert_allclose(SPHERE.grad_phi(pt(0.0, 0.0, 2.0)), [[0.0, 0.0, 1.0]], atol=1e-15)
 
     def test_closest_point(self):
-        np.testing.assert_allclose(SPHERE.closest_point(pt(0.0, 0.0, 0.5)), [[0.0, 0.0, 1.0]], atol=1e-15)
+        np.testing.assert_allclose(closest_point(SPHERE, pt(0.0, 0.0, 0.5)), [[0.0, 0.0, 1.0]], atol=1e-15)
 
     def test_center_singular(self):
         with pytest.raises(SingularPointError):
@@ -100,7 +101,7 @@ class TestPlane:
 
     def test_closest_point_projection(self):
         p = Plane((0.0, 0.0, 1.0), 0.25)
-        np.testing.assert_allclose(p.closest_point(pt(1.0, 2.0, 3.0)), [[1.0, 2.0, 0.25]], atol=1e-14)
+        np.testing.assert_allclose(closest_point(p, pt(1.0, 2.0, 3.0)), [[1.0, 2.0, 0.25]], atol=1e-14)
 
     def test_shifted_plane_sits_between_lattice_planes(self):
         n, eps = 8, 0.25
@@ -120,15 +121,15 @@ class TestSignedDistanceProperties:
     def test_distance_matches_phi(self, rng, levelset):
         band = 0.3 if isinstance(levelset, Torus) else 0.5
         x = random_tube_points(rng, levelset, band, 10_000)
-        cp = levelset.closest_point(x)
+        cp = closest_point(levelset, x)
         dist = np.linalg.norm(x - cp, axis=-1)
         np.testing.assert_allclose(dist, np.abs(levelset.phi(x)), atol=1e-12)
 
     @pytest.mark.parametrize("levelset", [TORUS, SPHERE], ids=["torus", "sphere"])
     def test_projection_idempotent(self, rng, levelset):
         x = random_tube_points(rng, levelset, 0.3, 2_000)
-        cp = levelset.closest_point(x)
-        np.testing.assert_allclose(levelset.closest_point(cp), cp, atol=1e-12)
+        cp = closest_point(levelset, x)
+        np.testing.assert_allclose(closest_point(levelset, cp), cp, atol=1e-12)
         np.testing.assert_allclose(levelset.phi(cp), 0.0, atol=1e-12)
 
     def test_grad_is_unit_near_surface(self, rng):

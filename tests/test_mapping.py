@@ -16,17 +16,29 @@ from tracefem.mapping import (
     Lift,
     MappingError,
     MappingInvertibilityError,
-    _solve_points,
     build_theta,
-    facet_jump_psi,
-    project_average,
-    psi_h,
 )
 from tracefem.mesh import ActiveMesh, MeshParams
-from tracefem.metrics import normal_deviation
 from tracefem.reference import interpolate
 
-from helpers import dof_lattice, mapping_eval, max_displacement, plane_case, points_of_bary, smallest_root_bisection, torus_case, torus_mesh
+from helpers import (
+    bary_of_points,
+    dls_eval,
+    dof_lattice,
+    facet_jump_psi,
+    facet_triangles,
+    mapping_eval,
+    max_displacement,
+    normal_deviation,
+    plane_case,
+    points_of_bary,
+    project_average,
+    psi_h,
+    smallest_root_bisection,
+    solve_points,
+    torus_case,
+    torus_mesh,
+)
 
 
 class QuadraticLevelSet:
@@ -53,10 +65,10 @@ class TestRootSolve:
         build_theta(dls)  # every node is solvable
         for elem in rng.integers(0, mesh.nelems, size=12):
             x = mesh.dof_points[mesh.elem_dofs[elem]]
-            lam = mesh.bary_of_points(np.full(len(x), elem), x)
+            lam = bary_of_points(mesh, np.full(len(x), elem), x)
             phihat = np.einsum("pm,m->p", lam, mesh.vertex_phi[elem])
             G = q.grad_phi(x)  # dls is exact, so grad(phi_h) = grad(phi)
-            d, _ = _solve_points(dls, np.full(len(x), elem), x)
+            d, _ = solve_points(dls, np.full(len(x), elem), x)
             for p in range(len(x)):
                 g = lambda t: q.phi(x[p] + t * G[p])[0] - phihat[p]
                 if abs(g(0.0)) <= 1e-12 * max(1.0, abs(phihat[p])):
@@ -75,8 +87,8 @@ class TestRootSolve:
         d = np.linalg.norm(y - x, axis=-1)
         assert np.all(d <= DELTA_FRACTION * mesh.h * (1 + 1e-12))
         phihat = np.einsum("pm,pm->p", lam, mesh.vertex_phi[elems])
-        lam_y = mesh.bary_of_points(elems, y)
-        resid = dls.eval(elems, lam_y) - phihat
+        lam_y = bary_of_points(mesh, elems, y)
+        resid = dls_eval(dls, elems, lam_y) - phihat
         tol = 1e-11 * np.maximum(1.0, np.abs(phihat))
         assert np.all(np.abs(resid) <= tol)
 
@@ -180,11 +192,11 @@ class TestMapping:
         fs = mesh.facets
         pick = rng.integers(0, len(fs), size=200)
         lam3 = rng.dirichlet(np.ones(3), size=200)
-        pts = np.einsum("fq,fqi->fi", lam3, fs.triangles(pick))
+        pts = np.einsum("fq,fqi->fi", lam3, facet_triangles(fs, pick))
         out = []
         for s in range(2):
             elems = fs.elems[pick, s]
-            bary = mesh.bary_of_points(elems, pts)
+            bary = bary_of_points(mesh, elems, pts)
             y, _ = mapping_eval(mapping, elems, bary)
             out.append(y)
         np.testing.assert_allclose(out[0], out[1], atol=1e-12)
@@ -201,8 +213,8 @@ class TestMapping:
             xp[:, d] += step
             xm = x.copy()
             xm[:, d] -= step
-            yp, _ = mapping_eval(mapping, elems, mesh.bary_of_points(elems, xp))
-            ym, _ = mapping_eval(mapping, elems, mesh.bary_of_points(elems, xm))
+            yp, _ = mapping_eval(mapping, elems, bary_of_points(mesh, elems, xp))
+            ym, _ = mapping_eval(mapping, elems, bary_of_points(mesh, elems, xm))
             np.testing.assert_allclose(J[:, :, d], (yp - ym) / (2 * step), atol=1e-5)
 
     def test_jacobian_stays_near_the_identity(self, rng):
@@ -232,7 +244,7 @@ class TestMapping:
         _, mesh, dls, _ = torus_case(16, 2)
         fs = mesh.facets
         lam, _ = triangle_rule(4)
-        pts = np.einsum("qm,fmi->fqi", lam, fs.triangles()).reshape(-1, 3)
+        pts = np.einsum("qm,fmi->fqi", lam, facet_triangles(fs)).reshape(-1, 3)
         lo, hi = (psi_h(dls, np.repeat(e, len(lam)), pts) for e in fs.elems.T)
         whole = np.linalg.norm(lo - hi, axis=-1).max()
         assert len(mesh_module.element_chunks(len(fs), 16 * len(lam) * mesh.ref.ndofs)) > 1

@@ -16,11 +16,13 @@ from tracefem.mesh import (
 )
 
 from helpers import (
+    bary_of_points,
     brute_force_active,
     dof_index_of,
     dof_lattice,
     facet_geometry_oracle,
     facet_pairs_unique_rows,
+    facet_triangles,
     geometry_oracle,
     kuhn_tets_of_cube,
     mesh_active_sets,
@@ -206,7 +208,7 @@ class TestGeometry:
         lam = rng.dirichlet(np.ones(4), size=mesh.nelems)
         elems = np.arange(mesh.nelems)
         x = points_of_bary(mesh, elems, lam)
-        np.testing.assert_allclose(mesh.bary_of_points(elems, x), lam, atol=1e-12)
+        np.testing.assert_allclose(bary_of_points(mesh, elems, x), lam, atol=1e-12)
 
     def test_barycentric_gradient_is_exact(self):
         """bary_grad rows are the constant gradients of the barycentric coordinates."""
@@ -216,16 +218,16 @@ class TestGeometry:
             unit = np.zeros(4)
             unit[m] = 1.0
             x0 = points_of_bary(mesh, e, np.tile(unit, (2, 1)))
-            lam0 = mesh.bary_of_points(e, x0)
+            lam0 = bary_of_points(mesh, e, x0)
             np.testing.assert_allclose(lam0, np.tile(unit, (2, 1)), atol=1e-12)
         # finite step along each axis reproduces the stored gradient
         step = 1e-6
         base = mesh.verts_phys(e)[:, 0] + mesh.h * 0.1
-        lam_b = mesh.bary_of_points(e, base)
+        lam_b = bary_of_points(mesh, e, base)
         for d in range(3):
             shift = base.copy()
             shift[:, d] += step
-            dlam = (mesh.bary_of_points(e, shift) - lam_b) / step
+            dlam = (bary_of_points(mesh, e, shift) - lam_b) / step
             np.testing.assert_allclose(dlam, mesh.bary_grad(e)[:, :, d], atol=1e-6)
 
 
@@ -352,7 +354,7 @@ class TestFacets:
         assert fs.nfacets == len(fs) == len(oracle)
         got = {
             frozenset(map(tuple, tri)): tuple(pair)
-            for tri, pair in zip(fs.triangles().tolist(), fs.elems.tolist())
+            for tri, pair in zip(facet_triangles(fs).tolist(), fs.elems.tolist())
         }
         assert got == oracle
 
@@ -372,9 +374,9 @@ class TestFacets:
         assert len(fs) > 1000
         np.testing.assert_array_equal(fs.elems, elems)
         tri_points = mesh.params.lo + mesh.h * tri_lattice
-        np.testing.assert_array_equal(fs.triangles(), tri_points)
+        np.testing.assert_array_equal(facet_triangles(fs), tri_points)
         pick = rng.integers(0, len(fs), size=300)
-        np.testing.assert_array_equal(fs.triangles(pick), tri_points[pick])
+        np.testing.assert_array_equal(facet_triangles(fs, pick), tri_points[pick])
 
     def test_no_face_shared_by_more_than_two(self):
         _, mesh = torus_mesh(5, 1)
@@ -385,7 +387,7 @@ class TestFacets:
         fs = mesh.facets
         normal = fs.geometry()[1]
         np.testing.assert_allclose(np.linalg.norm(normal, axis=1), 1.0, atol=1e-13)
-        p = fs.triangles()
+        p = facet_triangles(fs)
         e1 = p[:, 1] - p[:, 0]
         e2 = p[:, 2] - p[:, 0]
         np.testing.assert_allclose(np.einsum("fi,fi->f", normal, e1), 0.0, atol=1e-13)
@@ -416,7 +418,7 @@ class TestFacets:
     def test_areas_match_herons_formula(self):
         _, mesh = torus_mesh(5, 1)
         fs = mesh.facets
-        p = fs.triangles()
+        p = facet_triangles(fs)
         a = np.linalg.norm(p[:, 1] - p[:, 0], axis=1)
         b = np.linalg.norm(p[:, 2] - p[:, 1], axis=1)
         c = np.linalg.norm(p[:, 0] - p[:, 2], axis=1)
@@ -444,7 +446,7 @@ class TestFacets:
         _, mesh = torus_mesh(5, 1)
         fs = mesh.facets
         verts = mesh.verts_phys(slice(None))
-        for tri, (lo, hi) in zip(fs.triangles().tolist(), fs.elems.tolist()):
+        for tri, (lo, hi) in zip(facet_triangles(fs).tolist(), fs.elems.tolist()):
             tri_set = {tuple(v) for v in tri}
             for e in (lo, hi):
                 assert tri_set <= {tuple(v) for v in verts[e].tolist()}

@@ -17,7 +17,6 @@ from tracefem.metrics import (
     compute_errors,
     eoc,
     estimate_condition,
-    normal_deviation,
 )
 from tracefem.vtkio import export_level
 
@@ -25,6 +24,7 @@ from helpers import (
     benchmark_interpolant,
     chunk_peaks,
     errors_oracle,
+    normal_deviation,
     null_space_bounds,
     plane_case,
     torus_benchmark,

@@ -65,3 +65,27 @@ def test_a_run_loads_only_the_scipy_modules_it_calls(tmp_path):
     after_import, after_convergence, after_sweep = json.loads(proc.stdout.splitlines()[-1])
     assert after_import == after_convergence == []
     assert after_sweep == ["scipy.linalg", "scipy.sparse.linalg"]
+
+
+def test_every_library_definition_has_a_library_caller():
+    """Every function, class and method under src/tracefem is referenced by library code other than __init__.py.
+
+    A name, an attribute or an import counts as a reference; a definition
+    that only tests call belongs in tests/helpers.py.
+    """
+    src = Path(tracefem.__file__).parent
+    defined, used = {}, set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and not node.name.startswith("__"):
+                defined.setdefault(node.name, f"{path.name}:{node.lineno}")
+            if path.name == "__init__.py":
+                continue
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                used.update(alias.name.split(".")[-1] for alias in node.names)
+    assert sorted(f"{where} {name}" for name, where in defined.items() if name not in used) == []

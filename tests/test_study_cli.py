@@ -482,7 +482,9 @@ class TestCli:
         assert not os.path.exists(str(tmp_path / "from_file"))
 
     def test_configuration_errors_exit_one(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
         for argv in (
+            ["--out", str(tmp_path / "file")],
             ["--k", "9"],
             ["--tol", "0"],
             ["--tol", "2"],
@@ -535,6 +537,12 @@ class TestCli:
         )
         assert code == 2
         assert "error: [mapping]" in capsys.readouterr().err
+        # output that cannot be written: a directory below a file
+        (tmp_path / "file").write_text("")
+        small = ["--k", "1", "--levels", "1", "--base-n", "8", "--out", str(tmp_path / "file" / "sub")]
+        for argv, tag in ((small, "write"), (small + ["--export-vtk"], "export"), (small + ["--export-matrix"], "export")):
+            assert main(argv) == 2, argv
+            assert f"error: [{tag}]" in capsys.readouterr().err
 
     def test_conditioning_run_writes_its_table(self, tmp_path):
         out = str(tmp_path / "cond")
