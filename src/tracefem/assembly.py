@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import backends
-from .cutquad import corners, extract_cuts, tet_rule, triangle_rule
+from .cutquad import CUT_COUNT, corners, extract_cuts, sign_pattern, tet_rule, triangle_rule
 from .mapping import IsoMapping
 from .mesh import SHAPE_BARY_A, element_chunks
 from .reference import physical_gradients
@@ -208,9 +208,9 @@ class SurfaceData(LiftedRule):
         """Rule exact to `degree` on each triangle of mapping's mesh; by default 2k - 2, the assembly degree.
 
         The first rule of a mesh cuts its elements chunk by chunk.  The
-        vertex signs count the triangles beforehand, two for a two-two
-        split and one otherwise, so the cut's four arrays are allocated
-        once and every chunk's cut is written into its slice: nothing of a
+        cut's case table counts the triangles of each element's sign
+        pattern beforehand, so the cut's four arrays are allocated once
+        and every chunk's cut is written into its slice: nothing of a
         chunk outlives it.  The triangles stay sorted by element, and
         later rules of the mesh reuse them (read-only).
         """
@@ -218,7 +218,7 @@ class SurfaceData(LiftedRule):
         if degree is None:
             degree = max(0, 2 * mesh.k - 2)
         if mesh not in _CUTS:
-            ntri = mesh.nelems + np.count_nonzero(np.count_nonzero(mesh.vertex_phi < 0.0, axis=1) == 2)
+            ntri = CUT_COUNT[sign_pattern(mesh.vertex_phi)].sum()
             tri = (np.empty(ntri, dtype=np.int32), np.empty((ntri, 3), dtype=np.uint8), np.empty((ntri, 3)), np.empty(ntri))
             t = 0
             for s in element_chunks(mesh.nelems, 4 * 2 * 3 * 4):
@@ -240,12 +240,12 @@ class SurfaceData(LiftedRule):
 class VolumeData(LiftedRule):
     """The deformed-element volume rule: its cells are the elements, with the same reference points.
 
-    It keeps the physical gradients of the basis at the reference points,
-    which take one value per Kuhn shape, as a (6, q, NB, 3) table, the
-    reference weights (q,) and a weight scale (the stabilization's rho):
-    a chunk's weights are (wref * det DTheta) * scale.  Its chunks are
-    charged for the width of the integrand they feed: 1 for the normal
-    derivative, 3 for the full gradient.
+    It keeps the physical gradients of the basis at the reference points
+    of the degree-2k tet rule, which take one value per Kuhn shape, as a
+    (6, q, NB, 3) table, the reference weights (q,) and a weight scale
+    (the stabilization's rho): a chunk's weights are (wref * det DTheta)
+    * scale.  Its chunks are charged for the width of the integrand they
+    feed: 1 for the normal derivative, 3 for the full gradient.
     """
 
     POINT_DOUBLES = {1: (4, 24), 3: (7, 16)}
@@ -255,9 +255,9 @@ class VolumeData(LiftedRule):
         self.table, self.wref, self.scale = table, wref, scale
 
     @classmethod
-    def build(cls, mapping: IsoMapping, degree: int, scale=1.0, width=1):
+    def build(cls, mapping: IsoMapping, scale=1.0, width=1):
         mesh = mapping.mesh
-        lam, w = tet_rule(degree)
+        lam, w = tet_rule(2 * mesh.k)
         _, dlam = mesh.ref.eval(lam)
         table = physical_gradients(dlam, SHAPE_BARY_A[:, None] / mesh.h)
         return cls(mapping, table, w * mesh.elem_volume, scale, width)
@@ -394,7 +394,7 @@ def assemble_s(mapping, stab: StabConfig, out: Pattern, columns=None):
             out.add("facets", s, rho * area[:, None, None] * jump[:, :, None] * jump[:, None, :])
     elif stab.variant in ("full_gradient_volume", "normal_volume"):
         full = stab.variant == "full_gradient_volume"
-        vol = VolumeData.build(mapping, 2 * mesh.k, scale=rho, width=3 if full else 1)
+        vol = VolumeData.build(mapping, scale=rho, width=3 if full else 1)
         vol.accumulate(lambda lift: lift.grads if full else lift.normal_derivatives()[..., None], out)
 
 

@@ -2,12 +2,12 @@
 
 The piecewise-linear interface inside a cut tetrahedron is a triangle
 (one vertex separated) or a planar quadrilateral (two-two sign split),
-extracted marching-tetrahedra style from the vertex values of the
-linear interpolant.  Quadrature on triangles and tetrahedra uses
-conical-product Gauss-Jacobi rules: a single positive-weight
-construction, exact here to degree MAX_RULE_DEGREE.  Its 1-D rules are
-tabulated, bit for bit, from scipy.special's Gauss-Legendre and
-Gauss-Jacobi roots, so building a rule imports nothing beyond numpy.
+read with its orientation off a marching-tetrahedra case table by the
+sign pattern of the linear interpolant's vertex values.  Quadrature on
+triangles and tetrahedra uses conical-product Gauss-Jacobi rules: one
+positive-weight construction, exact here to degree MAX_RULE_DEGREE.  Its
+1-D rules are tabulated, bit for bit, from scipy.special's roots, so
+building a rule imports nothing beyond numpy.
 """
 
 from __future__ import annotations
@@ -141,6 +141,42 @@ def tet_rule(degree: int):
     return _conical_rule(3, degree)
 
 
+def _cut_tables():
+    """The marching-tetrahedra case table by sign pattern p, bit i set where vertex i is negative.
+
+    Edges (16, 4) uint8: the corners' codes m * 4 + o in cycle order, from
+    the separated vertex m (a lone triangle repeats its third corner) or,
+    for a two-two split, m0-p0, m0-p1, m1-p1, m1-p0 (m0 < m1, p0 < p1).
+    Triangles (16, 2, 2, 3): the two on diagonal 0-2 and on 1-3 (a lone
+    triangle on either), ordered so the normal points with the gradient
+    on the unit tetrahedron, whose corners are edge midpoints for values
+    -1 and 1.  Counts (16,): a pattern's triangles, 0 if no sign changes.
+    """
+    edges, counts, grad, tris = np.zeros((16, 4), dtype=np.uint8), np.zeros(16, dtype=np.intp), np.zeros((16, 3)), np.tile(np.arange(3), (16, 2, 2, 1))
+    for p in range(1, 15):
+        neg, pos = ([v for v in range(4) if (p >> v & 1) == s] for s in (1, 0))
+        if len(neg) == 2:
+            pairs = [(neg[0], pos[0]), (neg[0], pos[1]), (neg[1], pos[1]), (neg[1], pos[0])]
+            tris[p] = [[[0, 1, 2], [0, 2, 3]], [[1, 2, 3], [1, 3, 0]]]
+        else:
+            m, *others = neg + pos if len(neg) == 1 else pos + neg
+            pairs = [(m, o) for o in others + others[-1:]]
+        edges[p], counts[p] = [m * 4 + o for m, o in pairs], len(neg) * len(pos) - 2
+        grad[p] = [(p & 1) - (p >> v & 1) for v in (1, 2, 3)]  # half the gradient of values -1 and 1
+    tri = ((np.eye(4)[edges >> 2] + np.eye(4)[edges & 3])[..., 1:] / 2)[np.arange(16)[:, None, None, None], tris]  # (16, 2, 2, 3, 3)
+    flip = np.einsum("pdti,pi->pdt", np.cross(tri[..., 1, :] - tri[..., 0, :], tri[..., 2, :] - tri[..., 0, :]), grad) < 0.0
+    tris[flip] = tris[flip][:, [0, 2, 1]]
+    return edges, tris, counts
+
+
+_CUT_EDGES, _CUT_TRIS, CUT_COUNT = _cut_tables()
+
+
+def sign_pattern(vertex_phi):
+    """The cut tables' rows (E,) for vertex values (E, 4): bit i set where vertex i is negative."""
+    return (vertex_phi < 0.0) @ (1, 2, 4, 8)
+
+
 def extract_cuts(vertex_phi: np.ndarray, verts_phys: np.ndarray):
     """Interface triangles of a batch of cut tetrahedra, as edge fractions.
 
@@ -151,77 +187,34 @@ def extract_cuts(vertex_phi: np.ndarray, verts_phys: np.ndarray):
     = m * 4 + o, at the fraction tri_fracs[t, c] from m, and corners()
     rebuilds its barycentric coordinates (1 - t) e_m + t e_o.  m and o are
     kept, not read off the nonzero coordinates: a fraction can round to
-    1.0.  Triangles are oriented so their physical normal points with the
-    gradient of the linear interpolant (negative to positive).  Elements
-    with a two-two sign split yield a planar quadrilateral that is split
-    along its shorter diagonal.
+    1.0.  The sign pattern's case-table row (_cut_tables) gives corners
+    and triangles, a quadrilateral split on its shorter diagonal, ordered
+    so the normal points with the gradient (negative to positive), and
+    mirrored in a tetrahedron of negative volume, even at zero area.
     """
     vphi = np.asarray(vertex_phi, dtype=np.float64)
     if np.any(vphi == 0.0):
         raise ValueError("vertex values must be nonzero (perturb exact zeros)")
-    neg = vphi < 0.0
-    nneg = neg.sum(axis=1)
-    if np.any((nneg == 0) | (nneg == 4)):
+    pattern = sign_pattern(vphi)
+    count = CUT_COUNT[pattern]
+    if np.any(count == 0):
         raise ValueError("an element without a sign change has no interface")
-
-    order = np.argsort(np.where(neg, 0, 1), axis=1, kind="stable")
-    tri_elem, tri_edges, tri_fracs = [], [], []
-
-    lone = nneg != 2
-    if np.any(lone):
-        idx = np.flatnonzero(lone)
-        # the separated vertex: the single negative one, or the single positive
-        lone_is_neg = nneg[idx] == 1
-        m = np.where(lone_is_neg, order[idx, 0], order[idx, 3])
-        others = np.where(
-            lone_is_neg[:, None], order[idx, 1:], order[idx, :3]
-        )
-        others = np.sort(others, axis=1)
-        va = vphi[idx, m]
-        vb = np.take_along_axis(vphi[idx], others, axis=1)
-        tri_elem.append(idx)
-        tri_edges.append(m[:, None] * 4 + others)
-        tri_fracs.append(va[:, None] / (va[:, None] - vb))
-
-    quad = nneg == 2
-    if np.any(quad):
-        idx = np.flatnonzero(quad)
-        mm = order[idx, :2]
-        pp = order[idx, 2:]
-        mm = np.sort(mm, axis=1)
-        pp = np.sort(pp, axis=1)
-        # cycle m0-p0, m0-p1, m1-p1, m1-p0
-        pairs_m = np.stack([mm[:, 0], mm[:, 0], mm[:, 1], mm[:, 1]], axis=1)
-        pairs_p = np.stack([pp[:, 0], pp[:, 1], pp[:, 1], pp[:, 0]], axis=1)
-        va = np.take_along_axis(vphi[idx], pairs_m, axis=1)
-        vb = np.take_along_axis(vphi[idx], pairs_p, axis=1)
-        edges, t = pairs_m * 4 + pairs_p, va / (va - vb)  # (Q, 4)
-        qpts = np.einsum("qcm,qmi->qci", corners(edges, t), verts_phys[idx])
-        d1 = np.linalg.norm(qpts[:, 2] - qpts[:, 0], axis=-1)
-        d2 = np.linalg.norm(qpts[:, 3] - qpts[:, 1], axis=-1)
-        del qpts
-        # corners of the two triangles, (Q, 2, 3), on either diagonal
-        pick = np.where((d1 <= d2)[:, None, None], np.array([[0, 1, 2], [0, 2, 3]]), np.array([[1, 2, 3], [1, 3, 0]]))
-        pick = pick.reshape(len(idx), 6)
-        tri_elem.append(np.repeat(idx, 2))
-        tri_edges.append(np.take_along_axis(edges, pick, axis=1).reshape(-1, 3))
-        tri_fracs.append(np.take_along_axis(t, pick, axis=1).reshape(-1, 3))
-
-    tri_elem = np.concatenate(tri_elem)
-    srt = np.argsort(tri_elem, kind="stable")
-    tri_elem = tri_elem[srt]
-    tri_edges = np.concatenate(tri_edges).astype(np.uint8)[srt]
-    tri_fracs = np.concatenate(tri_fracs)[srt]
-
+    edges = _CUT_EDGES[pattern]  # (E, 4)
+    fracs = np.take_along_axis(vphi, edges >> 2, axis=1)
+    fracs /= fracs - np.take_along_axis(vphi, edges & 3, axis=1)
+    q = np.einsum("ecm,emi->eci", corners(edges, fracs), verts_phys)
+    d = np.linalg.norm(q[:, 2:] - q[:, :2], axis=-1)  # the diagonals 0-2 and 1-3
+    edge = verts_phys[:, 1:] - verts_phys[:, :1]
+    mirror = np.einsum("ei,ei->e", np.cross(edge[:, 0], edge[:, 1]), edge[:, 2]) < 0.0  # negative volume
+    del q, edge
+    tris = _CUT_TRIS[pattern, (d[:, 0] > d[:, 1]) * 1]  # (E, 2, 3)
+    tris[mirror] = tris[mirror][..., [0, 2, 1]]
+    tri_elem = np.repeat(np.arange(len(vphi)), count)
+    pick = tris[np.arange(2) < count[:, None]]  # (T, 3), in element order
+    tri_edges = np.take_along_axis(edges[tri_elem], pick, axis=1)
+    tri_fracs = np.take_along_axis(fracs[tri_elem], pick, axis=1)
     pts = np.einsum("tcm,tmi->tci", corners(tri_edges, tri_fracs), verts_phys[tri_elem])
-    nvec = np.cross(pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 0])
-    del pts
-    tri_area = 0.5 * np.linalg.norm(nvec, axis=-1)
-    # orient along grad of the linear interpolant (from negative to positive)
-    gphi = _lin_gradient(vphi[tri_elem], verts_phys[tri_elem])
-    flip = np.einsum("ti,ti->t", nvec, gphi) < 0.0
-    for a in (tri_edges, tri_fracs):
-        a[flip] = a[flip][:, [0, 2, 1]]
+    tri_area = 0.5 * np.linalg.norm(np.cross(pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 0]), axis=-1)
     return tri_elem, tri_edges, tri_fracs, tri_area
 
 
@@ -253,8 +246,3 @@ def adjugate_and_det(J):
         adj[..., 2, i] = J[..., j, 0] * J[..., k, 1] - J[..., j, 1] * J[..., k, 0]
     return adj, (J[..., 0, :] * adj[..., :, 0]).sum(axis=-1)
 
-
-def _lin_gradient(vphi, verts):
-    """Gradient of the linear interpolant on each tet (B, 4) x (B, 4, 3): e^-1 (phi_i - phi_0) for the edges e_i = v_i - v_0."""
-    adj, det = adjugate_and_det(verts[:, 1:] - verts[:, :1])
-    return np.einsum("bij,bj->bi", adj, vphi[:, 1:] - vphi[:, :1]) / det[:, None]

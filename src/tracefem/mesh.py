@@ -75,37 +75,26 @@ KUHN_VERTS = _kuhn_table()
 
 
 def _shape_bary():
-    """Per-shape affine barycentric transforms in unit-cube coordinates."""
+    """Per-shape barycentric gradients (6, 4, 3) in unit-cube coordinates."""
     A = np.zeros((6, 4, 3))
-    b = np.zeros((6, 4))
     for t in range(6):
         M = np.hstack([np.ones((4, 1)), KUHN_VERTS[t].astype(float)])
-        C = np.linalg.inv(M)
-        C = np.rint(C)  # entries are small integers (det = +/-1)
-        b[t] = C[0]
-        A[t] = C[1:4].T
-    return A, b
+        A[t] = np.rint(np.linalg.inv(M))[1:4].T  # entries are small integers (det = +/-1)
+    return A
 
 
-SHAPE_BARY_A, SHAPE_BARY_B = _shape_bary()
+SHAPE_BARY_A = _shape_bary()
 
 
 class MeshParams:
-    """Uniform cubic grid of n^3 cells over an axis-aligned box."""
+    """Uniform cubic grid of n^3 cells over DEFAULT_BOX."""
 
-    def __init__(self, n: int, box=DEFAULT_BOX):
-        self.lo = np.asarray(box[0], dtype=np.float64)
-        self.hi = np.asarray(box[1], dtype=np.float64)
+    def __init__(self, n: int):
         if int(n) < 1:
             raise ValueError("n must be a positive integer")
         self.n = int(n)
-        ext = self.hi - self.lo
-        if np.any(ext <= 0):
-            raise ValueError("box must have positive extent")
-        h = ext / self.n
-        if not np.allclose(h, h[0], rtol=1e-12, atol=0.0):
-            raise ValueError("cells must be cubic; box extents must match")
-        self.h = float(h[0])
+        self.lo, self.hi = DEFAULT_BOX
+        self.h = float((self.hi - self.lo)[0] / self.n)
 
 
 def _corner_index(off):

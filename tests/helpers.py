@@ -16,10 +16,10 @@ import scipy.linalg
 from scipy.optimize import brentq
 
 from tracefem.assembly import LiftedRule, SurfaceData
-from tracefem.cutquad import _lin_gradient, triangle_rule
+from tracefem.cutquad import adjugate_and_det, triangle_rule
 from tracefem.levelset import SingularPointError, Sphere, Torus, TorusBenchmark
 from tracefem.mapping import _flat_rows, _search, build_theta
-from tracefem.mesh import _FACE_LOCAL, KUHN_VERTS, SHAPE_BARY_A, SHAPE_BARY_B, ActiveMesh, MeshParams, element_chunks
+from tracefem.mesh import _FACE_LOCAL, KUHN_VERTS, SHAPE_BARY_A, ActiveMesh, MeshParams, element_chunks
 from tracefem.reference import interpolate
 
 _CASE_CACHE: dict = {}
@@ -514,7 +514,13 @@ def solve_constrained_textbook(S, c, f, tol=1e-9, maxiter=None):
     return u - float((c * u).sum()) / float(c.sum()), its, ok
 
 
-def cut_corners_oracle(vertex_phi, verts_phys):
+def lin_gradient(vphi, verts):
+    """Gradient of the linear interpolant on each tet (B, 4) x (B, 4, 3): e^-1 (phi_i - phi_0) for the edges e_i = v_i - v_0."""
+    adj, det = adjugate_and_det(verts[:, 1:] - verts[:, :1])
+    return np.einsum("bij,bj->bi", adj, vphi[:, 1:] - vphi[:, :1]) / det[:, None]
+
+
+def cut_corners_oracle(vertex_phi, verts_phys, gradient=lin_gradient):
     """The interface triangles of cut tetrahedra as (tri_elem (T,), tri_bary (T, 3, 4), tri_area (T,)), sorted by element.
 
     extract_cuts as it formed and returned the (T, 3, 4) barycentric
@@ -522,7 +528,8 @@ def cut_corners_oracle(vertex_phi, verts_phys):
     into a zero array, 1 - t at the edge's first vertex and t at its
     second, the quadrilateral's corners (Q, 4, 4) split along the shorter
     diagonal, the corners' columns 1 and 2 swapped where the normal points
-    against the gradient of the linear interpolant.
+    against the gradient of the linear interpolant, as gradient(vphi,
+    verts) computes it for each triangle's tet.
     """
     vphi = np.asarray(vertex_phi, dtype=np.float64)
     neg = vphi < 0.0
@@ -579,7 +586,7 @@ def cut_corners_oracle(vertex_phi, verts_phys):
     pts = np.einsum("tcm,tmi->tci", tri_bary, verts_phys[tri_elem])
     nvec = np.cross(pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 0])
     tri_area = 0.5 * np.linalg.norm(nvec, axis=-1)
-    flip = np.einsum("ti,ti->t", nvec, _lin_gradient(vphi[tri_elem], verts_phys[tri_elem])) < 0.0
+    flip = np.einsum("ti,ti->t", nvec, gradient(vphi[tri_elem], verts_phys[tri_elem])) < 0.0
     tri_bary[flip] = tri_bary[flip][:, [0, 2, 1]]
     return tri_elem, tri_bary, tri_area
 
@@ -696,6 +703,10 @@ def closest_point(levelset, x):
         return levelset.radius * x / n[:, None]
     d = x @ levelset.normal - levelset.offset
     return x - d[:, None] * levelset.normal
+
+
+# the barycentric coordinates (6, 4) of the unit cube's origin in each Kuhn shape: its vertex 0
+SHAPE_BARY_B = np.tile(np.eye(4)[0], (6, 1))
 
 
 def bary_of_points(mesh: ActiveMesh, elems, x) -> np.ndarray:

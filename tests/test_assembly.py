@@ -380,7 +380,7 @@ class TestGeometryData:
         """Theta(x) = 2x has det = 8, scaling the measure accordingly."""
         _, mesh, dls, _ = torus_case(8, 1)
         doubling = IsoMapping(mesh, mesh.dof_points.copy())
-        vol = lifted_arrays(VolumeData.build(doubling, degree=2))
+        vol = lifted_arrays(VolumeData.build(doubling))
         total = mesh.nelems * mesh.elem_volume
         assert vol["w"].sum() == pytest.approx(8.0 * total, rel=1e-12)
 
@@ -394,7 +394,7 @@ class TestGeometryData:
             return original(k, lam)
 
         monkeypatch.setattr(backends, "eval_basis", counting)
-        vol = VolumeData.build(mapping, 4)
+        vol = VolumeData.build(mapping)
         lifted_arrays(vol)
         q = len(tet_rule(4)[1])
         assert calls == [q]
@@ -514,7 +514,7 @@ class TestGeometryData:
         _, mesh, dls, mapping = torus_case(16, 2)
         lam, wq = tet_rule(4)
         q = len(wq)
-        rule = VolumeData.build(mapping, 4)
+        rule = VolumeData.build(mapping)
         monkeypatch.setattr(mesh_module, "CHUNK_DOUBLES", 6 * rule.cell_doubles - 1)
         assert len(rule.slices()) > 1 and {s.stop - s.start for s in rule.slices()[:-1]} == {5}
         vol = lifted_arrays(rule)

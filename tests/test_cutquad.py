@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import roots_jacobi, roots_legendre
 
-from tracefem import assembly, cutquad
+from tracefem import cutquad
 from tracefem.assembly import SurfaceData, VolumeData
 from tracefem.cutquad import (
     MAX_RULE_DEGREE,
@@ -22,6 +22,7 @@ from tracefem.mesh import ActiveMesh, MeshParams
 from helpers import (
     clip_polygon_oracle,
     cut_corners_oracle,
+    lin_gradient,
     plane_box_section_area,
     polygon_area,
     tet_monomial_integral,
@@ -154,19 +155,16 @@ class TestExtractCuts:
         vphi = rng.standard_normal((200, 4))
         verts = UNIT_TET + 0.2 * rng.standard_normal((200, 4, 3))
         solved = solved_gradient(vphi, verts)
-        g = cutquad._lin_gradient(vphi, verts)
+        g = lin_gradient(vphi, verts)
         np.testing.assert_allclose(g, solved, rtol=1e-12, atol=1e-12 * abs(solved).max())
 
-    def test_surface_rule_triangles_are_those_a_solve_orients(self, monkeypatch):
-        """SurfaceData.build's triangles are byte-identical to those oriented by a LAPACK solve per tet."""
+    def test_surface_rule_triangles_are_those_a_solve_orients(self):
+        """SurfaceData.build's triangles are byte-identical to those of the oracle oriented by a LAPACK solve per tet."""
         _, mesh = torus_mesh(16, 2)
-        mapping = IsoMapping(mesh, np.zeros((mesh.ndofs, 3)))
-        surf = SurfaceData.build(mapping)
-        assembly._CUTS.clear()
-        monkeypatch.setattr(cutquad, "_lin_gradient", solved_gradient)
-        solved = SurfaceData.build(mapping)
-        for name in ("cells", "tri_edges", "tri_fracs", "tri_area"):
-            a, b = getattr(surf, name), getattr(solved, name)
+        surf = SurfaceData.build(IsoMapping(mesh, np.zeros((mesh.ndofs, 3))))
+        solved = cut_corners_oracle(mesh.vertex_phi, mesh.verts_phys(slice(None)), gradient=solved_gradient)
+        got = (surf.cells.astype(np.intp), cutquad.corners(surf.tri_edges, surf.tri_fracs), surf.tri_area)
+        for a, b in zip(got, solved):
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
     def test_quad_case_yields_two_coplanar_triangles(self):
@@ -231,6 +229,49 @@ class TestExtractCuts:
     def test_uncut_element_rejected(self):
         with pytest.raises(ValueError, match="no interface"):
             extract_cuts(np.array([[1.0, 1.0, 1.0, 1.0]]), UNIT_TET[None])
+
+
+def pattern_values(rng, pattern, count, low=0.05):
+    """Random vertex values (count, 4) of one sign pattern, |phi| in [low, 1]: negative where bit i of pattern is set."""
+    negative = (pattern >> np.arange(4) & 1) == 1
+    magnitude = rng.uniform(low, 1.0, (count, 4))
+    return np.where(negative, -magnitude, magnitude)
+
+
+class TestCutTable:
+    @pytest.mark.parametrize("mirror", [1.0, -1.0])
+    @pytest.mark.parametrize("pattern", range(1, 15))
+    def test_every_pattern_cuts_sign_changes_along_the_gradient(self, rng, pattern, mirror):
+        """Random values of one sign pattern on the unit tet and on its mirror image: normals with the gradient, corners on sign changes, the clipped area."""
+        vphi = pattern_values(rng, pattern, 40)
+        tet = UNIT_TET * (mirror, 1.0, 1.0)
+        elem, edges, fracs, area = extract_cuts(vphi, np.broadcast_to(tet, (len(vphi), 4, 3)))
+        assert elem.tolist() == np.repeat(np.arange(len(vphi)), cutquad.CUT_COUNT[pattern]).tolist()
+        assert np.all(vphi[elem[:, None], edges >> 2] * vphi[elem[:, None], edges & 3] < 0.0)
+        pts = np.einsum("tcm,mi->tci", cutquad.corners(edges, fracs), tet)
+        nvec = np.cross(pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 0])
+        for t, e in enumerate(elem):
+            assert np.dot(nvec[t], affine_gradient(vphi[e], tet)) > 0.0
+        for e in range(len(vphi)):
+            assert area[elem == e].sum() == pytest.approx(polygon_area(clip_polygon_oracle(vphi[e], tet)), rel=1e-12)
+
+    @pytest.mark.parametrize("mirror", [1.0, -1.0])
+    def test_a_zero_area_triangle_keeps_its_tabulated_order(self, rng, mirror):
+        """A separated vertex at |phi| < 1e-19 puts every corner on it, so the triangle has no area and no normal.
+
+        Its corners come out in the table's order, mirrored on a tet of
+        negative volume, for every draw of the other values.
+        """
+        tet = 2.0 + UNIT_TET * (mirror, 1.0, 1.0)  # no coordinate near 0: a corner rounds to its vertex
+        for pattern in np.flatnonzero(cutquad.CUT_COUNT == 1):
+            bits = pattern >> np.arange(4) & 1
+            vphi = pattern_values(rng, pattern, 20, low=0.5)
+            vphi[:, np.flatnonzero(bits == (bits.sum() == 1))] *= 1e-20  # the separated vertex
+            elem, edges, fracs, area = extract_cuts(vphi, np.broadcast_to(tet, (len(vphi), 4, 3)))
+            order = [0, 1, 2] if mirror > 0 else [0, 2, 1]
+            expected = cutquad._CUT_EDGES[pattern][cutquad._CUT_TRIS[pattern, 0, 0]][order]
+            assert np.all(area == 0.0)
+            assert np.all(edges == expected), pattern
 
 
 def mesh_section_area(levelset, n):
@@ -307,6 +348,6 @@ class TestCompositeRules:
     def test_volume_rule_on_mesh_element(self):
         """Under the identity, every element's volume weights sum to its volume."""
         _, mesh = torus_mesh(4, 1)
-        vol = VolumeData.build(IsoMapping(mesh, np.zeros((mesh.ndofs, 3))), degree=2)
+        vol = VolumeData.build(IsoMapping(mesh, np.zeros((mesh.ndofs, 3))))
         for _, _, w in vol.chunks():
             np.testing.assert_allclose(w.sum(axis=1), mesh.elem_volume, rtol=1e-13)

@@ -326,4 +326,4 @@ class TestLift:
         with pytest.raises(MappingInvertibilityError, match="not invertible"):
             next(SurfaceData.build(mapping, 2).chunks())
         with pytest.raises(MappingInvertibilityError, match="not invertible"):
-            next(VolumeData.build(mapping, 4).chunks())
+            next(VolumeData.build(mapping).chunks())

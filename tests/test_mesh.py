@@ -111,7 +111,7 @@ class TestActiveEnumeration:
         assert np.all(mesh.cube[:, 2] == n // 2)
 
     def test_exact_zero_vertex_values_count_as_positive(self):
-        params = MeshParams(2, ((0.0, 0.0, 0.0), (2.0, 2.0, 2.0)))
+        params = MeshParams(2)
         z = np.arange(3, dtype=float) - 1.0
         grid = np.broadcast_to(z, (3, 3, 3)).copy()  # zero plane on the lattice
         mesh = mesh_from_vertex_values(params, grid, 1)
@@ -126,7 +126,7 @@ class TestActiveEnumeration:
             ActiveMesh.build(MeshParams(8), Sphere(10.0), 1)
 
     def test_nonfinite_vertex_values_rejected(self):
-        params = MeshParams(2, ((0.0, 0.0, 0.0), (2.0, 2.0, 2.0)))
+        params = MeshParams(2)
         grid = np.ones((3, 3, 3))
         grid[1, 1, 1] = np.nan
         with pytest.raises(MeshError, match="finite"):
@@ -169,10 +169,6 @@ class TestMeshParams:
     def test_invalid_inputs(self):
         with pytest.raises(ValueError, match="positive integer"):
             MeshParams(0)
-        with pytest.raises(ValueError, match="cubic"):
-            MeshParams(4, ((0.0, 0.0, 0.0), (1.0, 1.0, 2.0)))
-        with pytest.raises(ValueError, match="extent"):
-            MeshParams(4, ((0.0, 0.0, 0.0), (-1.0, 1.0, 1.0)))
 
 
 class TestGeometry:

@@ -68,24 +68,44 @@ def test_a_run_loads_only_the_scipy_modules_it_calls(tmp_path):
 
 
 def test_every_library_definition_has_a_library_caller():
-    """Every function, class and method under src/tracefem is referenced by library code other than __init__.py.
+    """Every function, class, method and UPPER_CASE module constant under src/tracefem is live.
 
-    A name, an attribute or an import counts as a reference; a definition
-    that only tests call belongs in tests/helpers.py.
+    A name, an attribute or an import counts as a reference when it sits
+    in module-level code other than __init__.py or in a live definition,
+    one that is itself referenced so, to a fixed point: dead code that
+    calls dead code shows whole.  A definition that only tests call
+    belongs in tests/helpers.py.
     """
     src = Path(tracefem.__file__).parent
-    defined, used = {}, set()
-    for path in sorted(src.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and not node.name.startswith("__"):
-                defined.setdefault(node.name, f"{path.name}:{node.lineno}")
-            if path.name == "__init__.py":
-                continue
-            if isinstance(node, ast.Name):
-                used.add(node.id)
+    defined, refs = {}, {None: set()}  # refs[owner]: names referenced by a definition (None: module-level code)
+
+    def constants(node):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target] if isinstance(node, ast.AnnAssign) else []
+        names = [t.id for target in targets for t in ast.walk(target) if isinstance(t, ast.Name)]
+        return [name for name in names if name.lstrip("_")[:1].isupper() and name == name.upper()]
+
+    def visit(node, owner, path, top):
+        names = [node.name] if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else constants(node) if top else []
+        if names and not names[0].startswith("__"):  # a dunder's references are its class's
+            owner = (path.name, node.lineno)
+            for name in names:
+                defined.setdefault(name, []).append(owner)
+            refs[owner] = set()
+        if path.name != "__init__.py":
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                refs[owner].add(node.id)
             elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+                refs[owner].add(node.attr)
             elif isinstance(node, (ast.Import, ast.ImportFrom)):
-                used.update(alias.name.split(".")[-1] for alias in node.names)
-    assert sorted(f"{where} {name}" for name, where in defined.items() if name not in used) == []
+                refs[owner].update(alias.name.split(".")[-1] for alias in node.names)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner, path, isinstance(node, ast.Module))
+
+    for path in sorted(src.glob("*.py")):
+        visit(ast.parse(path.read_text()), None, path, False)
+    live, grown = set(), True
+    while grown:
+        reached = set(refs[None]).union(*(refs[o] for name in live for o in defined.get(name, ())))
+        grown, live = reached != live, reached
+    dead = [f"{where[0]}:{where[1]} {name}" for name, wheres in defined.items() if name not in live for where in wheres]
+    assert sorted(dead) == []

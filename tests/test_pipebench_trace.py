@@ -4,8 +4,8 @@ pipebench/spans.py wraps tracefem's classes and functions by name from
 outside the package; a rename in the library would break a traced
 benchmark run without failing any library test.  This runs one traced
 benchmark process on a small study and checks that it completes and
-that the counters of the mapping, the volume rule and the three kernels
-are filled and count every point once.
+that the counters of the mapping, the volume rule, the interface cut and
+the three kernels are filled and count every point and triangle once.
 """
 
 import json
@@ -15,7 +15,9 @@ import sys
 import time
 from pathlib import Path
 
-from tracefem.cutquad import tet_rule
+from tracefem.cutquad import extract_cuts, tet_rule
+from tracefem.levelset import Sphere
+from tracefem.mesh import ActiveMesh, MeshParams
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -40,6 +42,9 @@ def test_traced_benchmark_process_runs_a_small_study(tmp_path):
     assert layers["mesh.elements"] > 0
     assert layers["mapping.points"] == nb * layers["mesh.elements"]
     assert layers["assembly.volume_points"] == q * layers["mesh.elements"]
+    # the tracer counts the triangles of every chunk's cut once
+    mesh = ActiveMesh.build(MeshParams(config["base_n"]), Sphere(), config["k"])
+    assert layers["cutquad.triangles"] == len(extract_cuts(mesh.vertex_phi, mesh.verts_phys(slice(None)))[0])
     # the tracer wraps all three kernels on the backends module
     assert layers["kernel.eval_basis_points"] > 0
     assert layers["kernel.solve_dh_points"] > 0
