@@ -6,7 +6,7 @@ from .levelset import Plane, Sphere, SphereBenchmark, Torus, TorusBenchmark, Zer
 from .mapping import IsoMapping, build_theta
 from .mesh import ActiveMesh, MeshParams
 from .metrics import ErrorReport, compute_errors, eoc, estimate_condition
-from .reference import DiscreteLevelSet, ReferenceElement, interpolate
+from .reference import DiscreteLevelSet, interpolate
 from .solver import SolveReport, SolverDivergenceError, augment_gamma, pcg, solve_constrained
 
 __version__ = "0.1.0"
@@ -18,7 +18,6 @@ __all__ = [
     "IsoMapping",
     "MeshParams",
     "Plane",
-    "ReferenceElement",
     "SolveReport",
     "Sphere",
     "SphereBenchmark",

@@ -24,7 +24,6 @@ from . import backends
 from .cutquad import CUT_COUNT, corners, extract_cuts, sign_pattern, tet_rule, triangle_rule
 from .mapping import IsoMapping
 from .mesh import SHAPE_BARY_A, element_chunks
-from .reference import physical_gradients
 
 VARIANTS = (
     "none",
@@ -141,7 +140,7 @@ class LiftedRule:
     def cell_doubles(self):
         """Doubles that one cell's q points allocate in a chunk, q * (a * NB + b)."""
         a, b = self.point_doubles
-        return self.q * (a * self.mesh.ref.ndofs + b)
+        return self.q * (a * self.mesh.nb + b)
 
     def slices(self):
         """Slices of consecutive cells, one per chunk, each at most mesh.CHUNK_DOUBLES doubles."""
@@ -258,8 +257,8 @@ class VolumeData(LiftedRule):
     def build(cls, mapping: IsoMapping, scale=1.0, width=1):
         mesh = mapping.mesh
         lam, w = tet_rule(2 * mesh.k)
-        _, dlam = mesh.ref.eval(lam)
-        table = physical_gradients(dlam, SHAPE_BARY_A[:, None] / mesh.h)
+        _, dlam = backends.eval_basis(mesh.k, lam)
+        table = dlam @ (SHAPE_BARY_A[:, None] / mesh.h)
         return cls(mapping, table, w * mesh.elem_volume, scale, width)
 
     def _lift(self, s):

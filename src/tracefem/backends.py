@@ -1,10 +1,11 @@
-"""The numpy compute kernels.
+"""The numpy compute kernels, and the one home of the P^k Lagrange basis.
 
-The three hot kernels: equispaced simplex Lagrange basis evaluation, the
-batched 1D root solve used by the mesh deformation, and the symmetric
-local-matrix accumulation used by the bilinear-form assembly.  Library
-code looks them up on this module at call time (``backends.eval_basis``),
-never by ``from ... import``, so a wrapper set on the module sees every call.
+The three hot kernels: equispaced simplex Lagrange basis evaluation
+(eval_basis, on the node lattice multi_indices(k) / k), the batched 1D
+root solve used by the mesh deformation, and the symmetric local-matrix
+accumulation used by the bilinear-form assembly.  Library code looks
+them up on this module at call time (``backends.eval_basis``), never by
+``from ... import``, so a wrapper set on the module sees every call.
 """
 
 from __future__ import annotations
@@ -25,23 +26,15 @@ def active():
     return sys.modules[__name__]
 
 
-def _multi_indices(k: int) -> np.ndarray:
-    out = []
-    for a0 in range(k, -1, -1):
-        for a1 in range(k - a0, -1, -1):
-            for a2 in range(k - a0 - a1, -1, -1):
-                out.append((a0, a1, a2, k - a0 - a1 - a2))
-    return np.array(out, dtype=np.int64)
-
-
-_MI_CACHE: dict[int, np.ndarray] = {}
-
-
+@functools.cache
 def multi_indices(k: int) -> np.ndarray:
-    """Barycentric exponent tuples of the degree-k simplex lattice, vertex-major order."""
-    if k not in _MI_CACHE:
-        _MI_CACHE[k] = _multi_indices(k)
-    return _MI_CACHE[k]
+    """Barycentric exponent tuples (NB, 4) of the degree-k simplex lattice, vertex-major order; read-only, as every caller shares it."""
+    mi = np.array([
+        (a0, a1, a2, k - a0 - a1 - a2)
+        for a0 in range(k, -1, -1) for a1 in range(k - a0, -1, -1) for a2 in range(k - a0 - a1, -1, -1)
+    ], dtype=np.int64)
+    mi.setflags(write=False)
+    return mi
 
 
 def _tables(k: int, lam: np.ndarray, glam=None, out=None):
@@ -79,7 +72,8 @@ def eval_basis(k: int, lam: np.ndarray):
     prod_{j<a} (k*t - j)/(a - j), which reproduce the Kronecker property
     exactly at the nodes and extrapolate polynomially outside the simplex.
     Returns (vals (P, NB), dlam (P, NB, 4)) with dlam the gradient with
-    respect to the four barycentric coordinates.
+    respect to the four barycentric coordinates; in an element the
+    physical gradients are dlam @ bary_grad.
 
     A basis function is the product f0 f1 f2 f3 of its four factors
     f_m = L[a_m](lam_m), a = multi_indices(k)[b], and its derivative in

@@ -202,18 +202,18 @@ def extract_cuts(vertex_phi: np.ndarray, verts_phys: np.ndarray):
     edges = _CUT_EDGES[pattern]  # (E, 4)
     fracs = np.take_along_axis(vphi, edges >> 2, axis=1)
     fracs /= fracs - np.take_along_axis(vphi, edges & 3, axis=1)
-    q = np.einsum("ecm,emi->eci", corners(edges, fracs), verts_phys)
+    q = np.einsum("ecm,emi->eci", corners(edges, fracs), verts_phys)  # (E, 4, 3) the corners' physical points
     d = np.linalg.norm(q[:, 2:] - q[:, :2], axis=-1)  # the diagonals 0-2 and 1-3
     edge = verts_phys[:, 1:] - verts_phys[:, :1]
     mirror = np.einsum("ei,ei->e", np.cross(edge[:, 0], edge[:, 1]), edge[:, 2]) < 0.0  # negative volume
-    del q, edge
+    del edge
     tris = _CUT_TRIS[pattern, (d[:, 0] > d[:, 1]) * 1]  # (E, 2, 3)
     tris[mirror] = tris[mirror][..., [0, 2, 1]]
     tri_elem = np.repeat(np.arange(len(vphi)), count)
     pick = tris[np.arange(2) < count[:, None]]  # (T, 3), in element order
     tri_edges = np.take_along_axis(edges[tri_elem], pick, axis=1)
     tri_fracs = np.take_along_axis(fracs[tri_elem], pick, axis=1)
-    pts = np.einsum("tcm,tmi->tci", corners(tri_edges, tri_fracs), verts_phys[tri_elem])
+    pts = q[tri_elem[:, None], pick]  # (T, 3, 3)
     tri_area = 0.5 * np.linalg.norm(np.cross(pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 0]), axis=-1)
     return tri_elem, tri_edges, tri_fracs, tri_area
 
@@ -229,20 +229,4 @@ def corners(edges, fracs):
     flat[rows, edges >> 2] = 1.0 - fracs
     flat[rows, edges & 3] = fracs
     return bary
-
-
-def adjugate_and_det(J):
-    """Adjugates and determinants of 3x3 matrices J (..., 3, 3), by cofactors.
-
-    With rows a, b, c of J, the columns of adj(J) are b x c, c x a and
-    a x b, and det = a . (b x c); J^-1 = adj(J) / det.  Four times faster
-    than LAPACK's per-matrix inv and det, with one output-sized array.
-    """
-    adj = np.empty(J.shape)
-    for i in range(3):
-        j, k = (i + 1) % 3, (i + 2) % 3
-        adj[..., 0, i] = J[..., j, 1] * J[..., k, 2] - J[..., j, 2] * J[..., k, 1]
-        adj[..., 1, i] = J[..., j, 2] * J[..., k, 0] - J[..., j, 0] * J[..., k, 2]
-        adj[..., 2, i] = J[..., j, 0] * J[..., k, 1] - J[..., j, 1] * J[..., k, 0]
-    return adj, (J[..., 0, :] * adj[..., :, 0]).sum(axis=-1)
 

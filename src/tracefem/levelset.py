@@ -96,8 +96,6 @@ class TorusBenchmark:
         lap_G u = u_pp / rt^2 + u_tt / r^2 - sin(theta) * u_t / (r * rt)
     """
 
-    name = "torus"
-
     def __init__(self, R: float = 1.0, r: float = 0.6):
         self.levelset = Torus(R, r)
 
@@ -150,8 +148,6 @@ class TorusBenchmark:
 class SphereBenchmark:
     """Cubic harmonic benchmark on the unit-radius sphere: u = x1 x2 x3."""
 
-    name = "sphere"
-
     def __init__(self, radius: float = 1.0):
         self.levelset = Sphere(radius)
 
@@ -177,9 +173,8 @@ class SphereBenchmark:
 class ZeroBenchmark:
     """u = 0, f = 0 on an arbitrary level-set surface (pipeline shakedown)."""
 
-    def __init__(self, levelset, name: str = "zero"):
+    def __init__(self, levelset):
         self.levelset = levelset
-        self.name = name
 
     def exact_solution(self, x):
         return np.zeros(len(x))
@@ -204,8 +199,8 @@ def shifted_plane(eps: float, n: int) -> Plane:
 BENCHMARKS = {
     "torus": TorusBenchmark,
     "sphere": SphereBenchmark,
-    "torus-zero": lambda: ZeroBenchmark(Torus(), name="torus-zero"),
-    "plane": lambda: ZeroBenchmark(Plane(), name="plane"),
+    "torus-zero": lambda: ZeroBenchmark(Torus()),
+    "plane": lambda: ZeroBenchmark(Plane()),
 }
 
 

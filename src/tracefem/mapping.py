@@ -19,9 +19,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import backends
-from .cutquad import adjugate_and_det
 from .mesh import ActiveMesh, element_chunks
-from .reference import DiscreteLevelSet, physical_gradients
+from .reference import DiscreteLevelSet
 
 DELTA_FRACTION = 0.5
 
@@ -70,6 +69,22 @@ def _search(mesh: ActiveMesh, elems, coeffs, lam_x, G):
     return d
 
 
+def adjugate_and_det(J):
+    """Adjugates and determinants of 3x3 matrices J (..., 3, 3), by cofactors.
+
+    With rows a, b, c of J, the columns of adj(J) are b x c, c x a and
+    a x b, and det = a . (b x c); J^-1 = adj(J) / det.  Four times faster
+    than LAPACK's per-matrix inv and det, with one output-sized array.
+    """
+    adj = np.empty(J.shape)
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        adj[..., 0, i] = J[..., j, 1] * J[..., k, 2] - J[..., j, 2] * J[..., k, 1]
+        adj[..., 1, i] = J[..., j, 2] * J[..., k, 0] - J[..., j, 0] * J[..., k, 2]
+        adj[..., 2, i] = J[..., j, 0] * J[..., k, 1] - J[..., j, 1] * J[..., k, 0]
+    return adj, (J[..., 0, :] * adj[..., :, 0]).sum(axis=-1)
+
+
 def _flat_rows(rows, m):
     """Flat indices m * row + (0, ..., m - 1) into an (n, m) array of every row of rows, in order.
 
@@ -100,18 +115,11 @@ class IsoMapping:
             self.n_lin[s] = g / np.linalg.norm(g, axis=-1, keepdims=True)
 
     def _basis(self, elems, lam):
-        """Basis values (E, q, NB) and physical gradients (E, q, NB, 3) before the lift.
-
-        elems is (E,); lam is per element (E, q, 4) or shared by all (q, 4).
-        The basis is evaluated once per given point and meets the elements'
-        affine maps by broadcasting.
-        """
+        """Basis values (E, q, NB) and physical gradients (E, q, NB, 3) before the lift, at points lam (E, q, 4) of elements (E,)."""
         lam = np.asarray(lam, dtype=np.float64)
-        vals, dlam = self.mesh.ref.eval(lam.reshape(-1, 4))
-        dlam = dlam.reshape(*lam.shape[:-1], *dlam.shape[1:])
-        gref = physical_gradients(dlam, self.mesh.bary_grad(elems)[:, None])
-        del dlam
-        return np.broadcast_to(vals.reshape(*lam.shape[:-1], -1), gref.shape[:-1]), gref
+        vals, dlam = backends.eval_basis(self.mesh.k, lam.reshape(-1, 4))
+        gref = dlam.reshape(*lam.shape[:2], *dlam.shape[1:]) @ self.mesh.bary_grad(elems)[:, None]
+        return vals.reshape(*lam.shape[:2], -1), gref
 
     def _map(self, elems, vals, gref):
         """Deformed points (None without vals) and DTheta, each (E, q, ...).
@@ -126,10 +134,10 @@ class IsoMapping:
     def lift(self, elems, lam=None, gref=None) -> Lift:
         """Push points of elements (E,) through Theta; every returned array is (E, q, ...).
 
-        The points are barycentric, lam per element (E, q, 4) or shared by
-        all (q, 4).  A caller that needs no basis values passes the physical
-        gradients of the basis there instead, gref (E, q, NB, 3), as the
-        volume rule does from its table; then vals and y are None.
+        The points are barycentric, lam (E, q, 4).  A caller that needs no
+        basis values passes the physical gradients of the basis there
+        instead, gref (E, q, NB, 3), as the volume rule does from its
+        table; then vals and y are None.
         With J = DTheta, physical gradients pick up J^-T, a flat interface
         measure picks up det(J) * |J^-T n-hat| and the deformed unit normal
         is J^-T n-hat normalised, n-hat being the normal of the linear cut.
@@ -161,9 +169,9 @@ def build_theta(dls: DiscreteLevelSet) -> IsoMapping:
     mesh = dls.mesh
     if mesh.k == 1:
         return IsoMapping(mesh, np.zeros((mesh.ndofs, 3)))
-    NB = mesh.ref.ndofs
-    lam = mesh.ref.nodes_bary
-    _, dlam = mesh.ref.eval(lam)
+    NB = mesh.nb
+    lam = backends.multi_indices(mesh.k) / mesh.k
+    _, dlam = backends.eval_basis(mesh.k, lam)
     table = dlam.transpose(1, 0, 2).reshape(NB, NB * 4)  # row b: gradients of basis b at the nodes
     sums = np.zeros((mesh.ndofs, 3))
     # NB nodes of NB coefficients per element, charged 16 NB^2 doubles (see mesh.CHUNK_DOUBLES)

@@ -15,9 +15,10 @@ import weakref
 
 import numpy as np
 
+from . import backends
 from .levelset import DEFAULT_BOX
-from .reference import ReferenceElement
 
+MAX_DEGREE = 5
 ZERO_SHIFT = 1e-14  # exact-zero vertex values are moved to +ZERO_SHIFT*h
 
 # One budget for every streamed loop.  Theta's build, the interface cut,
@@ -135,14 +136,16 @@ def _cut_elements(planes):
 
 
 class ActiveMesh:
-    """Active (cut) part of the background mesh for a fixed degree k."""
+    """Active (cut) part of the background mesh for a fixed degree k = 1..MAX_DEGREE, nb basis functions per element."""
 
     def __init__(self, params: MeshParams, k: int, cube: np.ndarray, tet: np.ndarray, vertex_phi: np.ndarray):
+        if not 1 <= k <= MAX_DEGREE:
+            raise ValueError(f"polynomial degree must be in 1..{MAX_DEGREE}, got {k}")
         if len(cube) == 0:
             raise MeshError("surface does not intersect mesh")
         self.params = params
         self.k = int(k)
-        self.ref = ReferenceElement(self.k)
+        self.nb = len(backends.multi_indices(self.k))
         order = np.lexsort((tet, cube[:, 2], cube[:, 1], cube[:, 0]))
         self.cube = np.ascontiguousarray(cube[order])
         self.tet = np.ascontiguousarray(tet[order])
@@ -174,16 +177,15 @@ class ActiveMesh:
 
     def _build_dofs(self):
         k, n = self.k, self.params.n
-        alpha = self.ref.multi_indices  # (NB, 4)
-        nodes = np.einsum("bm,emj->ebj", alpha, self.verts_lattice(slice(None)))  # (E, NB, 3) fine lattice
+        nodes = np.einsum("bm,emj->ebj", backends.multi_indices(k), self.verts_lattice(slice(None)))  # (E, NB, 3) fine lattice
         m = k * n + 1
         keys = (nodes[:, :, 0] * m + nodes[:, :, 1]) * m + nodes[:, :, 2]
-        self.dof_keys, inv = np.unique(keys, return_inverse=True)
+        dof_keys, inv = np.unique(keys, return_inverse=True)
         self.elem_dofs = inv.reshape(keys.shape).astype(np.int64)
-        self.ndofs = len(self.dof_keys)
+        self.ndofs = len(dof_keys)
         lat = np.empty((self.ndofs, 3), dtype=np.int64)
-        lat[:, 2] = self.dof_keys % m
-        rest = self.dof_keys // m
+        lat[:, 2] = dof_keys % m
+        rest = dof_keys // m
         lat[:, 1] = rest % m
         lat[:, 0] = rest // m
         self.dof_points = self.params.lo + self.params.h * (lat / float(k))

@@ -1,45 +1,12 @@
-"""P^k Lagrange reference element on the tetrahedron and nodal interpolation.
+"""The interpolate stage: the nodal interpolant phi_h of the level set.
 
-Nodes are the equispaced barycentric lattice points alpha/k; the basis is
-the product form of one-dimensional factors, which is exactly Kronecker
-at the nodes and extends polynomially outside the element (needed by the
-deformation search, which evaluates element polynomials off the element).
+The P^k basis it is read with lives in backends (eval_basis on the nodes
+multi_indices(k) / k), the nodes' points in the mesh (dof_points).
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from . import backends
-
-MAX_DEGREE = 5
-
-
-class ReferenceElement:
-    """Degree-k Lagrange element on the reference tetrahedron, k = 1..5."""
-
-    def __init__(self, k: int):
-        if not 1 <= k <= MAX_DEGREE:
-            raise ValueError(f"polynomial degree must be in 1..{MAX_DEGREE}, got {k}")
-        self.k = k
-        self.multi_indices = backends.multi_indices(k)
-        self.nodes_bary = self.multi_indices / float(k)
-        self.ndofs = len(self.multi_indices)
-
-    def eval(self, lam):
-        """Basis values and barycentric gradients at barycentric points."""
-        return backends.eval_basis(self.k, lam)
-
-
-def physical_gradients(dlam: np.ndarray, bary_grad: np.ndarray) -> np.ndarray:
-    """Chain rule from barycentric to physical gradients.
-
-    dlam: (..., NB, 4) barycentric basis gradients; bary_grad: (..., 4, 3)
-    gradients of the barycentric coordinates (rows of the affine map).
-    Leading dimensions broadcast, so points shared by several elements
-    need only one row of dlam.
-    """
-    return dlam @ bary_grad
 
 
 class DiscreteLevelSet:

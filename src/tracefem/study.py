@@ -299,7 +299,7 @@ def _condition(S, c):
 def _conditioning_shift(cfg: StudyConfig, eps: float, rng) -> list:
     """Estimate and solve every variant at one shift; its mesh, mapping and systems are freed on return, before the next shift is built."""
     ls = _stage("mesh", shifted_plane, eps, cfg.base_n)
-    problem = ZeroBenchmark(ls, name="plane")
+    problem = ZeroBenchmark(ls)
     mesh, dls, mapping = _level(ls, cfg.base_n, cfg.k)
     synth = rng.standard_normal(mesh.ndofs)
     reports = []

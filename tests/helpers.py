@@ -15,10 +15,11 @@ import numpy as np
 import scipy.linalg
 from scipy.optimize import brentq
 
+from tracefem import backends
 from tracefem.assembly import LiftedRule, SurfaceData
-from tracefem.cutquad import adjugate_and_det, triangle_rule
+from tracefem.cutquad import triangle_rule
 from tracefem.levelset import SingularPointError, Sphere, Torus, TorusBenchmark
-from tracefem.mapping import _flat_rows, _search, build_theta
+from tracefem.mapping import _flat_rows, _search, adjugate_and_det, build_theta
 from tracefem.mesh import _FACE_LOCAL, KUHN_VERTS, SHAPE_BARY_A, ActiveMesh, MeshParams, element_chunks
 from tracefem.reference import interpolate
 
@@ -645,25 +646,30 @@ def mapping_eval(mapping, elems, lam):
     """Deformed points (P, 3) and Jacobians DTheta (P, 3, 3) of mapping at barycentric points lam (P, 4) of elements (P,), from Theta's nodal values."""
     mesh = mapping.mesh
     elems = np.asarray(elems, dtype=np.int64)
-    vals, dlam = mesh.ref.eval(np.asarray(lam, dtype=np.float64))
+    vals, dlam = backends.eval_basis(mesh.k, np.asarray(lam, dtype=np.float64))
     gref = np.einsum("pbm,pmi->pbi", dlam, mesh.bary_grad(elems))
     nodes = mapping.nodes[mesh.elem_dofs[elems]]  # (P, NB, 3)
     return np.einsum("pb,pbi->pi", vals, nodes), np.einsum("pbi,pbj->pij", nodes, gref)
 
 
+def lattice_keys(lattice, m):
+    """Keys (x * m + y) * m + z (P,) of fine-lattice points (P, 3)."""
+    return (lattice[:, 0] * m + lattice[:, 1]) * m + lattice[:, 2]
+
+
 def dof_lattice(mesh: ActiveMesh) -> np.ndarray:
-    """(ndofs, 3) fine-lattice points of the dofs, decoded from their keys (x * m + y) * m + z."""
-    m = mesh.k * mesh.params.n + 1
-    return np.stack(np.unravel_index(mesh.dof_keys, (m, m, m)), axis=1)
+    """(ndofs, 3) fine-lattice points of the dofs, decoded from their points as rint((x - lo) k / h)."""
+    return np.rint((mesh.dof_points - mesh.params.lo) * mesh.k / mesh.h).astype(np.int64)
 
 
 def dof_index_of(mesh: ActiveMesh, lattice) -> np.ndarray:
     """Dof indices of fine-lattice points; KeyError for a point that is not an active dof."""
     lattice = np.asarray(lattice, dtype=np.int64)
     m = mesh.k * mesh.params.n + 1
-    keys = (lattice[:, 0] * m + lattice[:, 1]) * m + lattice[:, 2]
-    idx = np.searchsorted(mesh.dof_keys, keys)
-    bad = (idx >= mesh.ndofs) | (mesh.dof_keys[np.minimum(idx, mesh.ndofs - 1)] != keys)
+    dof_keys = lattice_keys(dof_lattice(mesh), m)  # ascending: the dofs are numbered lexicographically
+    keys = lattice_keys(lattice, m)
+    idx = np.searchsorted(dof_keys, keys)
+    bad = (idx >= mesh.ndofs) | (dof_keys[np.minimum(idx, mesh.ndofs - 1)] != keys)
     if np.any(bad):
         raise KeyError(f"lattice point {lattice[np.argmax(bad)]} is not an active dof")
     return idx
@@ -727,7 +733,7 @@ def dls_eval(dls, elems, lam, grad: bool = False):
     """phi_h (P,), and with grad its physical gradient (P, 3), on the elements elems (P,) at barycentric points lam (P, 4)."""
     mesh = dls.mesh
     c = dls.values[mesh.elem_dofs[elems]]
-    vals, dlam = mesh.ref.eval(lam)
+    vals, dlam = backends.eval_basis(mesh.k, lam)
     phi = np.einsum("pb,pb->p", vals, c)
     if not grad:
         return phi
@@ -771,7 +777,7 @@ def facet_jump_psi(dls, degree: int = 4) -> float:
     lam, _ = triangle_rule(degree)
     q = len(lam)
     jump = 0.0
-    for s in element_chunks(len(fs), 16 * q * mesh.ref.ndofs):
+    for s in element_chunks(len(fs), 16 * q * mesh.nb):
         pts = np.einsum("qm,fmi->fqi", lam, facet_triangles(fs, s)).reshape(-1, 3)
         lo, hi = (psi_h(dls, np.repeat(e, q), pts) for e in fs.elems[s].T)
         jump = np.maximum(jump, np.linalg.norm(lo - hi, axis=-1).max())  # keeps a nan

@@ -409,7 +409,7 @@ class TestGeometryData:
         _, mesh, dls, mapping = torus_case(16, 2)
         lam, wq = triangle_rule(4)
         q = len(wq)
-        NB = mesh.ref.ndofs
+        NB = mesh.nb
         a, b = SurfaceData.POINT_DOUBLES
         monkeypatch.setattr(mesh_module, "CHUNK_DOUBLES", 6 * q * (a * NB + b) - 1)
         rule = SurfaceData.build(mapping, 4)
@@ -450,7 +450,7 @@ class TestGeometryData:
         assert rule.tri_area.tobytes() == tri_area.tobytes()
 
     def test_first_cut_peaks_at_its_triangles_and_one_chunk(self):
-        """At torus k=1 n=64 the cut allocates its triangles, 2.0 MiB, and one chunk of elements' cuts, 2.2 MiB, not a second copy of the triangles.
+        """At torus k=1 n=64 the cut allocates its triangles, 2.0 MiB, and one chunk of elements' cuts, 1.85 MiB, not a second copy of the triangles.
 
         That is at most 1.125 CHUNK_DOUBLES doubles above what it keeps.
         The cut kept (T, 3, 4) corners before, 5.8 MiB, and its chunk
@@ -518,7 +518,7 @@ class TestGeometryData:
         monkeypatch.setattr(mesh_module, "CHUNK_DOUBLES", 6 * rule.cell_doubles - 1)
         assert len(rule.slices()) > 1 and {s.stop - s.start for s in rule.slices()[:-1]} == {5}
         vol = lifted_arrays(rule)
-        lift = mapping.lift(np.arange(mesh.nelems), lam)  # gradients from the basis at every element
+        lift = mapping.lift(np.arange(mesh.nelems), np.broadcast_to(lam, (mesh.nelems, q, 4)))  # gradients from the basis at every element
         np.testing.assert_allclose(vol["w"], (wq * mesh.elem_volume * lift.det).ravel(), rtol=1e-14)
         np.testing.assert_allclose(vol["invJ"], lift.invJ.reshape(-1, 3, 3), rtol=1e-14, atol=1e-14)
         np.testing.assert_allclose(vol["nh"], lift.nh.reshape(-1, 3), rtol=1e-14, atol=1e-14)

@@ -230,10 +230,14 @@ class TestSphereBenchmark:
 
 class TestRegistry:
     def test_known_names(self):
-        assert make_benchmark("torus").name == "torus"
-        assert make_benchmark("sphere").name == "sphere"
-        assert make_benchmark("torus-zero").name == "torus-zero"
-        assert make_benchmark("plane").name == "plane"
+        for name, kind, levelset in (
+            ("torus", TorusBenchmark, Torus),
+            ("sphere", SphereBenchmark, Sphere),
+            ("torus-zero", ZeroBenchmark, Torus),
+            ("plane", ZeroBenchmark, Plane),
+        ):
+            bench = make_benchmark(name)
+            assert type(bench) is kind and type(bench.levelset) is levelset
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from tracefem import backends
 from tracefem import mapping as mapping_module
 from tracefem import mesh as mesh_module
 from tracefem.assembly import SurfaceData, VolumeData
@@ -121,7 +122,7 @@ class TestStreamedBuild:
         """Theta built in ragged chunks of 64 elements is the patch average of psi_h at every element node."""
         ls, mesh = torus_mesh(16, 3)
         dls = interpolate(ls, mesh)
-        NB = mesh.ref.ndofs
+        NB = mesh.nb
         monkeypatch.setattr(mesh_module, "CHUNK_DOUBLES", 16 * NB * (64 * NB + NB - 1))  # 16 NB^2 doubles per element
         disp = build_theta(dls).displacement
         E = mesh.nelems
@@ -180,7 +181,7 @@ class TestIdentityCases:
 class TestMapping:
     def test_patch_average_matches_direct_mean(self, rng):
         _, mesh = torus_mesh(5, 2)
-        values = rng.standard_normal((mesh.nelems, mesh.ref.ndofs, 3))
+        values = rng.standard_normal((mesh.nelems, mesh.nb, 3))
         avg = project_average(mesh, values)
         flat = mesh.elem_dofs.ravel()
         for dof in rng.integers(0, mesh.ndofs, size=30):
@@ -247,7 +248,7 @@ class TestMapping:
         pts = np.einsum("qm,fmi->fqi", lam, facet_triangles(fs)).reshape(-1, 3)
         lo, hi = (psi_h(dls, np.repeat(e, len(lam)), pts) for e in fs.elems.T)
         whole = np.linalg.norm(lo - hi, axis=-1).max()
-        assert len(mesh_module.element_chunks(len(fs), 16 * len(lam) * mesh.ref.ndofs)) > 1
+        assert len(mesh_module.element_chunks(len(fs), 16 * len(lam) * mesh.nb)) > 1
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -281,7 +282,7 @@ class TestLift:
         lift = Lift(*(a[:, 0] for a in mapping.lift(elems, lam[:, None])))  # one point per element
 
         y, J = mapping_eval(mapping, elems, lam)
-        vals, dlam = mesh.ref.eval(lam)
+        vals, dlam = backends.eval_basis(mesh.k, lam)
         gref = np.einsum("pbm,pmi->pbi", dlam, mesh.bary_grad(elems))
         invJT = np.linalg.inv(J).transpose(0, 2, 1)
         N = np.einsum("pij,pj->pi", invJT, mapping.n_lin[elems])
@@ -298,25 +299,23 @@ class TestLift:
         )
 
     def test_shared_points_lift_like_per_point_points(self, rng):
-        """Points shared by E elements give (E, q, ...) arrays equal bit for bit to a per-point lift."""
+        """Points shared by E elements, given per element, give (E, q, ...) arrays equal bit for bit to a per-point lift."""
         _, mesh = torus_mesh(8, 2)
         mapping = IsoMapping(mesh, 0.05 * mesh.h * rng.standard_normal((mesh.ndofs, 3)))
-        E, q, NB = 30, 7, mesh.ref.ndofs
+        E, q, NB = 30, 7, mesh.nb
         elems = rng.integers(0, mesh.nelems, size=E)
         lam = rng.dirichlet(np.ones(4), size=q)
-        shared = mapping.lift(elems, lam)
         per_elem = mapping.lift(elems, np.broadcast_to(lam, (E, q, 4)))
         per_point = mapping.lift(np.repeat(elems, q), np.tile(lam, (E, 1))[:, None])
         shapes = [(E, q, NB), (E, q, NB, 3), (E, q, 3, 3), (E, q, 3), (E, q), (E, q, 3), (E, q)]
-        assert [a.shape for a in shared] == shapes
-        for a, b, c in zip(shared, per_elem, per_point):
-            np.testing.assert_array_equal(a, b)
+        assert [a.shape for a in per_elem] == shapes
+        for a, c in zip(per_elem, per_point):
             np.testing.assert_array_equal(a, c.reshape(a.shape))
         # points given by their reference gradients alone, as the volume rule gives them
-        from_gref = mapping.lift(elems, gref=shared.gref)
+        from_gref = mapping.lift(elems, gref=per_elem.gref)
         assert from_gref.vals is None and from_gref.y is None
         for name in ("gref", "invJ", "det", "nh", "nn"):
-            np.testing.assert_array_equal(getattr(from_gref, name), getattr(shared, name))
+            np.testing.assert_array_equal(getattr(from_gref, name), getattr(per_elem, name))
 
     def test_inverted_elements_are_rejected_by_both_rules(self):
         """Theta(x) = -x has det DTheta = -1 everywhere."""

@@ -35,6 +35,36 @@ def test_no_module_imports_another_inside_a_function():
     assert late == []
 
 
+# The tracefem modules each library module imports: a module imports
+# only from the layers below it, the pipeline's stages in their order.
+LAYERS = {
+    "backends": set(),
+    "cutquad": set(),
+    "levelset": set(),
+    "reference": set(),
+    "solver": set(),
+    "mesh": {"backends", "levelset"},
+    "mapping": {"backends", "mesh", "reference"},
+    "assembly": {"backends", "cutquad", "mapping", "mesh"},
+    "metrics": {"assembly"},
+    "vtkio": {"assembly", "cutquad", "mesh"},
+    "study": {"assembly", "levelset", "mapping", "mesh", "metrics", "reference", "solver", "vtkio"},
+    "cli": {"levelset", "study"},
+    "__init__": {"assembly", "backends", "levelset", "mapping", "mesh", "metrics", "reference", "solver"},
+}
+
+
+def test_modules_import_the_declared_layers():
+    """Every library module's relative imports, read off its AST, are its row of LAYERS: mesh.py does not import assembly, for one."""
+    src = Path(tracefem.__file__).parent
+    found = {path.stem: set() for path in src.glob("*.py")}
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                found[path.stem].update([node.module] if node.module else [a.name for a in node.names])
+    assert found == LAYERS
+
+
 LAZY_SCIPY = ("scipy.special", "scipy.linalg", "scipy.sparse.linalg", "scipy.io")
 
 RUNS = f"""

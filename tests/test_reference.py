@@ -1,18 +1,13 @@
-"""Lagrange reference element and nodal level-set interpolation."""
+"""Lagrange basis on the reference tetrahedron and nodal level-set interpolation."""
 
 import numpy as np
 import pytest
 
 from tracefem import backends
 from tracefem.levelset import Plane, Torus
-from tracefem.mesh import ActiveMesh, MeshParams
-from tracefem.reference import (
-    MAX_DEGREE,
-    DiscreteLevelSet,
-    ReferenceElement,
-    interpolate,
-    physical_gradients,
-)
+from tracefem.mapping import IsoMapping
+from tracefem.mesh import MAX_DEGREE, ActiveMesh, MeshParams
+from tracefem.reference import DiscreteLevelSet, interpolate
 
 from helpers import dls_eval, points_of_bary, torus_mesh
 
@@ -26,18 +21,21 @@ def random_bary(rng, count, spread=0.0):
     return lam
 
 
+def nodes(k):
+    """The degree-k element's nodes, barycentric (NB, 4)."""
+    return backends.multi_indices(k) / k
+
+
 class TestBasis:
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_kronecker_at_nodes(self, k):
-        ref = ReferenceElement(k)
-        vals = ref.eval(ref.nodes_bary)[0]
-        np.testing.assert_allclose(vals, np.eye(ref.ndofs), atol=1e-13)
+        vals = backends.eval_basis(k, nodes(k))[0]
+        np.testing.assert_allclose(vals, np.eye(len(nodes(k))), atol=1e-13)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_partition_of_unity_inside_and_outside(self, k, rng):
-        ref = ReferenceElement(k)
         lam = random_bary(rng, 200, spread=0.3)  # includes exterior points
-        vals, dlam = ref.eval(lam)
+        vals, dlam = backends.eval_basis(k, lam)
         np.testing.assert_allclose(vals.sum(axis=1), 1.0, atol=1e-12)
         # the gradient sum is normal to the constraint plane: constant across
         # components, so the physical gradient of the constant 1 vanishes
@@ -47,43 +45,47 @@ class TestBasis:
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_reproduces_degree_k_monomials(self, k, rng):
         """Nodal interpolation of lam0^a*lam1^b*... is exact for total degree <= k."""
-        ref = ReferenceElement(k)
         lam = random_bary(rng, 100)
-        vals = ref.eval(lam)[0]
-        for powers in ref.multi_indices[:: max(1, len(ref.multi_indices) // 8)]:
+        vals = backends.eval_basis(k, lam)[0]
+        mi = backends.multi_indices(k)
+        for powers in mi[:: max(1, len(mi) // 8)]:
             f = lambda L: np.prod(L ** powers, axis=-1)
-            nodal = f(ref.nodes_bary)
+            nodal = f(nodes(k))
             np.testing.assert_allclose(vals @ nodal, f(lam), atol=1e-12)
 
     def test_gradient_matches_finite_differences(self, rng):
-        ref = ReferenceElement(3)
         lam = random_bary(rng, 20)
-        _, dlam = ref.eval(lam)
+        _, dlam = backends.eval_basis(3, lam)
         step = 1e-6
         for m in range(4):
             lp = lam.copy()
             lp[:, m] += step
             lm = lam.copy()
             lm[:, m] -= step
-            fd = (ref.eval(lp)[0] - ref.eval(lm)[0]) / (2 * step)
+            fd = (backends.eval_basis(3, lp)[0] - backends.eval_basis(3, lm)[0]) / (2 * step)
             np.testing.assert_allclose(dlam[:, :, m], fd, atol=1e-8)
 
     def test_single_point_is_a_batch_of_one(self):
-        ref = ReferenceElement(2)
-        v, d = ref.eval(np.array([[0.25, 0.25, 0.25, 0.25]]))
-        assert v.shape == (1, ref.ndofs) and d.shape == (1, ref.ndofs, 4)
+        v, d = backends.eval_basis(2, np.array([[0.25, 0.25, 0.25, 0.25]]))
+        nb = len(backends.multi_indices(2))
+        assert v.shape == (1, nb) and d.shape == (1, nb, 4)
 
     def test_degree_bounds(self):
-        with pytest.raises(ValueError, match="degree"):
-            ReferenceElement(0)
-        with pytest.raises(ValueError, match="degree"):
-            ReferenceElement(MAX_DEGREE + 1)
+        """The mesh is the one place that checks the degree."""
+        for k in (0, MAX_DEGREE + 1):
+            with pytest.raises(ValueError, match="degree"):
+                ActiveMesh.build(MeshParams(4), Torus(), k)
 
     def test_node_multi_indices_sum_to_k(self):
         for k in (1, 2, 3, 4, 5):
-            ref = ReferenceElement(k)
-            assert np.all(ref.multi_indices.sum(axis=1) == k)
-            assert ref.ndofs == (k + 1) * (k + 2) * (k + 3) // 6
+            assert np.all(backends.multi_indices(k).sum(axis=1) == k)
+            assert torus_mesh(4, k)[1].nb == (k + 1) * (k + 2) * (k + 3) // 6
+
+    def test_multi_indices_are_one_shared_read_only_array(self):
+        mi = backends.multi_indices(3)
+        assert backends.multi_indices(3) is mi and not mi.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            mi[0, 0] = 0
 
 
 def factors_oracle(k, lam, glam=None):
@@ -172,19 +174,21 @@ class TestPhysicalGradients:
         np.testing.assert_allclose(val, x @ coef, atol=1e-12)
 
     def test_shape_contract(self, rng):
+        """A lift's gref is dlam @ bary_grad, (E, q, NB, 3)."""
         _, mesh = torus_mesh(4, 2)
         lam = rng.dirichlet(np.ones(4), size=10)
-        _, dlam = mesh.ref.eval(lam)
-        g = physical_gradients(dlam, mesh.bary_grad(np.zeros(10, dtype=int)))
-        assert g.shape == (10, mesh.ref.ndofs, 3)
+        elems = np.zeros(10, dtype=int)
+        gref = IsoMapping(mesh, np.zeros((mesh.ndofs, 3))).lift(elems, lam[:, None]).gref
+        assert gref.shape == (10, 1, mesh.nb, 3)
+        _, dlam = backends.eval_basis(mesh.k, lam)
+        np.testing.assert_array_equal(gref[:, 0], dlam @ mesh.bary_grad(elems))
 
-    def test_basis_physical_gradients_sum_to_zero(self, rng):
+    def test_basis_gradients_sum_to_zero(self, rng):
         """The constant field has zero gradient after the chain rule."""
         _, mesh = torus_mesh(4, 3)
-        lam = rng.dirichlet(np.ones(4), size=mesh.nelems)
-        _, dlam = mesh.ref.eval(lam)
-        g = physical_gradients(dlam, mesh.bary_grad(slice(None)))
-        np.testing.assert_allclose(g.sum(axis=1), 0.0, atol=1e-11)
+        lam = rng.dirichlet(np.ones(4), size=(mesh.nelems, 1))
+        g = IsoMapping(mesh, np.zeros((mesh.ndofs, 3))).lift(np.arange(mesh.nelems), lam).gref
+        np.testing.assert_allclose(g.sum(axis=2), 0.0, atol=1e-11)
 
 
 class QuadraticLevelSet:
