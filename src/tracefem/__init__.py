@@ -7,7 +7,7 @@ from .mapping import IsoMapping, build_theta
 from .mesh import ActiveMesh, MeshParams
 from .metrics import ErrorReport, compute_errors, eoc, estimate_condition
 from .reference import DiscreteLevelSet, interpolate
-from .solver import SolveReport, SolverDivergenceError, augment_gamma, pcg, solve_constrained
+from .solver import SolveReport, SolverDivergenceError, pcg, solve_constrained
 
 __version__ = "0.1.0"
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "ZeroBenchmark",
     "assemble_s",
     "assemble_system",
-    "augment_gamma",
     "backends",
     "build_theta",
     "compute_errors",

@@ -177,9 +177,12 @@ class ActiveMesh:
 
     def _build_dofs(self):
         k, n = self.k, self.params.n
-        nodes = np.einsum("bm,emj->ebj", backends.multi_indices(k), self.verts_lattice(slice(None)))  # (E, NB, 3) fine lattice
         m = k * n + 1
-        keys = (nodes[:, :, 0] * m + nodes[:, :, 1]) * m + nodes[:, :, 2]
+        lat = self.verts_lattice(slice(None))
+        # node b sits at sum_j mi[b, j] v_j on the fine lattice, and its key is linear
+        # in the lattice point: the vertices' keys times mi, with no (E, NB, 3) nodes
+        keys = ((lat[:, :, 0] * m + lat[:, :, 1]) * m + lat[:, :, 2]) @ backends.multi_indices(k).T
+        del lat
         dof_keys, inv = np.unique(keys, return_inverse=True)
         self.elem_dofs = inv.reshape(keys.shape).astype(np.int64)
         self.ndofs = len(dof_keys)

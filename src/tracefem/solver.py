@@ -1,16 +1,12 @@
-"""Constrained singular solve by rank-one augmentation and Jacobi PCG.
+"""Constrained singular solve by Jacobi PCG on S itself.
 
 The stiffness-plus-stabilization operator S is symmetric positive
-semidefinite with the constants in its kernel; the load is constructed
-orthogonal to them.  Adding gamma * c c' (applied matrix-free) makes the
-operator definite without touching the solution, which automatically
-satisfies the mean-value constraint c.u = 0.  Any gamma > 0 does that;
-only its scale matters for the conditioning.  gamma = mean(diag S) / |c|^2
-puts the augmented direction's eigenvalue near S's mean diagonal, inside
-the Jacobi-scaled bulk of the spectrum, and adds a small fraction to the
-diagonal the preconditioner divides by (see augment_gamma).  The
-iterate meets the constraint only to about the tolerance over gamma, so
-solve_constrained shifts it by the constant that puts it on c.u = 0.
+semidefinite with the constants in its kernel, and the load is
+constructed orthogonal to them, so S u = f is consistent and CG solves
+it as it is: with 1'r = 0, D^-1 r (D = diag S) is D-orthogonal to the
+kernel, and the iterates stay in S's range up to round-off.  A constant
+shift after PCG then puts u on the mean-value constraint c.u = 0
+without touching S u.
 """
 
 from __future__ import annotations
@@ -26,8 +22,7 @@ class SolveReport:
     iterations: int
     converged: bool
     relres: float        # preconditioned residual reduction at exit
-    relres_true: float   # |S u - f| / |f| against the un-augmented operator
-    gamma: float
+    relres_true: float   # |S u - f| / |f|
 
 
 class SolverDivergenceError(RuntimeError):
@@ -49,23 +44,6 @@ def _dot(a: np.ndarray, b: np.ndarray, out=None) -> float:
     depends on the thread count.  The pairwise sum does not.
     """
     return float(np.multiply(a, b, out=out).sum())
-
-
-def augment_gamma(S, c: np.ndarray) -> float:
-    """Scale for the rank-one augmentation: the mean diagonal of S over |c|^2, trace(S) / (n |c|^2).
-
-    gamma c c' then has the eigenvalue mean(diag S) along c, which for
-    the Jacobi-scaled operator lies inside the bulk of the spectrum;
-    trace(S) / |c|^2 put it n times higher.  gamma c_i^2 also stays a
-    small fraction of S_ii, the diagonal the preconditioner divides by: a
-    median 7e-6 to 5e-4 on the torus at k = 1 to 3, n = 16 to 32
-    (normal_volume), against 0.17 to 0.59 with trace(S) / |c|^2.  The
-    torus at k=3 n=10 takes 312 PCG iterations against 504.
-    """
-    cc = _dot(c, c)
-    if cc == 0.0:
-        raise ValueError("constraint vector is zero")
-    return float(S.diagonal().sum()) / (len(c) * cc)
 
 
 def default_maxiter(n: int) -> int:
@@ -116,9 +94,12 @@ def pcg(apply_A, b, diag, tol=1e-9, maxiter=None, true_check=None):
     return x, maxiter, False, relres
 
 
-def solve_constrained(S, c, f, tol=1e-9, maxiter=None, gamma=None, raise_on_fail=True) -> SolveReport:
-    """Solve (S + gamma c c') u = f matrix-free; u satisfies c.u ~ 0.
+def solve_constrained(S, c, f, tol=1e-9, maxiter=None, raise_on_fail=True) -> SolveReport:
+    """Solve S u = f by Jacobi PCG; u is then shifted onto c.u = 0.
 
+    f must be orthogonal to the constants, S's kernel; assemble_system
+    projects the load so.  The shift divides by 1'c, so a c whose entries
+    sum to zero (or to a non-finite value) raises ValueError.
     Exceeding the iteration cap raises SolverDivergenceError unless
     ``raise_on_fail`` is false, in which case the report carries
     ``converged=False`` (the conditioning sweep records such entries
@@ -126,37 +107,24 @@ def solve_constrained(S, c, f, tol=1e-9, maxiter=None, gamma=None, raise_on_fail
     """
     c = np.asarray(c, dtype=np.float64)
     f = np.asarray(f, dtype=np.float64)
-    if gamma is None:
-        gamma = augment_gamma(S, c)
-    diag = S.diagonal() + gamma * c * c
+    csum = float(c.sum())
+    if csum == 0.0 or not np.isfinite(csum):
+        raise ValueError(f"constraint vector must have a finite nonzero sum, got {csum}")
+    diag = S.diagonal()
     if np.any(diag <= 0.0):
-        raise ValueError("augmented diagonal must be positive")
-
-    tmp = np.empty(len(c))
-
-    def apply_A(v):
-        Sv = S @ v
-        Sv += np.multiply(gamma * _dot(c, v, tmp), c, out=tmp)
-        return Sv
+        raise ValueError("S's diagonal must be positive")
 
     nf = np.sqrt(_dot(f, f))
     slack = 1.05 * tol * nf
 
     def true_check(r):
-        # r is the augmented residual; near the constraint hyperplane it
-        # matches f - S u, so bound the plain 2-norm with a small slack.
         return np.sqrt(_dot(r, r)) <= slack if nf > 0.0 else True
 
-    u, its, ok, relres = pcg(apply_A, f, diag, tol=tol, maxiter=maxiter, true_check=true_check)
-    # S 1 = 0 and 1'f = 0 give 1'r = -gamma (1'c) (c.u) for the residual r
-    # at exit, so the stop leaves c.u at about |r| / (gamma 1'c), larger
-    # the smaller gamma is; the constant that moves u onto c.u = 0 leaves S u as it is
-    u -= _dot(c, u, tmp) / float(c.sum())
+    u, its, ok, relres = pcg(S.dot, f, diag, tol=tol, maxiter=maxiter, true_check=true_check)
+    u -= _dot(c, u) / csum  # S 1 = 0: the constant shift leaves S u as it is
     res = S @ u - f
     res_true = np.sqrt(_dot(res, res)) / nf if nf > 0.0 else 0.0
-    report = SolveReport(
-        u=u, iterations=its, converged=ok, relres=relres, relres_true=res_true, gamma=gamma
-    )
+    report = SolveReport(u=u, iterations=its, converged=ok, relres=relres, relres_true=res_true)
     if not ok and raise_on_fail:
         raise SolverDivergenceError(report)
     return report

@@ -501,17 +501,13 @@ def pcg_textbook(apply_A, b, diag, tol=1e-9, maxiter=None, true_check=None):
 
 
 def solve_constrained_textbook(S, c, f, tol=1e-9, maxiter=None):
-    """solver.solve_constrained's u, iteration count and convergence flag, through pcg_textbook and a fresh-vector operator, u then shifted by the constant that puts it on c.u = 0."""
-    gamma = float(S.diagonal().sum()) / (len(c) * float((c * c).sum()))
+    """solver.solve_constrained's u, iteration count and convergence flag, through pcg_textbook on S, u then shifted by the constant that puts it on c.u = 0."""
     nf = np.sqrt(float((f * f).sum()))
-
-    def apply_A(v):
-        return S @ v + gamma * float((c * v).sum()) * c
 
     def true_check(r):
         return np.sqrt(float((r * r).sum())) <= 1.05 * tol * nf if nf > 0.0 else True
 
-    u, its, ok, _ = pcg_textbook(apply_A, f, S.diagonal() + gamma * c * c, tol, maxiter, true_check)
+    u, its, ok, _ = pcg_textbook(lambda v: S @ v, f, S.diagonal(), tol, maxiter, true_check)
     return u - float((c * u).sum()) / float(c.sum()), its, ok
 
 

@@ -144,7 +144,7 @@ def test_criterion_5_solver_iteration_scaling():
     rep2, _ = torus_study(2, 3, 16)
     for rep in (rep1, rep2):
         ratio = rep[-1]["n_its"] / rep[-2]["n_its"]
-        assert 1.5 <= ratio <= 2.6  # measured 2.03 (k=1), 2.02 (k=2)
+        assert 1.5 <= ratio <= 2.6  # measured 2.02 (k=1), 2.02 (k=2)
 
 
 def test_criterion_6_mapping_decay_rates():

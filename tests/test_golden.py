@@ -122,7 +122,7 @@ GOLDEN = {
         "f": ["6cc811148f82fe10d14e648aca004d6663c4f94bace1e1a4310989a6e4f1dabc", 0.9921820473576519],
         "iterations": [171],
         "theta": ["35ba69fa06b4131577e93adb52403d83f651036e2782f00a736764e7cdad2398", 0.9603003373001365],
-        "u": ["dda38c797a4c758630d7500d1b231d7e10996ea9dc6f9906ee11777ca00143bd", 874953152303.2701],
+        "u": ["46aff747c70de5af6d4aced1fcff038a396238fbc77be41dbabedef9e57addae", 874950586846.041],
     },
     "sphere-k4-fgv": {
         "S.data": ["43bd89c2829bb79f630fb9d264c7088d75d08c85cb59856678cbdf27e5e05dbd", 258.69951093829343],
@@ -135,7 +135,7 @@ GOLDEN = {
         "f": ["e803ea4f760969157f07805483883a02f482e72eed0e6effc80ef60956a177d6", 0.6867103872593432],
         "iterations": [208],
         "theta": ["0d9257c24ee82415ce2d7cf2faca9fcb7c2093721d3046df497ec642db15ff65", 2.7431411013690905],
-        "u": ["a619ef18578da668d4ff466be9e928e6f287cad647b0f107df94b8c877bf87d0", 4.583615546681636],
+        "u": ["6a8e31074301dabb27711d994d739d78deea8f24c6c425d41eb2d95d429b4ad0", 4.5836155466703135],
     },
     "sphere-k5-none": {
         "S.data": ["843004b1a1f4ecec74dc0500b0ccc427f38b8c5e6f4e1578795d8a8cdb1be70c", 422.49692427740723],
@@ -143,12 +143,12 @@ GOLDEN = {
         "S.indptr": ["15a12f8373c3806365c56cf0a288094f464b64c748550a00a82e0e4ede62d995", 32426889.431869503],
         "c": ["9d25ee34a9560b0562570fb4e21f16709a1dd0d4d27cf81f7d24ec850a8f492e", 0.5357210898400787],
         "csv_rows": [
-            "0,8,5.00000e-01,6972,1.59613e-04,,3.95239e-05,,9.17770e-04,,3.24596e+00,,405",
+            "0,8,5.00000e-01,6972,1.59613e-04,,3.95239e-05,,9.17770e-04,,3.24609e+00,,403",
         ],
         "f": ["46908442b9b3efbc1ccced609cc081a8adbef0f58d9bebee3508ac9832f38706", 0.601300246811228],
-        "iterations": [405],
+        "iterations": [403],
         "theta": ["8b6c5ce4522a41c3ce23462229a18ec9b9bf7a07510dce3fbeb87a5ecdc3a019", 3.8023374256046063],
-        "u": ["ecdac01b780527ea4a846b3a726ad5f5f317833eba7164a40307e8ec4fa621c9", 4.079346073454647e+27],
+        "u": ["5c0056d1bce549f67f5900a61eca87f333621af9c9da224787c625a79666c157", 1.8110996440669876e+28],
     },
     "sweep-k2": {
         "S.data": ["26c13281c35f2b76908e200ddf4aa2577de4403c663e91bf6149a2487884b78a", 258.3137116469975],
@@ -159,16 +159,16 @@ GOLDEN = {
             "5.00000e-01,none,5.53253e+00,-6.78112e-17,inf,-1",
             "5.00000e-01,normal_volume,6.56727e+00,1.04580e-02,6.27965e+02,126",
             "5.00000e-01,full_gradient_surface,6.82179e+00,-1.15392e-16,inf,-1",
-            "5.00000e-01,full_gradient_volume,6.57676e+00,1.24982e-02,5.26215e+02,113",
+            "5.00000e-01,full_gradient_volume,6.57676e+00,1.24982e-02,5.26215e+02,112",
             "1.00000e-03,none,1.03449e+01,5.73141e-14,inf,-1",
             "1.00000e-03,normal_volume,1.08283e+01,9.82602e-03,1.10200e+03,130",
             "1.00000e-03,full_gradient_surface,1.16639e+01,1.57315e-12,inf,-1",
-            "1.00000e-03,full_gradient_volume,1.11111e+01,1.14914e-02,9.66908e+02,102",
+            "1.00000e-03,full_gradient_volume,1.11111e+01,1.14914e-02,9.66908e+02,100",
         ],
         "f": ["97a5b63d8b97627ab3c311977d6f507fdf3f7fe4602cba9e11577e4f37b5c41f", 0.0],
-        "iterations": [126, 113, 130, 102],
+        "iterations": [126, 112, 130, 100],
         "theta": ["94098715a300230d6874696beed8cc23b5f419ea50f62e237b1fc2adfbf31010", 0.0],
-        "u": ["2862c6876a0328bd593f9b37b2abe4627f1aefec445c01f05b86d5a12cca7bbb", 346.0820687887522],
+        "u": ["408dcd37abfdb64c0b6ebc14adf701c409a8ff185eb23642d2f2fd952814e4e8", 346.0820687863002],
     },
     "torus-k1-ghost": {
         "S.data": ["d8e5cf6fa940088d2fa261403eded3ce1ca76acf86b7dc0ae5b73919008485fb", 651.2233753871614],
@@ -181,7 +181,7 @@ GOLDEN = {
         "f": ["4d4ca65466b6b2e32fff87a899ae226598284b9c6e96611e72c9d48abe11e3fd", 16.134750919324706],
         "iterations": [248],
         "theta": ["da1582d2116a5e538134b44b6b54e3a13ab3e471785d289b786f9884901c2f56", 0.0],
-        "u": ["d050cbe671d8edcfd7f48b1a55b21348a4b98349ad45e49396215d8653ed5e51", 3.417816729810695],
+        "u": ["22f72347940bfbaea49fda48c981053ee138846ff3e080363203b16b34ba842f", 3.417816729808414],
     },
     "torus-k3-nv-export": {
         "S.data": ["fb1823c267f3f7060326e4dc615bfcaf54bfbef6d0a947b6817c8fb5241b65c3", 269.92732659755416],
@@ -189,7 +189,7 @@ GOLDEN = {
         "S.indptr": ["77a18ec5de65588dd557379e8cddb10d45ad25789260a7d5d34cdea3bf21619a", 10818487.117291447],
         "c": ["65e3289435525ce9f5caa50e26716e9110572ade9ff7dfdefdfc3b816421749e", 0.778922757993015],
         "csv_rows": [
-            "0,10,4.00000e-01,5961,2.29769e-02,,1.01946e-01,,1.54656e+00,,1.53097e+00,,312",
+            "0,10,4.00000e-01,5961,2.29769e-02,,1.01946e-01,,1.54656e+00,,1.53097e+00,,311",
         ],
         "f": ["5bcf2c56973e3940c52f1bcf9ce5684d37b6bae213c668dfe5d8273cc691e482", 14.628008599551993],
         "file:active_mesh_l0.vtk": ["f91e92d3740d27571fd9e4b8c44661a14aad7a274468e7edf93d44ac8413b1b7", 8602.992618850722],
@@ -198,9 +198,9 @@ GOLDEN = {
         "file:interface_lifted_l0.vtk": ["2520c226c719e2f2b5d0c00fff2a99a7d4c4e323cdc2819e0357c3de8ad55ac0", 44044.75321760811],
         "file:interface_lin_l0.vtk": ["dbbac3a1fa4056bede6ff72ac70011d8810dc1f421e01a937595c1ee4d95e395", 23745.134996457695],
         "file:system_l0.mtx": ["b72f208e2947675e57e76a3125b701a2e2a02101e084de3a28a7e0ade0cc7ebd", 139375.73135592867],
-        "iterations": [312],
+        "iterations": [311],
         "theta": ["579400a0b5c4f61777f05a63357ca66f3d898463713dda225004a836e40bb8f4", 2.17913385870973],
-        "u": ["079471dfafb83d55fbdb9ddb1fb63909ccd0b7d7ab61589d3d9e412c57942f69", 38.052845684802755],
+        "u": ["dc8b5dbe976b2a72d1f942d524904894d75434fb7b5a162f1f5cc52458e758f5", 38.052845685200516],
     },
 }
 

@@ -13,7 +13,6 @@ from tracefem.assembly import StabConfig, assemble_system
 from tracefem.solver import (
     SolveReport,
     SolverDivergenceError,
-    augment_gamma,
     default_maxiter,
     pcg,
     solve_constrained,
@@ -27,45 +26,12 @@ def torus_system(n=8, k=1, stab="normal_volume"):
     return assemble_system(mesh, dls, mapping, torus_benchmark(), StabConfig(stab))
 
 
-class TestAugmentation:
-    def test_gamma_is_mean_diagonal_over_constraint_norm(self):
-        S = sp.diags([1.0, 2.0, 3.0]).tocsr()
-        c = np.array([0.0, 2.0, 0.0])
-        assert augment_gamma(S, c) == pytest.approx(6.0 / (4.0 * 3.0))
-
-    def test_gamma_is_scale_homogeneous(self):
-        """Scaling S and c together leaves the augmented system consistent."""
-        sys = torus_system()
-        g = augment_gamma(sys.S, sys.c)
-        assert augment_gamma(4.0 * sys.S, sys.c) == pytest.approx(4.0 * g)
-        assert augment_gamma(sys.S, 2.0 * sys.c) == pytest.approx(g / 4.0)
-
-    def test_zero_constraint_rejected(self):
-        with pytest.raises(ValueError, match="zero"):
-            augment_gamma(sp.eye(3).tocsr(), np.zeros(3))
-
-    def test_augmented_operator_is_positive_definite(self):
-        """The rank-one term lifts the constant kernel of S."""
-        sys = torus_system()
-        gamma = augment_gamma(sys.S, sys.c)
-        dense = sys.S.toarray() + gamma * np.outer(sys.c, sys.c)
-        np.linalg.cholesky(dense + 1e-14 * np.eye(len(sys.c)) * dense.diagonal().max())
-
-
-class TestAugmentationScale:
-    """The mean-diagonal scale against trace(S) / |c|^2 on the torus, k=2 n=16, normal_volume."""
+class TestPlainSolve:
+    """PCG on S itself, on the torus, k=2 n=16, normal_volume."""
 
     @pytest.fixture(scope="class")
     def system(self):
         return torus_system(16, 2)
-
-    def test_takes_fewer_iterations_than_the_trace_scale(self, system):
-        """Measured 236 against 379 iterations."""
-        S, c, f = system.S, system.c, system.f
-        mean = solve_constrained(S, c, f)
-        trace = solve_constrained(S, c, f, gamma=float(S.diagonal().sum()) / float(c @ c))
-        assert mean.converged and trace.converged
-        assert 1.4 * mean.iterations <= trace.iterations, (mean.iterations, trace.iterations)
 
     def test_solution_and_residual_hold_at_the_tolerance(self, system):
         S, c, f = system.S, system.c, system.f
@@ -76,16 +42,10 @@ class TestAugmentationScale:
         assert np.linalg.norm(rep.u - tight.u) <= 5e-9 * np.linalg.norm(tight.u)
 
     def test_solution_lies_on_the_constraint_to_round_off(self, system):
-        """The PCG iterate leaves |c.u| at 4.7e-13 of |c| |u| here; the constant shift takes it to 5e-18."""
+        """The constant shift leaves |c.u| at 1.9e-18 of |c| |u| here."""
         S, c, f = system.S, system.c, system.f
         rep = solve_constrained(S, c, f)
         assert abs(c @ rep.u) <= 1e-14 * np.linalg.norm(c) * np.linalg.norm(rep.u)
-
-    def test_augmentation_is_a_small_part_of_the_diagonal(self, system):
-        """The median of gamma c_i^2 / S_ii is 6.1e-5 here; trace(S) / |c|^2 made it 0.32."""
-        S, c = system.S, system.c
-        share = augment_gamma(S, c) * c * c / S.diagonal()
-        assert np.median(share) <= 1e-3
 
 
 class TestPcg:
@@ -133,26 +93,20 @@ class TestConstrainedSolve:
         assert rep.converged
         nf = np.linalg.norm(sys.f)
         assert np.linalg.norm(sys.S @ rep.u - sys.f) <= 1.1 * 1e-10 * nf
-        # the augmentation enforces the mean-value constraint as a by-product
         cu = abs(sys.c @ rep.u) / (np.linalg.norm(sys.c) * np.linalg.norm(rep.u))
         assert cu <= 1e-9
 
     def test_matches_dense_constrained_solve(self):
-        """Saddle-point elimination: dense solve of the augmented operator."""
+        """Saddle-point system [[S, c], [c', 0]] [u; mu] = [f; 0], solved dense."""
         sys = torus_system()
-        gamma = augment_gamma(sys.S, sys.c)
-        dense = sys.S.toarray() + gamma * np.outer(sys.c, sys.c)
-        expected = np.linalg.solve(dense, sys.f)
+        n = len(sys.c)
+        dense = np.zeros((n + 1, n + 1))
+        dense[:n, :n] = sys.S.toarray()
+        dense[:n, n] = dense[n, :n] = sys.c
+        expected = np.linalg.solve(dense, np.append(sys.f, 0.0))[:n]
         rep = solve_constrained(sys.S, sys.c, sys.f, tol=1e-12)
         scale = np.linalg.norm(expected)
         assert np.linalg.norm(rep.u - expected) <= 1e-7 * scale
-
-    def test_gamma_override_is_used(self):
-        sys = torus_system()
-        rep = solve_constrained(sys.S, sys.c, sys.f, gamma=2.5)
-        assert rep.gamma == 2.5
-        rep_auto = solve_constrained(sys.S, sys.c, sys.f)
-        assert rep_auto.gamma == pytest.approx(augment_gamma(sys.S, sys.c))
 
     def test_zero_load_returns_zero(self):
         sys = torus_system()
@@ -176,7 +130,14 @@ class TestConstrainedSolve:
     def test_nonpositive_diagonal_rejected(self):
         S = sp.diags([1.0, -2.0, 1.0]).tocsr()
         with pytest.raises(ValueError, match="diagonal"):
-            solve_constrained(S, np.zeros(3) + 1e-30, np.ones(3), gamma=1.0)
+            solve_constrained(S, np.zeros(3) + 1e-30, np.ones(3))
+
+    @pytest.mark.parametrize("c", [[1.0, -1.0, 0.0], [0.0, 0.0, 0.0]], ids=["zero-sum", "zero"])
+    def test_constraint_with_zero_sum_rejected(self, c):
+        """The shift onto c.u = 0 divides by 1'c."""
+        S = sp.diags([1.0, 2.0, 1.0]).tocsr()
+        with pytest.raises(ValueError, match="nonzero sum"):
+            solve_constrained(S, np.array(c), np.ones(3))
 
 
 class TestInPlacePcg:

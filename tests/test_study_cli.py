@@ -407,10 +407,10 @@ class TestConditioningStudy:
 
     def test_solve_errors_carry_the_solve_tag(self, monkeypatch):
         def failing(*args, **kwargs):
-            raise ValueError("augmented diagonal must be positive")
+            raise ValueError("S's diagonal must be positive")
 
         monkeypatch.setattr(study, "solve_constrained", failing)
-        with pytest.raises(StageError, match=r"\[solve\] augmented diagonal") as caught:
+        with pytest.raises(StageError, match=r"\[solve\] S's diagonal") as caught:
             run_conditioning(StudyConfig(k=1, base_n=4, conditioning=True, shifts=(0.5,)))
         assert caught.value.stage == "solve"
 
