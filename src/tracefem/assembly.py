@@ -12,6 +12,7 @@ part of the stiffness integrand (_surface_pass).
 
 from __future__ import annotations
 
+import copy
 import math
 import numbers
 import weakref
@@ -160,14 +161,14 @@ class LiftedRule:
         """Add w * v.v' local matrices into out, a Pattern with element blocks, v = integrand(lift) (Ec, q, NB, M).
 
         each(cells, lift, w), if given, is called on every chunk first, so
-        other integrals share the chunk's lift; the integrand then gets the
+        other integrals share the chunk's lift; the integrand always gets the
         lift without vals and y.  The lift is freed before the local
         matrices are formed.
         """
         for cells, lift, w in self.chunks():
             if each is not None:
                 each(cells, lift, w)
-                lift = lift._replace(vals=None, y=None)
+            lift = lift._replace(vals=None, y=None)
             vec = integrand(lift)
             del lift
             out.add("elements", cells, backends.accumulate_sym(vec, w))
@@ -332,6 +333,12 @@ class Pattern:
         del key
         self.matrix = sp.csr_matrix((np.zeros(len(indices)), indices, indptr), shape=(n, n))
 
+    def with_data(self, data):
+        """This pattern with its own matrix on data (nnz,); the blocks, offsets, indices and indptr are shared."""
+        other = copy.copy(self)
+        other.matrix = sp.csr_matrix((data, self.matrix.indices, self.matrix.indptr), shape=self.matrix.shape)
+        return other
+
     def slots(self, name, rows):
         """(B', nb, nb) places in matrix.data of the local entries of the blocks rows of family name."""
         return self.matrix.indptr[self.dofs[name][rows]][..., None] + self.offsets[name][rows]
@@ -349,7 +356,8 @@ def _surface_pass(surf, problem, out, root_rho):
     v . v' = Pg . Pg' + rho (n . g)(n . g'): A plus the full-gradient
     surface stabilization for root_rho = sqrt(rho), and A to the bit for
     root_rho = 0.  c_i is the integral of basis_i and f_i that of
-    f(y) * basis_i, both summed chunk by chunk, in point order.
+    f(y) * basis_i, both summed chunk by chunk, in point order; with problem
+    None neither is summed and both stay zero.
     """
     mesh = surf.mesh
     c = np.zeros(mesh.ndofs)
@@ -369,7 +377,7 @@ def _surface_pass(surf, problem, out, root_rho):
         g = w * problem.rhs(lift.y.reshape(-1, 3)).reshape(w.shape)
         np.add.at(f, dofs, (lift.vals * g[..., None]).ravel())
 
-    surf.accumulate(integrand, out, each)
+    surf.accumulate(integrand, out, None if problem is None else each)
     return c, f
 
 
@@ -440,33 +448,59 @@ def _ghost_dofs(mesh):
 
 @dataclass
 class AssembledSystem:
-    """Stiffness-plus-stabilization operator with constraint and load."""
+    """Stiffness-plus-stabilization operator S on its level's Pattern, with constraint, load and the stabilization it carries."""
 
-    S: sp.csr_matrix
+    pattern: Pattern
     c: np.ndarray
     f: np.ndarray
+    stab: StabConfig
+
+    @property
+    def S(self) -> sp.csr_matrix:
+        return self.pattern.matrix
 
 
-def assemble_system(mesh, dls, mapping, problem, stab: StabConfig) -> AssembledSystem:
+def assemble_system(mesh, dls, mapping, problem, stab: StabConfig, *, base=None) -> AssembledSystem:
     """One-stop assembly: one pass over the surface rule for A, c, f and a surface stabilization, and one Pattern for S.
 
     The three must be one level, dls and mapping both on mesh; anything
-    else raises ValueError before anything is cut or cached.  The raw load moments f are projected to mean zero,
+    else raises ValueError before anything is cut or cached, and so does a
+    base of another level, a stabilized base or ghost_penalty with a base.
+    The raw load moments f are projected to mean zero,
     f -= (<f, e>/<c, e>) c with e the coefficient vector of the constant
     one, which places f in the range of the singular stiffness operator.
+
+    base, the level's 'none' system for the same problem, lends its Pattern
+    and its c and f (shared, not copied): a volume variant adds its volume
+    pass to a copy of base's A, full_gradient_surface runs its own surface
+    pass into zeroed data.  The additions and their order are those without
+    base, so S is the same to the bit.
     """
     if not (dls.mesh is mesh is mapping.mesh):
         raise ValueError("mesh, level set and mapping are not one level")
+    if base is not None:
+        if base.pattern.dofs["elements"] is not mesh.elem_dofs:  # the pattern keeps its blocks by reference
+            raise ValueError("base is not a system of this level")
+        if base.stab.variant != "none":
+            raise ValueError(f"base must be the level's 'none' system, not {base.stab.variant!r}")
+        if stab.variant == "ghost_penalty":
+            raise ValueError("ghost_penalty builds its own facet pattern and takes no base")
+    fgs = stab.variant == "full_gradient_surface"
+    root_rho = math.sqrt(stab.resolve_rho(mesh.h, mesh.k)) if fgs else 0.0
     blocks, columns = {"elements": mesh.elem_dofs}, None
-    if stab.variant == "ghost_penalty":
-        blocks["facets"], columns = _ghost_dofs(mesh)  # the jumps are formed where assemble_s adds them
-    out = Pattern(mesh.ndofs, **blocks)  # keeps the facet patches' dofs for its slots
-    # the surface rule is built after the pattern, so a mesh's first rule and
-    # its cut are not alive at the pattern's peak; a later assembly of the
-    # mesh builds its pattern with the cached cut alive
-    surf = SurfaceData.build(mapping)
-    root_rho = math.sqrt(stab.resolve_rho(mesh.h, mesh.k)) if stab.variant == "full_gradient_surface" else 0.0
-    c, f = _surface_pass(surf, problem, out, root_rho)
+    if base is not None:
+        c, f = base.c, base.f
+        out = base.pattern.with_data(np.zeros_like(base.S.data) if fgs else base.S.data.copy())
+        if fgs:
+            _surface_pass(SurfaceData.build(mapping), None, out, root_rho)
+    else:
+        if stab.variant == "ghost_penalty":
+            blocks["facets"], columns = _ghost_dofs(mesh)  # the jumps are formed where assemble_s adds them
+        out = Pattern(mesh.ndofs, **blocks)  # keeps the facet patches' dofs for its slots
+        # the surface rule is built after the pattern, so a mesh's first rule and
+        # its cut are not alive at the pattern's peak; a later assembly of the
+        # mesh builds its pattern with the cached cut alive
+        c, f = _surface_pass(SurfaceData.build(mapping), problem, out, root_rho)
+        f -= f.sum() / c.sum() * c  # pairwise sums: independent of the BLAS thread count
     assemble_s(mapping, stab, out, columns)
-    f -= f.sum() / c.sum() * c  # pairwise sums: independent of the BLAS thread count
-    return AssembledSystem(S=out.matrix, c=c, f=f)
+    return AssembledSystem(out, c, f, stab)

@@ -297,15 +297,21 @@ def _condition(S, c):
 
 
 def _conditioning_shift(cfg: StudyConfig, eps: float, rng) -> list:
-    """Estimate and solve every variant at one shift; its mesh, mapping and systems are freed on return, before the next shift is built."""
+    """Estimate and solve every variant at one shift; its mesh, mapping and systems are freed on return, before the next shift is built.
+
+    The first variant, 'none', is the base of all others but ghost_penalty
+    (assemble_system), so a shift builds one Pattern and one surface pass of A.
+    """
     ls = _stage("mesh", shifted_plane, eps, cfg.base_n)
     problem = ZeroBenchmark(ls)
     mesh, dls, mapping = _level(ls, cfg.base_n, cfg.k)
     synth = rng.standard_normal(mesh.ndofs)
-    reports = []
+    reports, base = [], None
     for variant in _conditioning_variants(cfg.k):
         stab = StabConfig(variant, cfg.rho if variant == cfg.stab else None)
-        system = _stage("assemble", assemble_system, mesh, dls, mapping, problem, stab)
+        shared = None if variant == "ghost_penalty" else base
+        system = _stage("assemble", assemble_system, mesh, dls, mapping, problem, stab, base=shared)
+        base = base or system
         lmax, lmin, singular = _stage("condition", _condition, system.S, system.c)
         cond = float("inf") if singular else lmax / lmin
         n_its = -1

@@ -11,6 +11,7 @@ from tracefem import mapping as mapping_module
 from tracefem import mesh as mesh_module
 from tracefem.assembly import (
     VARIANTS,
+    AssembledSystem,
     Pattern,
     StabConfig,
     SurfaceData,
@@ -341,6 +342,60 @@ class TestConstraintAndLoad:
         _, mesh, dls, mapping = torus_case(16, 2)
         f = none_system(mesh, dls, mapping, torus_benchmark()).f
         assert abs(f.sum()) <= 1e-12 * np.linalg.norm(f) * np.sqrt(mesh.ndofs)
+
+
+# the variants that the conditioning sweep assembles on its 'none' system, one with a custom rho each
+SHARED_VARIANTS = [
+    StabConfig("none"),
+    StabConfig("normal_volume"),
+    StabConfig("full_gradient_surface"),
+    StabConfig("full_gradient_surface", ("custom", 5.0, 0.0)),
+    StabConfig("full_gradient_volume"),
+    StabConfig("full_gradient_volume", ("custom", 3.0, 0.0)),
+]
+
+
+class TestSharedBase:
+    """Variants assembled on the level's 'none' system, as the conditioning sweep does."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_variants_on_a_base_are_the_assembly_from_scratch_to_the_bit(self, k):
+        """S, c and f with base= are those of an assembly without it, and base's data is never written."""
+        mesh, dls, mapping = plane_case(shifted_plane(0.5, 8), 8, k)
+        problem = torus_benchmark()
+        base = assemble_system(mesh, dls, mapping, problem, StabConfig("none"))
+        kept = base.S.data.tobytes()
+        for stab in SHARED_VARIANTS:
+            shared = assemble_system(mesh, dls, mapping, problem, stab, base=base)
+            fresh = assemble_system(mesh, dls, mapping, problem, stab)
+            for name in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(shared.S, name), getattr(fresh.S, name)), (stab, name)
+            assert np.array_equal(shared.c, fresh.c) and np.array_equal(shared.f, fresh.f), stab
+            assert shared.pattern.offsets is base.pattern.offsets  # one Pattern's search for every variant
+            assert not np.shares_memory(shared.S.data, base.S.data), stab
+        assert base.S.data.tobytes() == kept
+
+    def test_a_base_of_another_level_is_refused_before_the_cut(self):
+        mesh, dls, mapping = plane_case(shifted_plane(0.5, 8), 8, 2)
+        other, _, _ = plane_case(shifted_plane(0.1, 8), 8, 2)
+        zero = np.zeros(other.ndofs)
+        foreign = AssembledSystem(Pattern(other.ndofs, elements=other.elem_dofs), zero, zero, StabConfig("none"))
+        with pytest.raises(ValueError, match="not a system of this level"):
+            assemble_system(mesh, dls, mapping, torus_benchmark(), StabConfig("full_gradient_surface"), base=foreign)
+        assert mesh not in assembly._CUTS
+
+    @pytest.mark.parametrize(
+        "base_variant, variant, message",
+        [("normal_volume", "full_gradient_surface", "'none' system"), ("none", "ghost_penalty", "takes no base")],
+    )
+    def test_a_stabilized_base_or_a_ghost_penalty_on_a_base_is_refused_before_the_cut(self, base_variant, variant, message):
+        """A stabilized base would count its stabilization twice; ghost_penalty's facet blocks are not on base's pattern."""
+        mesh, dls, mapping = plane_case(shifted_plane(0.5, 8), 8, 1)
+        zero = np.zeros(mesh.ndofs)
+        base = AssembledSystem(Pattern(mesh.ndofs, elements=mesh.elem_dofs), zero, zero, StabConfig(base_variant))
+        with pytest.raises(ValueError, match=message):
+            assemble_system(mesh, dls, mapping, torus_benchmark(), StabConfig(variant), base=base)
+        assert mesh not in assembly._CUTS
 
 
 def lifted_arrays(rule):

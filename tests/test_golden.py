@@ -30,6 +30,7 @@ CASES = {
     "sphere-k4-fgv": dict(benchmark="sphere", k=4, base_n=8, stab="fgv"),
     "sphere-k5-none": dict(benchmark="sphere", k=5, base_n=8, stab="none"),
     "plane-k5-none": dict(benchmark="plane", k=5, base_n=4, stab="none"),
+    "sweep-k1": dict(conditioning=True, k=1, base_n=8, shifts=[0.5, 1e-3]),
     "sweep-k2": dict(conditioning=True, k=2, base_n=8, shifts=[0.5, 1e-3]),
 }
 
@@ -149,6 +150,28 @@ GOLDEN = {
         "iterations": [403],
         "theta": ["8b6c5ce4522a41c3ce23462229a18ec9b9bf7a07510dce3fbeb87a5ecdc3a019", 3.8023374256046063],
         "u": ["5c0056d1bce549f67f5900a61eca87f333621af9c9da224787c625a79666c157", 1.8110996440669876e+28],
+    },
+    "sweep-k1": {
+        "S.data": ["01f0491c29fc36dd6bf1c751137c31b207a7728bd3f9f03a93e31923f6498cc0", 467.89501676002664],
+        "S.indices": ["ca71384a7662703240bcb0d03b71768f70e386a20bcaf17f3211ad5a359182d9", 12084.32190898604],
+        "S.indptr": ["521f44f09240f13cc1a13effe9aa2c063ffbb7ad26221533dc611253082392be", 41413.2444997974],
+        "c": ["c07dc24e24b519c3d94ccb8bf1a22985dd62c4821990276e7836c7f952b8611b", 5.161202267311654],
+        "csv_rows": [
+            "5.00000e-01,none,3.86610e+00,1.95735e-17,inf,-1",
+            "5.00000e-01,normal_volume,5.85974e+00,5.28910e-02,1.10789e+02,53",
+            "5.00000e-01,full_gradient_surface,5.85974e+00,5.28744e-02,1.10824e+02,50",
+            "5.00000e-01,full_gradient_volume,5.33018e+00,6.58541e-02,8.09391e+01,49",
+            "5.00000e-01,ghost_penalty,8.35000e+01,3.77721e-15,inf,-1",
+            "1.00000e-03,none,7.72240e+00,-2.70353e-20,inf,-1",
+            "1.00000e-03,normal_volume,8.84572e+00,4.99415e-02,1.77122e+02,54",
+            "1.00000e-03,full_gradient_surface,8.84638e+00,1.99975e-06,4.42375e+06,56",
+            "1.00000e-03,full_gradient_volume,8.94573e+00,5.65088e-02,1.58307e+02,44",
+            "1.00000e-03,ghost_penalty,8.37525e+01,2.96964e-15,inf,-1",
+        ],
+        "f": ["7bea598b6eb6658c0945da8bb8cd4b6849d1714b1d40c4bbd6f60d77535eae1f", 0.0],
+        "iterations": [53, 50, 49, 54, 56, 44],
+        "theta": ["eace01ab86af718aaf8ab19a176ddb93c619a412478268a4673ff0c081b0617d", 0.0],
+        "u": ["af3db219d17c84dc8dcdfa276f6c732f2cd67c9d6d6f43563b6523456623f8e9", 118238.75967906143],
     },
     "sweep-k2": {
         "S.data": ["26c13281c35f2b76908e200ddf4aa2577de4403c663e91bf6149a2487884b78a", 258.3137116469975],

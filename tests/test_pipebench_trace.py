@@ -22,9 +22,9 @@ from tracefem.mesh import ActiveMesh, MeshParams
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_traced_benchmark_process_runs_a_small_study(tmp_path):
-    config = {"benchmark": "sphere", "k": 2, "base_n": 8, "levels": 1, "stab": "normal_volume"}
-    spec = {"mode": "trace", "spawned": time.monotonic(), "config": dict(config, out=str(tmp_path))}
+def traced_run(config, out):
+    """The result of one traced benchmark process running config into out."""
+    spec = {"mode": "trace", "spawned": time.monotonic(), "config": dict(config, out=str(out))}
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -32,7 +32,12 @@ def test_traced_benchmark_process_runs_a_small_study(tmp_path):
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_traced_benchmark_process_runs_a_small_study(tmp_path):
+    config = {"benchmark": "sphere", "k": 2, "base_n": 8, "levels": 1, "stab": "normal_volume"}
+    result = traced_run(config, tmp_path)
     assert result["failures"] == []
     layers = result["layers"]
     # Theta solves once per element node and the volume rule has q points per
@@ -53,3 +58,21 @@ def test_traced_benchmark_process_runs_a_small_study(tmp_path):
     assert layers["assembly.stab_s"] > 0
     assert layers["assembly.accumulate_s"] > 0
     assert layers["assembly.nnz"] > 0
+
+
+def test_traced_sweep_checks_the_eigenvalues_of_normal_volume(tmp_path):
+    """The sweep calls study.assemble_system once per variant, so the tracer knows which system each estimate is of.
+
+    The tracer checks the eigenvalue estimate of the first normal_volume
+    system it sees, in a bench.check span right after that estimate; a
+    sweep that assembled its variants some other way would skip it.
+    """
+    config = {"conditioning": True, "k": 2, "base_n": 4, "shifts": [0.5]}
+    result = traced_run(config, tmp_path)
+    assert result["failures"] == []
+    layers = result["layers"]
+    assert layers["condition.calls"] == 4  # none, normal_volume, full_gradient_surface, full_gradient_volume
+    assert layers["assembly.nnz"] > 0
+    names = [span["name"] for span in json.loads((tmp_path / "trace.json").read_text())]
+    estimates = [i for i, name in enumerate(names) if name == "condition"]
+    assert names[estimates[1] + 1] == "bench.check"  # the second variant is normal_volume
